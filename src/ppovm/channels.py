@@ -15,11 +15,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     dagger,
+    hermiticity_check,
     herm_eig,
     kron,
     max_abs,
     partial_trace,
+    square_matrix,
     vec_reshape,
 )
 
@@ -65,32 +68,91 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # validators for operator-valued objects (plain ndarrays)
+#
+# Each invariant has one routine returning (name, value, passed) entries.
+# The raising validators below and the CLI's `validate` report read them.
 # ---------------------------------------------------------------------------
+
+
+def all_pass(checks: list[Check]) -> bool:
+    return all(passed for _, _, passed in checks)
+
+
+def raise_failed(checks: list[Check], what: str, error: type = ValueError) -> None:
+    """Raise ``error`` naming the first failing entry, if there is one."""
+    for name, value, passed in checks:
+        if not passed:
+            raise error(f"{what}: {name} = {value:.3e}")
+
+
+def effect_checks(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "effect") -> list[Check]:
+    """Effect: Hermitian with spectrum inside [0, 1]."""
+    m = square_matrix(m, name)
+    values = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    return [
+        hermiticity_check(name, m, tol),
+        (f"{name}_min_eigenvalue", float(values[0]), values[0] >= -tol),
+        (f"{name}_max_eigenvalue", float(values[-1]), values[-1] <= 1.0 + tol),
+    ]
+
+
+def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") -> list[Check]:
+    """Density operator: PSD with unit trace (hermiticity is separate)."""
+    values = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    trace_dev = abs(float(np.trace(m).real) - 1.0)
+    psd = values[0] >= -tol * max(1.0, float(values[-1]))
+    return [
+        (f"{prefix}min_eigenvalue", float(values[0]), psd),
+        (f"{prefix}trace_deviation", trace_dev, trace_dev <= tol),
+    ]
+
+
+def state_checks(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
+    """Density operator: Hermitian, PSD, unit trace."""
+    m = square_matrix(m, "density operator")
+    return [hermiticity_check("state", m, tol), *density_checks(m, tol)]
+
+
+def povm_checks(effects: list[np.ndarray], tol: float = DEFAULT_TOL) -> list[Check]:
+    """Every effect, then completeness: the effects sum to the identity."""
+    if not effects or any(np.shape(e) != np.shape(effects[0]) for e in effects):
+        raise ValueError("POVM needs one or more effects of one shape")
+    checks = [c for k, e in enumerate(effects) for c in effect_checks(e, tol, f"effect_{k}")]
+    total = sum(effects)
+    res = max_abs(total - np.eye(total.shape[0]))
+    return [*checks, ("completeness_residual", res, res <= tol)]
+
+
+def trace_preservation_checks(ch: KrausChannel, tol: float = DEFAULT_TOL) -> list[Check]:
+    """Trace preservation: sum A^dag A = I."""
+    total = sum(dagger(a) @ a for a in ch.kraus)
+    res = max_abs(total - np.eye(ch.dim_in))
+    return [("trace_preservation_residual", res, res <= tol)]
+
+
+def unitarity_checks(u: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
+    """Unitarity: U^dag U = I."""
+    u = square_matrix(u, "unitary")
+    res = max_abs(dagger(u) @ u - np.eye(u.shape[0]))
+    return [("unitarity_residual", res, res <= tol)]
 
 
 def check_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, unit trace."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"density operator must be square, got {m.shape}")
-    values, _ = herm_eig(m, tol)
-    if values[0] < -tol * max(1.0, float(values[-1])):
-        raise ValueError(f"density operator not PSD: min eigenvalue {values[0]:.3e}")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"density operator trace {tr} != 1")
-    return m
+    raise_failed(state_checks(m, tol), "not a density operator")
+    return np.asarray(m, dtype=complex)
 
 
 def check_effect(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate an effect: Hermitian with spectrum inside [0, 1]."""
-    m = np.asarray(m, dtype=complex)
-    values, _ = herm_eig(m, tol)
-    if values[0] < -tol or values[-1] > 1.0 + tol:
-        raise ValueError(
-            f"effect spectrum [{values[0]:.3e}, {values[-1]:.3e}] not within [0, 1]"
-        )
-    return m
+    raise_failed(effect_checks(m, tol), "not an effect")
+    return np.asarray(m, dtype=complex)
+
+
+def check_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Validate a unitary: square with U^dag U = I."""
+    raise_failed(unitarity_checks(u, tol), "matrix is not unitary within tolerance")
+    return np.asarray(u, dtype=complex)
 
 
 def check_process_state(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -107,10 +169,10 @@ def check_process_state(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> 
     if values[0] < -tol * max(1.0, float(values[-1])):
         raise ValueError(f"process state not PSD: min eigenvalue {values[0]:.3e}")
     tr = float(np.trace(omega).real)
-    if abs(tr - d) > 1e-9 * max(1.0, d):
+    if abs(tr - d) > tol * max(1.0, d):
         raise ValueError(f"process state trace {tr} != {d}")
     marginal = partial_trace(omega, d, d, "second")
-    if max_abs(marginal - np.eye(d)) > 1e-9 * max(1.0, max_abs(omega)):
+    if max_abs(marginal - np.eye(d)) > tol * max(1.0, max_abs(omega)):
         raise ValueError("process state second marginal differs from identity")
     return omega
 
@@ -130,22 +192,13 @@ class Povm:
     def __post_init__(self):
         effects = tuple(_frozen(e) for e in self.effects)
         object.__setattr__(self, "effects", effects)
-        if not effects:
-            raise ValueError("POVM needs at least one effect")
         labels = self.labels
         if labels is None:
             labels = tuple(str(k) for k in range(len(effects)))
         object.__setattr__(self, "labels", tuple(labels))
         if len(self.labels) != len(effects):
             raise ValueError("label count does not match effect count")
-        dim = effects[0].shape[0]
-        for e in effects:
-            if e.shape != (dim, dim):
-                raise ValueError("POVM effects must share one square dimension")
-            check_effect(e)
-        total = sum(effects)
-        if max_abs(total - np.eye(dim)) > 1e-9:
-            raise ValueError("POVM effects do not sum to the identity")
+        raise_failed(povm_checks(effects), "invalid POVM")
 
     @property
     def dim(self) -> int:
@@ -160,7 +213,7 @@ class KrausChannel:
     """A completely positive map X -> sum_k A_k X A_k^dag.
 
     Not necessarily trace preserving; ``is_trace_preserving`` reports
-    whether sum A^dag A = I holds to 1e-9.
+    whether sum A^dag A = I holds to DEFAULT_TOL.
     """
 
     dim_in: int
@@ -180,8 +233,7 @@ class KrausChannel:
 
     @property
     def is_trace_preserving(self) -> bool:
-        total = sum(dagger(a) @ a for a in self.kraus)
-        return max_abs(total - np.eye(self.dim_in)) <= 1e-9
+        return all_pass(trace_preservation_checks(self))
 
 
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -230,6 +282,18 @@ def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_eigenvectors(m: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """Columns sqrt(s) v of the eigenpairs of a PSD matrix above KRAUS_CUTOFF."""
+    values, vectors = herm_eig(m, tol)
+    top = float(values[-1]) if values.size else 0.0
+    if top <= 0.0:
+        raise ValueError(f"{what} has no positive spectrum")
+    if values[0] < -tol * max(1.0, top):
+        raise ValueError(f"{what} not PSD: min eigenvalue {values[0]:.3e}")
+    keep = values > KRAUS_CUTOFF * top
+    return np.sqrt(values[keep]) * vectors[:, keep]
+
+
 def choi_of_channel(ch: KrausChannel) -> np.ndarray:
     """Choi operator (I (x) ch)[Psi], channel on the second factor.
 
@@ -256,17 +320,8 @@ def channel_of_choi(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> Krau
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (d * d, d * d):
         raise ValueError(f"Choi operator must be {d * d}x{d * d}, got {omega.shape}")
-    values, vectors = herm_eig(omega, tol)
-    top = float(values[-1]) if values.size else 0.0
-    if top <= 0.0:
-        raise ValueError("Choi operator has no positive spectrum")
-    if values[0] < -tol * max(1.0, top):
-        raise ValueError(f"Choi operator not PSD: min eigenvalue {values[0]:.3e}")
-    ops = []
-    for s, v in zip(values, vectors.T):
-        if s > KRAUS_CUTOFF * top:
-            ops.append(np.sqrt(s) * v.reshape(d, d).T)
-    return KrausChannel(d, d, tuple(ops))
+    cols = _scaled_eigenvectors(omega, "Choi operator", tol)
+    return KrausChannel(d, d, tuple(c.reshape(d, d).T for c in cols.T))
 
 
 def state_to_map(state: np.ndarray, anc_dim: int, d: int, tol: float = DEFAULT_TOL) -> KrausChannel:
@@ -280,17 +335,8 @@ def state_to_map(state: np.ndarray, anc_dim: int, d: int, tol: float = DEFAULT_T
     n = anc_dim * d
     if state.shape != (n, n):
         raise ValueError(f"state must be {n}x{n}, got {state.shape}")
-    values, vectors = herm_eig(state, tol)
-    top = float(values[-1]) if values.size else 0.0
-    if top <= 0.0:
-        raise ValueError("state has no positive spectrum")
-    if values[0] < -tol * max(1.0, top):
-        raise ValueError(f"state not PSD: min eigenvalue {values[0]:.3e}")
-    ops = []
-    for s, v in zip(values, vectors.T):
-        if s > KRAUS_CUTOFF * top:
-            ops.append(np.sqrt(s) * vec_reshape(v, anc_dim, d))
-    return KrausChannel(d, anc_dim, tuple(ops))
+    cols = _scaled_eigenvectors(state, "state", tol)
+    return KrausChannel(d, anc_dim, tuple(vec_reshape(c, anc_dim, d) for c in cols.T))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +349,8 @@ def identity_channel(d: int) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if u.shape != (d, d) or max_abs(dagger(u) @ u - np.eye(d)) > 1e-9:
-        raise ValueError("operator is not unitary within tolerance")
-    return KrausChannel(d, d, (u,))
+    u = check_unitary(u)
+    return KrausChannel(u.shape[0], u.shape[0], (u,))
 
 
 def contraction_channel(target: np.ndarray) -> KrausChannel:
@@ -316,7 +359,7 @@ def contraction_channel(target: np.ndarray) -> KrausChannel:
     Kraus operators are |target><k| over the computational basis.
     """
     t = np.asarray(target, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(t) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(t) - 1.0) > DEFAULT_TOL:
         raise ValueError("target state must be normalized")
     d = t.size
     ops = tuple(np.outer(t, ket(k, d).conj()) for k in range(d))

@@ -1,13 +1,16 @@
 """Command-line front end over the JSON file formats.
 
 Exit codes: 0 success, 1 domain or invariant failure, 2 I/O or parse
-failure.  Table output is for humans; ``--format json`` is the stable
-surface.
+failure.  Malformed input, including non-finite numbers, is a parse
+failure.  ``--tol`` is the tolerance of every invariant check made on the
+input files; ``validate`` prints the library's own check entries.  Table
+output is for humans; ``--format json`` is the stable surface.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,12 +22,16 @@ from .channels import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    all_pass,
     check_process_state,
     choi_of_channel,
     contraction_channel,
     depolarizing_channel,
     identity_channel,
     ket,
+    povm_checks,
+    state_checks,
+    trace_preservation_checks,
 )
 from .discrimination import (
     NotPerfectlyDiscriminableError,
@@ -36,8 +43,8 @@ from .discrimination import (
     unitary_eig,
     zero_in_hull,
 )
-from .linalg import dagger, kron, max_abs, partial_trace
-from .measurement import outcome_probabilities, realize, validate_ppovm
+from .linalg import DEFAULT_TOL, dagger, max_abs
+from .measurement import outcome_probabilities, ppovm_checks, realize
 from .tomography import linear_inversion, reconstruction_error, simulate_counts
 
 
@@ -52,12 +59,12 @@ def _load(path):
         raise ParseFailure(f"{path}: {exc}") from exc
 
 
-def _decode(fn, obj, what: str):
+def _decode(fn, obj, what: str, **kwargs):
     # structural problems are parse failures (exit 2); semantic ValueErrors
     # (invariant violations) propagate and exit 1
     try:
-        return fn(obj)
-    except (KeyError, TypeError, IndexError, serialize.FormatError) as exc:
+        return fn(obj, **kwargs)
+    except (KeyError, TypeError, IndexError, AttributeError, serialize.FormatError) as exc:
         raise ParseFailure(f"malformed {what}: {exc}") from exc
 
 
@@ -78,76 +85,25 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eigvals(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh((m + dagger(m)) / 2)
-
-
-def _herm_check(name: str, m: np.ndarray, tol: float):
-    res = max_abs(m - dagger(m))
-    return (f"{name}_hermiticity_residual", float(res), res <= tol * max(1.0, max_abs(m)))
-
-
 def cmd_validate(args) -> int:
     obj = _load(args.path)
-    tol = args.tol
-    checks = []
     extra = {}
     if args.kind == "state":
         m = _decode(serialize.decode_matrix, obj, "matrix")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.shape[0] != m.shape[1]:
             raise ParseFailure(f"state matrix must be square, got {m.shape}")
-        vals = _eigvals(m)
-        checks = [
-            _herm_check("state", m, tol),
-            ("min_eigenvalue", float(vals[0]), vals[0] >= -tol),
-            ("trace_deviation", abs(float(np.trace(m).real) - 1.0),
-             abs(np.trace(m).real - 1.0) <= 1e-9),
-        ]
+        checks = state_checks(m, args.tol)
     elif args.kind == "povm":
-        effects = _decode(
-            lambda o: [serialize.decode_matrix(e["matrix"]) for e in o["effects"]],
-            obj,
-            "povm",
-        )
-        total = sum(effects)
-        for k, e in enumerate(effects):
-            vals = _eigvals(e)
-            checks.append(_herm_check(f"effect_{k}", e, tol))
-            checks.append((f"effect_{k}_min_eigenvalue", float(vals[0]), vals[0] >= -tol))
-            checks.append((f"effect_{k}_max_eigenvalue", float(vals[-1]), vals[-1] <= 1 + tol))
-        res = max_abs(total - np.eye(total.shape[0]))
-        checks.append(("completeness_residual", float(res), res <= 1e-9))
+        effects, _ = _decode(serialize.decode_effects, obj, "povm")
+        checks = povm_checks(effects, args.tol)
     elif args.kind == "channel":
         ch = _decode(serialize.decode_channel, obj, "channel")
-        total = sum(dagger(a) @ a for a in ch.kraus)
-        res = max_abs(total - np.eye(ch.dim_in))
-        checks.append(("trace_preservation_residual", float(res), res <= 1e-9))
-    elif args.kind == "ppovm":
-        d = int(obj["d"])
-        mats = _decode(
-            lambda o: [serialize.decode_matrix(e["matrix"]) for e in o["effects"]],
-            obj,
-            "ppovm",
-        )
-        for k, m in enumerate(mats):
-            vals = _eigvals(m)
-            checks.append(_herm_check(f"effect_{k}", m, tol))
-            checks.append((f"effect_{k}_min_eigenvalue", float(vals[0]), vals[0] >= -tol))
-            checks.append((f"effect_{k}_max_eigenvalue", float(vals[-1]), vals[-1] <= 1 + tol))
-        total = sum(mats)
-        sigma = partial_trace(total, d, d, "second") / d
-        res_prod = max_abs(total - kron(sigma, np.eye(d)))
-        checks.append(("product_normalization_residual", float(res_prod), res_prod <= tol))
-        rho = sigma.T
-        vals = _eigvals(rho)
-        checks.append(("norm_state_min_eigenvalue", float(vals[0]), vals[0] >= -tol))
-        tr_dev = abs(float(np.trace(rho).real) - 1.0)
-        checks.append(("norm_state_trace_deviation", tr_dev, tr_dev <= 1e-9))
-        extra["norm_state"] = serialize.encode_matrix(rho)
-        extra["n_effects"] = len(mats)
+        checks = trace_preservation_checks(ch, args.tol)
     else:
-        raise ParseFailure(f"unknown kind {args.kind!r}")
-    ok = bool(all(passed for _, _, passed in checks))
+        (mats, _), d = _decode(lambda o: (serialize.decode_effects(o), int(o["d"])), obj, "ppovm")
+        checks, rho = ppovm_checks(mats, d, args.tol)
+        extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
+    ok = all_pass(checks)
     payload = {
         "kind": args.kind,
         "ok": ok,
@@ -161,8 +117,7 @@ def cmd_validate(args) -> int:
         f"{name}: {_fmt(value)} [{'ok' if passed else 'FAIL'}]"
         for name, value, passed in checks
     ]
-    if "norm_state" in extra:
-        rho = serialize.decode_matrix(extra["norm_state"])
+    if args.kind == "ppovm":
         lines.append("norm_state: " + np.array2string(rho, precision=6, suppress_small=True))
     lines.append("valid" if ok else "INVALID")
     _emit(args, payload, lines)
@@ -177,19 +132,17 @@ def cmd_validate(args) -> int:
 def cmd_convert(args) -> int:
     obj = _load(args.path)
     ch = _decode(serialize.decode_channel, obj, "channel")
-    if not ch.is_trace_preserving:
+    if not all_pass(trace_preservation_checks(ch, args.tol)):
         print("warning: channel is not trace preserving", file=sys.stderr)
     if args.direction == "kraus2choi":
         out = serialize.encode_channel(ch, kind="choi")
         omega = serialize.decode_matrix(out["matrix"])
         back = serialize.decode_channel(out)
         residual = max_abs(choi_of_channel(back) - omega)
-    elif args.direction == "choi2kraus":
+    else:
         out = serialize.encode_channel(ch, kind="kraus")
         back = serialize.decode_channel(out)
         residual = max_abs(choi_of_channel(back) - choi_of_channel(ch))
-    else:
-        raise ParseFailure(f"unknown direction {args.direction!r}")
     serialize.write_json(args.out, out)
     _emit(
         args,
@@ -204,22 +157,10 @@ def cmd_convert(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_ppovm(path, tol):
-    obj = _load(path)
-    d = _decode(lambda o: int(o["d"]), obj, "ppovm")
-    mats = _decode(
-        lambda o: [serialize.decode_matrix(e["matrix"]) for e in o["effects"]],
-        obj,
-        "ppovm",
-    )
-    labels = [str(e["label"]) for e in obj["effects"]]
-    return validate_ppovm(mats, d, labels=labels, tol=tol)
-
-
 def cmd_probs(args) -> int:
-    pp = _load_ppovm(args.ppovm, args.tol)
+    pp = _decode(serialize.decode_ppovm, _load(args.ppovm), "ppovm", tol=args.tol)
     ch = _decode(serialize.decode_channel, _load(args.channel), "channel")
-    probs = outcome_probabilities(pp, ch)
+    probs = outcome_probabilities(pp, ch, args.tol)
     payload = {
         "probs": {lbl: float(p) for lbl, p in zip(pp.labels, probs)},
         "sum": float(probs.sum()),
@@ -236,12 +177,12 @@ def cmd_probs(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    pp = _load_ppovm(args.ppovm, args.tol)
+    pp = _decode(serialize.decode_ppovm, _load(args.ppovm), "ppovm", tol=args.tol)
     if (args.exact is None) == (args.counts is None):
         raise ParseFailure("provide exactly one of --exact or --counts")
     if args.exact is not None:
         ch = _decode(serialize.decode_channel, _load(args.exact), "channel")
-        probs = outcome_probabilities(pp, ch)
+        probs = outcome_probabilities(pp, ch, args.tol)
     else:
         record = _decode(serialize.decode_counts, _load(args.counts), "counts")
         if set(record.counts) != set(pp.labels):
@@ -251,17 +192,9 @@ def cmd_tomo(args) -> int:
     hs_error = None
     if args.truth is not None:
         truth_ch = _decode(serialize.decode_channel, _load(args.truth), "channel")
-        truth = check_process_state(choi_of_channel(truth_ch), pp.d)
+        truth = check_process_state(choi_of_channel(truth_ch), pp.d, args.tol)
         hs_error = reconstruction_error(result, truth)
-        result = type(result)(
-            result.omega_raw,
-            result.omega_projected,
-            result.residual,
-            result.ic_complete,
-            result.deficiency,
-            result.converged,
-            hs_error,
-        )
+        result = dataclasses.replace(result, hs_error=hs_error)
     if not result.ic_complete:
         print(
             f"warning: measurement is informationally deficient, deficiency = {result.deficiency}; "
@@ -271,13 +204,8 @@ def cmd_tomo(args) -> int:
     report = serialize.encode_tomography_report(result)
     if args.out:
         serialize.write_json(args.out, report)
-    summary = {
-        "ic_complete": result.ic_complete,
-        "deficiency": result.deficiency,
-        "residual": result.residual,
-        "converged": result.converged,
-        "hs_error": hs_error,
-    }
+    keys = ("ic_complete", "deficiency", "residual", "converged", "hs_error")
+    summary = {k: report[k] for k in keys}
     lines = [
         f"ic_complete: {result.ic_complete}",
         f"deficiency: {result.deficiency}",
@@ -297,8 +225,8 @@ def cmd_tomo(args) -> int:
 
 def cmd_simulate(args) -> int:
     ch = _decode(serialize.decode_channel, _load(args.channel), "channel")
-    pp = _load_ppovm(args.ppovm, args.tol)
-    real = realize(pp)
+    pp = _decode(serialize.decode_ppovm, _load(args.ppovm), "ppovm", tol=args.tol)
+    real = realize(pp, args.tol)
     record = simulate_counts(ch, real, args.shots, args.seed)
     serialize.write_json(args.out, serialize.encode_counts(record))
     _emit(
@@ -328,10 +256,7 @@ def cmd_discriminate(args) -> int:
             plan = build_plan(u, v, args.tol)
             plan_payload = {
                 "probe": serialize.encode_vector(plan.probe),
-                "povm": [
-                    {"label": lbl, "matrix": serialize.encode_matrix(e)}
-                    for lbl, e in zip(plan.povm.labels, plan.povm.effects)
-                ],
+                "povm": serialize.encode_povm(plan.povm)["effects"],
                 "ppovm": serialize.encode_ppovm(plan.ppovm),
                 "error_rates": [float(x) for x in plan.error_rates],
             }
@@ -414,7 +339,9 @@ def cmd_gen(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    common.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help="tolerance of every invariant check"
+    )
     common.add_argument(
         "--format", choices=("json", "table"), default="table", help="output format"
     )

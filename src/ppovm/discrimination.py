@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, choi_of_channel, projector, unitary_channel
+from .channels import KrausChannel, Povm, check_unitary, choi_of_channel, projector
 from .linalg import DEFAULT_TOL, dagger, hs_inner, max_abs, rank_and_support
 from .measurement import ProcessPovm, TestCouple, build_ppovm
 
@@ -29,15 +29,6 @@ class NotPerfectlyDiscriminableError(ValueError):
     """The channel pair admits no error-free single-shot test."""
 
 
-def _check_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got {u.shape}")
-    if max_abs(dagger(u) @ u - np.eye(u.shape[0])) > tol:
-        raise ValueError("matrix is not unitary within tolerance")
-    return u
-
-
 def unitary_eig(w: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases in [0, 2pi) and orthonormal eigenvectors of a unitary.
 
@@ -46,7 +37,7 @@ def unitary_eig(w: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
     orthonormal even for clustered phases.  Phases come back sorted
     ascending with the vector columns in matching order.
     """
-    w = _check_unitary(w, tol)
+    w = check_unitary(w, tol)
     d = w.shape[0]
     h = (w + dagger(w)) / 2
     k = (w - dagger(w)) / 2j
@@ -84,8 +75,8 @@ def unitary_eig(w: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
 def overlap(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """|Tr(U^dag V)|: the unambiguous-discrimination failure rate of the
     two unitary channels' (trace-d) pure process states."""
-    u = _check_unitary(u, tol)
-    v = _check_unitary(v, tol)
+    u = check_unitary(u, tol)
+    v = check_unitary(v, tol)
     if u.shape != v.shape:
         raise ValueError("unitaries must share a dimension")
     return float(abs(np.trace(dagger(u) @ v)))
@@ -95,7 +86,7 @@ def necessary_condition(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) 
     """|Tr(U^dag V)| <= d - 1, necessary (not sufficient) for an
     error-free test."""
     d = np.asarray(u).shape[0]
-    return overlap(u, v, tol) <= d - 1 + 1e-9
+    return overlap(u, v, tol) <= d - 1 + tol
 
 
 def zero_in_hull(phases: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -189,8 +180,8 @@ def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> Discri
     the two output states orthogonal; outcome one means the channel was U,
     outcome two means V.  Raises when the hull criterion fails.
     """
-    u = _check_unitary(u, tol)
-    v = _check_unitary(v, tol)
+    u = check_unitary(u, tol)
+    v = check_unitary(v, tol)
     if u.shape != v.shape:
         raise ValueError("unitaries must share a dimension")
     d = u.shape[0]
@@ -205,9 +196,9 @@ def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> Discri
     first = u @ projector(probe) @ dagger(u)
     first = (first + dagger(first)) / 2
     povm = Povm((first, np.eye(d) - first), ("ch1", "ch2"))
-    pp = build_ppovm([TestCouple(1.0, projector(probe), povm, 1)], d)
-    rates = verify_plan_rates(pp, choi_of_channel(unitary_channel(u)), choi_of_channel(unitary_channel(v)))
-    if max(rates) > 1e-9:
+    pp = build_ppovm([TestCouple(1.0, projector(probe), povm, 1)], d, tol)
+    rates = verify_plan_rates(pp, *(choi_of_channel(KrausChannel(d, d, (w,))) for w in (u, v)))
+    if max(rates) > tol:
         raise NotPerfectlyDiscriminableError(
             f"constructed plan has residual error rates {rates}"
         )
@@ -268,7 +259,7 @@ def _dedup_phases(phases: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def always_indistinguishable(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff U^dag V is a phase times the identity, so that no number
     of parallel copies can ever separate the two channels."""
-    phases, _ = unitary_eig(dagger(_check_unitary(u, tol)) @ _check_unitary(v, tol), tol)
+    phases, _ = unitary_eig(dagger(check_unitary(u, tol)) @ check_unitary(v, tol), tol)
     return _dedup_phases(phases).size == 1
 
 
@@ -285,7 +276,7 @@ def min_copies(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    base_phases, _ = unitary_eig(dagger(_check_unitary(u, tol)) @ _check_unitary(v, tol), tol)
+    base_phases, _ = unitary_eig(dagger(check_unitary(u, tol)) @ check_unitary(v, tol), tol)
     base = _dedup_phases(base_phases)
     if base.size == 1:
         return None

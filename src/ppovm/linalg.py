@@ -13,6 +13,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# A validation entry: (check name, measured value, passed).
+Check = tuple[str, float, bool]
+
 
 class HermitianEigen(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
@@ -32,12 +35,18 @@ def max_abs(m: np.ndarray) -> float:
     return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``m`` equals its conjugate transpose up to ``tol``, relatively."""
-    m = np.asarray(m)
+def square_matrix(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array, which must be square."""
+    m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return max_abs(m - dagger(m)) <= tol * max(1.0, max_abs(m))
+        raise ValueError(f"{what} must be square, got {m.shape}")
+    return m
+
+
+def hermiticity_check(name: str, m: np.ndarray, tol: float = DEFAULT_TOL) -> Check:
+    """Max-norm residual of m - m^dag, bounded by tol relative to max|m|."""
+    res = max_abs(m - dagger(m))
+    return (f"{name}_hermiticity_residual", res, res <= tol * max(1.0, max_abs(m)))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,10 +91,8 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     The input is symmetrized to (m + m^dag)/2 before solving; deviations
     beyond ``tol`` (relative to the max norm) are an error.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    if max_abs(m - dagger(m)) > tol * max(1.0, max_abs(m)):
+    m = square_matrix(m)
+    if not hermiticity_check("matrix", m, tol)[2]:
         raise ValueError("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
     return HermitianEigen(values, vectors)

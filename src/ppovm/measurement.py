@@ -22,12 +22,17 @@ from .channels import (
     apply_first,
     check_density,
     choi_of_channel,
+    density_checks,
     dual_channel,
+    effect_checks,
     projector,
+    raise_failed,
     state_to_map,
+    trace_preservation_checks,
 )
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     dagger,
     herm_eig,
     hs_inner,
@@ -43,7 +48,7 @@ class PpovmError(ValueError):
 
 
 class NotPsdError(PpovmError):
-    """An effect has spectrum outside [0, 1]."""
+    """An effect is not Hermitian or has spectrum outside [0, 1]."""
 
     def __init__(self, index: int, message: str):
         super().__init__(f"effect {index}: {message}")
@@ -186,7 +191,7 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
     if not couples:
         raise ValueError("need at least one test couple")
     total_weight = sum(c.weight for c in couples)
-    if abs(total_weight - 1.0) > 1e-9:
+    if abs(total_weight - 1.0) > tol:
         raise ValueError(f"couple weights sum to {total_weight}, expected 1")
     effects: list[ProcessEffect] = []
     norm_state = np.zeros((d, d), dtype=complex)
@@ -207,9 +212,37 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
             couple.state, couple.anc_dim, d, "first"
         )
     total = sum(e.matrix for e in effects)
-    if max_abs(total - kron(norm_state.T, np.eye(d))) > 1e-9 * max(1.0, max_abs(total)):
-        raise PpovmError("assembled effects do not satisfy the normalization condition")
+    checks = [_normalization_check(total, norm_state.T, d, tol)]
+    what = "assembled effects do not satisfy the normalization condition"
+    raise_failed(checks, what, NotProductNormalizationError)
     return ProcessPovm(d, tuple(effects), norm_state)
+
+
+def _normalization_check(total: np.ndarray, sigma: np.ndarray, d: int, tol: float) -> Check:
+    """Residual of sum M = sigma (x) I_d, bounded by tol relative to max|sum M|."""
+    res = max_abs(total - kron(sigma, np.eye(d)))
+    return ("product_normalization_residual", res, res <= tol * max(1.0, max_abs(total)))
+
+
+def ppovm_checks(
+    matrices: list[np.ndarray], d: int, tol: float = DEFAULT_TOL
+) -> tuple[list[Check], np.ndarray]:
+    """Process-POVM invariants of raw matrices, and the norm state rho.
+
+    Each matrix must be an effect on H_d (x) H_d, and the sum must factor
+    as sigma (x) I_d with rho = sigma^T a density operator.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    n = d * d
+    for k, m in enumerate(mats):
+        if m.shape != (n, n):
+            raise PpovmError(f"effect {k} is not {n}x{n}")
+    checks = [c for k, m in enumerate(mats) for c in effect_checks(m, tol, f"effect_{k}")]
+    total = sum(mats)
+    sigma = partial_trace(total, d, d, "second") / d
+    checks.append(_normalization_check(total, sigma, d, tol))
+    rho = sigma.T
+    return [*checks, *density_checks(rho, tol, "norm_state_")], rho
 
 
 def validate_ppovm(
@@ -220,35 +253,25 @@ def validate_ppovm(
 ) -> ProcessPovm:
     """Check that raw matrices form a process POVM and assemble it.
 
-    Each matrix must be an effect, and the sum must factor as
-    sigma (x) I_d with sigma^T a density operator.
+    Raises for the first failing entry of ``ppovm_checks``: NotPsdError
+    for an effect, NotProductNormalizationError for the sum, and
+    NormStateInvalidError for the norm state.
     """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
     if labels is None:
-        labels = [str(k) for k in range(len(mats))]
-    if len(labels) != len(mats):
+        labels = [str(k) for k in range(len(matrices))]
+    if len(labels) != len(matrices):
         raise ValueError("label count does not match effect count")
-    n = d * d
-    for k, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise PpovmError(f"effect {k} is not {n}x{n}")
-        values, _ = herm_eig(m, tol)
-        if values[0] < -tol:
-            raise NotPsdError(k, f"min eigenvalue {values[0]:.3e}")
-        if values[-1] > 1.0 + tol:
-            raise NotPsdError(k, f"max eigenvalue {values[-1]:.3e} exceeds 1")
-    total = sum(mats)
-    sigma = partial_trace(total, d, d, "second") / d
-    if max_abs(total - kron(sigma, np.eye(d))) > tol * max(1.0, max_abs(total)):
-        raise NotProductNormalizationError(
-            "effect sum does not factor as sigma (x) identity"
-        )
-    rho = sigma.T
-    try:
-        check_density(rho, tol)
-    except ValueError as exc:
-        raise NormStateInvalidError(str(exc)) from exc
-    effects = tuple(ProcessEffect(lbl, m) for lbl, m in zip(labels, mats))
+    checks, rho = ppovm_checks(matrices, d, tol)
+    for name, value, passed in checks:
+        if not passed:
+            if name.startswith("effect_"):
+                _, k, entry = name.split("_", 2)
+                raise NotPsdError(int(k), f"{entry} = {value:.3e}")
+            message = f"{name} = {value:.3e}"
+            if name.startswith("norm_state_"):
+                raise NormStateInvalidError(message)
+            raise NotProductNormalizationError(message)
+    effects = tuple(ProcessEffect(lbl, m) for lbl, m in zip(labels, matrices))
     return ProcessPovm(d, effects, rho)
 
 
@@ -306,56 +329,61 @@ def merge_couples(couples: list[TestCouple]) -> TestCouple:
 # ---------------------------------------------------------------------------
 
 
-def outcome_probabilities(pp: ProcessPovm, ch: KrausChannel) -> np.ndarray:
+def outcome_probabilities(
+    pp: ProcessPovm, ch: KrausChannel, tol: float = DEFAULT_TOL
+) -> np.ndarray:
     """Outcome distribution Tr[choi(ch) M_alpha], clamped to [0, 1]."""
     if ch.dim_in != pp.d or ch.dim_out != pp.d:
         raise ValueError(f"channel dimension {ch.dim_in} != {pp.d}")
-    if not ch.is_trace_preserving:
-        raise ValueError("outcome probabilities require a trace-preserving channel")
+    what = "outcome probabilities require a trace-preserving channel"
+    raise_failed(trace_preservation_checks(ch, tol), what)
     omega = choi_of_channel(ch)
     probs = np.array([hs_inner(e.matrix, omega).real for e in pp.effects])
-    if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
+    if probs.min() < -tol or probs.max() > 1.0 + tol:
         raise ValueError("probability outside [0, 1] beyond tolerance")
     total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return np.clip(probs, 0.0, 1.0)
+
+
+def purification(rho_t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal purification of a qudit state, as a map onto the ancilla.
+
+    Returns A = sum_j sqrt(s_j) |j><v_j| over the eigenpairs of rho_t above
+    the rank cutoff, and the support basis v.  The ancilla dimension is
+    r = rank(rho_t), and A.reshape(-1) = (A (x) I)|Psi> is a unit vector on
+    H_r (x) H_d whose qudit marginal is rho_t^T.
+    """
+    values, vectors = herm_eig(rho_t, tol)
+    keep = values > tol * max(1.0, float(values[-1]))
+    v = vectors[:, keep]
+    return np.sqrt(values[keep])[:, None] * dagger(v), v
 
 
 def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
     """Implement an abstract process POVM as a concrete experiment.
 
-    Uses the minimal purification: ancilla dimension r = rank(rho^T), the
-    test vector obtained by applying A (x) I to the unnormalized maximally
-    entangled vector (A = sqrt(rho^T) rebased onto the ancilla), and POVM
-    elements obtained from the effects by the pseudo-inverse congruence.
+    Uses the minimal purification of rho^T (``purification``): ancilla
+    dimension r = rank(rho^T), and POVM elements obtained from the effects
+    by the pseudo-inverse congruence.
     The realized POVM is complete on H_r (x) H_d and rebuilding a process
     POVM from it reproduces the input.
     """
     d = pp.d
-    rho_t = pp.norm_state.T
-    values, vectors = herm_eig(rho_t, tol)
-    keep = values > tol * max(1.0, float(values[-1]))
-    s = values[keep]
-    v = vectors[:, keep]
-    r = int(keep.sum())
-    # A = sum_j sqrt(s_j) |j><v_j| maps the qudit onto the ancilla
-    a = (np.sqrt(s)[:, None]) * dagger(v)
-    test_vector = a.reshape(-1)  # equals (A (x) I)|Psi|, already unit norm
-    support = v @ dagger(v)
-    proj = kron(support, np.eye(d))
-    a_pinv = pinv(a, tol)
-    k = kron(dagger(a_pinv), np.eye(d))
+    a, v = purification(pp.norm_state.T, tol)
+    proj = kron(v @ dagger(v), np.eye(d))
+    k = kron(dagger(pinv(a, tol)), np.eye(d))
     effects = []
     for eff in pp.effects:
         m = eff.matrix
-        if max_abs(proj @ m @ proj - m) > 1e-8 * max(1.0, max_abs(m)):
+        if max_abs(proj @ m @ proj - m) > 10 * tol * max(1.0, max_abs(m)):
             raise SupportViolationError(
                 f"effect {eff.label!r} leaks outside the normalization support"
             )
         f = k @ m @ dagger(k)
         effects.append((f + dagger(f)) / 2)
-    return Realization(test_vector, r, Povm(tuple(effects), pp.labels))
+    return Realization(a.reshape(-1), a.shape[0], Povm(tuple(effects), pp.labels))
 
 
 def extra_effect(pp: ProcessPovm) -> np.ndarray:

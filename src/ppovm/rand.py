@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, Povm
+from .channels import KrausChannel, Povm, projector
 from .linalg import dagger, mat_sqrt_psd, pinv
-from .measurement import ProcessPovm, TestCouple, build_ppovm
+from .measurement import ProcessPovm, TestCouple, build_ppovm, purification
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -87,25 +87,16 @@ def random_ppovm(
     """Random valid process POVM.
 
     With ``rho_rank`` set (single couple only) the normalization state has
-    exactly that rank: the test state is a pure purification of a random
-    rank-limited qudit state.
+    exactly that rank: the test state is the minimal purification
+    (``measurement.purification``) of a random rank-limited qudit state.
     """
     if rho_rank is not None:
         if n_couples != 1:
             raise ValueError("rank control is only supported for a single couple")
-        rho = random_density(d, rng, rank=rho_rank)
-        vals, vecs = np.linalg.eigh(rho)
-        keep = vals > 1e-12
-        s = vals[keep]
-        v = vecs[:, keep]
-        r = int(keep.sum())
-        # purification on H_r (x) H_d with ancilla marginal rho^T
-        xi = np.zeros(r * d, dtype=complex)
-        for j in range(r):
-            xi += np.sqrt(s[j]) * np.kron(np.eye(r)[:, j], v[:, j].conj())
-        state = np.outer(xi, xi.conj())
+        a, _ = purification(random_density(d, rng, rank=rho_rank).T)
+        r = a.shape[0]
         povm = random_povm(r * d, r * d + 1, rng)
-        return build_ppovm([TestCouple(1.0, state, povm, r)], d)
+        return build_ppovm([TestCouple(1.0, projector(a.reshape(-1)), povm, r)], d)
     weights = rng.dirichlet(np.ones(n_couples))
     couples = [
         random_test_couple(d, int(rng.integers(1, 3)), rng, weight=float(w))

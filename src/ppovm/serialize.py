@@ -11,12 +11,14 @@ import json
 import numpy as np
 
 from .channels import KrausChannel, Povm, channel_of_choi, choi_of_channel
+from .linalg import DEFAULT_TOL
 from .measurement import ProcessPovm, TestCouple, validate_ppovm
 from .tomography import ShotRecord, TomographyResult
 
 
 class FormatError(ValueError):
-    """Structurally malformed payload (wrong lengths, unknown kinds)."""
+    """Structurally malformed payload (wrong lengths, unknown kinds,
+    non-finite numbers)."""
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -34,6 +36,8 @@ def decode_matrix(obj: dict) -> np.ndarray:
     if len(data) != rows * cols:
         raise FormatError(f"matrix data length {len(data)} != {rows}*{cols}")
     flat = np.array([complex(re, im) for re, im in data])
+    if not np.isfinite(flat).all():
+        raise FormatError("matrix data is not finite")
     return flat.reshape(rows, cols)
 
 
@@ -81,10 +85,15 @@ def encode_povm(povm: Povm) -> dict:
     }
 
 
+def decode_effects(obj: dict) -> tuple[list[np.ndarray], list[str]]:
+    """Matrices and labels of the ``effects`` list of a povm or ppovm file."""
+    effects = obj["effects"]
+    return [decode_matrix(e["matrix"]) for e in effects], [str(e["label"]) for e in effects]
+
+
 def decode_povm(obj: dict) -> Povm:
-    effects = tuple(decode_matrix(e["matrix"]) for e in obj["effects"])
-    labels = tuple(str(e["label"]) for e in obj["effects"])
-    return Povm(effects, labels)
+    effects, labels = decode_effects(obj)
+    return Povm(tuple(effects), tuple(labels))
 
 
 def encode_ppovm(pp: ProcessPovm) -> dict:
@@ -96,11 +105,9 @@ def encode_ppovm(pp: ProcessPovm) -> dict:
     }
 
 
-def decode_ppovm(obj: dict, tol: float = 1e-9) -> ProcessPovm:
-    d = int(obj["d"])
-    mats = [decode_matrix(e["matrix"]) for e in obj["effects"]]
-    labels = [str(e["label"]) for e in obj["effects"]]
-    return validate_ppovm(mats, d, labels=labels, tol=tol)
+def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:
+    mats, labels = decode_effects(obj)
+    return validate_ppovm(mats, int(obj["d"]), labels=labels, tol=tol)
 
 
 def encode_couples(couples: list[TestCouple], d: int) -> dict:

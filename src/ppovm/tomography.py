@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_second, projector
-from .linalg import hs_distance, hs_inner, kron, max_abs, partial_trace
+from .linalg import DEFAULT_TOL, hs_distance, hs_inner, kron, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization
 
 
@@ -132,13 +132,14 @@ def psd_project(
 
     Step one clamps negative eigenvalues and rescales the trace to d; step
     two restores the unit second marginal by an affine shift.  Stops when
-    an iteration moves the matrix by less than ``tol`` in max norm.
+    an iteration moves the matrix by less than ``tol`` in max norm.  The
+    input marginal must be within ``100 * tol`` of the identity.
     """
     omega = np.asarray(omega_raw, dtype=complex)
     n = d * d
     if omega.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {omega.shape}")
-    if max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) > 1e-8:
+    if max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) > 100 * tol:
         raise ValueError("input marginal is too far from the identity")
     omega = (omega + omega.conj().T) / 2
     for _ in range(iters):
@@ -190,7 +191,7 @@ def simulate_counts(
         raise ValueError("shots must be at least 1")
     probs = realization_probabilities(real, ch)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > 1000 * DEFAULT_TOL:
         raise ValueError(f"outcome probabilities sum to {total}, expected 1")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()

@@ -231,6 +231,17 @@ def test_check_density_and_process_state():
         check_process_state(np.diag([2.0, 0.0, 0.0, 0.0]), 2)  # bad marginal
 
 
+def test_tol_reaches_density_and_process_state_bounds():
+    rho = np.diag([0.5, 0.5 + 5e-9])
+    with pytest.raises(ValueError, match="trace_deviation"):
+        check_density(rho)
+    check_density(rho, tol=1e-6)
+    omega = choi_of_channel(identity_channel(2)) * (1 + 5e-9)
+    with pytest.raises(ValueError):
+        check_process_state(omega, 2)
+    check_process_state(omega, 2, tol=1e-6)
+
+
 def test_povm_validation():
     p0 = projector(ket(0, 2))
     Povm((p0, np.eye(2) - p0), ("0", "1"))

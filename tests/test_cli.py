@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ppovm import serialize
 from ppovm.channels import KrausChannel, ket, projector
@@ -48,6 +49,105 @@ def test_validate_malformed_json(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "ppovm", str(path))
     assert code == 2
     assert "error" in err
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    serialize.write_json(path, obj)
+    return str(path)
+
+
+def _edited(tmp_path, name, edit):
+    obj = serialize.read_json(gen(tmp_path, name))
+    edit(obj)
+    return _write(tmp_path, f"edited-{name}.json", obj)
+
+
+def _set_nan(*keys):
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = float("nan")
+
+    return edit
+
+
+MALFORMED = {
+    "ppovm without d": lambda t: [
+        "validate", "ppovm", _edited(t, "pauli-probe", lambda o: o.pop("d"))
+    ],
+    "effect without label": lambda t: [
+        "probs", _edited(t, "pauli-probe", lambda o: o["effects"][0].pop("label")),
+        gen(t, "identity"),
+    ],
+    "top-level array": lambda t: ["validate", "ppovm", _write(t, "array.json", [1, 2])],
+    "nan kraus entry": lambda t: [
+        "validate", "channel", _edited(t, "identity", _set_nan("ops", 0, "data", 0, 0))
+    ],
+    "nan kraus entry in probs": lambda t: [
+        "probs", gen(t, "pauli-probe"), _edited(t, "identity", _set_nan("ops", 0, "data", 0, 0))
+    ],
+    "nan ppovm entry": lambda t: [
+        "validate", "ppovm",
+        _edited(t, "pauli-probe", _set_nan("effects", 1, "matrix", "data", 0, 1)),
+    ],
+    "top-level array channel": lambda t: ["validate", "channel", _write(t, "array.json", [])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    argv = MALFORMED[case](tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def _perturbed_pauli_probe(tmp_path):
+    def perturb(obj):
+        obj["effects"][0]["matrix"]["data"][0][0] += 1e-8
+
+    return _edited(tmp_path, "pauli-probe", perturb)
+
+
+def test_tol_reaches_every_ppovm_bound(tmp_path, capsys):
+    pp_path = _perturbed_pauli_probe(tmp_path)
+    ch_path = gen(tmp_path, "depolarizing", "--p", "0.37")
+    capsys.readouterr()
+    code, out, _ = run(capsys, "validate", "ppovm", pp_path, "--tol", "1e-6", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ok"]
+    code, out, err = run(capsys, "probs", pp_path, ch_path, "--tol", "1e-6", "--format", "json")
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["sum"] - 1.0) < 1e-6
+
+
+def test_default_tol_rejects_perturbed_ppovm(tmp_path, capsys):
+    pp_path = _perturbed_pauli_probe(tmp_path)
+    ch_path = gen(tmp_path, "identity")
+    capsys.readouterr()
+    code, out, _ = run(capsys, "validate", "ppovm", pp_path, "--format", "json")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == ["product_normalization_residual", "norm_state_trace_deviation"]
+    code, _, err = run(capsys, "probs", pp_path, ch_path)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_tol_reaches_discriminate_plan(tmp_path, capsys):
+    z = np.diag([1.0, -1.0]).astype(complex)
+    z[0, 1] += 1e-8  # unitary to 1e-8 only
+    z_path = _write(tmp_path, "z.json", serialize.encode_matrix(z))
+    id_path = _write(tmp_path, "id.json", serialize.encode_matrix(np.eye(2)))
+    code, _, err = run(capsys, "discriminate", id_path, z_path)
+    assert code == 1
+    assert "unitary" in err
+    code, out, _ = run(capsys, "discriminate", id_path, z_path, "--tol", "1e-6", "--format", "json")
+    assert code == 0
+    assert max(abs(r) for r in json.loads(out)["plan"]["error_rates"]) < 1e-6
 
 
 def test_validate_missing_file(tmp_path, capsys):

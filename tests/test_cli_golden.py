@@ -1,0 +1,131 @@
+"""Byte-for-byte stability of the CLI's ``--format json`` output.
+
+Each case builds its input files, runs one subcommand in process, and
+compares stdout with the file of the same name under ``tests/data/golden``.
+To regenerate the files after an intended output change, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+import pathlib
+import sys
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from ppovm import serialize
+from ppovm.channels import Povm, ket, projector
+from ppovm.cli import main
+from ppovm.schemes import BLOCH_KETS
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+
+
+def _gen(tmp, name, *extra):
+    path = tmp / f"{name}{''.join(extra)}.json"
+    assert main(["gen", name, "--out", str(path), *extra]) == 0
+    return str(path)
+
+
+def _write(tmp, name, obj):
+    path = tmp / name
+    serialize.write_json(path, obj)
+    return str(path)
+
+
+def _perturbed_pauli_probe(tmp):
+    obj = serialize.read_json(_gen(tmp, "pauli-probe"))
+    obj["effects"][0]["matrix"]["data"][0][0] += 1e-8
+    return _write(tmp, "perturbed.json", obj)
+
+
+def _norm_state(tmp):
+    # the norm state printed by `validate ppovm`, as a state file
+    argv = ["validate", "ppovm", _gen(tmp, "pauli-probe"), "--format", "json"]
+    return _write(tmp, "state.json", _run(argv)[1]["norm_state"])
+
+
+def _six_state_povm(tmp):
+    effects = tuple(projector(BLOCH_KETS[a]) / 3 for a in sorted(BLOCH_KETS))
+    return _write(tmp, "six.json", serialize.encode_povm(Povm(effects, tuple(sorted(BLOCH_KETS)))))
+
+
+def _incomplete_povm(tmp):
+    obj = {"dim": 2, "effects": [{"label": "0", "matrix": serialize.encode_matrix(projector(ket(0, 2)))}]}
+    return _write(tmp, "incomplete.json", obj)
+
+
+def _non_hermitian_ppovm(tmp):
+    m = np.kron(projector(ket(1, 2)), np.eye(2)).astype(complex)
+    m[0, 1] += 0.5j
+    obj = {"d": 2, "effects": [{"label": "x", "matrix": serialize.encode_matrix(m)}]}
+    return _write(tmp, "nonherm.json", obj)
+
+
+def _phase_pair(tmp):
+    identity = _write(tmp, "id.json", serialize.encode_matrix(np.eye(2)))
+    return identity, _gen(tmp, "phase", "--angle", str(np.pi / 5))
+
+
+# name -> (expected exit code, argv builder)
+CASES = {
+    "validate_state": (0, lambda t: ["validate", "state", _norm_state(t)]),
+    "validate_povm": (0, lambda t: ["validate", "povm", _six_state_povm(t)]),
+    "validate_channel_depolarizing": (
+        0, lambda t: ["validate", "channel", _gen(t, "depolarizing", "--p", "0.37")]
+    ),
+    "validate_channel_depolarizing_d3": (
+        0, lambda t: ["validate", "channel", _gen(t, "depolarizing", "--d", "3")]
+    ),
+    "validate_channel_contraction": (0, lambda t: ["validate", "channel", _gen(t, "contraction")]),
+    "validate_ppovm_pauli_probe": (0, lambda t: ["validate", "ppovm", _gen(t, "pauli-probe")]),
+    "validate_ppovm_six_state": (0, lambda t: ["validate", "ppovm", _gen(t, "six-state")]),
+    "validate_ppovm_identity_vs_contraction": (
+        0, lambda t: ["validate", "ppovm", _gen(t, "identity-vs-contraction")]
+    ),
+    "validate_povm_incomplete": (1, lambda t: ["validate", "povm", _incomplete_povm(t)]),
+    "validate_ppovm_non_hermitian": (1, lambda t: ["validate", "ppovm", _non_hermitian_ppovm(t)]),
+    "validate_ppovm_perturbed": (1, lambda t: ["validate", "ppovm", _perturbed_pauli_probe(t)]),
+    "probs_pauli_probe_depolarizing": (
+        0, lambda t: ["probs", _gen(t, "pauli-probe"), _gen(t, "depolarizing", "--p", "0.37")]
+    ),
+    "discriminate_phase_copies": (0, lambda t: ["discriminate", *_phase_pair(t), "--copies", "10"]),
+    "discriminate_pauli_z_plan": (
+        0, lambda t: ["discriminate", _phase_pair(t)[0], _gen(t, "pauli-z")]
+    ),
+    "tomo_exact_depolarizing": (
+        0, lambda t: ["tomo", _gen(t, "pauli-probe"), "--exact", _gen(t, "depolarizing"),
+                      "--truth", _gen(t, "depolarizing")]
+    ),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    return code, json.loads(text), text
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name, tmp_path):
+    code_expected, build = CASES[name]
+    argv = [*build(tmp_path), "--format", "json"]
+    code, _, text = _run(argv)
+    assert code == code_expected
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, (_, build) in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, _, text = _run([*build(pathlib.Path(tmp)), "--format", "json"])
+        (GOLDEN / f"{name}.json").write_text(text)
+        print(f"wrote {name}", file=sys.stderr)

@@ -5,6 +5,7 @@ from ppovm.channels import (
     Povm,
     apply_second,
     choi_of_channel,
+    depolarizing_channel,
     identity_channel,
     ket,
     max_entangled_ket,
@@ -156,6 +157,27 @@ def test_validate_rejects_non_psd():
     good = kron(projector(ket(1, 2)), np.diag([0.0, 1.1]))
     with pytest.raises(NotPsdError):
         validate_ppovm([bad, good], 2)
+
+
+def test_tol_reaches_validate_and_probabilities():
+    # one entry moved by 1e-8: the sum and the norm-state trace drift by 5e-9
+    mats = [np.array(m) for m in pauli_probe_ppovm().matrices]
+    mats[0][0, 0] += 1e-8
+    ch = depolarizing_channel(0.37, 2)
+    with pytest.raises(NotProductNormalizationError):
+        validate_ppovm(mats, 2)
+    pp = validate_ppovm(mats, 2, tol=1e-6)
+    with pytest.raises(ValueError, match="sum to"):
+        outcome_probabilities(pp, ch)
+    assert abs(outcome_probabilities(pp, ch, tol=1e-6).sum() - 1.0) < 1e-6
+
+
+def test_validate_reports_effect_index_and_entry():
+    bad = kron(projector(ket(1, 2)), np.eye(2)).astype(complex)
+    bad[0, 1] += 0.5j  # not Hermitian
+    with pytest.raises(NotPsdError, match="hermiticity_residual") as info:
+        validate_ppovm([np.zeros((4, 4)), bad], 2)
+    assert info.value.index == 1
 
 
 def test_merge_single_couple_is_identity():
