@@ -68,7 +68,6 @@ from .measurement import (
 from .tomography import (
     ShotRecord,
     TomographyResult,
-    hermitian_basis,
     ic_check,
     ic_ranks,
     linear_inversion,

@@ -100,7 +100,7 @@ def cmd_validate(args) -> int:
         ch = _decode(serialize.decode_channel, obj, "channel")
         checks = trace_preservation_checks(ch, args.tol)
     else:
-        (mats, _), d = _decode(lambda o: (serialize.decode_effects(o), int(o["d"])), obj, "ppovm")
+        mats, _, d = _decode(serialize.decode_ppovm_effects, obj, "ppovm")
         checks, rho = ppovm_checks(mats, d, args.tol)
         extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
     ok = all_pass(checks)
@@ -416,3 +416,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

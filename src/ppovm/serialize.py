@@ -105,9 +105,19 @@ def encode_ppovm(pp: ProcessPovm) -> dict:
     }
 
 
-def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:
+def decode_ppovm_effects(obj: dict) -> tuple[list[np.ndarray], list[str], int]:
+    """Matrices, labels and d of a ppovm file; every effect is d^2 x d^2."""
     mats, labels = decode_effects(obj)
-    return validate_ppovm(mats, int(obj["d"]), labels=labels, tol=tol)
+    d = int(obj["d"])
+    for k, m in enumerate(mats):
+        if m.shape != (d * d, d * d):
+            raise FormatError(f"effect {k} is {m.shape[0]}x{m.shape[1]}, not {d * d}x{d * d}")
+    return mats, labels, d
+
+
+def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:
+    mats, labels, d = decode_ppovm_effects(obj)
+    return validate_ppovm(mats, d, labels=labels, tol=tol)
 
 
 def encode_couples(couples: list[TestCouple], d: int) -> dict:
@@ -153,6 +163,8 @@ def encode_counts(record: ShotRecord) -> dict:
 
 def decode_counts(obj: dict) -> ShotRecord:
     counts = {str(k): int(v) for k, v in obj["counts"].items()}
+    if int(obj["shots"]) < 1:
+        raise FormatError("shots must be at least 1")
     if any(n < 0 for n in counts.values()):
         raise ValueError("counts must be non-negative")
     record = ShotRecord(

@@ -1,9 +1,9 @@
 """Informational completeness and channel reconstruction from statistics.
 
-A process POVM determines every channel exactly when no traceless-marginal
-Hermitian perturbation of a Choi operator is invisible to all effects.
-Reconstruction is plain least squares in an orthonormal Hermitian operator
-basis, followed by an alternating projection back onto the set of valid
+A process POVM determines every channel exactly when its effects, projected
+onto the Hermitian operators with zero second marginal, span them all.
+Reconstruction is least squares on those projections, written as real
+vectors, followed by an alternating projection back onto the set of valid
 process states.
 """
 
@@ -17,50 +17,45 @@ from .channels import KrausChannel, apply_second, projector
 from .linalg import DEFAULT_TOL, hs_distance, hs_inner, kron, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization
 
-
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of n x n Hermitian matrices under Tr(A B).
-
-    Ordered with I/sqrt(n) first, then the diagonal traceless elements,
-    then the symmetric and antisymmetric off-diagonal pairs.
-    """
-    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    for k in range(1, n):
-        diag = np.zeros(n)
-        diag[:k] = 1.0
-        diag[k] = -k
-        basis.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2)
-            basis.append(sym)
-            asym = np.zeros((n, n), dtype=complex)
-            asym[i, j] = -1j / np.sqrt(2)
-            asym[j, i] = 1j / np.sqrt(2)
-            basis.append(asym)
-    return basis
+_RCOND = 1e-10  # singular values at most this times the largest count as zero
 
 
-def traceless_marginal_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian operators on H_d (x) H_d whose
-    second marginal vanishes; there are d^4 - d^2 of them."""
-    single = hermitian_basis(d)
-    return [kron(a, b) for a in single for b in single[1:]]
+def _real_vectors(h: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates of stacked Hermitian n x n matrices: the
+    diagonal, then sqrt(2) Re and sqrt(2) Im of the upper triangle, so that
+    dot products of rows are Hilbert-Schmidt inner products."""
+    rows, cols = np.triu_indices(h.shape[-1], 1)
+    upper = np.sqrt(2) * h[:, rows, cols]
+    return np.concatenate([np.diagonal(h, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
 
 
-def _coordinates(matrices, basis) -> np.ndarray:
-    """Real coordinate matrix: rows are matrices, columns basis elements."""
-    return np.array([[hs_inner(b, m).real for b in basis] for m in matrices])
+def _hermitian_of(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``_real_vectors`` for one n x n matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = np.zeros((n, n), dtype=complex)
+    upper[rows, cols] = (v[n : n + rows.size] + 1j * v[n + rows.size :]) / np.sqrt(2)
+    return upper + upper.conj().T + np.diag(v[:n])
 
 
-def _rank(matrix: np.ndarray, tol: float = 1e-10) -> int:
-    if matrix.size == 0:
-        return 0
+def _hermitian_stack(pp: ProcessPovm) -> np.ndarray:
+    """The Hermitian parts of the effects as one (N, d^2, d^2) array."""
+    m = np.asarray(pp.matrices, dtype=complex).reshape(-1, pp.d**2, pp.d**2)
+    return (m + m.conj().transpose(0, 2, 1)) / 2
+
+
+def _design(h: np.ndarray, d: int) -> np.ndarray:
+    """Tomography design of stacked Hermitian effects: one row per effect,
+    its projection M - Tr_2(M) (x) I/d onto the zero-second-marginal
+    subspace in the coordinates of ``_real_vectors``."""
+    m = h.reshape(-1, d, d, d, d)
+    marginal = np.einsum("xakbk->xab", m)
+    projected = m - marginal[:, :, None, :, None] * np.eye(d)[:, None, :] / d
+    return _real_vectors(projected.reshape(-1, d * d, d * d))
+
+
+def _rank(matrix: np.ndarray) -> int:
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > tol * s[0]).sum())
+    return int((s > _RCOND * s[0]).sum()) if s.size else 0
 
 
 def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
@@ -71,7 +66,7 @@ def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
     deficiency (0 when complete).
     """
     target = pp.d**4 - pp.d**2
-    rank = _rank(_coordinates(pp.matrices, traceless_marginal_basis(pp.d)))
+    rank = _rank(_design(_hermitian_stack(pp), pp.d))
     return rank == target, target - rank
 
 
@@ -79,9 +74,8 @@ def ic_ranks(pp: ProcessPovm) -> tuple[int, int]:
     """(full span rank over all Hermitian coordinates, projected rank over
     the traceless-marginal subspace); the two differ by at most the d^2
     marginal directions."""
-    full = _rank(_coordinates(pp.matrices, hermitian_basis(pp.d**2)))
-    proj = _rank(_coordinates(pp.matrices, traceless_marginal_basis(pp.d)))
-    return full, proj
+    h = _hermitian_stack(pp)
+    return _rank(_real_vectors(h)), _rank(_design(h, pp.d))
 
 
 @dataclass(frozen=True)
@@ -100,28 +94,29 @@ class TomographyResult:
 def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> TomographyResult:
     """Least-squares reconstruction of a Choi operator from probabilities.
 
-    The unknown is parameterized as identity/d plus a traceless-marginal
-    part, so trace and second marginal are exact by construction;
-    positivity is restored afterwards by ``psd_project``.  When the
-    process POVM is not informationally complete the minimum-norm solution
-    is returned and the deficiency recorded on the result.
+    The unknown is identity/d plus the least-squares X with zero second
+    marginal solving Tr[(M - Tr_2(M) (x) I/d) X] = p - Tr(M)/d for every
+    effect M, so trace and second marginal are exact by construction;
+    positivity is restored afterwards by ``psd_project``.  The rank of the
+    same solve gives ``ic_complete`` and ``deficiency``; when deficient, X
+    is the minimum-norm solution.  Non-finite probabilities raise.
     """
     d = pp.d
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if probs.size != len(pp):
         raise ValueError(f"expected {len(pp)} probabilities, got {probs.size}")
-    basis = traceless_marginal_basis(d)
-    design = _coordinates(pp.matrices, basis)
-    center = np.eye(d * d, dtype=complex) / d
-    offset = np.array([hs_inner(m, center).real for m in pp.matrices])
-    rhs = probs - offset
-    coeff, *_ = np.linalg.lstsq(design, rhs, rcond=1e-10)
-    omega_raw = center + sum(c * b for c, b in zip(coeff, basis))
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities are not finite")
+    h = _hermitian_stack(pp)
+    design = _design(h, d)
+    rhs = probs - np.trace(h, axis1=1, axis2=2).real / d
+    coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=_RCOND)
+    omega_raw = np.eye(d * d, dtype=complex) / d + _hermitian_of(coeff, d * d)
     residual = float(np.linalg.norm(design @ coeff - rhs))
-    complete, deficiency = ic_check(pp)
+    target, rank = d**4 - d**2, int(rank)
     omega_projected, converged = psd_project(omega_raw, d, iters=iters)
     return TomographyResult(
-        omega_raw, omega_projected, residual, complete, deficiency, converged
+        omega_raw, omega_projected, residual, rank == target, target - rank, converged
     )
 
 

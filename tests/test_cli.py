@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ppovm
 from ppovm import serialize
 from ppovm.channels import KrausChannel, ket, projector
 from ppovm.cli import main
@@ -72,6 +77,16 @@ def _set_nan(*keys):
     return edit
 
 
+def _wrong_shape_effect(obj):
+    obj["effects"][0]["matrix"] = serialize.encode_matrix(np.eye(3))
+
+
+def _zero_shot_counts(tmp_path):
+    labels = [e["label"] for e in serialize.read_json(gen(tmp_path, "pauli-probe"))["effects"]]
+    counts = {"shots": 0, "seed": 0, "counts": dict.fromkeys(labels, 0)}
+    return _write(tmp_path, "zero.json", counts)
+
+
 MALFORMED = {
     "ppovm without d": lambda t: [
         "validate", "ppovm", _edited(t, "pauli-probe", lambda o: o.pop("d"))
@@ -92,6 +107,12 @@ MALFORMED = {
         _edited(t, "pauli-probe", _set_nan("effects", 1, "matrix", "data", 0, 1)),
     ],
     "top-level array channel": lambda t: ["validate", "channel", _write(t, "array.json", [])],
+    "wrong-shape ppovm effect": lambda t: [
+        "validate", "ppovm", _edited(t, "pauli-probe", _wrong_shape_effect)
+    ],
+    "zero-shot counts": lambda t: [
+        "tomo", gen(t, "pauli-probe"), "--counts", _zero_shot_counts(t)
+    ],
 }
 
 
@@ -103,6 +124,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def _module_cli(*argv):
+    # run the CLI as `python -m ppovm.cli`, with the imported package on the path
+    src = str(pathlib.Path(ppovm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ppovm.cli", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point(tmp_path):
+    shown = _module_cli("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: ppovm")
+    missing = str(tmp_path / "missing.json")
+    failed = _module_cli("tomo", missing, "--exact", missing)
+    assert failed.returncode == 2
+    assert failed.stderr.startswith("error:")
 
 
 def _perturbed_pauli_probe(tmp_path):

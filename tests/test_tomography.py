@@ -20,14 +20,13 @@ from ppovm.measurement import (
     realize,
     validate_ppovm,
 )
-from ppovm.rand import random_channel, random_density
+from ppovm.rand import random_channel, random_density, random_test_couple
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
     pauli_probe_ppovm,
     six_state_ppovm,
 )
 from ppovm.tomography import (
-    hermitian_basis,
     ic_check,
     ic_ranks,
     linear_inversion,
@@ -35,10 +34,69 @@ from ppovm.tomography import (
     realization_probabilities,
     reconstruction_error,
     simulate_counts,
-    traceless_marginal_basis,
 )
 
 PAULI_PP = pauli_probe_ppovm()
+
+
+# Reference: least squares in an explicit orthonormal Hermitian basis, one
+# Hilbert-Schmidt inner product per effect and basis element.
+
+
+def hermitian_basis(n: int) -> list[np.ndarray]:
+    """Orthonormal basis of n x n Hermitian matrices under Tr(A B).
+
+    Ordered with I/sqrt(n) first, then the diagonal traceless elements,
+    then the symmetric and antisymmetric off-diagonal pairs.
+    """
+    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
+    for k in range(1, n):
+        diag = np.zeros(n)
+        diag[:k] = 1.0
+        diag[k] = -k
+        basis.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2)
+            basis.append(sym)
+            asym = np.zeros((n, n), dtype=complex)
+            asym[i, j] = -1j / np.sqrt(2)
+            asym[j, i] = 1j / np.sqrt(2)
+            basis.append(asym)
+    return basis
+
+
+def traceless_marginal_basis(d: int) -> list[np.ndarray]:
+    """Orthonormal basis of Hermitian operators on H_d (x) H_d whose
+    second marginal vanishes; there are d^4 - d^2 of them."""
+    single = hermitian_basis(d)
+    return [kron(a, b) for a in single for b in single[1:]]
+
+
+def _reference_coordinates(matrices, basis) -> np.ndarray:
+    return np.array([[hs_inner(b, m).real for b in basis] for m in matrices])
+
+
+def _reference_rank(matrix: np.ndarray) -> int:
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int((s > 1e-10 * s[0]).sum())
+
+
+def _reference_inversion(pp, probs):
+    """(omega_raw, residual, (ic_complete, deficiency), ic_ranks)."""
+    d = pp.d
+    basis = traceless_marginal_basis(d)
+    design = _reference_coordinates(pp.matrices, basis)
+    center = np.eye(d * d, dtype=complex) / d
+    rhs = probs - np.array([hs_inner(m, center).real for m in pp.matrices])
+    coeff, *_ = np.linalg.lstsq(design, rhs, rcond=1e-10)
+    omega_raw = center + sum(c * b for c, b in zip(coeff, basis))
+    residual = float(np.linalg.norm(design @ coeff - rhs))
+    rank = _reference_rank(design)
+    full = _reference_rank(_reference_coordinates(pp.matrices, hermitian_basis(d * d)))
+    target = d**4 - d**2
+    return omega_raw, residual, (rank == target, target - rank), (full, rank)
 
 
 def test_hermitian_basis_orthonormal():
@@ -57,6 +115,49 @@ def test_traceless_marginal_basis():
     assert len(basis) == 2**4 - 2**2
     for b in basis:
         assert max_abs(partial_trace(b, 2, 2, "second")) < 1e-14
+
+
+def _single_effect_ppovm():
+    rho = random_density(2, np.random.default_rng(0))
+    return validate_ppovm([kron(rho.T, np.eye(2))], 2)
+
+
+def _random_qutrit_ppovm(n_couples, n_outcomes, seed):
+    rng = np.random.default_rng(seed)
+    weight = 1.0 / n_couples
+    return build_ppovm(
+        [random_test_couple(3, 3, rng, n_outcomes=n_outcomes, weight=weight)
+         for _ in range(n_couples)],
+        3,
+    )
+
+
+# name -> (process POVM, expected deficiency)
+REFERENCE_SCHEMES = {
+    "pauli-probe": (pauli_probe_ppovm, 0),
+    "six-state": (six_state_ppovm, 0),
+    "random d=3, two couples": (lambda: _random_qutrit_ppovm(2, 45, 11), 0),
+    "random d=3, one 20-outcome couple": (lambda: _random_qutrit_ppovm(1, 20, 5), 53),
+    "identity-vs-contraction": (identity_vs_contraction_ppovm, 11),
+    "single effect": (_single_effect_ppovm, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCHEMES))
+def test_inversion_matches_reference_basis(name):
+    build, deficiency = REFERENCE_SCHEMES[name]
+    pp = build()
+    rng = np.random.default_rng(3)
+    # noisy probabilities, so that the residual is not zero
+    probs = outcome_probabilities(pp, random_channel(pp.d, rng))
+    probs = probs + 1e-3 * rng.standard_normal(len(pp))
+    omega_raw, residual, verdict, ranks = _reference_inversion(pp, probs)
+    result = linear_inversion(pp, probs)
+    assert max_abs(result.omega_raw - omega_raw) < 1e-12
+    assert result.residual == pytest.approx(residual, rel=1e-12)
+    assert verdict == (deficiency == 0, deficiency)
+    assert (result.ic_complete, result.deficiency) == verdict == ic_check(pp)
+    assert ic_ranks(pp) == ranks
 
 
 def test_ic_check_pauli_probe_complete():
@@ -131,6 +232,14 @@ def test_deficient_inversion_minimum_norm():
     assert result.residual < 1e-10
     truth = projector(max_entangled_ket(2))
     assert reconstruction_error(result, truth) > 0.5
+
+
+def test_inversion_rejects_non_finite_probabilities():
+    probs = outcome_probabilities(PAULI_PP, identity_channel(2))
+    for bad in (np.nan, np.inf):
+        probs[0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            linear_inversion(PAULI_PP, probs)
 
 
 def test_forward_inverse_residual_is_zero():
@@ -241,8 +350,6 @@ def test_noisy_pipeline_produces_valid_state():
 
 
 def test_qutrit_pipeline_not_qubit_specific():
-    from ppovm.rand import random_test_couple
-
     rng = np.random.default_rng(11)
     d = 3
     couples = [
@@ -250,7 +357,6 @@ def test_qutrit_pipeline_not_qubit_specific():
         random_test_couple(d, 3, rng, n_outcomes=45, weight=0.5),
     ]
     pp = build_ppovm(couples, d)
-    assert len(traceless_marginal_basis(d)) == d**4 - d**2
     assert ic_check(pp) == (True, 0)
     ch = random_channel(d, rng)
     result = linear_inversion(pp, outcome_probabilities(pp, ch))
