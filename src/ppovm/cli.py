@@ -94,7 +94,7 @@ def cmd_validate(args) -> int:
             raise ParseFailure(f"state matrix must be square, got {m.shape}")
         checks = state_checks(m, args.tol)
     elif args.kind == "povm":
-        effects, _ = _decode(serialize.decode_effects, obj, "povm")
+        effects, _ = _decode(serialize.decode_povm_effects, obj, "povm")
         checks = povm_checks(effects, args.tol)
     elif args.kind == "channel":
         ch = _decode(serialize.decode_channel, obj, "channel")

@@ -1,24 +1,29 @@
 """Perfect discrimination of channels, specialized to unitary pairs.
 
-Two unitary channels admit an error-free single-shot test exactly when
-zero lies in the convex hull of the eigenvalues of U^dag V on the unit
-circle; the probe is then a weighted superposition of eigenvectors and no
-ancilla is needed.  For general channel pairs only the sufficient
-support-orthogonality test and verification of user-supplied plans are
-offered.
+Every unitary-pair decision reads one number, the largest circular gap of
+the eigenphases of U^dag V: zero is in the hull of the eigenvalues (an
+error-free single-shot test exists) iff the gap is at most pi, and n
+parallel copies stretch the arc Theta = 2pi - gap to n Theta.  The probe
+mixes eigenvectors with closed-form hull weights and needs no ancilla, so
+a plan's error rates are those of its output states, Tr[F E(|psi><psi|)].
+For general channel pairs only the sufficient support-orthogonality test
+and verification of user-supplied plans are offered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, check_unitary, choi_of_channel, projector
+from .channels import KrausChannel, Povm, apply_channel, check_unitary, projector
 from .linalg import DEFAULT_TOL, dagger, hs_inner, max_abs, rank_and_support
 from .measurement import ProcessPovm, TestCouple, build_ppovm
 
 TWO_PI = 2.0 * np.pi
+# arcs shorter than this are a single phase: U^dag V is a multiple of I
+_SAME_PHASE = 1e-12
 
 
 class NoHullError(ValueError):
@@ -89,6 +94,14 @@ def necessary_condition(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) 
     return overlap(u, v, tol) <= d - 1 + tol
 
 
+def _largest_gap(phases: np.ndarray) -> float:
+    """Largest circular gap between consecutive phases on [0, 2pi)."""
+    phases = np.sort(np.asarray(phases, dtype=float) % TWO_PI)
+    if phases.size == 0:
+        raise ValueError("need at least one phase")
+    return float(np.diff(phases, append=phases[0] + TWO_PI).max())
+
+
 def zero_in_hull(phases: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff zero is in the convex hull of {exp(i theta)}.
 
@@ -96,75 +109,50 @@ def zero_in_hull(phases: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     points, i.e. the largest circular gap between consecutive phases is at
     most pi.  A gap of exactly pi (antipodal boundary) counts as inside.
     """
-    phases = np.sort(np.asarray(phases, dtype=float) % TWO_PI)
-    if phases.size == 0:
-        raise ValueError("need at least one phase")
-    gaps = np.diff(phases, append=phases[0] + TWO_PI)
-    return float(gaps.max()) <= np.pi + tol
-
-
-def _cross(a: complex, b: complex) -> float:
-    return a.real * b.imag - a.imag * b.real
+    return _largest_gap(phases) <= np.pi + tol
 
 
 def hull_weights(phases: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Convex weights q with sum_k q_k exp(i theta_k) = 0.
 
-    At most three weights are nonzero: an antipodal pair if one exists
-    (first in index order), otherwise the first index-ordered triangle
-    containing the origin, solved barycentrically.
+    Anchored at the smallest phase a: if a phase lies within ``tol`` of
+    the antipode a + pi, that pair gets weights 1/2, 1/2.  Otherwise the
+    phases b < a + pi < c on either side of the antipode form a triangle
+    around the origin, with barycentric weights proportional to
+    (sin(c - b), sin(a + 2pi - c), sin(b - a)).  At most three weights are
+    nonzero; an antipodal pair that does not include the smallest phase
+    gets no precedence over the triangle.  O(n log n).
     """
     phases = np.asarray(phases, dtype=float) % TWO_PI
     if not zero_in_hull(phases, tol):
         raise NoHullError("zero is not in the convex hull of the phases")
-    n = phases.size
-    weights = np.zeros(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            delta = abs(phases[i] - phases[j])
-            if abs(min(delta, TWO_PI - delta) - np.pi) <= tol:
-                weights[i] = weights[j] = 0.5
-                return weights
-    z = np.exp(1j * phases)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                tri = (z[i], z[j], z[k])
-                crosses = [
-                    _cross(tri[1] - tri[0], -tri[0]),
-                    _cross(tri[2] - tri[1], -tri[1]),
-                    _cross(tri[0] - tri[2], -tri[2]),
-                ]
-                pos = any(c > 1e-12 for c in crosses)
-                neg = any(c < -1e-12 for c in crosses)
-                if pos and neg:
-                    continue
-                system = np.array(
-                    [
-                        [z[i].real, z[j].real, z[k].real],
-                        [z[i].imag, z[j].imag, z[k].imag],
-                        [1.0, 1.0, 1.0],
-                    ]
-                )
-                q, *_ = np.linalg.lstsq(system, np.array([0.0, 0.0, 1.0]), rcond=None)
-                if q.min() < -1e-9:
-                    continue
-                q = np.clip(q, 0.0, None)
-                q = q / q.sum()
-                if abs(q[0] * z[i] + q[1] * z[j] + q[2] * z[k]) > 1e-9:
-                    continue
-                weights[[i, j, k]] = q
-                return weights
-    raise NoHullError("no supporting pair or triangle found")
+    order = np.argsort(phases, kind="stable")
+    s = phases[order]
+    antipode = s[0] + np.pi
+    hi = int(np.searchsorted(s, antipode))
+    weights = np.zeros(s.size)
+    # zero in the hull leaves no phase past the antipode only when the
+    # last one is within tol of it
+    near = hi - 1 if hi == s.size or antipode - s[hi - 1] < s[hi] - antipode else hi
+    if hi == s.size or abs(s[near] - antipode) <= tol:
+        weights[order[[0, near]]] = 0.5
+        return weights
+    a, b, c = s[0], s[hi - 1], s[hi]
+    q = np.clip([np.sin(c - b), np.sin(a + TWO_PI - c), np.sin(b - a)], 0.0, None)
+    weights[order[[0, hi - 1, hi]]] = q / q.sum()
+    return weights
 
 
 @dataclass(frozen=True)
 class DiscriminationPlan:
-    """Ancilla-free probe, output POVM, and the induced process POVM."""
+    """Ancilla-free probe, output POVM, and the error rates of the test.
+
+    ``ppovm`` is the induced d^2 x d^2 process POVM, built only when asked
+    for; the plan itself holds O(d^2) numbers.
+    """
 
     probe: np.ndarray
     povm: Povm
-    ppovm: ProcessPovm
     error_rates: tuple[float, float]
 
     def __post_init__(self):
@@ -172,13 +160,21 @@ class DiscriminationPlan:
         v.setflags(write=False)
         object.__setattr__(self, "probe", v)
 
+    @property
+    def ppovm(self) -> ProcessPovm:
+        """The process POVM {rho^T (x) F_k} of the plan, built on each call."""
+        couple = TestCouple(1.0, projector(self.probe), self.povm, 1)
+        return build_ppovm([couple], self.probe.size)
+
 
 def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> DiscriminationPlan:
     """Construct an error-free test for two unitary channels.
 
     The probe mixes eigenvectors of U^dag V with hull weights, which makes
     the two output states orthogonal; outcome one means the channel was U,
-    outcome two means V.  Raises when the hull criterion fails.
+    outcome two means V.  The error rates come from ``verify_plan``, so
+    nothing larger than d x d is built.  Raises when the hull criterion
+    fails.
     """
     u = check_unitary(u, tol)
     v = check_unitary(v, tol)
@@ -195,37 +191,35 @@ def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> Discri
     probe = probe / np.linalg.norm(probe)
     first = u @ projector(probe) @ dagger(u)
     first = (first + dagger(first)) / 2
-    povm = Povm((first, np.eye(d) - first), ("ch1", "ch2"))
-    pp = build_ppovm([TestCouple(1.0, projector(probe), povm, 1)], d, tol)
-    rates = verify_plan_rates(pp, *(choi_of_channel(KrausChannel(d, d, (w,))) for w in (u, v)))
+    plan = DiscriminationPlan(probe, Povm((first, np.eye(d) - first), ("ch1", "ch2")), (0.0, 0.0))
+    rates = verify_plan(KrausChannel(d, d, (u,)), KrausChannel(d, d, (v,)), plan)
     if max(rates) > tol:
         raise NotPerfectlyDiscriminableError(
             f"constructed plan has residual error rates {rates}"
         )
-    return DiscriminationPlan(probe, povm, pp, rates)
-
-
-def verify_plan_rates(
-    pp: ProcessPovm, omega1: np.ndarray, omega2: np.ndarray
-) -> tuple[float, float]:
-    """Misidentification rates (Tr[M2 omega1], Tr[M1 omega2]) of a
-    two-outcome process POVM against two process states."""
-    if len(pp) != 2:
-        raise ValueError("discrimination requires exactly two effects")
-    m1, m2 = pp.matrices
-    return (
-        float(hs_inner(m2, omega1).real),
-        float(hs_inner(m1, omega2).real),
-    )
+    return replace(plan, error_rates=rates)
 
 
 def verify_plan(
     ch1: KrausChannel, ch2: KrausChannel, plan: DiscriminationPlan
 ) -> tuple[float, float]:
-    """Misidentification rates of a plan on a concrete channel pair."""
-    if ch1.dim_in != plan.ppovm.d or ch2.dim_in != plan.ppovm.d:
+    """Misidentification rates (Tr[F2 E1(psi)], Tr[F1 E2(psi)]) of a plan
+    on a concrete channel pair, psi = |probe><probe|.
+
+    For an ancilla-free plan these equal the process-picture pairings
+    Tr[M2 Omega1], Tr[M1 Omega2] with M_k = psi^T (x) F_k, at O(d^3) cost.
+    """
+    if len(plan.povm.effects) != 2:
+        raise ValueError("discrimination requires exactly two effects")
+    d = plan.probe.size
+    if ch1.dim_in != d or ch2.dim_in != d:
         raise ValueError("channel dimension does not match the plan")
-    return verify_plan_rates(plan.ppovm, choi_of_channel(ch1), choi_of_channel(ch2))
+    psi = projector(plan.probe)
+    f1, f2 = plan.povm.effects
+    return (
+        float(hs_inner(f2, apply_channel(ch1, psi)).real),
+        float(hs_inner(f1, apply_channel(ch2, psi)).real),
+    )
 
 
 def support_orthogonal(
@@ -245,22 +239,17 @@ def support_orthogonal(
     return max_abs(p1 @ p2) <= tol
 
 
-def _dedup_phases(phases: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    phases = np.sort(np.asarray(phases, dtype=float) % TWO_PI)
-    phases[TWO_PI - phases < tol] = 0.0
-    phases = np.sort(phases)
-    kept = [phases[0]]
-    for p in phases[1:]:
-        if p - kept[-1] > tol:
-            kept.append(p)
-    return np.array(kept)
+def _relative_arc(u: np.ndarray, v: np.ndarray, tol: float) -> float:
+    """Theta: the length of the smallest arc holding the eigenphases of
+    U^dag V, i.e. 2pi minus their largest circular gap."""
+    phases, _ = unitary_eig(dagger(check_unitary(u, tol)) @ check_unitary(v, tol), tol)
+    return TWO_PI - _largest_gap(phases)
 
 
 def always_indistinguishable(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff U^dag V is a phase times the identity, so that no number
     of parallel copies can ever separate the two channels."""
-    phases, _ = unitary_eig(dagger(check_unitary(u, tol)) @ check_unitary(v, tol), tol)
-    return _dedup_phases(phases).size == 1
+    return _relative_arc(u, v, tol) <= _SAME_PHASE
 
 
 def min_copies(
@@ -269,21 +258,16 @@ def min_copies(
     """Smallest n <= n_max such that n parallel copies are perfectly
     discriminable, or None.
 
-    The eigenphases of (U^dag V)^(x n) are all n-fold sums of the base
-    phases; the multiset is grown iteratively with deduplication, and the
-    hull test applied at each n.  Identical channels (a single distinct
-    phase) always return None.
+    The eigenphases of (U^dag V)^(x n) fill an arc n times as long as the
+    arc Theta of the base phases, so the hull closes at the first n with
+    n Theta >= pi - tol: N = max(1, ceil((pi - tol) / Theta)) (Acin 2001;
+    Duan, Feng and Ying 2007).  Identical channels (Theta ~ 0) always
+    return None.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    base_phases, _ = unitary_eig(dagger(check_unitary(u, tol)) @ check_unitary(v, tol), tol)
-    base = _dedup_phases(base_phases)
-    if base.size == 1:
+    theta = _relative_arc(u, v, tol)
+    if theta <= _SAME_PHASE:
         return None
-    current = base
-    for n in range(1, n_max + 1):
-        if n > 1:
-            current = _dedup_phases((current[:, None] + base[None, :]).ravel())
-        if zero_in_hull(current, tol):
-            return n
-    return None
+    n = max(1, math.ceil((np.pi - tol) / theta))
+    return n if n <= n_max else None

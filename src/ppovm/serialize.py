@@ -85,14 +85,24 @@ def encode_povm(povm: Povm) -> dict:
     }
 
 
-def decode_effects(obj: dict) -> tuple[list[np.ndarray], list[str]]:
-    """Matrices and labels of the ``effects`` list of a povm or ppovm file."""
+def decode_effects(obj: dict, side: int) -> tuple[list[np.ndarray], list[str]]:
+    """Matrices and labels of the ``effects`` list of a povm or ppovm file;
+    every effect must be side x side."""
     effects = obj["effects"]
-    return [decode_matrix(e["matrix"]) for e in effects], [str(e["label"]) for e in effects]
+    mats = [decode_matrix(e["matrix"]) for e in effects]
+    for k, m in enumerate(mats):
+        if m.shape != (side, side):
+            raise FormatError(f"effect {k} is {m.shape[0]}x{m.shape[1]}, not {side}x{side}")
+    return mats, [str(e["label"]) for e in effects]
+
+
+def decode_povm_effects(obj: dict) -> tuple[list[np.ndarray], list[str]]:
+    """Matrices and labels of a povm file; every effect is dim x dim."""
+    return decode_effects(obj, int(obj["dim"]))
 
 
 def decode_povm(obj: dict) -> Povm:
-    effects, labels = decode_effects(obj)
+    effects, labels = decode_povm_effects(obj)
     return Povm(tuple(effects), tuple(labels))
 
 
@@ -107,12 +117,8 @@ def encode_ppovm(pp: ProcessPovm) -> dict:
 
 def decode_ppovm_effects(obj: dict) -> tuple[list[np.ndarray], list[str], int]:
     """Matrices, labels and d of a ppovm file; every effect is d^2 x d^2."""
-    mats, labels = decode_effects(obj)
     d = int(obj["d"])
-    for k, m in enumerate(mats):
-        if m.shape != (d * d, d * d):
-            raise FormatError(f"effect {k} is {m.shape[0]}x{m.shape[1]}, not {d * d}x{d * d}")
-    return mats, labels, d
+    return *decode_effects(obj, d * d), d
 
 
 def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:
@@ -166,12 +172,12 @@ def decode_counts(obj: dict) -> ShotRecord:
     if int(obj["shots"]) < 1:
         raise FormatError("shots must be at least 1")
     if any(n < 0 for n in counts.values()):
-        raise ValueError("counts must be non-negative")
+        raise FormatError("counts must be non-negative")
     record = ShotRecord(
         counts, int(obj["shots"]), int(obj["seed"]), str(obj.get("generator", "numpy-pcg64"))
     )
     if sum(counts.values()) != record.shots:
-        raise ValueError("counts do not sum to the recorded shot total")
+        raise FormatError("counts do not sum to the recorded shot total")
     return record
 
 

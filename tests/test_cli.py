@@ -81,10 +81,16 @@ def _wrong_shape_effect(obj):
     obj["effects"][0]["matrix"] = serialize.encode_matrix(np.eye(3))
 
 
-def _zero_shot_counts(tmp_path):
+def _counts_file(tmp_path, shots, first, second=0):
+    # pauli-probe counts: `first` and `second` on two outcomes, 0 elsewhere
     labels = [e["label"] for e in serialize.read_json(gen(tmp_path, "pauli-probe"))["effects"]]
-    counts = {"shots": 0, "seed": 0, "counts": dict.fromkeys(labels, 0)}
-    return _write(tmp_path, "zero.json", counts)
+    counts = {**dict.fromkeys(labels, 0), labels[0]: first, labels[1]: second}
+    return _write(tmp_path, "counts.json", {"shots": shots, "seed": 0, "counts": counts})
+
+
+def _oversized_povm(tmp_path):
+    obj = {"dim": 2, "effects": [{"label": "0", "matrix": serialize.encode_matrix(np.eye(3))}]}
+    return _write(tmp_path, "oversized.json", obj)
 
 
 MALFORMED = {
@@ -111,8 +117,15 @@ MALFORMED = {
         "validate", "ppovm", _edited(t, "pauli-probe", _wrong_shape_effect)
     ],
     "zero-shot counts": lambda t: [
-        "tomo", gen(t, "pauli-probe"), "--counts", _zero_shot_counts(t)
+        "tomo", gen(t, "pauli-probe"), "--counts", _counts_file(t, 0, 0)
     ],
+    "negative count": lambda t: [
+        "tomo", gen(t, "pauli-probe"), "--counts", _counts_file(t, 1, -1, 2)
+    ],
+    "counts not summing to shots": lambda t: [
+        "tomo", gen(t, "pauli-probe"), "--counts", _counts_file(t, 10, 5)
+    ],
+    "povm effect larger than dim": lambda t: ["validate", "povm", _oversized_povm(t)],
 }
 
 

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppovm.channels import (
     HADAMARD,
@@ -29,8 +33,85 @@ from ppovm.discrimination import (
     zero_in_hull,
 )
 from ppovm.linalg import dagger, hs_inner, kron, max_abs
-from ppovm.measurement import TestCouple, build_ppovm, validate_ppovm
-from ppovm.rand import random_unitary
+from ppovm.measurement import validate_ppovm
+from ppovm.rand import random_channel, random_povm, random_pure_state, random_unitary
+
+TWO_PI = 2 * np.pi
+
+
+# -- reference algorithms: the phase-multiset growth and triangle search that
+# min_copies and hull_weights replaced, kept as oracles at small d ----------
+
+
+def _dedup_phases(phases, tol=1e-12):
+    phases = np.sort(np.asarray(phases, dtype=float) % TWO_PI)
+    phases[TWO_PI - phases < tol] = 0.0
+    phases = np.sort(phases)
+    kept = [phases[0]]
+    for p in phases[1:]:
+        if p - kept[-1] > tol:
+            kept.append(p)
+    return np.array(kept)
+
+
+def _reference_min_copies(base_phases, n_max, tol=1e-9):
+    """Grow the n-fold sums of the distinct phases until zero is in their hull."""
+    base = _dedup_phases(base_phases)
+    if base.size == 1:
+        return None
+    current = base
+    for n in range(1, n_max + 1):
+        if n > 1:
+            current = _dedup_phases((current[:, None] + base[None, :]).ravel())
+        if zero_in_hull(current, tol):
+            return n
+    return None
+
+
+def _cross(a, b):
+    return a.real * b.imag - a.imag * b.real
+
+
+def _reference_hull_weights(phases):
+    """First index-ordered antipodal pair, else first triangle holding the
+    origin (solved barycentrically); None when there is neither."""
+    phases = np.asarray(phases, dtype=float) % TWO_PI
+    n = phases.size
+    weights = np.zeros(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            delta = abs(phases[i] - phases[j])
+            if abs(min(delta, TWO_PI - delta) - np.pi) <= 1e-9:
+                weights[i] = weights[j] = 0.5
+                return weights
+    z = np.exp(1j * phases)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                tri = (z[i], z[j], z[k])
+                crosses = [_cross(tri[m] - tri[m - 1], -tri[m - 1]) for m in (1, 2, 0)]
+                if any(c > 1e-12 for c in crosses) and any(c < -1e-12 for c in crosses):
+                    continue
+                system = np.array([[w.real for w in tri], [w.imag for w in tri], [1.0] * 3])
+                q, *_ = np.linalg.lstsq(system, np.array([0.0, 0.0, 1.0]), rcond=None)
+                if q.min() < -1e-9:
+                    continue
+                q = np.clip(q, 0.0, None)
+                q = q / q.sum()
+                if abs(q @ np.array(tri)) > 1e-9:
+                    continue
+                weights[[i, j, k]] = q
+                return weights
+    return None
+
+
+def _process_picture_rates(ch1, ch2, plan):
+    """(Tr[M2 Omega1], Tr[M1 Omega2]) from the plan's process POVM."""
+    m1, m2 = plan.ppovm.matrices
+    return (
+        hs_inner(m2, choi_of_channel(ch1)).real,
+        hs_inner(m1, choi_of_channel(ch2)).real,
+    )
 
 
 def qubit_pair_with_phase_gap(gap, rng):
@@ -141,6 +222,17 @@ def test_hull_weights_generic_triangle():
     assert (q > 1e-12).sum() <= 3
 
 
+def test_hull_weights_near_antipode_unsorted():
+    # pi - 1e-4 is no antipodal partner of 0 at tol 1e-9, so the triangle
+    # (0, pi - 1e-4, pi + 0.5) holds the origin; weights follow input order
+    phases = np.array([np.pi + 0.5, np.pi - 1e-4, 0.3, 0.0])
+    q = hull_weights(phases)
+    assert q.min() >= 0.0
+    assert abs(q.sum() - 1.0) < 1e-12
+    assert abs(np.sum(q * np.exp(1j * phases))) < 1e-12
+    assert q[2] == 0.0 and np.count_nonzero(q) == 3
+
+
 def test_hull_weights_requires_hull():
     with pytest.raises(NoHullError):
         hull_weights(np.array([0.0, np.pi / 4]))
@@ -195,9 +287,7 @@ def test_plan_ppovm_is_valid_and_normalized():
 def test_verify_plan_identity_vs_contraction():
     p0 = projector(ket(0, 2))
     povm = Povm((np.eye(2) - p0, p0), ("identity", "contraction"))
-    couple = TestCouple(1.0, projector(ket(1, 2)), povm, 1)
-    pp = build_ppovm([couple], 2)
-    plan = DiscriminationPlan(ket(1, 2), povm, pp, (0.0, 0.0))
+    plan = DiscriminationPlan(ket(1, 2), povm, (0.0, 0.0))
     rates = verify_plan(identity_channel(2), contraction_channel(ket(0, 2)), plan)
     assert rates == (0.0, 0.0)
 
@@ -207,13 +297,39 @@ def test_verify_plan_bad_probe_fails():
     # both misidentification rates are 1/2
     plus, minus = HADAMARD[:, 0], HADAMARD[:, 1]
     povm = Povm((projector(plus), projector(minus)), ("identity", "contraction"))
-    couple = TestCouple(1.0, projector(ket(0, 2)), povm, 1)
-    pp = build_ppovm([couple], 2)
-    plan = DiscriminationPlan(ket(0, 2), povm, pp, (0.5, 0.5))
+    plan = DiscriminationPlan(ket(0, 2), povm, (0.5, 0.5))
     x, y = verify_plan(identity_channel(2), contraction_channel(ket(0, 2)), plan)
     assert abs(x - 0.5) < 1e-12
     assert abs(y - 0.5) < 1e-12
     assert x * y > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_verify_plan_equals_process_picture(d):
+    # the paper's identity: Tr[M Omega] = Tr[F E(psi)] for M = psi^T (x) F
+    rng = np.random.default_rng(20 + d)
+    for _ in range(10):
+        plan = DiscriminationPlan(random_pure_state(d, rng), random_povm(d, 2, rng), (0.0, 0.0))
+        ch1, ch2 = random_channel(d, rng), random_channel(d, rng)
+        state = verify_plan(ch1, ch2, plan)
+        process = _process_picture_rates(ch1, ch2, plan)
+        assert max_abs(np.subtract(state, process)) < 1e-12
+
+
+def test_build_and_verify_plan_memory_below_one_process_operator():
+    d = 32
+    rng = np.random.default_rng(12)
+    u, v = random_unitary(d, rng), random_unitary(d, rng)
+    ch_u, ch_v = unitary_channel(u), unitary_channel(v)
+    tracemalloc.start()
+    try:
+        plan = build_plan(u, v)
+        verify_plan(ch_u, ch_v, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one d^2 x d^2 complex operator is 16 d^4 bytes
+    assert peak < 16 * d**4
 
 
 def test_support_orthogonal_cases():
@@ -246,8 +362,6 @@ def test_min_copies_monotone():
     n_star = min_copies(u, v, 12)
     assert n_star == 5
     # once feasible, more copies stay feasible
-    from ppovm.discrimination import _dedup_phases
-
     base, _ = unitary_eig(dagger(u) @ v)
     base = _dedup_phases(base)
     current = base
@@ -262,6 +376,14 @@ def test_min_copies_identical_channels():
     assert min_copies(u, np.exp(1j * 0.3) * u, 10) is None
     assert always_indistinguishable(u, np.exp(1j * 0.3) * u)
     assert not always_indistinguishable(np.eye(2), PAULI_Z)
+
+
+def test_min_copies_closed_form_beyond_reference_reach():
+    # an arc of 1e-6 needs ~3.1e6 copies: far past any multiset growth
+    v = np.diag([1.0, np.exp(1e-6j)])
+    assert not always_indistinguishable(np.eye(2), v)
+    assert min_copies(np.eye(2), v, 4_000_000) == int(np.ceil((np.pi - 1e-9) / 1e-6))
+    assert min_copies(np.eye(2), v, 3_000_000) is None
 
 
 def test_min_copies_unreachable_within_bound():
@@ -300,3 +422,31 @@ def test_hull_implies_trace_bound_empirically():
             phases, _ = unitary_eig(dagger(u) @ v)
             if zero_in_hull(phases):
                 assert necessary_condition(u, v)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+    offset=st.floats(0.0, TWO_PI),
+    spread=st.floats(0.01, TWO_PI),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_forms_match_references(fractions, offset, spread, seed):
+    # relative eigenphases offset + spread * fractions, in a random eigenbasis
+    d = len(fractions)
+    rng = np.random.default_rng(seed)
+    q = random_unitary(d, rng)
+    u = random_unitary(d, rng)
+    v = u @ q @ np.diag(np.exp(1j * (offset + spread * np.array(fractions)))) @ dagger(q)
+    phases, _ = unitary_eig(dagger(u) @ v)
+    assert min_copies(u, v, 12) == _reference_min_copies(phases, 12)
+    reference = _reference_hull_weights(phases)
+    assert zero_in_hull(phases) == (reference is not None)
+    assert always_indistinguishable(u, v) == (_dedup_phases(phases).size == 1)
+    if reference is not None:
+        shuffled = rng.permutation(phases)
+        q = hull_weights(shuffled)
+        assert q.min() >= 0.0
+        assert abs(q.sum() - 1.0) < 1e-12
+        assert abs(np.sum(q * np.exp(1j * shuffled))) < 1e-9
+        assert np.count_nonzero(q) <= 3
