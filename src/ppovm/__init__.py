@@ -52,7 +52,6 @@ from .linalg import (
     vec_reshape,
 )
 from .measurement import (
-    ProcessEffect,
     ProcessPovm,
     Realization,
     TestCouple,

@@ -9,7 +9,7 @@ trace preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,9 @@ from .linalg import (
     DEFAULT_TOL,
     Check,
     dagger,
+    frozen,
     hermiticity_check,
+    hermiticity_residuals,
     herm_eig,
     kron,
     max_abs,
@@ -60,12 +62,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # validators for operator-valued objects (plain ndarrays)
 #
@@ -85,15 +81,66 @@ def raise_failed(checks: list[Check], what: str, error: type = ValueError) -> No
             raise error(f"{what}: {name} = {value:.3e}")
 
 
+def effect_stack(effects, side: int | None = None, error: type = ValueError) -> np.ndarray:
+    """The effects as one complex (N, n, n) array, N >= 1, without a copy
+    when they already are one; with ``side`` given, n must equal it."""
+    try:
+        stack = np.asarray(effects, dtype=complex)
+    except ValueError:  # effects of different shapes
+        stack = np.empty((0, 0))
+    if stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2]:
+        if side is None or stack.shape[1] == side:
+            return stack
+    if not len(effects):
+        raise error("need one or more effects")
+    if side is None:
+        raise error("POVM needs one or more effects of one shape")
+    k = next((k for k, m in enumerate(effects) if np.shape(m) != (side, side)), 0)
+    raise error(f"effect {k} is not {side}x{side}")
+
+
+def effect_labels(labels, count: int, error: type = ValueError) -> tuple:
+    """One distinct label per effect; None means "0", "1", ..."""
+    labels = tuple(str(k) for k in range(count)) if labels is None else tuple(labels)
+    if len(labels) != count:
+        raise error("label count does not match effect count")
+    if len(set(labels)) != count:
+        repeated = next(lbl for k, lbl in enumerate(labels) if lbl in labels[:k])
+        raise error(f"repeated effect label {repeated!r}")
+    return labels
+
+
+def stacked_effect_checks(
+    stack: np.ndarray, tol: float = DEFAULT_TOL, names: list[str] | None = None
+) -> list[Check]:
+    """Effect checks of every matrix of an (N, n, n) stack, effect by effect:
+    hermiticity residual relative to the effect's own max|m|, then min and
+    max eigenvalue, from one batched eigvalsh.  Names default to effect_k."""
+    if names is None:
+        names = [f"effect_{k}" for k in range(len(stack))]
+    res, hermitian = hermiticity_residuals(stack, tol)
+    symmetrized = stack + dagger(stack)
+    symmetrized /= 2
+    values = np.linalg.eigvalsh(symmetrized)
+    low, high = values[:, 0], values[:, -1]
+    rows = zip(
+        names, res.tolist(), hermitian.tolist(), low.tolist(), (low >= -tol).tolist(),
+        high.tolist(), (high <= 1.0 + tol).tolist(),
+    )
+    return [
+        entry
+        for name, r, r_ok, lo, lo_ok, hi, hi_ok in rows
+        for entry in (
+            (f"{name}_hermiticity_residual", r, r_ok),
+            (f"{name}_min_eigenvalue", lo, lo_ok),
+            (f"{name}_max_eigenvalue", hi, hi_ok),
+        )
+    ]
+
+
 def effect_checks(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "effect") -> list[Check]:
     """Effect: Hermitian with spectrum inside [0, 1]."""
-    m = square_matrix(m, name)
-    values = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return [
-        hermiticity_check(name, m, tol),
-        (f"{name}_min_eigenvalue", float(values[0]), values[0] >= -tol),
-        (f"{name}_max_eigenvalue", float(values[-1]), values[-1] <= 1.0 + tol),
-    ]
+    return stacked_effect_checks(square_matrix(m, name)[None], tol, [name])
 
 
 def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") -> list[Check]:
@@ -113,14 +160,11 @@ def state_checks(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
     return [hermiticity_check("state", m, tol), *density_checks(m, tol)]
 
 
-def povm_checks(effects: list[np.ndarray], tol: float = DEFAULT_TOL) -> list[Check]:
+def povm_checks(effects, tol: float = DEFAULT_TOL) -> list[Check]:
     """Every effect, then completeness: the effects sum to the identity."""
-    if not effects or any(np.shape(e) != np.shape(effects[0]) for e in effects):
-        raise ValueError("POVM needs one or more effects of one shape")
-    checks = [c for k, e in enumerate(effects) for c in effect_checks(e, tol, f"effect_{k}")]
-    total = sum(effects)
-    res = max_abs(total - np.eye(total.shape[0]))
-    return [*checks, ("completeness_residual", res, res <= tol)]
+    stack = effect_stack(effects)
+    res = max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
+    return [*stacked_effect_checks(stack, tol), ("completeness_residual", res, res <= tol)]
 
 
 def trace_preservation_checks(ch: KrausChannel, tol: float = DEFAULT_TOL) -> list[Check]:
@@ -184,25 +228,27 @@ def check_process_state(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> 
 
 @dataclass(frozen=True)
 class Povm:
-    """A measurement: effects summing to the identity, one label each."""
+    """A measurement: effects summing to the identity, one distinct label each.
 
-    effects: tuple[np.ndarray, ...]
+    ``effects`` is one read-only complex (N, n, n) array, copied once here;
+    its checks use ``tol``.
+    """
+
+    effects: np.ndarray
     labels: tuple[str, ...]
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
-        effects = tuple(_frozen(e) for e in self.effects)
-        object.__setattr__(self, "effects", effects)
-        labels = self.labels
-        if labels is None:
-            labels = tuple(str(k) for k in range(len(effects)))
-        object.__setattr__(self, "labels", tuple(labels))
-        if len(self.labels) != len(effects):
-            raise ValueError("label count does not match effect count")
-        raise_failed(povm_checks(effects), "invalid POVM")
+    def __post_init__(self, tol):
+        effects = effect_stack(self.effects)
+        object.__setattr__(self, "labels", effect_labels(self.labels, len(effects)))
+        # checked before the copy is made, so the checks' temporaries never
+        # sit beside two copies of the effects
+        raise_failed(povm_checks(effects, tol), "invalid POVM")
+        object.__setattr__(self, "effects", frozen(effects))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -221,7 +267,7 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...] = field(default=())
 
     def __post_init__(self):
-        ops = tuple(_frozen(a) for a in self.kraus)
+        ops = tuple(frozen(a) for a in self.kraus)
         object.__setattr__(self, "kraus", ops)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
@@ -257,22 +303,25 @@ def dual_channel(ch: KrausChannel) -> KrausChannel:
 
 def apply_first(ch: KrausChannel, x: np.ndarray, right_dim: int) -> np.ndarray:
     """Apply the channel to the first factor of an operator on
-    H_{dim_in} (x) H_{right_dim}, identity on the second."""
-    eye = np.eye(right_dim)
-    out = np.zeros((ch.dim_out * right_dim,) * 2, dtype=complex)
-    for a in ch.kraus:
-        k = kron(a, eye)
-        out += k @ x @ dagger(k)
-    return out
+    H_{dim_in} (x) H_{right_dim}, identity on the second; ``x`` may be a
+    stack of operators, each conjugated by one batched matmul per Kraus
+    operator."""
+    return _conjugate_sum([kron(a, np.eye(right_dim)) for a in ch.kraus], x)
 
 
 def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
     """Apply the channel to the second factor of an operator on
-    H_{left_dim} (x) H_{dim_in}, identity on the first."""
-    eye = np.eye(left_dim)
-    out = np.zeros((left_dim * ch.dim_out,) * 2, dtype=complex)
-    for a in ch.kraus:
-        k = kron(eye, a)
+    H_{left_dim} (x) H_{dim_in}, identity on the first; ``x`` may be a
+    stack of operators."""
+    return _conjugate_sum([kron(np.eye(left_dim), a) for a in ch.kraus], x)
+
+
+def _conjugate_sum(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """sum_k K_k x K_k^dag over the last two axes of x."""
+    x = np.asarray(x, dtype=complex)
+    rows = ops[0].shape[0]
+    out = np.zeros((*x.shape[:-2], rows, rows), dtype=complex)
+    for k in ops:
         out += k @ x @ dagger(k)
     return out
 

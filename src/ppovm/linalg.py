@@ -25,8 +25,15 @@ class HermitianEigen(NamedTuple):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def frozen(m: np.ndarray) -> np.ndarray:
+    """A read-only complex copy."""
+    out = np.array(m, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -43,10 +50,17 @@ def square_matrix(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def hermiticity_residuals(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Max-norm residual of m - m^dag for a matrix or for every matrix of a
+    stack, and whether each is within tol relative to its own max|m|."""
+    res = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
+    return res, res <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+
+
 def hermiticity_check(name: str, m: np.ndarray, tol: float = DEFAULT_TOL) -> Check:
     """Max-norm residual of m - m^dag, bounded by tol relative to max|m|."""
-    res = max_abs(m - dagger(m))
-    return (f"{name}_hermiticity_residual", res, res <= tol * max(1.0, max_abs(m)))
+    res, passed = hermiticity_residuals(m, tol)
+    return (f"{name}_hermiticity_residual", float(res), bool(passed))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,9 +24,11 @@ from .channels import (
     choi_of_channel,
     density_checks,
     dual_channel,
-    effect_checks,
+    effect_labels,
+    effect_stack,
     projector,
     raise_failed,
+    stacked_effect_checks,
     state_to_map,
     trace_preservation_checks,
 )
@@ -34,8 +36,8 @@ from .linalg import (
     DEFAULT_TOL,
     Check,
     dagger,
+    frozen,
     herm_eig,
-    hs_inner,
     kron,
     max_abs,
     partial_trace,
@@ -68,19 +70,6 @@ class SupportViolationError(PpovmError):
 
 
 @dataclass(frozen=True)
-class ProcessEffect:
-    """One labeled outcome of a process measurement."""
-
-    label: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class TestCouple:
     """A weighted experiment fragment: test state plus output POVM.
 
@@ -97,9 +86,7 @@ class TestCouple:
     anc_dim: int
 
     def __post_init__(self):
-        s = np.array(self.state, dtype=complex)
-        s.setflags(write=False)
-        object.__setattr__(self, "state", s)
+        object.__setattr__(self, "state", frozen(self.state))
 
     def qudit_dim(self) -> int:
         return self.state.shape[0] // self.anc_dim
@@ -107,31 +94,30 @@ class TestCouple:
 
 @dataclass(frozen=True)
 class ProcessPovm:
-    """Process effects summing to norm_state^T (x) I on H_d (x) H_d."""
+    """Process effects summing to norm_state^T (x) I on H_d (x) H_d.
+
+    ``effects`` is one read-only complex (N, d^2, d^2) array, copied once
+    here, and ``matrices`` is the same array; ``labels`` holds one distinct
+    label per effect ("0", "1", ... by default).
+    """
 
     d: int
-    effects: tuple[ProcessEffect, ...]
+    effects: np.ndarray
     norm_state: np.ndarray
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        rho = np.array(self.norm_state, dtype=complex)
-        rho.setflags(write=False)
+        effects = frozen(effect_stack(self.effects, self.d * self.d))
+        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "labels", effect_labels(self.labels, len(effects)))
+        rho = frozen(self.norm_state)
         object.__setattr__(self, "norm_state", rho)
-        object.__setattr__(self, "effects", tuple(self.effects))
-        n = self.d * self.d
-        for eff in self.effects:
-            if eff.matrix.shape != (n, n):
-                raise ValueError(f"effect {eff.label!r} is not {n}x{n}")
         if rho.shape != (self.d, self.d):
             raise ValueError("normalization state has wrong dimension")
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.effects)
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(e.matrix for e in self.effects)
+    def matrices(self) -> np.ndarray:
+        return self.effects
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -193,7 +179,8 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
     total_weight = sum(c.weight for c in couples)
     if abs(total_weight - 1.0) > tol:
         raise ValueError(f"couple weights sum to {total_weight}, expected 1")
-    effects: list[ProcessEffect] = []
+    blocks: list[np.ndarray] = []
+    labels: list[str] = []
     norm_state = np.zeros((d, d), dtype=complex)
     for j, couple in enumerate(couples):
         if couple.weight <= 0.0:
@@ -204,18 +191,19 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
         if couple.povm.dim != couple.anc_dim * d:
             raise ValueError(f"couple {j}: POVM dimension mismatch")
         lifted = dual_channel(state_to_map(couple.state, couple.anc_dim, d, tol))
-        for label, f in zip(couple.povm.labels, couple.povm.effects):
-            m = couple.weight * apply_first(lifted, f, d)
-            name = label if len(couples) == 1 else f"{j}:{label}"
-            effects.append(ProcessEffect(name, m))
+        blocks.append(couple.weight * apply_first(lifted, couple.povm.effects, d))
+        if len(couples) == 1:
+            labels += couple.povm.labels
+        else:
+            labels += [f"{j}:{lbl}" for lbl in couple.povm.labels]
         norm_state += couple.weight * partial_trace(
             couple.state, couple.anc_dim, d, "first"
         )
-    total = sum(e.matrix for e in effects)
-    checks = [_normalization_check(total, norm_state.T, d, tol)]
+    effects = np.concatenate(blocks)
+    checks = [_normalization_check(effects.sum(axis=0), norm_state.T, d, tol)]
     what = "assembled effects do not satisfy the normalization condition"
     raise_failed(checks, what, NotProductNormalizationError)
-    return ProcessPovm(d, tuple(effects), norm_state)
+    return ProcessPovm(d, effects, norm_state, labels)
 
 
 def _normalization_check(total: np.ndarray, sigma: np.ndarray, d: int, tol: float) -> Check:
@@ -225,28 +213,26 @@ def _normalization_check(total: np.ndarray, sigma: np.ndarray, d: int, tol: floa
 
 
 def ppovm_checks(
-    matrices: list[np.ndarray], d: int, tol: float = DEFAULT_TOL
+    matrices, d: int, tol: float = DEFAULT_TOL
 ) -> tuple[list[Check], np.ndarray]:
     """Process-POVM invariants of raw matrices, and the norm state rho.
 
     Each matrix must be an effect on H_d (x) H_d, and the sum must factor
     as sigma (x) I_d with rho = sigma^T a density operator.
     """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    n = d * d
-    for k, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise PpovmError(f"effect {k} is not {n}x{n}")
-    checks = [c for k, m in enumerate(mats) for c in effect_checks(m, tol, f"effect_{k}")]
-    total = sum(mats)
+    stack = effect_stack(matrices, d * d, PpovmError)
+    total = stack.sum(axis=0)
     sigma = partial_trace(total, d, d, "second") / d
-    checks.append(_normalization_check(total, sigma, d, tol))
     rho = sigma.T
-    return [*checks, *density_checks(rho, tol, "norm_state_")], rho
+    return [
+        *stacked_effect_checks(stack, tol),
+        _normalization_check(total, sigma, d, tol),
+        *density_checks(rho, tol, "norm_state_"),
+    ], rho
 
 
 def validate_ppovm(
-    matrices: list[np.ndarray],
+    matrices,
     d: int,
     labels: list[str] | None = None,
     tol: float = DEFAULT_TOL,
@@ -257,11 +243,9 @@ def validate_ppovm(
     for an effect, NotProductNormalizationError for the sum, and
     NormStateInvalidError for the norm state.
     """
-    if labels is None:
-        labels = [str(k) for k in range(len(matrices))]
-    if len(labels) != len(matrices):
-        raise ValueError("label count does not match effect count")
-    checks, rho = ppovm_checks(matrices, d, tol)
+    stack = effect_stack(matrices, d * d, PpovmError)
+    labels = effect_labels(labels, len(stack))
+    checks, rho = ppovm_checks(stack, d, tol)
     for name, value, passed in checks:
         if not passed:
             if name.startswith("effect_"):
@@ -271,8 +255,7 @@ def validate_ppovm(
             if name.startswith("norm_state_"):
                 raise NormStateInvalidError(message)
             raise NotProductNormalizationError(message)
-    effects = tuple(ProcessEffect(lbl, m) for lbl, m in zip(labels, matrices))
-    return ProcessPovm(d, effects, rho)
+    return ProcessPovm(d, stack, rho, labels)
 
 
 def merge_couples(couples: list[TestCouple]) -> TestCouple:
@@ -290,38 +273,25 @@ def merge_couples(couples: list[TestCouple]) -> TestCouple:
         raise ValueError("couples must share the qudit dimension")
     if any(c.weight <= 0.0 for c in couples):
         raise ValueError("zero-weight couples cannot be merged")
-    m = len(couples)
-    big_anc = max(c.anc_dim for c in couples)
-    n_big = big_anc * d
-
-    def pad(op: np.ndarray, anc: int) -> np.ndarray:
-        if anc == big_anc:
-            return np.asarray(op, dtype=complex)
-        out = np.zeros((n_big, n_big), dtype=complex)
-        n_small = anc * d
-        out[:n_small, :n_small] = op
-        return out
-
-    state = np.zeros((m * n_big, m * n_big), dtype=complex)
-    effects: list[np.ndarray] = []
+    n_big = max(c.anc_dim for c in couples) * d
+    n = len(couples) * n_big
+    state = np.zeros((n, n), dtype=complex)
+    blocks: list[np.ndarray] = []
     labels: list[str] = []
-    flag = np.zeros((m, m), dtype=complex)
     for j, couple in enumerate(couples):
-        flag[:] = 0.0
-        flag[j, j] = 1.0
-        state += couple.weight * kron(flag, pad(couple.state, couple.anc_dim))
-        leftover = np.eye(n_big, dtype=complex) - pad(
-            np.eye(couple.anc_dim * d), couple.anc_dim
-        )
-        for k, (lbl, f) in enumerate(zip(couple.povm.labels, couple.povm.effects)):
-            padded = pad(f, couple.anc_dim)
-            if k == 0:
-                # park the padding complement on the first outcome so the
-                # per-flag block still sums to the identity
-                padded = padded + leftover
-            effects.append(kron(flag, padded))
-            labels.append(f"{j}:{lbl}")
-    return TestCouple(1.0, state, Povm(tuple(effects), tuple(labels)), m * big_anc)
+        # flag block j holds the couple, zero-padded to the largest ancilla
+        start = j * n_big
+        used = slice(start, start + couple.anc_dim * d)
+        state[used, used] = couple.weight * couple.state
+        effects = np.zeros((len(couple.povm), n, n), dtype=complex)
+        effects[:, used, used] = couple.povm.effects
+        # park the padding complement on the first outcome so the
+        # per-flag block still sums to the identity
+        padding = np.arange(used.stop, start + n_big)
+        effects[0, padding, padding] = 1.0
+        blocks.append(effects)
+        labels += [f"{j}:{lbl}" for lbl in couple.povm.labels]
+    return TestCouple(1.0, state, Povm(np.concatenate(blocks), labels), n // d)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +308,19 @@ def outcome_probabilities(
     what = "outcome probabilities require a trace-preserving channel"
     raise_failed(trace_preservation_checks(ch, tol), what)
     omega = choi_of_channel(ch)
-    probs = np.array([hs_inner(e.matrix, omega).real for e in pp.effects])
+    probs = effect_pairings(pp.effects, omega)
     if probs.min() < -tol or probs.max() > 1.0 + tol:
         raise ValueError("probability outside [0, 1] beyond tolerance")
     total = probs.sum()
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return np.clip(probs, 0.0, 1.0)
+
+
+def effect_pairings(effects: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re Tr[E_k^dag x] for every matrix E_k of an (N, n, n) stack, in one
+    einsum: the outcome probabilities of a measurement on x."""
+    return np.einsum("kij,ij->k", effects, np.conj(x)).real
 
 
 def purification(rho_t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -374,16 +350,20 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
     a, v = purification(pp.norm_state.T, tol)
     proj = kron(v @ dagger(v), np.eye(d))
     k = kron(dagger(pinv(a, tol)), np.eye(d))
-    effects = []
-    for eff in pp.effects:
-        m = eff.matrix
-        if max_abs(proj @ m @ proj - m) > 10 * tol * max(1.0, max_abs(m)):
-            raise SupportViolationError(
-                f"effect {eff.label!r} leaks outside the normalization support"
-            )
-        f = k @ m @ dagger(k)
-        effects.append((f + dagger(f)) / 2)
-    return Realization(a.reshape(-1), a.shape[0], Povm(tuple(effects), pp.labels))
+    m = pp.effects
+    # in-place steps keep the temporaries to two stacks
+    leak = proj @ m @ proj
+    leak -= m
+    leak = np.abs(leak).max(axis=(1, 2))
+    outside = np.flatnonzero(leak > 10 * tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2))))
+    if outside.size:
+        raise SupportViolationError(
+            f"effect {pp.labels[outside[0]]!r} leaks outside the normalization support"
+        )
+    f = k @ m @ dagger(k)
+    f += dagger(f)
+    f /= 2
+    return Realization(a.reshape(-1), a.shape[0], Povm(f, pp.labels, tol))
 
 
 def extra_effect(pp: ProcessPovm) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Povm, ket, max_entangled_ket, projector
-from .measurement import ProcessEffect, ProcessPovm, TestCouple, build_ppovm
+from .measurement import ProcessPovm, TestCouple, build_ppovm
 
 _SQ = 1.0 / np.sqrt(2.0)
 
@@ -65,10 +65,7 @@ def six_state_ppovm() -> ProcessPovm:
     """
     pp = build_ppovm(six_state_couples(), 2)
     labels = [f"{nu},{mu}" for nu in _AXES for mu in _AXES]
-    effects = tuple(
-        ProcessEffect(lbl, e.matrix) for e, lbl in zip(pp.effects, labels)
-    )
-    return ProcessPovm(2, effects, pp.norm_state)
+    return ProcessPovm(2, pp.effects, pp.norm_state, labels)
 
 
 def identity_vs_contraction_couple() -> TestCouple:

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, channel_of_choi, choi_of_channel
+from .channels import KrausChannel, Povm, channel_of_choi, choi_of_channel, effect_labels
 from .linalg import DEFAULT_TOL
 from .measurement import ProcessPovm, TestCouple, validate_ppovm
 from .tomography import ShotRecord, TomographyResult
@@ -93,7 +93,8 @@ def decode_effects(obj: dict, side: int) -> tuple[list[np.ndarray], list[str]]:
     for k, m in enumerate(mats):
         if m.shape != (side, side):
             raise FormatError(f"effect {k} is {m.shape[0]}x{m.shape[1]}, not {side}x{side}")
-    return mats, [str(e["label"]) for e in effects]
+    labels = effect_labels([str(e["label"]) for e in effects], len(mats), FormatError)
+    return mats, list(labels)
 
 
 def decode_povm_effects(obj: dict) -> tuple[list[np.ndarray], list[str]]:
@@ -110,7 +111,7 @@ def encode_ppovm(pp: ProcessPovm) -> dict:
     return {
         "d": pp.d,
         "effects": [
-            {"label": e.label, "matrix": encode_matrix(e.matrix)} for e in pp.effects
+            {"label": lbl, "matrix": encode_matrix(m)} for lbl, m in zip(pp.labels, pp.effects)
         ],
     }
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_second, projector
-from .linalg import DEFAULT_TOL, hs_distance, hs_inner, kron, max_abs, partial_trace
-from .measurement import ProcessPovm, Realization
+from .linalg import DEFAULT_TOL, dagger, hs_distance, kron, max_abs, partial_trace
+from .measurement import ProcessPovm, Realization, effect_pairings
 
 _RCOND = 1e-10  # singular values at most this times the largest count as zero
 
@@ -39,8 +39,9 @@ def _hermitian_of(v: np.ndarray, n: int) -> np.ndarray:
 
 def _hermitian_stack(pp: ProcessPovm) -> np.ndarray:
     """The Hermitian parts of the effects as one (N, d^2, d^2) array."""
-    m = np.asarray(pp.matrices, dtype=complex).reshape(-1, pp.d**2, pp.d**2)
-    return (m + m.conj().transpose(0, 2, 1)) / 2
+    h = pp.effects + dagger(pp.effects)
+    h /= 2
+    return h
 
 
 def _design(h: np.ndarray, d: int) -> np.ndarray:
@@ -171,7 +172,7 @@ def realization_probabilities(real: Realization, ch: KrausChannel) -> np.ndarray
     if ch.dim_in != d or ch.dim_out != d:
         raise ValueError(f"channel dimension {ch.dim_in} != {d}")
     output = apply_second(ch, projector(real.test_vector), real.r)
-    return np.array([hs_inner(f, output).real for f in real.povm.effects])
+    return effect_pairings(real.povm.effects, output)
 
 
 def simulate_counts(

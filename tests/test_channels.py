@@ -14,10 +14,12 @@ from ppovm.channels import (
     contraction_channel,
     depolarizing_channel,
     dual_channel,
+    effect_checks,
     identity_channel,
     ket,
     max_entangled_ket,
     projector,
+    stacked_effect_checks,
     state_to_map,
     unitary_channel,
 )
@@ -249,3 +251,17 @@ def test_povm_validation():
         Povm((p0,), ("0",))  # incomplete
     with pytest.raises(ValueError):
         Povm((1.5 * p0, np.eye(2) - 1.5 * p0), ("0", "1"))  # not effects
+
+
+def test_stacked_effect_checks_are_per_effect():
+    # a large Hermitian effect beside a small one that is non-Hermitian by
+    # 1e-8: each residual is bounded relative to its own effect's scale;
+    # the third effect's top eigenvalue is 1 + 5 tol
+    small = projector(ket(0, 2)).astype(complex)
+    small[0, 1] += 1e-8
+    stack = np.array([1e3 * np.eye(2), small, (1 + 5e-9) * projector(ket(1, 2))])
+    got = stacked_effect_checks(stack, 1e-9)
+    assert got == [c for k, m in enumerate(stack) for c in effect_checks(m, 1e-9, f"effect_{k}")]
+    assert [name for name, _, passed in got if not passed] == [
+        "effect_0_max_eigenvalue", "effect_1_hermiticity_residual", "effect_2_max_eigenvalue"
+    ]

@@ -93,6 +93,16 @@ def _oversized_povm(tmp_path):
     return _write(tmp_path, "oversized.json", obj)
 
 
+def _repeated_label(obj):
+    obj["effects"][1]["label"] = obj["effects"][0]["label"]
+
+
+def _povm_with_repeated_label(tmp_path):
+    p0, p1 = (serialize.encode_matrix(projector(ket(k, 2))) for k in (0, 1))
+    effects = [{"label": "a", "matrix": p0}, {"label": "a", "matrix": p1}]
+    return _write(tmp_path, "repeated.json", {"dim": 2, "effects": effects})
+
+
 MALFORMED = {
     "ppovm without d": lambda t: [
         "validate", "ppovm", _edited(t, "pauli-probe", lambda o: o.pop("d"))
@@ -126,6 +136,11 @@ MALFORMED = {
         "tomo", gen(t, "pauli-probe"), "--counts", _counts_file(t, 10, 5)
     ],
     "povm effect larger than dim": lambda t: ["validate", "povm", _oversized_povm(t)],
+    "ppovm repeated label": lambda t: [
+        "simulate", gen(t, "identity"), _edited(t, "pauli-probe", _repeated_label),
+        "--shots", "1000", "--out", str(t / "counts.json"),
+    ],
+    "povm repeated label": lambda t: ["validate", "povm", _povm_with_repeated_label(t)],
 }
 
 
@@ -176,6 +191,11 @@ def test_tol_reaches_every_ppovm_bound(tmp_path, capsys):
     code, out, err = run(capsys, "probs", pp_path, ch_path, "--tol", "1e-6", "--format", "json")
     assert (code, err) == (0, "")
     assert abs(json.loads(out)["sum"] - 1.0) < 1e-6
+    counts = str(tmp_path / "counts.json")
+    argv = ["simulate", ch_path, pp_path, "--shots", "1000", "--out", counts, "--tol", "1e-6"]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sum(serialize.read_json(counts)["counts"].values()) == 1000
 
 
 def test_default_tol_rejects_perturbed_ppovm(tmp_path, capsys):
@@ -187,6 +207,10 @@ def test_default_tol_rejects_perturbed_ppovm(tmp_path, capsys):
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
     assert failed == ["product_normalization_residual", "norm_state_trace_deviation"]
     code, _, err = run(capsys, "probs", pp_path, ch_path)
+    assert code == 1
+    assert err.startswith("error:")
+    counts = str(tmp_path / "counts.json")
+    code, _, err = run(capsys, "simulate", ch_path, pp_path, "--shots", "1000", "--out", counts)
     assert code == 1
     assert err.startswith("error:")
 

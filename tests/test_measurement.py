@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppovm.channels import (
     Povm,
     apply_second,
     choi_of_channel,
     depolarizing_channel,
+    dual_channel,
     identity_channel,
     ket,
     max_entangled_ket,
+    povm_checks,
     projector,
+    state_to_map,
 )
-from ppovm.linalg import hs_inner, kron, max_abs, partial_trace
+from ppovm.linalg import dagger, hs_inner, kron, max_abs, partial_trace, pinv
 from ppovm.measurement import (
     NormStateInvalidError,
     NotProductNormalizationError,
     NotPsdError,
-    ProcessEffect,
     ProcessPovm,
     SupportViolationError,
     TestCouple,
@@ -25,7 +29,9 @@ from ppovm.measurement import (
     extra_effect,
     merge_couples,
     outcome_probabilities,
+    ppovm_checks,
     process_effect,
+    purification,
     realize,
     validate_ppovm,
 )
@@ -43,6 +49,146 @@ from ppovm.schemes import (
     pauli_probe_ppovm,
     six_state_couples,
 )
+from ppovm.tomography import realization_probabilities
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the per-effect code that the stacked routines replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_apply_first(ch, x, right_dim):
+    eye = np.eye(right_dim)
+    out = np.zeros((ch.dim_out * right_dim,) * 2, dtype=complex)
+    for a in ch.kraus:
+        k = kron(a, eye)
+        out += k @ x @ dagger(k)
+    return out
+
+
+def _reference_build(couples, d):
+    """Effect by effect: weight * (R_state^* (x) I)[F] for every F."""
+    mats = []
+    for couple in couples:
+        lifted = dual_channel(state_to_map(couple.state, couple.anc_dim, d))
+        mats += [couple.weight * _reference_apply_first(lifted, f, d) for f in couple.povm.effects]
+    return mats
+
+
+def _reference_effect_checks(m, tol, name):
+    values = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    res = max_abs(m - dagger(m))
+    return [
+        (f"{name}_hermiticity_residual", res, res <= tol * max(1.0, max_abs(m))),
+        (f"{name}_min_eigenvalue", float(values[0]), values[0] >= -tol),
+        (f"{name}_max_eigenvalue", float(values[-1]), values[-1] <= 1.0 + tol),
+    ]
+
+
+def _reference_effects_checks(mats, tol):
+    return [c for k, m in enumerate(mats) for c in _reference_effect_checks(m, tol, f"effect_{k}")]
+
+
+def _reference_realize(pp, tol=1e-9):
+    """POVM elements of the realization, one pinv congruence per effect."""
+    d = pp.d
+    a, v = purification(pp.norm_state.T, tol)
+    proj = kron(v @ dagger(v), np.eye(d))
+    k = kron(dagger(pinv(a, tol)), np.eye(d))
+    effects = []
+    for m in pp.matrices:
+        assert max_abs(proj @ m @ proj - m) <= 10 * tol * max(1.0, max_abs(m))
+        f = k @ m @ dagger(k)
+        effects.append((f + dagger(f)) / 2)
+    return effects
+
+
+def _reference_probabilities(mats, x):
+    return np.array([hs_inner(m, x).real for m in mats])
+
+
+def _same_entries(got, expected):
+    """Same names and pass flags, bitwise equal values."""
+    assert [(n, bool(p)) for n, _, p in got] == [(n, bool(p)) for n, _, p in expected]
+    assert [v for _, v, _ in got] == [v for _, v, _ in expected]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    ancillas=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+    rank_fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+)
+def test_stacked_pipeline_matches_reference_loops(d, seed, ancillas, rank_fractions):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(ancillas)))
+    couples = []
+    for anc, w, frac in zip(ancillas, weights, rank_fractions):
+        anc = min(anc, d)
+        rank = 1 + int(frac * (anc * d - 1))  # rank-deficient test states included
+        couples.append(random_test_couple(d, anc, rng, weight=float(w), rank=rank))
+    pp = build_ppovm(couples, d)
+    reference = _reference_build(couples, d)
+    assert max(max_abs(m - r) for m, r in zip(pp.matrices, reference)) < 1e-12
+
+    checks, rho = ppovm_checks(pp.matrices, d)
+    _same_entries(checks[: 3 * len(pp)], _reference_effects_checks(pp.matrices, 1e-9))
+    assert max_abs(rho - pp.norm_state) < 1e-12
+    for couple in couples:
+        _same_entries(
+            povm_checks(couple.povm.effects)[:-1],
+            _reference_effects_checks(couple.povm.effects, 1e-9),
+        )
+
+    real = realize(pp)
+    realized = _reference_realize(pp)
+    assert max(max_abs(f - r) for f, r in zip(real.povm.effects, realized)) < 1e-12
+    _same_entries(
+        povm_checks(real.povm.effects)[:-1], _reference_effects_checks(realized, 1e-9)
+    )
+    back = build_ppovm([real.as_couple()], d)
+    assert effects_multiset_equal(pp, back, 1e-8)
+
+    ch = random_channel(d, rng)
+    omega = choi_of_channel(ch)
+    probs = outcome_probabilities(pp, ch)
+    assert np.abs(probs - _reference_probabilities(pp.matrices, omega)).max() < 1e-12
+    assert abs(probs.sum() - 1.0) < 1e-9
+    output = apply_second(ch, projector(real.test_vector), real.r)
+    born = realization_probabilities(real, ch)
+    assert np.abs(born - _reference_probabilities(real.povm.effects, output)).max() < 1e-12
+    assert abs(born.sum() - 1.0) < 1e-9
+
+
+def test_povm_and_ppovm_reject_repeated_labels():
+    p0, p1 = projector(ket(0, 2)), projector(ket(1, 2))
+    with pytest.raises(ValueError, match="repeated effect label 'a'"):
+        Povm((p0, p1), ("a", "a"))
+    with pytest.raises(ValueError, match="repeated effect label 'x'"):
+        ProcessPovm(2, [kron(p1, p0), kron(p1, p1)], p1, ("x", "x"))
+    with pytest.raises(ValueError, match="repeated effect label"):
+        validate_ppovm([kron(p1, p0), kron(p1, p1)], 2, labels=["x", "x"])
+
+
+def test_effects_are_one_read_only_stack():
+    couple = pauli_probe_couple()
+    pp = build_ppovm([couple], 2)
+    assert pp.matrices is pp.effects
+    assert pp.effects.shape == (36, 4, 4) and couple.povm.effects.shape == (36, 4, 4)
+    assert not pp.effects.flags.writeable and not couple.povm.effects.flags.writeable
+    source = [np.array(m) for m in pp.matrices]
+    copy = ProcessPovm(2, source, pp.norm_state, pp.labels)
+    source[0][0, 0] = 7.0  # the constructor copied its input
+    assert np.array_equal(copy.effects, pp.effects)
+
+
+def test_povm_tol_reaches_its_checks():
+    p0 = projector(ket(0, 2))
+    effects = ((1 - 1e-8) * p0, np.eye(2) - p0)  # complete to 1e-8 only
+    with pytest.raises(ValueError, match="completeness_residual"):
+        Povm(effects, ("0", "1"))
+    assert len(Povm(effects, ("0", "1"), tol=1e-6)) == 2
 
 
 def born_probability(state, anc_dim, d, ch, effect):
@@ -311,11 +457,7 @@ def test_realize_round_trip_random_including_rank_deficient():
 
 def test_realize_detects_support_violation():
     # handcrafted: effect sticks out of the rank-one norm state's support
-    pp = ProcessPovm(
-        2,
-        (ProcessEffect("full", np.eye(4)),),
-        projector(ket(1, 2)),
-    )
+    pp = ProcessPovm(2, [np.eye(4)], projector(ket(1, 2)), ("full",))
     with pytest.raises(SupportViolationError):
         realize(pp)
 
@@ -360,9 +502,7 @@ def test_entangled_probe_equivalent_of_ancilla_free_scheme():
 def test_effects_multiset_equal_ignores_order_and_labels():
     pp = pauli_probe_ppovm()
     shuffled = ProcessPovm(
-        2,
-        tuple(ProcessEffect(f"x{k}", m) for k, m in enumerate(reversed(pp.matrices))),
-        pp.norm_state,
+        2, pp.matrices[::-1], pp.norm_state, [f"x{k}" for k in range(len(pp))]
     )
     assert effects_multiset_equal(pp, shuffled, 1e-12)
     assert not effects_multiset_equal(pp.matrices[:-1], pp.matrices[1:], 1e-12)

@@ -13,7 +13,6 @@ from ppovm.channels import (
 )
 from ppovm.linalg import hs_inner, max_abs, partial_trace
 from ppovm.measurement import (
-    ProcessEffect,
     ProcessPovm,
     build_ppovm,
     outcome_probabilities,
@@ -190,12 +189,7 @@ def test_ic_ranks_reports_both():
 def test_ic_check_invariant_under_permutation_and_relabeling():
     pp = PAULI_PP
     shuffled = ProcessPovm(
-        2,
-        tuple(
-            ProcessEffect(f"r{k}", m)
-            for k, m in enumerate(reversed(pp.matrices))
-        ),
-        pp.norm_state,
+        2, pp.matrices[::-1], pp.norm_state, [f"r{k}" for k in range(len(pp))]
     )
     assert ic_check(shuffled) == ic_check(pp)
 
