@@ -1,17 +1,17 @@
 """Command-line front end over the JSON file formats.
 
 Exit codes: 0 success, 1 domain or invariant failure, 2 I/O or parse
-failure.  Malformed input, including non-finite numbers, is a parse
-failure.  ``--tol`` is the tolerance of every invariant check made on the
-input files; ``validate`` prints the library's own check entries.  Table
-output is for humans; ``--format json`` is the stable surface.
+failure.  Malformed input, every ``serialize.FormatError`` (non-finite
+numbers among them), is a parse failure.  ``--tol`` is the tolerance of
+every invariant check made on the input files; ``validate`` prints the
+library's own check entries.  Table output is for humans; ``--format
+json`` is the stable surface.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -52,20 +52,13 @@ class ParseFailure(Exception):
     """File missing, unreadable, or structurally malformed."""
 
 
-def _load(path):
+def _read(path, decode, **kwargs):
+    # an unreadable or malformed file is a parse failure (exit 2); the
+    # library's ValueErrors (invariant violations) propagate and exit 1
     try:
-        return serialize.read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
+        return decode(serialize.read_json(path), **kwargs)
+    except (OSError, serialize.FormatError) as exc:
         raise ParseFailure(f"{path}: {exc}") from exc
-
-
-def _decode(fn, obj, what: str, **kwargs):
-    # structural problems are parse failures (exit 2); semantic ValueErrors
-    # (invariant violations) propagate and exit 1
-    try:
-        return fn(obj, **kwargs)
-    except (KeyError, TypeError, IndexError, AttributeError, serialize.FormatError) as exc:
-        raise ParseFailure(f"malformed {what}: {exc}") from exc
 
 
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
@@ -86,21 +79,20 @@ def _fmt(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    obj = _load(args.path)
     extra = {}
     if args.kind == "state":
-        m = _decode(serialize.decode_matrix, obj, "matrix")
+        m = _read(args.path, serialize.decode_matrix)
         if m.shape[0] != m.shape[1]:
             raise ParseFailure(f"state matrix must be square, got {m.shape}")
         checks = state_checks(m, args.tol)
     elif args.kind == "povm":
-        effects, _ = _decode(serialize.decode_povm_effects, obj, "povm")
+        effects, _ = _read(args.path, serialize.decode_povm_effects)
         checks = povm_checks(effects, args.tol)
     elif args.kind == "channel":
-        ch = _decode(serialize.decode_channel, obj, "channel")
+        ch = _read(args.path, serialize.decode_channel)
         checks = trace_preservation_checks(ch, args.tol)
     else:
-        mats, _, d = _decode(serialize.decode_ppovm_effects, obj, "ppovm")
+        mats, _, d = _read(args.path, serialize.decode_ppovm_effects)
         checks, rho = ppovm_checks(mats, d, args.tol)
         extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
     ok = all_pass(checks)
@@ -130,19 +122,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    obj = _load(args.path)
-    ch = _decode(serialize.decode_channel, obj, "channel")
+    ch = _read(args.path, serialize.decode_channel)
     if not all_pass(trace_preservation_checks(ch, args.tol)):
         print("warning: channel is not trace preserving", file=sys.stderr)
-    if args.direction == "kraus2choi":
-        out = serialize.encode_channel(ch, kind="choi")
-        omega = serialize.decode_matrix(out["matrix"])
-        back = serialize.decode_channel(out)
-        residual = max_abs(choi_of_channel(back) - omega)
-    else:
-        out = serialize.encode_channel(ch, kind="kraus")
-        back = serialize.decode_channel(out)
-        residual = max_abs(choi_of_channel(back) - choi_of_channel(ch))
+    out = serialize.encode_channel(ch, kind="choi" if args.direction == "kraus2choi" else "kraus")
+    residual = max_abs(choi_of_channel(serialize.decode_channel(out)) - choi_of_channel(ch))
     serialize.write_json(args.out, out)
     _emit(
         args,
@@ -158,8 +142,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_probs(args) -> int:
-    pp = _decode(serialize.decode_ppovm, _load(args.ppovm), "ppovm", tol=args.tol)
-    ch = _decode(serialize.decode_channel, _load(args.channel), "channel")
+    pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
+    ch = _read(args.channel, serialize.decode_channel)
     probs = outcome_probabilities(pp, ch, args.tol)
     payload = {
         "probs": {lbl: float(p) for lbl, p in zip(pp.labels, probs)},
@@ -177,21 +161,21 @@ def cmd_probs(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    pp = _decode(serialize.decode_ppovm, _load(args.ppovm), "ppovm", tol=args.tol)
+    pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
     if (args.exact is None) == (args.counts is None):
         raise ParseFailure("provide exactly one of --exact or --counts")
     if args.exact is not None:
-        ch = _decode(serialize.decode_channel, _load(args.exact), "channel")
+        ch = _read(args.exact, serialize.decode_channel)
         probs = outcome_probabilities(pp, ch, args.tol)
     else:
-        record = _decode(serialize.decode_counts, _load(args.counts), "counts")
+        record = _read(args.counts, serialize.decode_counts)
         if set(record.counts) != set(pp.labels):
             raise ValueError("counts labels do not match the measurement's outcomes")
         probs = record.frequencies(pp.labels)
     result = linear_inversion(pp, probs)
     hs_error = None
     if args.truth is not None:
-        truth_ch = _decode(serialize.decode_channel, _load(args.truth), "channel")
+        truth_ch = _read(args.truth, serialize.decode_channel)
         truth = check_process_state(choi_of_channel(truth_ch), pp.d, args.tol)
         hs_error = reconstruction_error(result, truth)
         result = dataclasses.replace(result, hs_error=hs_error)
@@ -224,10 +208,10 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ch = _decode(serialize.decode_channel, _load(args.channel), "channel")
-    pp = _decode(serialize.decode_ppovm, _load(args.ppovm), "ppovm", tol=args.tol)
+    ch = _read(args.channel, serialize.decode_channel)
+    pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
     real = realize(pp, args.tol)
-    record = simulate_counts(ch, real, args.shots, args.seed)
+    record = simulate_counts(ch, real, args.shots, args.seed, args.tol)
     serialize.write_json(args.out, serialize.encode_counts(record))
     _emit(
         args,
@@ -243,8 +227,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    u = _decode(serialize.decode_matrix, _load(args.u), "matrix")
-    v = _decode(serialize.decode_matrix, _load(args.v), "matrix")
+    u = _read(args.u, serialize.decode_matrix)
+    v = _read(args.v, serialize.decode_matrix)
     ov = overlap(u, v, args.tol)
     necessary = necessary_condition(u, v, args.tol)
     phases, _ = unitary_eig(dagger(u) @ v, args.tol)
@@ -256,7 +240,7 @@ def cmd_discriminate(args) -> int:
             plan = build_plan(u, v, args.tol)
             plan_payload = {
                 "probe": serialize.encode_vector(plan.probe),
-                "povm": serialize.encode_povm(plan.povm)["effects"],
+                "povm": serialize.encode_effects(plan.povm.effects, plan.povm.labels),
                 "ppovm": serialize.encode_ppovm(plan.ppovm),
                 "error_rates": [float(x) for x in plan.error_rates],
             }

@@ -1,62 +1,117 @@
 """JSON interchange for matrices, channels, measurements, and reports.
 
-Matrices are stored row-major as [re, im] pairs; floats round-trip
-bit-exactly through Python's shortest-repr encoding.
+A matrix is ``{"rows": r, "cols": c, "data": [[re, im], ...]}``, entries
+row-major, written from its (r*c, 2) float view; floats round-trip
+bit-exactly through Python's shortest-repr encoding.  The ``effects`` of
+a povm or ppovm file and the ``ops`` of a kraus channel are read as one
+(N, rows, cols) stack.  Every decoder raises ``FormatError`` for a
+structural fault: a missing key, a wrong type, a dimension that is not a
+positive integer, an entry that is not a [re, im] pair of finite numbers,
+a matrix of the wrong length or shape, an empty list, a repeated label,
+bad counts.  A well-formed payload that breaks a physical invariant (a
+Choi matrix that is not PSD) raises a plain ``ValueError`` instead.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
+from itertools import chain
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, channel_of_choi, choi_of_channel, effect_labels
+from .channels import KrausChannel, channel_of_choi, choi_of_channel, effect_labels
 from .linalg import DEFAULT_TOL
-from .measurement import ProcessPovm, TestCouple, validate_ppovm
+from .measurement import ProcessPovm, validate_ppovm
 from .tomography import ShotRecord, TomographyResult
 
 
 class FormatError(ValueError):
-    """Structurally malformed payload (wrong lengths, unknown kinds,
-    non-finite numbers)."""
+    """Structurally malformed payload."""
+
+
+def _decoder(decode):
+    """``decode`` raising FormatError where the payload lacks a key or
+    holds a value of the wrong type."""
+
+    @functools.wraps(decode)
+    def checked(obj, *args, **kwargs):
+        try:
+            return decode(obj, *args, **kwargs)
+        except KeyError as exc:
+            raise FormatError(f"missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise FormatError(str(exc)) from exc
+
+    return checked
+
+
+def _int(value, what: str, least: int) -> int:
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise FormatError(f"{what} must be an integer, got {value!r}") from None
+    if n < least:
+        raise FormatError(f"{what} must be at least {least}, got {n}")
+    return n
+
+
+def _payloads(stack: np.ndarray) -> list[dict]:
+    """Matrix payloads of an (N, rows, cols) stack."""
+    n, rows, cols = stack.shape
+    pairs = np.ascontiguousarray(stack, dtype=complex).view(float).reshape(n, rows * cols, 2)
+    return [{"rows": rows, "cols": cols, "data": data} for data in pairs.tolist()]
+
+
+def _entries(mats: list[dict]) -> np.ndarray:
+    """The entries of the matrix payloads ``mats``, concatenated, as one
+    flat complex array."""
+    pairs = list(chain.from_iterable(m["data"] for m in mats))
+    if set(map(len, pairs)) - {2}:
+        raise FormatError("a matrix entry is not a [re, im] pair")
+    try:
+        flat = np.asarray(list(chain.from_iterable(pairs)))
+        numbers = flat.ndim == 1 and flat.dtype.kind in "biuf"
+    except ValueError:  # values that are lists of different lengths
+        numbers = False
+    if not numbers:
+        raise FormatError("matrix data holds a value that is not a number")
+    if not np.isfinite(flat).all():
+        raise FormatError("matrix data is not finite")
+    return flat.astype(float, copy=False).view(complex)
+
+
+def _stack(mats: list[dict], shape: tuple[int, int] | None, what: str) -> np.ndarray:
+    """One or more matrix payloads of one shape (``shape``, or the first
+    one's) as an (N, rows, cols) array."""
+    if not mats:
+        raise FormatError(f"need one or more {what}s")
+    found = [(_int(m["rows"], "rows", 1), _int(m["cols"], "cols", 1), len(m["data"])) for m in mats]
+    rows, cols = shape or found[0][:2]
+    if set(found) != {(rows, cols, rows * cols)}:
+        k, (r, c, n) = next((k, s) for k, s in enumerate(found) if s != (rows, cols, rows * cols))
+        raise FormatError(f"{what} {k} is {r}x{c} with {n} entries, not {rows}x{cols}")
+    return _entries(mats).reshape(len(mats), rows, cols)
 
 
 def encode_matrix(m: np.ndarray) -> dict:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "data": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
-    }
+    return _payloads(np.atleast_2d(np.asarray(m, dtype=complex))[None])[0]
 
 
+@_decoder
 def decode_matrix(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise FormatError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data])
-    if not np.isfinite(flat).all():
-        raise FormatError("matrix data is not finite")
-    return flat.reshape(rows, cols)
+    return _stack([obj], None, "matrix")[0]
 
 
 def encode_vector(v: np.ndarray) -> dict:
     return encode_matrix(np.asarray(v, dtype=complex).reshape(-1, 1))
 
 
-def decode_vector(obj: dict) -> np.ndarray:
-    return decode_matrix(obj).reshape(-1)
-
-
 def encode_channel(ch: KrausChannel, kind: str = "kraus") -> dict:
     if kind == "kraus":
-        return {
-            "kind": "kraus",
-            "dim_in": ch.dim_in,
-            "dim_out": ch.dim_out,
-            "ops": [encode_matrix(a) for a in ch.kraus],
-        }
+        ops = _payloads(np.asarray(ch.kraus))
+        return {"kind": "kraus", "dim_in": ch.dim_in, "dim_out": ch.dim_out, "ops": ops}
     if kind == "choi":
         if ch.dim_in != ch.dim_out:
             raise ValueError("Choi encoding requires a square channel")
@@ -64,99 +119,54 @@ def encode_channel(ch: KrausChannel, kind: str = "kraus") -> dict:
     raise ValueError(f"unknown channel encoding {kind!r}")
 
 
+@_decoder
 def decode_channel(obj: dict) -> KrausChannel:
     kind = obj.get("kind")
     if kind == "kraus":
-        ops = tuple(decode_matrix(o) for o in obj["ops"])
-        return KrausChannel(int(obj["dim_in"]), int(obj["dim_out"]), ops)
+        dim_in, dim_out = _int(obj["dim_in"], "dim_in", 1), _int(obj["dim_out"], "dim_out", 1)
+        ops = _stack(obj["ops"], (dim_out, dim_in), "Kraus operator")
+        return KrausChannel(dim_in, dim_out, tuple(ops))
     if kind == "choi":
-        d = int(obj["d"])
-        return channel_of_choi(decode_matrix(obj["matrix"]), d)
+        d = _int(obj["d"], "d", 1)
+        return channel_of_choi(_stack([obj["matrix"]], (d * d, d * d), "Choi matrix")[0], d)
     raise FormatError(f"unknown channel kind {kind!r}")
 
 
-def encode_povm(povm: Povm) -> dict:
-    return {
-        "dim": povm.dim,
-        "effects": [
-            {"label": lbl, "matrix": encode_matrix(e)}
-            for lbl, e in zip(povm.labels, povm.effects)
-        ],
-    }
+def encode_effects(effects, labels) -> list[dict]:
+    """The ``effects`` list of a povm or ppovm file."""
+    payloads = _payloads(np.asarray(effects))
+    return [{"label": lbl, "matrix": m} for lbl, m in zip(labels, payloads)]
 
 
-def decode_effects(obj: dict, side: int) -> tuple[list[np.ndarray], list[str]]:
-    """Matrices and labels of the ``effects`` list of a povm or ppovm file;
-    every effect must be side x side."""
+@_decoder
+def decode_effects(obj: dict, side: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The ``effects`` list of a povm or ppovm file as one (N, side, side)
+    stack, and the labels."""
     effects = obj["effects"]
-    mats = [decode_matrix(e["matrix"]) for e in effects]
-    for k, m in enumerate(mats):
-        if m.shape != (side, side):
-            raise FormatError(f"effect {k} is {m.shape[0]}x{m.shape[1]}, not {side}x{side}")
-    labels = effect_labels([str(e["label"]) for e in effects], len(mats), FormatError)
-    return mats, list(labels)
+    stack = _stack([e["matrix"] for e in effects], (side, side), "effect")
+    return stack, effect_labels([str(e["label"]) for e in effects], len(stack), FormatError)
 
 
-def decode_povm_effects(obj: dict) -> tuple[list[np.ndarray], list[str]]:
-    """Matrices and labels of a povm file; every effect is dim x dim."""
-    return decode_effects(obj, int(obj["dim"]))
-
-
-def decode_povm(obj: dict) -> Povm:
-    effects, labels = decode_povm_effects(obj)
-    return Povm(tuple(effects), tuple(labels))
+@_decoder
+def decode_povm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Effects and labels of a povm file; every effect is dim x dim."""
+    return decode_effects(obj, _int(obj["dim"], "dim", 1))
 
 
 def encode_ppovm(pp: ProcessPovm) -> dict:
-    return {
-        "d": pp.d,
-        "effects": [
-            {"label": lbl, "matrix": encode_matrix(m)} for lbl, m in zip(pp.labels, pp.effects)
-        ],
-    }
+    return {"d": pp.d, "effects": encode_effects(pp.effects, pp.labels)}
 
 
-def decode_ppovm_effects(obj: dict) -> tuple[list[np.ndarray], list[str], int]:
-    """Matrices, labels and d of a ppovm file; every effect is d^2 x d^2."""
-    d = int(obj["d"])
+@_decoder
+def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """Effects, labels and d of a ppovm file; every effect is d^2 x d^2."""
+    d = _int(obj["d"], "d", 1)
     return *decode_effects(obj, d * d), d
 
 
 def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:
-    mats, labels, d = decode_ppovm_effects(obj)
-    return validate_ppovm(mats, d, labels=labels, tol=tol)
-
-
-def encode_couples(couples: list[TestCouple], d: int) -> dict:
-    return {
-        "d": d,
-        "couples": [
-            {
-                "weight": float(c.weight),
-                "anc_dim": c.anc_dim,
-                "state": encode_matrix(c.state),
-                "povm": [encode_matrix(e) for e in c.povm.effects],
-            }
-            for c in couples
-        ],
-    }
-
-
-def decode_couples(obj: dict) -> tuple[list[TestCouple], int]:
-    d = int(obj["d"])
-    couples = []
-    for entry in obj["couples"]:
-        effects = tuple(decode_matrix(m) for m in entry["povm"])
-        povm = Povm(effects, tuple(str(k) for k in range(len(effects))))
-        couples.append(
-            TestCouple(
-                float(entry["weight"]),
-                decode_matrix(entry["state"]),
-                povm,
-                int(entry["anc_dim"]),
-            )
-        )
-    return couples, d
+    stack, labels, d = decode_ppovm_effects(obj)
+    return validate_ppovm(stack, d, labels=labels, tol=tol)
 
 
 def encode_counts(record: ShotRecord) -> dict:
@@ -168,18 +178,14 @@ def encode_counts(record: ShotRecord) -> dict:
     }
 
 
+@_decoder
 def decode_counts(obj: dict) -> ShotRecord:
-    counts = {str(k): int(v) for k, v in obj["counts"].items()}
-    if int(obj["shots"]) < 1:
-        raise FormatError("shots must be at least 1")
-    if any(n < 0 for n in counts.values()):
-        raise FormatError("counts must be non-negative")
-    record = ShotRecord(
-        counts, int(obj["shots"]), int(obj["seed"]), str(obj.get("generator", "numpy-pcg64"))
-    )
-    if sum(counts.values()) != record.shots:
+    counts = {str(k): _int(v, "a count", 0) for k, v in obj["counts"].items()}
+    shots = _int(obj["shots"], "shots", 1)
+    if sum(counts.values()) != shots:
         raise FormatError("counts do not sum to the recorded shot total")
-    return record
+    seed = _int(obj["seed"], "seed", 0)
+    return ShotRecord(counts, shots, seed, str(obj.get("generator", "numpy-pcg64")))
 
 
 def encode_tomography_report(result: TomographyResult) -> dict:
@@ -204,6 +210,11 @@ def write_json(path, obj) -> None:
         fh.write(dumps(obj))
 
 
-def read_json(path) -> dict:
+def read_json(path):
+    """The JSON value in the file at ``path``; FormatError when the file is
+    not JSON text."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise FormatError(f"not a JSON file: {exc}") from exc

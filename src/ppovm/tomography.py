@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_second, projector
+from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
 from .linalg import DEFAULT_TOL, dagger, hs_distance, kron, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization, effect_pairings
 
@@ -176,19 +176,19 @@ def realization_probabilities(real: Realization, ch: KrausChannel) -> np.ndarray
 
 
 def simulate_counts(
-    ch: KrausChannel, real: Realization, shots: int, seed: int
+    ch: KrausChannel, real: Realization, shots: int, seed: int, tol: float = DEFAULT_TOL
 ) -> ShotRecord:
-    """Draw i.i.d. outcomes of the realized experiment on a known channel.
+    """Draw i.i.d. outcomes of the realized experiment on a known channel,
+    which must be trace preserving to ``tol``.
 
     Identical (seed, shots) always reproduce identical counts; every label
     appears in the record, including zero counts.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    what = "simulated counts require a trace-preserving channel"
+    raise_failed(trace_preservation_checks(ch, tol), what)
     probs = realization_probabilities(real, ch)
-    total = probs.sum()
-    if abs(total - 1.0) > 1000 * DEFAULT_TOL:
-        raise ValueError(f"outcome probabilities sum to {total}, expected 1")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

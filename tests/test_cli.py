@@ -68,11 +68,14 @@ def _edited(tmp_path, name, edit):
     return _write(tmp_path, f"edited-{name}.json", obj)
 
 
-def _set_nan(*keys):
+NAN = float("nan")
+
+
+def _set(*keys, value):
     def edit(obj):
         for key in keys[:-1]:
             obj = obj[key]
-        obj[keys[-1]] = float("nan")
+        obj[keys[-1]] = value
 
     return edit
 
@@ -97,6 +100,11 @@ def _repeated_label(obj):
     obj["effects"][1]["label"] = obj["effects"][0]["label"]
 
 
+def _nest_every_entry(obj):
+    for op in obj["ops"]:
+        op["data"] = [[[re], [im]] for re, im in op["data"]]
+
+
 def _povm_with_repeated_label(tmp_path):
     p0, p1 = (serialize.encode_matrix(projector(ket(k, 2))) for k in (0, 1))
     effects = [{"label": "a", "matrix": p0}, {"label": "a", "matrix": p1}]
@@ -113,14 +121,15 @@ MALFORMED = {
     ],
     "top-level array": lambda t: ["validate", "ppovm", _write(t, "array.json", [1, 2])],
     "nan kraus entry": lambda t: [
-        "validate", "channel", _edited(t, "identity", _set_nan("ops", 0, "data", 0, 0))
+        "validate", "channel", _edited(t, "identity", _set("ops", 0, "data", 0, 0, value=NAN))
     ],
     "nan kraus entry in probs": lambda t: [
-        "probs", gen(t, "pauli-probe"), _edited(t, "identity", _set_nan("ops", 0, "data", 0, 0))
+        "probs", gen(t, "pauli-probe"),
+        _edited(t, "identity", _set("ops", 0, "data", 0, 0, value=NAN)),
     ],
     "nan ppovm entry": lambda t: [
         "validate", "ppovm",
-        _edited(t, "pauli-probe", _set_nan("effects", 1, "matrix", "data", 0, 1)),
+        _edited(t, "pauli-probe", _set("effects", 1, "matrix", "data", 0, 1, value=NAN)),
     ],
     "top-level array channel": lambda t: ["validate", "channel", _write(t, "array.json", [])],
     "wrong-shape ppovm effect": lambda t: [
@@ -141,6 +150,53 @@ MALFORMED = {
         "--shots", "1000", "--out", str(t / "counts.json"),
     ],
     "povm repeated label": lambda t: ["validate", "povm", _povm_with_repeated_label(t)],
+    "entry of three numbers": lambda t: [
+        "validate", "ppovm",
+        _edited(t, "pauli-probe", _set("effects", 0, "matrix", "data", 0, value=[1.0, 0.0, 5.0])),
+    ],
+    "entry of one number": lambda t: [
+        "validate", "ppovm",
+        _edited(t, "pauli-probe", _set("effects", 0, "matrix", "data", 0, value=[1.0])),
+    ],
+    "string in entry": lambda t: [
+        "validate", "ppovm",
+        _edited(t, "pauli-probe", _set("effects", 0, "matrix", "data", 0, value=["1", 0.0])),
+    ],
+    "list in entry": lambda t: [
+        "validate", "ppovm",
+        _edited(t, "pauli-probe", _set("effects", 0, "matrix", "data", 0, value=[[1.0], 0.0])),
+    ],
+    "lists in every entry": lambda t: [
+        "validate", "channel", _edited(t, "identity", _nest_every_entry)
+    ],
+    "rows not a number": lambda t: [
+        "validate", "channel", _edited(t, "identity", _set("ops", 0, "rows", value="two"))
+    ],
+    "dim_in not a number": lambda t: [
+        "validate", "channel", _edited(t, "identity", _set("dim_in", value="x"))
+    ],
+    "ppovm d not a number": lambda t: [
+        "validate", "ppovm", _edited(t, "pauli-probe", _set("d", value="two"))
+    ],
+    "shots not a number": lambda t: [
+        "tomo", gen(t, "pauli-probe"), "--counts",
+        _write(t, "many.json", {**serialize.read_json(_counts_file(t, 1, 1)), "shots": "many"}),
+    ],
+    "kraus operator larger than dim": lambda t: [
+        "validate", "channel",
+        _edited(t, "identity", _set("ops", 0, value=serialize.encode_matrix(np.eye(3)))),
+    ],
+    "choi larger than d": lambda t: [
+        "convert", "choi2kraus",
+        _write(t, "c.json", {"kind": "choi", "d": 2, "matrix": serialize.encode_matrix(np.eye(3))}),
+        "--out", str(t / "kraus.json"),
+    ],
+    "ppovm without effects": lambda t: [
+        "validate", "ppovm", _edited(t, "pauli-probe", _set("effects", value=[]))
+    ],
+    "channel without kraus operators": lambda t: [
+        "validate", "channel", _edited(t, "identity", _set("ops", value=[]))
+    ],
 }
 
 
@@ -213,6 +269,31 @@ def test_default_tol_rejects_perturbed_ppovm(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", ch_path, pp_path, "--shots", "1000", "--out", counts)
     assert code == 1
     assert err.startswith("error:")
+
+
+def _scaled_identity_channel(tmp_path, scale):
+    # sum A^dag A = scale * I
+    ch = KrausChannel(2, 2, (np.sqrt(scale) * np.eye(2),))
+    return _write(tmp_path, "scaled.json", serialize.encode_channel(ch))
+
+
+@pytest.mark.parametrize(
+    "scale, tol, code", [(1 + 5e-8, "1e-12", 1), (1 + 5e-6, "1e-3", 0)]
+)
+def test_tol_reaches_simulate_channel_check(tmp_path, capsys, scale, tol, code):
+    ch_path = _scaled_identity_channel(tmp_path, scale)
+    pp_path = gen(tmp_path, "pauli-probe")
+    counts = str(tmp_path / "counts.json")
+    capsys.readouterr()
+    probs_code, _, _ = run(capsys, "probs", pp_path, ch_path, "--tol", tol)
+    assert probs_code == code
+    argv = ["simulate", ch_path, pp_path, "--shots", "1000", "--out", counts, "--tol", tol]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert err.startswith("error:") and "trace" in err
+    else:
+        assert sum(serialize.read_json(counts)["counts"].values()) == 1000
 
 
 def test_tol_reaches_discriminate_plan(tmp_path, capsys):

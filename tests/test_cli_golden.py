@@ -1,8 +1,11 @@
-"""Byte-for-byte stability of the CLI's ``--format json`` output.
+"""Byte-for-byte stability of the CLI's ``--format json`` output and of
+the files it writes.
 
 Each case builds its input files, runs one subcommand in process, and
-compares stdout with the file of the same name under ``tests/data/golden``.
-To regenerate the files after an intended output change, run
+compares stdout with the file of the same name under ``tests/data/golden``;
+each written-file case compares the file its command writes with the one
+under ``tests/data/golden/written``.  To regenerate the files after an
+intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -18,11 +21,12 @@ import numpy as np
 import pytest
 
 from ppovm import serialize
-from ppovm.channels import Povm, ket, projector
+from ppovm.channels import ket, projector
 from ppovm.cli import main
 from ppovm.schemes import BLOCH_KETS
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+WRITTEN_GOLDEN = GOLDEN / "written"
 
 
 def _gen(tmp, name, *extra):
@@ -50,8 +54,9 @@ def _norm_state(tmp):
 
 
 def _six_state_povm(tmp):
-    effects = tuple(projector(BLOCH_KETS[a]) / 3 for a in sorted(BLOCH_KETS))
-    return _write(tmp, "six.json", serialize.encode_povm(Povm(effects, tuple(sorted(BLOCH_KETS)))))
+    effects = [projector(BLOCH_KETS[a]) / 3 for a in sorted(BLOCH_KETS)]
+    obj = {"dim": 2, "effects": serialize.encode_effects(effects, sorted(BLOCH_KETS))}
+    return _write(tmp, "six.json", obj)
 
 
 def _incomplete_povm(tmp):
@@ -103,6 +108,19 @@ CASES = {
     ),
 }
 
+# name -> argv builder taking the directory and the path of the file written
+WRITTEN = {
+    "gen_pauli_probe": lambda t, out: ["gen", "pauli-probe", "--out", out],
+    "gen_depolarizing_d3": lambda t, out: ["gen", "depolarizing", "--d", "3", "--out", out],
+    "simulate_pauli_probe_depolarizing": lambda t, out: [
+        "simulate", _gen(t, "depolarizing", "--p", "0.37"), _gen(t, "pauli-probe"),
+        "--shots", "1000", "--seed", "7", "--out", out,
+    ],
+    "convert_kraus2choi_depolarizing": lambda t, out: [
+        "convert", "kraus2choi", _gen(t, "depolarizing", "--p", "0.37"), "--out", out
+    ],
+}
+
 
 # Outputs whose listed fields (dotted paths into the payload; a number or a
 # list of numbers) are exact zeros up to rounding: their last bits depend on
@@ -149,6 +167,18 @@ def test_json_output_matches_golden(name, tmp_path):
         assert np.all(np.abs(_rounding_zeros(payload, key)) <= ROUNDING_ZERO_BOUND)
 
 
+def _written(name, tmp):
+    out = tmp / "written.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(WRITTEN[name](tmp, str(out))) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_written_file_matches_golden(name, tmp_path):
+    assert _written(name, tmp_path) == (WRITTEN_GOLDEN / f"{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -158,3 +188,8 @@ if __name__ == "__main__":
             _, _, text = _run([*build(pathlib.Path(tmp)), "--format", "json"])
         (GOLDEN / f"{name}.json").write_text(text)
         print(f"wrote {name}", file=sys.stderr)
+    WRITTEN_GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(WRITTEN):
+        with tempfile.TemporaryDirectory() as tmp:
+            (WRITTEN_GOLDEN / f"{name}.json").write_bytes(_written(name, pathlib.Path(tmp)))
+        print(f"wrote written/{name}", file=sys.stderr)
