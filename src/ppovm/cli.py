@@ -81,15 +81,13 @@ def _fmt(x: float) -> str:
 def cmd_validate(args) -> int:
     extra = {}
     if args.kind == "state":
-        m = _read(args.path, serialize.decode_matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ParseFailure(f"state matrix must be square, got {m.shape}")
+        m = _read(args.path, serialize.decode_square_matrix)
         checks = state_checks(m, args.tol)
     elif args.kind == "povm":
         effects, _ = _read(args.path, serialize.decode_povm_effects)
         checks = povm_checks(effects, args.tol)
     elif args.kind == "channel":
-        ch = _read(args.path, serialize.decode_channel)
+        ch = _read(args.path, serialize.decode_channel, tol=args.tol)
         checks = trace_preservation_checks(ch, args.tol)
     else:
         mats, _, d = _read(args.path, serialize.decode_ppovm_effects)
@@ -122,7 +120,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ch = _read(args.path, serialize.decode_channel)
+    ch = _read(args.path, serialize.decode_channel, tol=args.tol)
     if not all_pass(trace_preservation_checks(ch, args.tol)):
         print("warning: channel is not trace preserving", file=sys.stderr)
     out = serialize.encode_channel(ch, kind="choi" if args.direction == "kraus2choi" else "kraus")
@@ -143,7 +141,7 @@ def cmd_convert(args) -> int:
 
 def cmd_probs(args) -> int:
     pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
-    ch = _read(args.channel, serialize.decode_channel)
+    ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
     probs = outcome_probabilities(pp, ch, args.tol)
     payload = {
         "probs": {lbl: float(p) for lbl, p in zip(pp.labels, probs)},
@@ -165,7 +163,7 @@ def cmd_tomo(args) -> int:
     if (args.exact is None) == (args.counts is None):
         raise ParseFailure("provide exactly one of --exact or --counts")
     if args.exact is not None:
-        ch = _read(args.exact, serialize.decode_channel)
+        ch = _read(args.exact, serialize.decode_channel, tol=args.tol)
         probs = outcome_probabilities(pp, ch, args.tol)
     else:
         record = _read(args.counts, serialize.decode_counts)
@@ -175,7 +173,7 @@ def cmd_tomo(args) -> int:
     result = linear_inversion(pp, probs)
     hs_error = None
     if args.truth is not None:
-        truth_ch = _read(args.truth, serialize.decode_channel)
+        truth_ch = _read(args.truth, serialize.decode_channel, tol=args.tol)
         truth = check_process_state(choi_of_channel(truth_ch), pp.d, args.tol)
         hs_error = reconstruction_error(result, truth)
         result = dataclasses.replace(result, hs_error=hs_error)
@@ -208,7 +206,7 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ch = _read(args.channel, serialize.decode_channel)
+    ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
     pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
     real = realize(pp, args.tol)
     record = simulate_counts(ch, real, args.shots, args.seed, args.tol)
@@ -227,8 +225,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    u = _read(args.u, serialize.decode_matrix)
-    v = _read(args.v, serialize.decode_matrix)
+    u = _read(args.u, serialize.decode_square_matrix)
+    v = _read(args.v, serialize.decode_square_matrix)
     ov = overlap(u, v, args.tol)
     necessary = necessary_condition(u, v, args.tol)
     phases, _ = unitary_eig(dagger(u) @ v, args.tol)

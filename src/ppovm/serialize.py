@@ -7,9 +7,11 @@ a povm or ppovm file and the ``ops`` of a kraus channel are read as one
 (N, rows, cols) stack.  Every decoder raises ``FormatError`` for a
 structural fault: a missing key, a wrong type, a dimension that is not a
 positive integer, an entry that is not a [re, im] pair of finite numbers,
-a matrix of the wrong length or shape, an empty list, a repeated label,
-bad counts.  A well-formed payload that breaks a physical invariant (a
-Choi matrix that is not PSD) raises a plain ``ValueError`` instead.
+a matrix of the wrong length or shape (a state or unitary file that is
+not square among them), an empty list, a repeated label, bad counts.  A
+well-formed payload that breaks a physical invariant (a Choi matrix that
+is not PSD beyond the caller's ``tol``) raises a plain ``ValueError``
+instead.
 """
 
 from __future__ import annotations
@@ -104,6 +106,14 @@ def decode_matrix(obj: dict) -> np.ndarray:
     return _stack([obj], None, "matrix")[0]
 
 
+def decode_square_matrix(obj: dict) -> np.ndarray:
+    """The matrix of a state or unitary file, which must be square."""
+    m = decode_matrix(obj)
+    if m.shape[0] != m.shape[1]:
+        raise FormatError(f"matrix must be square, got {m.shape[0]}x{m.shape[1]}")
+    return m
+
+
 def encode_vector(v: np.ndarray) -> dict:
     return encode_matrix(np.asarray(v, dtype=complex).reshape(-1, 1))
 
@@ -120,7 +130,9 @@ def encode_channel(ch: KrausChannel, kind: str = "kraus") -> dict:
 
 
 @_decoder
-def decode_channel(obj: dict) -> KrausChannel:
+def decode_channel(obj: dict, tol: float = DEFAULT_TOL) -> KrausChannel:
+    """A kraus or choi channel file; ``tol`` bounds the Choi matrix's
+    negative eigenvalues."""
     kind = obj.get("kind")
     if kind == "kraus":
         dim_in, dim_out = _int(obj["dim_in"], "dim_in", 1), _int(obj["dim_out"], "dim_out", 1)
@@ -128,7 +140,7 @@ def decode_channel(obj: dict) -> KrausChannel:
         return KrausChannel(dim_in, dim_out, tuple(ops))
     if kind == "choi":
         d = _int(obj["d"], "d", 1)
-        return channel_of_choi(_stack([obj["matrix"]], (d * d, d * d), "Choi matrix")[0], d)
+        return channel_of_choi(_stack([obj["matrix"]], (d * d, d * d), "Choi matrix")[0], d, tol)
     raise FormatError(f"unknown channel kind {kind!r}")
 
 

@@ -5,10 +5,19 @@ onto the Hermitian operators with zero second marginal, span them all.
 Reconstruction is least squares on those projections, written as real
 vectors, followed by an alternating projection back onto the set of valid
 process states.
+
+Both questions are answered from one factorization per process POVM: the
+eigendecomposition of the Gram matrix G = D^T D of the design D, which is
+d^4 x d^4 and real symmetric.  An eigenvalue of G counts as zero when it is
+at most ``_CUTOFF`` times the largest (1e-6 times the largest singular
+value of D).  The factorization is computed on first use and kept in the
+process POVM's instance ``__dict__``, as ``functools.cached_property``
+does; the effects are read-only, so it cannot go stale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +26,8 @@ from .channels import KrausChannel, apply_second, projector, raise_failed, trace
 from .linalg import DEFAULT_TOL, dagger, hs_distance, kron, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization, effect_pairings
 
-_RCOND = 1e-10  # singular values at most this times the largest count as zero
+_CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
+_MEMO = "_gram_factors"  # instance __dict__ key of a process POVM's factorization
 
 
 def _real_vectors(h: np.ndarray) -> np.ndarray:
@@ -44,19 +54,53 @@ def _hermitian_stack(pp: ProcessPovm) -> np.ndarray:
     return h
 
 
-def _design(h: np.ndarray, d: int) -> np.ndarray:
-    """Tomography design of stacked Hermitian effects: one row per effect,
-    its projection M - Tr_2(M) (x) I/d onto the zero-second-marginal
-    subspace in the coordinates of ``_real_vectors``."""
+def _zero_marginal(h: np.ndarray, d: int) -> np.ndarray:
+    """Projections M - Tr_2(M) (x) I/d of stacked d^2 x d^2 matrices onto
+    the zero-second-marginal subspace."""
     m = h.reshape(-1, d, d, d, d)
     marginal = np.einsum("xakbk->xab", m)
     projected = m - marginal[:, :, None, :, None] * np.eye(d)[:, None, :] / d
-    return _real_vectors(projected.reshape(-1, d * d, d * d))
+    return projected.reshape(-1, d * d, d * d)
 
 
-def _rank(matrix: np.ndarray) -> int:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return int((s > _RCOND * s[0]).sum()) if s.size else 0
+def _design(h: np.ndarray, d: int) -> np.ndarray:
+    """Tomography design of stacked Hermitian effects: one row per effect,
+    its zero-marginal projection in the coordinates of ``_real_vectors``."""
+    return _real_vectors(_zero_marginal(h, d))
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues of a Gram matrix that count as
+    nonzero."""
+    return values > _CUTOFF * values[-1]
+
+
+@dataclass(frozen=True)
+class _GramFactors:
+    """The design D of a process POVM, the offsets Tr(M)/d of its effects,
+    and the eigenpairs of G = D^T D above the cutoff (ascending)."""
+
+    design: np.ndarray
+    offset: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The minimum-norm least-squares solution of D x = rhs."""
+        return self.vectors @ ((self.vectors.T @ (self.design.T @ rhs)) / self.values)
+
+
+def _gram_factors(pp: ProcessPovm) -> _GramFactors:
+    """The factorization of ``pp``'s design, computed once per instance."""
+    memo = vars(pp)
+    if _MEMO not in memo:
+        h = _hermitian_stack(pp)
+        design = _design(h, pp.d)
+        values, vectors = np.linalg.eigh(design.T @ design)
+        keep = _kept(values)
+        offset = np.trace(h, axis1=1, axis2=2).real / pp.d
+        memo[_MEMO] = _GramFactors(design, offset, values[keep], vectors[:, keep])
+    return memo[_MEMO]
 
 
 def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
@@ -67,7 +111,7 @@ def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
     deficiency (0 when complete).
     """
     target = pp.d**4 - pp.d**2
-    rank = _rank(_design(_hermitian_stack(pp), pp.d))
+    rank = _gram_factors(pp).values.size
     return rank == target, target - rank
 
 
@@ -75,13 +119,16 @@ def ic_ranks(pp: ProcessPovm) -> tuple[int, int]:
     """(full span rank over all Hermitian coordinates, projected rank over
     the traceless-marginal subspace); the two differ by at most the d^2
     marginal directions."""
-    h = _hermitian_stack(pp)
-    return _rank(_real_vectors(h)), _rank(_design(h, pp.d))
+    full = _real_vectors(_hermitian_stack(pp))
+    return int(_kept(np.linalg.eigvalsh(full.T @ full)).sum()), _gram_factors(pp).values.size
 
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Raw and projected reconstructions with their quality numbers."""
+    """Raw and projected reconstructions with their quality numbers;
+    ``condition`` is the condition number of the design on its span,
+    sqrt(w_max / w_min) over the kept Gram eigenvalues (inf when none is
+    kept)."""
 
     omega_raw: np.ndarray
     omega_projected: np.ndarray
@@ -89,6 +136,7 @@ class TomographyResult:
     ic_complete: bool
     deficiency: int
     converged: bool
+    condition: float
     hs_error: float | None = None
 
 
@@ -98,9 +146,15 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> Tom
     The unknown is identity/d plus the least-squares X with zero second
     marginal solving Tr[(M - Tr_2(M) (x) I/d) X] = p - Tr(M)/d for every
     effect M, so trace and second marginal are exact by construction;
-    positivity is restored afterwards by ``psd_project``.  The rank of the
-    same solve gives ``ic_complete`` and ``deficiency``; when deficient, X
-    is the minimum-norm solution.  Non-finite probabilities raise.
+    positivity is restored afterwards by ``psd_project``.  X is the
+    minimum-norm solution V w^-1 V^T D^T (p - t), t = Tr(M)/d, from the
+    kept eigenpairs (w, V) of the process POVM's memoized Gram
+    factorization, which ``ic_check`` shares and which also gives
+    ``ic_complete``, ``deficiency`` and ``condition``; a further call on
+    the same process POVM costs a few matrix-vector products.  Solving
+    through the Gram matrix makes the error in X about d^4 * eps *
+    condition^2, where an orthogonal factorization of D reaches about eps *
+    condition.  Non-finite probabilities raise.
     """
     d = pp.d
     probs = np.asarray(probs, dtype=float).reshape(-1)
@@ -108,16 +162,20 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> Tom
         raise ValueError(f"expected {len(pp)} probabilities, got {probs.size}")
     if not np.isfinite(probs).all():
         raise ValueError("probabilities are not finite")
-    h = _hermitian_stack(pp)
-    design = _design(h, d)
-    rhs = probs - np.trace(h, axis1=1, axis2=2).real / d
-    coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=_RCOND)
-    omega_raw = np.eye(d * d, dtype=complex) / d + _hermitian_of(coeff, d * d)
-    residual = float(np.linalg.norm(design @ coeff - rhs))
-    target, rank = d**4 - d**2, int(rank)
+    factors = _gram_factors(pp)
+    rhs = probs - factors.offset
+    coeff = factors.solve(rhs)
+    # eigenvectors of small eigenvalues carry round-off along the marginal
+    # directions, which the projection removes
+    x = _zero_marginal(_hermitian_of(coeff, d * d), d)[0]
+    omega_raw = np.eye(d * d, dtype=complex) / d + x
+    residual = float(np.linalg.norm(factors.design @ coeff - rhs))
+    values = factors.values
+    target, rank = d**4 - d**2, values.size
+    condition = math.sqrt(values[-1] / values[0]) if rank else math.inf
     omega_projected, converged = psd_project(omega_raw, d, iters=iters)
     return TomographyResult(
-        omega_raw, omega_projected, residual, rank == target, target - rank, converged
+        omega_raw, omega_projected, residual, rank == target, target - rank, converged, condition
     )
 
 

@@ -111,6 +111,10 @@ def _povm_with_repeated_label(tmp_path):
     return _write(tmp_path, "repeated.json", {"dim": 2, "effects": effects})
 
 
+def _non_square(tmp_path):
+    return _write(tmp_path, "rect.json", serialize.encode_matrix(np.ones((2, 3))))
+
+
 MALFORMED = {
     "ppovm without d": lambda t: [
         "validate", "ppovm", _edited(t, "pauli-probe", lambda o: o.pop("d"))
@@ -197,6 +201,8 @@ MALFORMED = {
     "channel without kraus operators": lambda t: [
         "validate", "channel", _edited(t, "identity", _set("ops", value=[]))
     ],
+    "non-square state": lambda t: ["validate", "state", _non_square(t)],
+    "non-square unitary": lambda t: ["discriminate", _non_square(t), _non_square(t)],
 }
 
 
@@ -307,6 +313,40 @@ def test_tol_reaches_discriminate_plan(tmp_path, capsys):
     code, out, _ = run(capsys, "discriminate", id_path, z_path, "--tol", "1e-6", "--format", "json")
     assert code == 0
     assert max(abs(r) for r in json.loads(out)["plan"]["error_rates"]) < 1e-6
+
+
+def _slightly_negative_choi(tmp_path):
+    # the identity channel's Choi matrix with eigenvalue -1e-7 on |01>
+    omega = np.zeros((4, 4))
+    omega[np.ix_([0, 3], [0, 3])] = 1.0
+    omega[1, 1] = -1e-7
+    return _write(tmp_path, "choi.json", {"kind": "choi", "d": 2, "matrix": serialize.encode_matrix(omega)})
+
+
+# every command that reads a channel file, on the Choi file above
+CHOI_READERS = {
+    "validate channel": lambda t, c: ["validate", "channel", c],
+    "convert": lambda t, c: ["convert", "choi2kraus", c, "--out", str(t / "kraus.json")],
+    "probs": lambda t, c: ["probs", gen(t, "pauli-probe"), c],
+    "simulate": lambda t, c: [
+        "simulate", c, gen(t, "pauli-probe"), "--shots", "100", "--out", str(t / "counts.json")
+    ],
+    "tomo --exact": lambda t, c: ["tomo", gen(t, "pauli-probe"), "--exact", c],
+    "tomo --truth": lambda t, c: [
+        "tomo", gen(t, "pauli-probe"), "--exact", gen(t, "identity"), "--truth", c
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHOI_READERS))
+def test_tol_reaches_choi_psd_check(tmp_path, capsys, case):
+    argv = CHOI_READERS[case](tmp_path, _slightly_negative_choi(tmp_path))
+    capsys.readouterr()
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "Choi operator not PSD" in err
+    code, _, err = run(capsys, *argv, "--tol", "1e-5")
+    assert code == 0, err
 
 
 def test_validate_missing_file(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppovm.channels import (
     choi_of_channel,
@@ -157,6 +161,93 @@ def test_inversion_matches_reference_basis(name):
     assert verdict == (deficiency == 0, deficiency)
     assert (result.ic_complete, result.deficiency) == verdict == ic_check(pp)
     assert ic_ranks(pp) == ranks
+
+
+@st.composite
+def random_schemes(draw):
+    """(seed, d, couples) with couples (anc, outcomes, test-state rank) at
+    d = 2..4: either one couple with a d-dimensional ancilla and n^2 + 1
+    outcomes, n = d^2, complete for any rank of the test state, or one or
+    two couples with an ancilla of 1..d, 2..n^2 + 1 outcomes and rank 1..n,
+    n = anc * d, mostly deficient."""
+    d = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        couples = [(d, d**4 + 1, draw(st.integers(1, d * d)))]
+    else:
+        couples = []
+        for _ in range(draw(st.integers(1, 2))):
+            anc = draw(st.integers(1, d))
+            n = anc * d
+            couples.append((anc, draw(st.integers(2, n * n + 1)), draw(st.integers(1, n))))
+    return draw(st.integers(0, 2**32 - 1)), d, couples
+
+
+def _random_scheme(seed, d, couples):
+    rng = np.random.default_rng(seed)
+    weight = 1.0 / len(couples)
+    pp = build_ppovm(
+        [random_test_couple(d, anc, rng, n_outcomes=k, weight=weight, rank=rank)
+         for anc, k, rank in couples],
+        d,
+    )
+    return pp, rng
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(random_schemes())
+@example((5, 3, [(3, 81, 9)]))  # complete with the fewest outcomes
+@example((6, 4, [(1, 3, 1)]))  # deficient, pure test state
+def test_gram_factorization_matches_svd_and_lstsq(scheme):
+    pp, rng = _random_scheme(*scheme)
+    d = pp.d
+    basis = np.array(traceless_marginal_basis(d))
+    design = np.einsum("bij,xji->xb", basis, pp.matrices).real
+    s = np.linalg.svd(design, compute_uv=False)
+    rank, target = _reference_rank(design), d**4 - d**2
+    assert ic_check(pp) == (rank == target, target - rank)
+    probs = outcome_probabilities(pp, random_channel(d, rng))
+    probs = probs + 1e-3 * rng.standard_normal(len(pp))
+    center = np.eye(d * d) / d
+    rhs = probs - np.trace(pp.matrices, axis1=1, axis2=2).real / d
+    coeff, *_ = np.linalg.lstsq(design, rhs, rcond=1e-10)
+    result = linear_inversion(pp, probs)
+    assert (result.ic_complete, result.deficiency) == ic_check(pp)
+    # a solve through the Gram matrix is accurate to n * eps * condition^2
+    # for n = d^4 unknowns, where lstsq reaches about eps * condition
+    tol = 1e-12 + d**4 * np.finfo(float).eps * result.condition**2
+    assert max_abs(result.omega_raw - center - np.einsum("b,bij->ij", coeff, basis)) < tol
+    assert result.condition == pytest.approx(s[0] / s[rank - 1], rel=tol)
+
+
+def test_gram_factorization_runs_once_per_process_povm(monkeypatch):
+    pp = pauli_probe_ppovm()
+    n = pp.d**4
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    probs = outcome_probabilities(pp, depolarizing_channel(0.3, 2))
+    assert ic_check(pp) == (True, 0)
+    first = linear_inversion(pp, probs)
+    second = linear_inversion(pp, probs)
+    assert sizes.count((n, n)) == 1
+    assert (4, 4) in sizes  # psd_project's eigh is not the design's
+    assert max_abs(first.omega_raw - second.omega_raw) == 0.0
+    # a new instance with the same effects starts without the factorization
+    assert ic_check(dataclasses.replace(pp)) == (True, 0)
+    assert sizes.count((n, n)) == 2
+
+
+def test_condition_number_of_known_designs():
+    # Pauli-probe: w_max / w_min of the Gram matrix is 3
+    result = linear_inversion(PAULI_PP, outcome_probabilities(PAULI_PP, identity_channel(2)))
+    assert result.condition == pytest.approx(np.sqrt(3), rel=1e-12)
+    single = _single_effect_ppovm()
+    assert linear_inversion(single, np.array([1.0])).condition == np.inf
 
 
 def test_ic_check_pauli_probe_complete():
