@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -319,7 +320,10 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each ``parse_args``
+    call makes a fresh namespace from the defaults."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol", type=float, default=DEFAULT_TOL, help="tolerance of every invariant check"

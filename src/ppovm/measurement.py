@@ -383,7 +383,9 @@ def effects_multiset_equal(
 ) -> bool:
     """Compare two effect collections as multisets, ignoring labels/order.
 
-    Greedy matching under max-norm distance < tol.
+    Greedy matching under max-norm distance < tol.  True proves that a
+    one-to-one pairing within tol exists; False may be a miss of the
+    first-fit search when effects lie closer than tol to several others.
     """
     mats_a = list(a.matrices) if isinstance(a, ProcessPovm) else [np.asarray(m) for m in a]
     mats_b = list(b.matrices) if isinstance(b, ProcessPovm) else [np.asarray(m) for m in b]

@@ -516,6 +516,26 @@ def test_discriminate_phase_gate_min_copies(tmp_path, capsys):
     assert payload["min_copies"] == 5
 
 
+def test_consecutive_main_calls_share_no_arguments(tmp_path, capsys):
+    # the parser is built once per process; each call starts from its defaults
+    id_path = tmp_path / "id.json"
+    serialize.write_json(id_path, serialize.encode_matrix(np.eye(2)))
+    v_path = gen(tmp_path, "phase", "--angle", str(np.pi / 5))
+    capsys.readouterr()
+    argv = ["discriminate", str(id_path), v_path, "--format", "json"]
+    assert json.loads(run(capsys, *argv, "--copies", "10")[1])["min_copies"] == 5
+    assert json.loads(run(capsys, *argv)[1])["min_copies"] is None
+    pauli_z = gen(tmp_path, "pauli-z")
+    capsys.readouterr()
+    argv = ["discriminate", str(id_path), pauli_z, "--format", "json"]
+    assert json.loads(run(capsys, *argv)[1])["min_copies"] == 1
+
+    assert main(["gen", "depolarizing", "--d", "3", "--out", str(tmp_path / "d3.json")]) == 0
+    assert main(["gen", "depolarizing", "--out", str(tmp_path / "d2.json")]) == 0
+    assert serialize.read_json(tmp_path / "d3.json")["dim_in"] == 3
+    assert serialize.read_json(tmp_path / "d2.json")["dim_in"] == 2
+
+
 def test_discriminate_identical(tmp_path, capsys):
     id_path = tmp_path / "id.json"
     serialize.write_json(id_path, serialize.encode_matrix(np.eye(2)))

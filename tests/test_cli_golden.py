@@ -179,6 +179,15 @@ def test_written_file_matches_golden(name, tmp_path):
     assert _written(name, tmp_path) == (WRITTEN_GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("**/*.json")), ids=lambda p: str(p.relative_to(GOLDEN))
+)
+def test_golden_text_is_the_writer_layout(path):
+    # pins serialize.dumps to the checked-in bytes, masks aside
+    text = path.read_text()
+    assert serialize.dumps(json.loads(text)) == text
+
+
 if __name__ == "__main__":
     import tempfile
 

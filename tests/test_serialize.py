@@ -130,3 +130,80 @@ def test_array_codec_matches_per_entry_reference(m, stack):
     expected = np.array([_reference_decode_matrix(e["matrix"]) for e in reference])
     assert _same_bits(effects, expected)
     assert list(back_labels) == labels
+
+
+# The writer's oracle is the stdlib: dumps must give json.dumps's indent=1
+# text exactly, for matrix data and for everything around it.
+def _stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+WRITER_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+LABELS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        ['"', 'say "hi"', "naïve ψ", "\\", "\x00", "\x000", '"\x00', "nan", "inf", "],\n ["]
+    ),
+    st.integers(0, 20).map(lambda k: serialize._SLOT + str(k)),
+)
+ENTRIES = st.one_of(WRITER_FLOATS, st.integers(-3, 3), st.booleans())
+ROWS = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.one_of(
+            st.lists(WRITER_FLOATS, min_size=width, max_size=width),
+            st.lists(ENTRIES, min_size=width, max_size=width),
+        ),
+        max_size=5,
+    )
+) | st.lists(st.lists(WRITER_FLOATS, max_size=3), max_size=4)  # rows of mixed lengths
+WRITER_MATRICES = st.fixed_dictionaries(
+    {"rows": st.integers(0, 4), "cols": st.integers(0, 4), "data": ROWS}
+)
+CHECKS = st.fixed_dictionaries({"name": LABELS, "value": WRITER_FLOATS, "pass": st.booleans()})
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), WRITER_FLOATS, LABELS)
+PAYLOADS = st.recursive(
+    st.one_of(
+        SCALARS,
+        ROWS,
+        WRITER_MATRICES,
+        CHECKS,
+        st.dictionaries(LABELS, st.integers(0, 10**6), max_size=4),  # counts
+        st.fixed_dictionaries({"label": LABELS, "matrix": WRITER_MATRICES}),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(LABELS, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(obj=PAYLOADS)
+@example(obj={"data": [[-0.0, 5e-324], [1e-300, 1e300], [math.nan, math.inf], [-math.inf, 0.0]]})
+@example(obj={"data": [[1, 0]], "ints": [[1.0, 0], [True, 0.5]], "empty": [], "rows": [[]]})
+@example(obj=[[[0.5, 1.0, 2.0]], [[0.25]], [[0.5, 1.0], [0.25]]])
+@example(obj={"a": {"label": "\x000", "matrix": {"data": [[0.1, 0.2]]}}})
+@example(obj={"effects": [{"label": '"\x00', "matrix": {"data": [[0.1, 0.2], [0.3, 0.4]]}}]})
+@example(obj={"\x000": [[0.5, 0.5]], "x": "\x001"})
+def test_dumps_is_the_stdlib_indent_1_layout(obj):
+    before = json.dumps(obj, sort_keys=True)
+    assert serialize.dumps(obj) == _stdlib_dumps(obj)
+    assert json.dumps(obj, sort_keys=True) == before  # obj is not modified
+
+
+def test_dumps_of_library_payloads_is_the_stdlib_layout():
+    pp = pauli_probe_ppovm()
+    rng = np.random.default_rng(3)
+    ch = random_channel(3, rng)
+    result = linear_inversion(pp, outcome_probabilities(pp, identity_channel(2)))
+    for obj in (
+        serialize.encode_ppovm(pp),
+        serialize.encode_channel(ch, "kraus"),
+        serialize.encode_channel(ch, "choi"),
+        serialize.encode_tomography_report(result),
+        {"plan": {"probe": serialize.encode_vector(rng.standard_normal(4)), "error_rates": [0.0]}},
+    ):
+        assert serialize.dumps(obj) == _stdlib_dumps(obj)
