@@ -10,6 +10,7 @@ trace preserving.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +68,11 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 #
 # Each invariant has one routine returning (name, value, passed) entries.
 # The raising validators below and the CLI's `validate` report read them.
+# Effects are the exception on the raising side: `require_effects` proves
+# the bounds 0 <= M <= 1 by two batched Cholesky factorizations and only
+# falls back to the spectra of `stacked_effect_checks` when that proof
+# fails, so a raised error still names that routine's first failing entry.
+# Reports always print the spectra.
 # ---------------------------------------------------------------------------
 
 
@@ -119,9 +125,7 @@ def stacked_effect_checks(
     if names is None:
         names = [f"effect_{k}" for k in range(len(stack))]
     res, hermitian = hermiticity_residuals(stack, tol)
-    symmetrized = stack + dagger(stack)
-    symmetrized /= 2
-    values = np.linalg.eigvalsh(symmetrized)
+    values = np.linalg.eigvalsh(hermitian_parts(stack))
     low, high = values[:, 0], values[:, -1]
     rows = zip(
         names, res.tolist(), hermitian.tolist(), low.tolist(), (low >= -tol).tolist(),
@@ -136,6 +140,77 @@ def stacked_effect_checks(
             (f"{name}_max_eigenvalue", hi, hi_ok),
         )
     ]
+
+
+def hermitian_parts(stack: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 of every matrix of an (N, n, n) stack, in one new
+    buffer.  Exactly Hermitian: entry (j, i) is computed as the conjugate
+    of entry (i, j), since floating-point addition commutes."""
+    h = dagger(stack)
+    h += stack
+    h /= 2
+    return h
+
+
+# Cholesky's backward error (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Thm 10.3): when the factorization of an n x n
+# Hermitian A runs to completion, which is all the bound needs, the
+# computed R has R^H R = A + dA with |dA| <= gamma_{n+1} |R^H| |R|,
+# gamma_{n+1} ~ (n + 1) eps / 2.  R^H R is positive definite, so
+# lambda_min(A) >= -||dA||_2, and ||dA||_2 <= gamma_{n+1} ||R||_F^2 ~
+# gamma_{n+1} tr(A), at most ~n^2 eps max_i A_ii.  The floor below is that
+# bound times n, times CHOLESKY_FLOOR = 8, on the scale max(1, max_i |M_ii|):
+# the spare factor 8 n covers the shifted diagonals reaching 1 + tol/2 +
+# |M_ii|, the larger constants of complex arithmetic, the rounding of the
+# shifts, and eigvalsh's own error (~n eps on a proven spectrum), so that a
+# proven stack passes the eigenvalue check too.  At tol = 1e-9 the proof
+# runs up to n = 65, the d^2 x d^2 effects of d <= 8; larger effects fall
+# back to the spectra.
+CHOLESKY_FLOOR = 8.0
+
+
+def _effects_proven(stack: np.ndarray, tol: float) -> bool:
+    """Whether every matrix of an (N, n, n) stack passes its effect checks:
+    hermiticity as in ``stacked_effect_checks``, and the spectrum of its
+    Hermitian part h inside [-tol, 1 + tol], proven by factoring
+    h + (tol/2) I and (1 + tol/2) I - h.  False means "not proven", not
+    "failed"."""
+    n = stack.shape[-1]
+    diag = np.arange(n)
+    values = stack[:, diag, diag].real  # the diagonal of h, exactly
+    scale = max(1.0, float(np.abs(values).max()))
+    if not tol / 2 > CHOLESKY_FLOOR * n**3 * np.finfo(float).eps * scale:
+        return False  # tol/2 is inside the round-off floor
+    if not hermiticity_residuals(stack, tol)[1].all():
+        return False
+    # one buffer holds both shifted stacks in turn
+    h = hermitian_parts(stack)
+    try:
+        h[:, diag, diag] = values + tol / 2
+        np.linalg.cholesky(h)
+        h *= -1
+        h[:, diag, diag] = (1.0 + tol / 2) - values
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def require_effects(
+    stack: np.ndarray, tol: float, error: Callable[[int, str, float], Exception]
+) -> None:
+    """Raise ``error(k, entry, value)`` for the first failing entry of
+    ``stacked_effect_checks(stack, tol)``, where k is the effect index and
+    entry one of hermiticity_residual, min_eigenvalue, max_eigenvalue.
+
+    The spectra are computed only when ``_effects_proven`` cannot prove
+    that every entry passes.
+    """
+    if _effects_proven(stack, tol):
+        return
+    for i, (name, value, passed) in enumerate(stacked_effect_checks(stack, tol)):
+        if not passed:
+            raise error(i // 3, name.split("_", 2)[2], value)
 
 
 def effect_checks(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "effect") -> list[Check]:
@@ -160,11 +235,16 @@ def state_checks(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
     return [hermiticity_check("state", m, tol), *density_checks(m, tol)]
 
 
-def povm_checks(effects, tol: float = DEFAULT_TOL) -> list[Check]:
-    """Every effect, then completeness: the effects sum to the identity."""
-    stack = effect_stack(effects)
+def completeness_check(stack: np.ndarray, tol: float = DEFAULT_TOL) -> Check:
+    """Completeness: the effects of an (N, n, n) stack sum to the identity."""
     res = max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
-    return [*stacked_effect_checks(stack, tol), ("completeness_residual", res, res <= tol)]
+    return ("completeness_residual", res, res <= tol)
+
+
+def povm_checks(effects, tol: float = DEFAULT_TOL) -> list[Check]:
+    """Every effect, then completeness."""
+    stack = effect_stack(effects)
+    return [*stacked_effect_checks(stack, tol), completeness_check(stack, tol)]
 
 
 def trace_preservation_checks(ch: KrausChannel, tol: float = DEFAULT_TOL) -> list[Check]:
@@ -189,8 +269,13 @@ def check_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def check_effect(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate an effect: Hermitian with spectrum inside [0, 1]."""
-    raise_failed(effect_checks(m, tol), "not an effect")
-    return np.asarray(m, dtype=complex)
+    m = square_matrix(m, "effect")
+    require_effects(m[None], tol, _not_an_effect)
+    return m
+
+
+def _not_an_effect(_: int, entry: str, value: float) -> ValueError:
+    return ValueError(f"not an effect: effect_{entry} = {value:.3e}")
 
 
 def check_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -226,6 +311,10 @@ def check_process_state(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> 
 # ---------------------------------------------------------------------------
 
 
+def _invalid_povm_effect(k: int, entry: str, value: float) -> ValueError:
+    return ValueError(f"invalid POVM: effect_{k}_{entry} = {value:.3e}")
+
+
 @dataclass(frozen=True)
 class Povm:
     """A measurement: effects summing to the identity, one distinct label each.
@@ -243,7 +332,8 @@ class Povm:
         object.__setattr__(self, "labels", effect_labels(self.labels, len(effects)))
         # checked before the copy is made, so the checks' temporaries never
         # sit beside two copies of the effects
-        raise_failed(povm_checks(effects, tol), "invalid POVM")
+        require_effects(effects, tol, _invalid_povm_effect)
+        raise_failed([completeness_check(effects, tol)], "invalid POVM")
         object.__setattr__(self, "effects", frozen(effects))
 
     @property

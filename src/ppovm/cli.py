@@ -187,13 +187,14 @@ def cmd_tomo(args) -> int:
     report = serialize.encode_tomography_report(result)
     if args.out:
         serialize.write_json(args.out, report)
-    keys = ("ic_complete", "deficiency", "residual", "converged", "hs_error")
+    keys = ("ic_complete", "deficiency", "residual", "converged", "condition", "hs_error")
     summary = {k: report[k] for k in keys}
     lines = [
         f"ic_complete: {result.ic_complete}",
         f"deficiency: {result.deficiency}",
         f"residual: {_fmt(result.residual)}",
         f"converged: {result.converged}",
+        f"condition: {_fmt(result.condition)}",
     ]
     if hs_error is not None:
         lines.append(f"hs_error: {_fmt(hs_error)}")

@@ -28,6 +28,7 @@ from .channels import (
     effect_stack,
     projector,
     raise_failed,
+    require_effects,
     stacked_effect_checks,
     state_to_map,
     trace_preservation_checks,
@@ -212,6 +213,18 @@ def _normalization_check(total: np.ndarray, sigma: np.ndarray, d: int, tol: floa
     return ("product_normalization_residual", res, res <= tol * max(1.0, max_abs(total)))
 
 
+def _sum_checks(stack: np.ndarray, d: int, tol: float) -> tuple[list[Check], np.ndarray]:
+    """The sum factors as sigma (x) I_d, and rho = sigma^T is a density
+    operator; returns those entries and rho."""
+    total = stack.sum(axis=0)
+    sigma = partial_trace(total, d, d, "second") / d
+    rho = sigma.T
+    return [
+        _normalization_check(total, sigma, d, tol),
+        *density_checks(rho, tol, "norm_state_"),
+    ], rho
+
+
 def ppovm_checks(
     matrices, d: int, tol: float = DEFAULT_TOL
 ) -> tuple[list[Check], np.ndarray]:
@@ -221,14 +234,12 @@ def ppovm_checks(
     as sigma (x) I_d with rho = sigma^T a density operator.
     """
     stack = effect_stack(matrices, d * d, PpovmError)
-    total = stack.sum(axis=0)
-    sigma = partial_trace(total, d, d, "second") / d
-    rho = sigma.T
-    return [
-        *stacked_effect_checks(stack, tol),
-        _normalization_check(total, sigma, d, tol),
-        *density_checks(rho, tol, "norm_state_"),
-    ], rho
+    checks, rho = _sum_checks(stack, d, tol)
+    return [*stacked_effect_checks(stack, tol), *checks], rho
+
+
+def _not_psd(k: int, entry: str, value: float) -> NotPsdError:
+    return NotPsdError(k, f"{entry} = {value:.3e}")
 
 
 def validate_ppovm(
@@ -240,17 +251,17 @@ def validate_ppovm(
     """Check that raw matrices form a process POVM and assemble it.
 
     Raises for the first failing entry of ``ppovm_checks``: NotPsdError
-    for an effect, NotProductNormalizationError for the sum, and
-    NormStateInvalidError for the norm state.
+    for an effect (through ``require_effects``, which computes spectra
+    only when the factorization proof of the bounds fails),
+    NotProductNormalizationError for the sum, and NormStateInvalidError
+    for the norm state.
     """
     stack = effect_stack(matrices, d * d, PpovmError)
     labels = effect_labels(labels, len(stack))
-    checks, rho = ppovm_checks(stack, d, tol)
+    require_effects(stack, tol, _not_psd)
+    checks, rho = _sum_checks(stack, d, tol)
     for name, value, passed in checks:
         if not passed:
-            if name.startswith("effect_"):
-                _, k, entry = name.split("_", 2)
-                raise NotPsdError(int(k), f"{entry} = {value:.3e}")
             message = f"{name} = {value:.3e}"
             if name.startswith("norm_state_"):
                 raise NormStateInvalidError(message)
@@ -348,18 +359,19 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
-    proj = kron(v @ dagger(v), np.eye(d))
     k = kron(dagger(pinv(a, tol)), np.eye(d))
     m = pp.effects
-    # in-place steps keep the temporaries to two stacks
-    leak = proj @ m @ proj
-    leak -= m
-    leak = np.abs(leak).max(axis=(1, 2))
-    outside = np.flatnonzero(leak > 10 * tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2))))
-    if outside.size:
-        raise SupportViolationError(
-            f"effect {pp.labels[outside[0]]!r} leaks outside the normalization support"
-        )
+    if a.shape[0] < d:  # at full rank the support is all of H_d: nothing can leak
+        proj = kron(v @ dagger(v), np.eye(d))
+        # in-place steps keep the temporaries to two stacks
+        leak = proj @ m @ proj
+        leak -= m
+        leak = np.abs(leak).max(axis=(1, 2))
+        outside = np.flatnonzero(leak > 10 * tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2))))
+        if outside.size:
+            raise SupportViolationError(
+                f"effect {pp.labels[outside[0]]!r} leaks outside the normalization support"
+            )
     f = k @ m @ dagger(k)
     f += dagger(f)
     f /= 2

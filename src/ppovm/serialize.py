@@ -211,6 +211,7 @@ def encode_tomography_report(result: TomographyResult) -> dict:
         "deficiency": result.deficiency,
         "residual": result.residual,
         "converged": result.converged,
+        "condition": result.condition,
         "hs_error": result.hs_error,
         "omega_raw": encode_matrix(result.omega_raw),
         "omega_projected": encode_matrix(result.omega_projected),

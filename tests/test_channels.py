@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppovm.channels import (
     KrausChannel,
@@ -151,6 +153,17 @@ def test_channel_of_choi_round_trip_random():
         back = channel_of_choi(omega, 2)
         assert back.is_trace_preserving
         assert hs_distance(choi_of_channel(back), omega) < 1e-8
+
+
+@settings(max_examples=40)
+@given(d=st.integers(2, 5), n_kraus=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+def test_kraus_choi_round_trip(d, n_kraus, seed):
+    ch = random_channel(d, np.random.default_rng(seed), n_kraus=min(n_kraus, d * d))
+    omega = choi_of_channel(ch)
+    back = channel_of_choi(omega, d)
+    assert back.is_trace_preserving
+    assert len(back.kraus) <= min(n_kraus, d * d)
+    assert hs_distance(choi_of_channel(back), omega) < 1e-8
 
 
 def test_tp_iff_unit_marginal():

@@ -477,6 +477,25 @@ def test_tomo_deficient_warns(tmp_path, capsys):
     assert json.loads(out)["deficiency"] == 12
 
 
+def test_tomo_reports_design_condition(tmp_path, capsys):
+    pp_path = gen(tmp_path, "pauli-probe")
+    ch_path = gen(tmp_path, "identity")
+    capsys.readouterr()
+    code, out, _ = run(capsys, "tomo", pp_path, "--exact", ch_path, "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["condition"] - np.sqrt(3)) < 1e-12
+    code, out, _ = run(capsys, "tomo", pp_path, "--exact", ch_path)
+    assert code == 0
+    assert "condition: 1.73205080757" in out.splitlines()
+    # a design with no informative direction has an infinite condition number
+    effect = np.kron(np.diag([0.25, 0.75]), np.eye(2))
+    obj = {"d": 2, "effects": [{"label": "only", "matrix": serialize.encode_matrix(effect)}]}
+    serialize.write_json(tmp_path / "single.json", obj)
+    code, out, _ = run(capsys, "tomo", str(tmp_path / "single.json"), "--exact", ch_path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["condition"] == np.inf
+
+
 def test_tomo_counts_label_mismatch(tmp_path, capsys):
     pp_path = gen(tmp_path, "pauli-probe")
     counts_path = tmp_path / "counts.json"

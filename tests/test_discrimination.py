@@ -424,7 +424,7 @@ def test_hull_implies_trace_bound_empirically():
                 assert necessary_condition(u, v)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
     offset=st.floats(0.0, TWO_PI),

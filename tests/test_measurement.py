@@ -113,7 +113,7 @@ def _same_entries(got, expected):
     assert [v for _, v, _ in got] == [v for _, v, _ in expected]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     d=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
@@ -363,6 +363,28 @@ def test_merge_six_state_scheme():
     assert effects_multiset_equal(pp_a, pp_b, 1e-9)
 
 
+@settings(max_examples=20)
+@given(
+    d=st.integers(2, 5),
+    ancillas=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_couples_reproduces_process_povm(d, ancillas, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(ancillas)))
+    couples = [
+        random_test_couple(d, anc, rng, n_outcomes=3, weight=float(w))
+        for anc, w in zip(ancillas, weights)
+    ]
+    pp = build_ppovm(couples, d)
+    merged = build_ppovm([merge_couples(couples)], d)
+    # one couple's labels are unprefixed; the merged couple's carry the flag
+    prefixed = pp.labels if len(couples) > 1 else tuple(f"0:{lbl}" for lbl in pp.labels)
+    assert merged.labels == prefixed
+    assert max_abs(merged.effects - pp.effects) < 1e-9
+    assert max_abs(merged.norm_state - pp.norm_state) < 1e-12
+
+
 def test_merge_mixed_ancilla_sizes():
     rng = np.random.default_rng(7)
     couples = [
@@ -460,6 +482,20 @@ def test_realize_detects_support_violation():
     pp = ProcessPovm(2, [np.eye(4)], projector(ket(1, 2)), ("full",))
     with pytest.raises(SupportViolationError):
         realize(pp)
+
+
+def test_realize_detects_support_violation_of_rank_two_norm_state():
+    rng = np.random.default_rng(12)
+    pp = random_ppovm(3, rng, rho_rank=2)
+    assert realize(pp).r == 2
+    values, vectors = np.linalg.eigh(pp.norm_state.T)
+    assert values[0] < 1e-12 < values[1]
+    leaking = 0.1 * kron(projector(vectors[:, 0]), np.eye(3))
+    bad = ProcessPovm(
+        3, np.concatenate([pp.effects, leaking[None]]), pp.norm_state, [*pp.labels, "leak"]
+    )
+    with pytest.raises(SupportViolationError, match="'leak'"):
+        realize(bad)
 
 
 def test_extra_effect_examples():

@@ -113,7 +113,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(m=MATRICES, stack=STACKS)
 @example(m=EDGE_FLOATS.view(complex).reshape(2, 2), stack=EDGE_FLOATS.view(complex).reshape(4, 1, 1))
 def test_array_codec_matches_per_entry_reference(m, stack):
@@ -180,7 +180,7 @@ PAYLOADS = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(obj=PAYLOADS)
 @example(obj={"data": [[-0.0, 5e-324], [1e-300, 1e300], [math.nan, math.inf], [-math.inf, 0.0]]})
 @example(obj={"data": [[1, 0]], "ints": [[1.0, 0], [True, 0.5]], "empty": [], "rows": [[]]})

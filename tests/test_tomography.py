@@ -23,7 +23,7 @@ from ppovm.measurement import (
     realize,
     validate_ppovm,
 )
-from ppovm.rand import random_channel, random_density, random_test_couple
+from ppovm.rand import random_channel, random_density, random_ppovm, random_test_couple
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
     pauli_probe_ppovm,
@@ -193,7 +193,7 @@ def _random_scheme(seed, d, couples):
     return pp, rng
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(random_schemes())
 @example((5, 3, [(3, 81, 9)]))  # complete with the fewest outcomes
 @example((6, 4, [(1, 3, 1)]))  # deficient, pure test state
@@ -282,6 +282,16 @@ def test_ic_check_invariant_under_permutation_and_relabeling():
     shuffled = ProcessPovm(
         2, pp.matrices[::-1], pp.norm_state, [f"r{k}" for k in range(len(pp))]
     )
+    assert ic_check(shuffled) == ic_check(pp)
+
+
+@settings(max_examples=20)
+@given(d=st.integers(2, 5), n_couples=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_ic_check_invariant_under_random_permutation(d, n_couples, seed):
+    rng = np.random.default_rng(seed)
+    pp = random_ppovm(d, rng, n_couples=n_couples)
+    order = rng.permutation(len(pp))
+    shuffled = ProcessPovm(d, pp.effects[order], pp.norm_state, [pp.labels[k] for k in order])
     assert ic_check(shuffled) == ic_check(pp)
 
 

@@ -1,5 +1,7 @@
 """Property tests: the CLI's `validate ppovm` report and the library's
-exceptions come from the same checks, so they agree on every input."""
+exceptions come from the same checks, so they agree on every input; and
+the raising effect validators, which prove the bounds by factorization,
+raise exactly where the spectra of `stacked_effect_checks` fail."""
 
 import io
 import json
@@ -13,18 +15,27 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ppovm import serialize
+from ppovm.channels import (
+    Povm,
+    _effects_proven,
+    check_effect,
+    effect_checks,
+    povm_checks,
+    require_effects,
+)
 from ppovm.cli import main
-from ppovm.linalg import dagger, max_abs, rank_and_support
+from ppovm.linalg import DEFAULT_TOL, dagger, max_abs, rank_and_support
 from ppovm.measurement import (
     NormStateInvalidError,
     NotProductNormalizationError,
     NotPsdError,
+    ppovm_checks,
     realize,
     validate_ppovm,
 )
-from ppovm.rand import random_ppovm
+from ppovm.rand import random_ppovm, random_unitary
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+PROPERTY = settings(max_examples=60)
 
 # exception raised for the first failing entry, by the entry's name prefix
 ERRORS = {
@@ -99,7 +110,7 @@ def test_report_and_exceptions_agree(d, seed, kind, scale, tol, index):
         assert info.value.index == int(failed[0].split("_")[1])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(d=st.integers(2, 5), rank=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_random_ppovm_norm_state_has_requested_rank(d, rank, seed):
     rank = min(rank, d)
@@ -107,3 +118,122 @@ def test_random_ppovm_norm_state_has_requested_rank(d, rank, seed):
     assert rank_and_support(pp.norm_state)[0] == rank
     assert _report(pp.matrices, d, 1e-9)["ok"]
     assert realize(pp).r == rank
+
+
+# where the extreme eigenvalue of one effect sits, in units of tol below 0
+# (the mirror values sit as far above 1)
+OFFSETS = (-1.5, -1.1, -0.9, -0.6, -0.4, 0.0)
+
+
+def _edge_stack(n, count, index, offset, high, tol, total, rng):
+    """``count`` effects on C^n, then the completion total * I - sum; the
+    spectra lie inside [0, total / count] except one eigenvalue of effect
+    ``index``, which sits at offset * tol, or at 1 - offset * tol."""
+    values = rng.uniform(0.0, total / count, (count, n))
+    values[index, 0] = 1.0 - offset * tol if high else offset * tol
+    rotations = np.array([random_unitary(n, rng) for _ in range(count)])
+    stack = (rotations * values[:, None, :]) @ dagger(rotations)
+    completion = total * np.eye(n) - stack.sum(axis=0)
+    return np.concatenate([stack, completion[None]])
+
+
+def _first_failure(checks):
+    return next(((name, value) for name, value, passed in checks if not passed), None)
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return None
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    index=st.integers(0, 3),
+    offset=st.sampled_from(OFFSETS),
+    high=st.booleans(),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-16]),
+)
+@example(d=2, seed=0, count=2, index=1, offset=-1.1, high=False, tol=1e-9)
+@example(d=5, seed=1, count=3, index=2, offset=-0.9, high=True, tol=1e-9)
+@example(d=3, seed=2, count=2, index=0, offset=-0.6, high=False, tol=1e-16)
+def test_raising_validators_agree_with_spectra(d, seed, count, index, offset, high, tol):
+    rng = np.random.default_rng(seed)
+    index %= count
+    n = d * d
+
+    # a POVM on C^n: Povm raises for the first failing entry of povm_checks
+    stack = _edge_stack(n, count, index, offset, high, tol, 1.0, rng)
+    expected = _first_failure(povm_checks(stack, tol))
+    event(f"Povm: {expected[0].split('_')[-1] if expected else 'passes'}")
+    if expected is None:
+        assert _raised(lambda: Povm(stack, None, tol)) is None
+    else:
+        name, value = expected
+        assert _raised(lambda: Povm(stack, None, tol)) == (
+            ValueError, f"invalid POVM: {name} = {value:.3e}", None
+        )
+
+    # the effect alone
+    name_value = _first_failure(effect_checks(stack[index], tol))
+    raised = _raised(lambda: check_effect(stack[index], tol))
+    if name_value is None:
+        assert raised is None
+    else:
+        name, value = name_value
+        assert raised == (ValueError, f"not an effect: {name} = {value:.3e}", None)
+
+    # a process POVM with norm state I/d: effects summing to I/d (x) I
+    stack = _edge_stack(n, count, index, offset, high, tol, 1.0 / d, rng)
+    checks, _ = ppovm_checks(stack, d, tol)
+    raised = _raised(lambda: validate_ppovm(stack, d, tol=tol))
+    failed = _first_failure(checks[: 3 * len(stack)])
+    if failed is None:
+        assert raised is None or raised[0] is not NotPsdError
+        assert (raised is None) == (_first_failure(checks) is None)
+    else:
+        name, value = failed
+        k, entry = name.split("_", 2)[1:]
+        assert raised == (NotPsdError, f"effect {k}: {entry} = {value:.3e}", int(k))
+
+
+def _count_stacked_spectra(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_factorization_proves_random_ppovm_at_default_tol(monkeypatch):
+    pp = random_ppovm(5, np.random.default_rng(5))
+    assert _effects_proven(pp.effects, DEFAULT_TOL)
+    calls = _count_stacked_spectra(monkeypatch)
+    validate_ppovm(pp.matrices, 5)
+    realize(pp)
+    assert calls == []
+
+
+def test_round_off_floor_falls_back_to_spectra(monkeypatch):
+    rng = np.random.default_rng(6)
+    u = random_unitary(4, rng)
+    effect = (u * rng.uniform(0.25, 0.75, 4)) @ dagger(u)
+    stack = np.array([effect, np.eye(4) - effect])  # spectra inside [0.25, 0.75]
+    assert _effects_proven(stack, 1e-9)
+    # at tol = 1e-16, tol/2 is below the floor ~8 n^3 eps
+    assert not _effects_proven(stack, 1e-16)
+    calls = _count_stacked_spectra(monkeypatch)
+    require_effects(stack, 1e-16, lambda *entry: AssertionError(entry))
+    assert calls == [stack.shape]
+    # effects of 10 x 10 qudit pairs sit under the floor at the default tol
+    assert not _effects_proven(np.full((1, 100, 100), 0.0, dtype=complex), DEFAULT_TOL)
