@@ -1,11 +1,12 @@
 """Command-line front end over the JSON file formats.
 
-Exit codes: 0 success, 1 domain or invariant failure, 2 I/O or parse
-failure.  Malformed input, every ``serialize.FormatError`` (non-finite
-numbers among them), is a parse failure.  ``--tol`` is the tolerance of
-every invariant check made on the input files; ``validate`` prints the
-library's own check entries.  Table output is for humans; ``--format
-json`` is the stable surface.
+Exit codes: 0 success, 1 domain or invariant failure, 2 usage, I/O or
+parse failure.  Malformed input, every ``serialize.FormatError``
+(non-finite numbers among them), is a parse failure; so is an option out
+of its range, such as a ``--tol`` that is not positive and finite.
+``--tol`` is the tolerance of every invariant check made on the input
+files; ``validate`` prints the library's own check entries.  Table output
+is for humans; ``--format json`` is the stable surface.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 import numpy as np
@@ -301,16 +303,23 @@ _PPOVMS = {
 
 GEN_NAMES = sorted([*_UNITARIES, *_CHANNELS, *_PPOVMS])
 
+# generators of fixed qubit objects, which take no --d but the default 2
+_QUBIT_ONLY = frozenset({"pauli-x", "pauli-y", "pauli-z", "hadamard", "phase", *_PPOVMS})
+
 
 def cmd_gen(args) -> int:
+    if args.name not in GEN_NAMES:
+        raise ParseFailure(f"unknown generator {args.name!r}; choose from {GEN_NAMES}")
+    if args.d < 1:
+        raise ParseFailure(f"gen {args.name}: --d must be at least 1, got {args.d}")
+    if args.d != 2 and args.name in _QUBIT_ONLY:
+        raise ParseFailure(f"gen {args.name} writes a qubit object: --d must be 2, got {args.d}")
     if args.name in _PPOVMS:
         obj = serialize.encode_ppovm(_PPOVMS[args.name]())
     elif args.name in _CHANNELS:
         obj = serialize.encode_channel(_CHANNELS[args.name](args))
-    elif args.name in _UNITARIES:
-        obj = serialize.encode_matrix(_UNITARIES[args.name](args))
     else:
-        raise ParseFailure(f"unknown generator {args.name!r}; choose from {GEN_NAMES}")
+        obj = serialize.encode_matrix(_UNITARIES[args.name](args))
     serialize.write_json(args.out, obj)
     _emit(args, {"out": args.out, "name": args.name}, [f"wrote {args.out}"])
     return 0
@@ -387,11 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (option, least allowed value) of the integer options; the library's own
+# range checks stay as they are, these are usage errors
+_INT_RANGES = (("shots", 1), ("seed", 0), ("copies", 1))
+
+
+def _check_usage(args) -> None:
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParseFailure(f"--tol must be positive and finite, got {tol}")
+    for name, least in _INT_RANGES:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ParseFailure(f"--{name} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "tol", 1.0) <= 0:
-            raise ParseFailure("--tol must be positive")
+        _check_usage(args)
         return args.func(args)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

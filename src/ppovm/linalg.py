@@ -64,8 +64,14 @@ def hermiticity_check(name: str, m: np.ndarray, tol: float = DEFAULT_TOL) -> Che
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; entry [i*rows(b)+k, j*cols(b)+l] is a[i,j]*b[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Tensor product of two matrices; entry [i*rows(b)+k, j*cols(b)+l] is
+    a[i,j]*b[k,l], the same products ``numpy.kron`` forms, by broadcasting."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, which: str = "first") -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
-from .linalg import DEFAULT_TOL, dagger, hs_distance, kron, max_abs, partial_trace
+from .linalg import DEFAULT_TOL, dagger, hs_distance, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization, effect_pairings
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
@@ -196,6 +196,7 @@ def psd_project(
     if max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) > 100 * tol:
         raise ValueError("input marginal is too far from the identity")
     omega = (omega + omega.conj().T) / 2
+    eye = np.eye(d)
     for _ in range(iters):
         previous = omega
         values, vectors = np.linalg.eigh(omega)
@@ -204,9 +205,10 @@ def psd_project(
         if total > 0.0:
             clamped *= d / total
         omega = (vectors * clamped) @ vectors.conj().T
-        repair = (np.eye(d) - partial_trace(omega, d, d, "second")) / d
-        omega = omega + kron(repair, np.eye(d))
-        if max_abs(omega - previous) < tol:
+        repair = (eye - np.einsum("akbk->ab", omega.reshape(d, d, d, d))) / d
+        # repair (x) I, broadcast as in linalg.kron
+        omega = omega + (repair[:, None, :, None] * eye[None, :, None, :]).reshape(n, n)
+        if np.abs(omega - previous).max() < tol:
             return omega, True
     return omega, False
 

@@ -623,3 +623,71 @@ def test_gen_six_state_matches_pauli_probe_multiset(tmp_path, capsys):
     six = serialize.decode_ppovm(serialize.read_json(six_path))
     pauli = serialize.decode_ppovm(serialize.read_json(pauli_path))
     assert effects_multiset_equal(six, pauli, 1e-12)
+
+
+def _command_argv(t, command):
+    """A valid invocation of each file-reading command, exit 0 at the default --tol."""
+    pp, ch = gen(t, "pauli-probe"), gen(t, "depolarizing")
+    u, v = gen(t, "identity-matrix"), gen(t, "pauli-z")
+    counts = str(t / "counts.json")
+    return {
+        "validate": ["validate", "ppovm", pp],
+        "probs": ["probs", pp, ch],
+        "tomo": ["tomo", pp, "--exact", ch],
+        "simulate": ["simulate", ch, pp, "--shots", "100", "--out", counts],
+        "discriminate": ["discriminate", u, v],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["validate", "probs", "tomo", "simulate", "discriminate"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    argv = _command_argv(tmp_path, command)
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol ")
+
+
+@pytest.mark.parametrize(
+    "name, d",
+    [("identity", "0"), ("contraction", "-2"), ("identity-matrix", "0"), ("depolarizing", "-1")]
+    + [(name, "3") for name in ["pauli-x", "pauli-y", "pauli-z", "hadamard", "phase"]]
+    + [(name, "3") for name in ["pauli-probe", "six-state", "identity-vs-contraction"]]
+    + [("pauli-probe", "1")],
+)
+def test_gen_rejects_unusable_d(tmp_path, capsys, name, d):
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "gen", name, "--d", d, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: gen {name}") and "--d" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", ["identity", "contraction", "identity-matrix", "depolarizing"])
+def test_gen_d_one_is_readable(tmp_path, capsys, name):
+    path = gen(tmp_path, name, "--d", "1")
+    kind = "state" if name == "identity-matrix" else "channel"
+    capsys.readouterr()
+    assert run(capsys, "validate", kind, path)[0] == 0
+
+
+def test_integer_options_out_of_range_are_usage_errors(tmp_path, capsys):
+    ch, pp = gen(tmp_path, "identity"), gen(tmp_path, "pauli-probe")
+    u, v = gen(tmp_path, "identity-matrix"), gen(tmp_path, "pauli-z")
+    counts = str(tmp_path / "counts.json")
+    cases = [
+        (["simulate", ch, pp, "--shots", "0", "--out", counts], "--shots"),
+        (["simulate", ch, pp, "--shots", "10", "--seed", "-1", "--out", counts], "--seed"),
+        (["discriminate", u, v, "--copies", "0"], "--copies"),
+        (["discriminate", u, u, "--copies", "0"], "--copies"),
+    ]
+    capsys.readouterr()
+    for argv, option in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {option} must be at least")
+    assert not pathlib.Path(counts).exists()
+    assert run(capsys, "simulate", ch, pp, "--shots", "1", "--seed", "0", "--out", counts)[0] == 0
+    assert run(capsys, "discriminate", u, v, "--copies", "1")[0] == 0

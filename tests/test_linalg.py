@@ -56,6 +56,32 @@ def test_kron_mixed_product_rule():
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def same_bits(got, expected):
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads count."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex), (complex, float)])
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (5, 5)), ((2, 3), (4, 1)), ((1, 4), (3, 2))])
+def test_kron_is_bitwise_numpy_kron(dtypes, shapes):
+    rng = np.random.default_rng(3)
+    a, b = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if dtype is complex else rng.standard_normal(shape)
+        for dtype, shape in zip(dtypes, shapes)
+    )
+    a[0, 0], b[-1, -1] = -0.0, -0.0  # signed zeros must survive as numpy.kron leaves them
+    assert same_bits(kron(a, b), np.kron(a, b))
+    assert same_bits(kron(a.T, b), np.kron(a.T, b))  # non-contiguous operand
+    assert same_bits(kron(b, np.eye(3)), np.kron(b, np.eye(3)))
+
+
+def test_kron_rejects_non_matrices():
+    for a, b in [(np.ones(2), np.eye(2)), (np.eye(2), np.ones(2)), (np.ones((2, 2, 2)), np.eye(2)), (1.0, np.eye(2))]:
+        with pytest.raises(ValueError, match="matrices"):
+            kron(a, b)
+
+
 def test_kron_associative():
     rng = np.random.default_rng(2)
     a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))

@@ -365,6 +365,68 @@ def test_psd_project_restores_invariants():
     assert max_abs(partial_trace(projected, 2, 2, "second") - np.eye(2)) < 1e-6
 
 
+def _reference_psd_project(omega_raw, d, iters=50, tol=1e-10):
+    """The projection loop before broadcasting: numpy.kron for the marginal
+    repair, the partial_trace and max_abs wrappers, np.eye per iteration."""
+    omega = np.asarray(omega_raw, dtype=complex)
+    if max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) > 100 * tol:
+        raise ValueError("input marginal is too far from the identity")
+    omega = (omega + omega.conj().T) / 2
+    for _ in range(iters):
+        previous = omega
+        values, vectors = np.linalg.eigh(omega)
+        clamped = np.clip(values, 0.0, None)
+        total = clamped.sum()
+        if total > 0.0:
+            clamped *= d / total
+        omega = (vectors * clamped) @ vectors.conj().T
+        repair = (np.eye(d) - partial_trace(omega, d, d, "second")) / d
+        omega = omega + np.kron(repair, np.eye(d))
+        if max_abs(omega - previous) < tol:
+            return omega, True
+    return omega, False
+
+
+def _raw_estimate(d, seed, noise):
+    """A random channel's Choi matrix plus Hermitian noise of max-norm
+    ``noise`` with zero second marginal: PSD at noise 0, not PSD once the
+    noise outweighs the smallest eigenvalue."""
+    rng = np.random.default_rng(seed)
+    omega = choi_of_channel(random_channel(d, rng))
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    h = g + g.conj().T
+    h = h - kron(partial_trace(h, d, d, "second"), np.eye(d)) / d
+    return omega + noise * h / max_abs(h)
+
+
+@settings(max_examples=120)
+@given(
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
+    iters=st.sampled_from([1, 3, 50]),
+)
+@example(d=2, seed=0, noise=0.0, iters=50)
+@example(d=5, seed=1, noise=0.5, iters=1)
+@example(d=3, seed=2, noise=0.5, iters=3)
+def test_psd_project_is_bitwise_the_reference_loop(d, seed, noise, iters):
+    omega_raw = _raw_estimate(d, seed, noise)
+    omega, converged = psd_project(omega_raw, d, iters=iters)
+    expected, expected_converged = _reference_psd_project(omega_raw, d, iters=iters)
+    assert omega.dtype == expected.dtype and omega.shape == expected.shape
+    assert omega.tobytes() == expected.tobytes()
+    assert converged == expected_converged
+
+
+def test_reference_cases_cover_both_flags():
+    # the raw estimates above include PSD inputs that converge and
+    # non-PSD inputs that the short iteration budgets leave unconverged
+    assert np.linalg.eigvalsh(_raw_estimate(4, 7, 0.5)).min() < 0
+    assert psd_project(_raw_estimate(4, 7, 0.0), 4)[1]
+    assert not psd_project(_raw_estimate(4, 7, 0.5), 4, iters=1)[1]
+    assert not psd_project(_raw_estimate(4, 7, 0.5), 4, iters=3)[1]
+
+
 def test_psd_project_rejects_bad_marginal():
     with pytest.raises(ValueError):
         psd_project(np.diag([2.0, 0.0, 0.0, 0.0]), 2)
