@@ -68,7 +68,6 @@ from .tomography import (
     ShotRecord,
     TomographyResult,
     ic_check,
-    ic_ranks,
     linear_inversion,
     psd_project,
     reconstruction_error,

@@ -409,6 +409,13 @@ def _check_usage(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ParseFailure(f"--{name} must be at least {least}, got {value}")
+    # gen's float options; NaN fails every comparison
+    angle = getattr(args, "angle", 0.0)
+    if not math.isfinite(angle):
+        raise ParseFailure(f"--angle must be finite, got {angle}")
+    strength = getattr(args, "p", 0.0)
+    if not 0.0 <= strength <= 1.0:
+        raise ParseFailure(f"--p must be in [0, 1], got {strength}")
 
 
 def main(argv=None) -> int:

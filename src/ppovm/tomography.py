@@ -1,88 +1,133 @@
 """Informational completeness and channel reconstruction from statistics.
 
-A process POVM determines every channel exactly when its effects, projected
-onto the Hermitian operators with zero second marginal, span them all.
-Reconstruction is least squares on those projections, written as real
-vectors, followed by an alternating projection back onto the set of valid
-process states.
+A process POVM determines every channel exactly when its effects span the
+Hermitian operators on H_d (x) H_d with zero second marginal.  Those have
+the orthonormal product basis {lambda_i (x) mu_j}.  The lambda_i are the
+d^2 Hermitian d x d matrices: the diagonal units E_kk, then (E_rs + E_sr)
+/ sqrt(2) and i (E_rs - E_sr) / sqrt(2) over the upper triangle r < s.
+The mu_j are the d^2 - 1 traceless ones: the d - 1 Helmert diagonals,
+then the same off-diagonal pairs.  The design D has one row per effect M, the
+coordinates c_ij = Re Tr[M (lambda_i (x) mu_j)] of its Hermitian part.
+Reconstruction is least squares in these coordinates, followed by an
+alternating projection back onto the set of valid process states.
 
 Both questions are answered from one factorization per process POVM: the
-eigendecomposition of the Gram matrix G = D^T D of the design D, which is
-d^4 x d^4 and real symmetric.  An eigenvalue of G counts as zero when it is
-at most ``_CUTOFF`` times the largest (1e-6 times the largest singular
-value of D).  The factorization is computed on first use and kept in the
-process POVM's instance ``__dict__``, as ``functools.cached_property``
-does; the effects are read-only, so it cannot go stale.
+eigendecomposition of the Gram matrix G = D^T D, which is real symmetric
+of side d^4 - d^2 and nonsingular iff the process POVM is complete.  Seen
+as a (d^2, d^2 - 1, d^2, d^2 - 1) array, G has the partial traces G_A and
+G_B.  When ||G - G_A (x) G_B / tr G||_F <= (d^4 - d^2) eps ||G||_F, within
+the backward error of a dense eigensolver, the eigenpairs of G are taken
+as the products of those of G_A and G_B.  Every full product grid
+{A_a (x) B_b} of effects has such a G.  Otherwise G gets one dense
+``eigh``.  An eigenvalue of G counts as zero when it is at most
+``_CUTOFF`` times the largest (1e-6 times the largest singular value of
+D).  The factorization is computed on first use and kept in the process
+POVM's instance ``__dict__``, as ``functools.cached_property`` does; the
+effects are read-only, so it cannot go stale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
-from .linalg import DEFAULT_TOL, dagger, hs_distance, max_abs, partial_trace
+from .linalg import DEFAULT_TOL, hs_distance, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization, effect_pairings
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
 _MEMO = "_gram_factors"  # instance __dict__ key of a process POVM's factorization
 
 
-def _real_vectors(h: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of stacked Hermitian n x n matrices: the
-    diagonal, then sqrt(2) Re and sqrt(2) Im of the upper triangle, so that
-    dot products of rows are Hilbert-Schmidt inner products."""
-    rows, cols = np.triu_indices(h.shape[-1], 1)
-    upper = np.sqrt(2) * h[:, rows, cols]
-    return np.concatenate([np.diagonal(h, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
+@dataclass(frozen=True)
+class _ProductBasis:
+    """The product basis of one d, with the fixed maps that give design
+    rows.  A d x d block B of an effect has the coordinates Tr[B mu_j]:
+    ``helmert`` takes the differences B_kk - B_00 (k >= 1) to those of the
+    Helmert mu_j, as Tr mu_j = 0, so that a block c I has coordinates
+    exactly zero; ``off`` takes the entries of B to those of the
+    off-diagonal mu_j.  ``lam`` takes the real, then the imaginary parts
+    of y_ab over the blocks (a, b) to Re sum_ab lambda_i[b, a] y_ab."""
+
+    lambdas: np.ndarray  # (d^2, d, d)
+    mus: np.ndarray  # (d^2 - 1, d, d)
+    helmert: np.ndarray  # (d - 1, d - 1)
+    off: np.ndarray  # (d^2, d^2 - d), complex
+    lam: np.ndarray  # (d^2, 2 d^2)
 
 
-def _hermitian_of(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``_real_vectors`` for one n x n matrix."""
-    rows, cols = np.triu_indices(n, 1)
-    upper = np.zeros((n, n), dtype=complex)
-    upper[rows, cols] = (v[n : n + rows.size] + 1j * v[n + rows.size :]) / np.sqrt(2)
-    return upper + upper.conj().T + np.diag(v[:n])
+@functools.cache
+def _product_basis(d: int) -> _ProductBasis:
+    rows, cols = np.triu_indices(d, 1)
+    pairs, diag, half = np.arange(rows.size), np.arange(d), 1.0 / math.sqrt(2.0)
+    lambdas = np.zeros((d * d, d, d), dtype=complex)
+    lambdas[diag, diag, diag] = 1.0
+    lambdas[d + pairs, rows, cols] = lambdas[d + pairs, cols, rows] = half
+    lambdas[d + rows.size + pairs, rows, cols] = 1j * half
+    lambdas[d + rows.size + pairs, cols, rows] = -1j * half
+    mus = np.zeros((d * d - 1, d, d), dtype=complex)
+    for k in range(1, d):
+        norm = math.sqrt(k * (k + 1))
+        mus[k - 1, diag[:k], diag[:k]] = 1.0 / norm
+        mus[k - 1, k, k] = -k / norm
+    mus[d - 1 :] = lambdas[d:]
+    helmert = np.diagonal(mus[: d - 1], axis1=1, axis2=2)[:, 1:].real.T
+    off = mus[d - 1 :].transpose(0, 2, 1).reshape(-1, d * d).T  # off[kl, j] = mu_j[l, k]
+    flipped = lambdas.transpose(0, 2, 1).reshape(d * d, d * d)  # [i, ab] = lambda_i[b, a]
+    basis = _ProductBasis(
+        lambdas, mus, helmert.copy(), off.copy(),
+        np.concatenate([flipped.real, -flipped.imag], axis=1),
+    )
+    for table in vars(basis).values():
+        table.setflags(write=False)
+    return basis
 
 
-def _hermitian_stack(pp: ProcessPovm) -> np.ndarray:
-    """The Hermitian parts of the effects as one (N, d^2, d^2) array."""
-    h = pp.effects + dagger(pp.effects)
-    h /= 2
-    return h
+def _design(effects: np.ndarray, d: int) -> np.ndarray:
+    """Tomography design of an (N, d^2, d^2) stack: row x holds
+    c_ij = Re Tr[M_x (lambda_i (x) mu_j)] at column i (d^2 - 1) + j.  The
+    rows of effects A (x) I are exactly zero."""
+    basis = _product_basis(d)
+    n, q = len(effects), d * d - 1
+    # blocks[x, a, b] is the d x d block (<a| (x) I) M_x (|b> (x) I)
+    blocks = effects.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n * d * d, d * d)
+    diag = blocks[:, :: d + 1]
+    y = np.empty((n * d * d, q), dtype=complex)
+    y[:, : d - 1] = (diag[:, 1:] - diag[:, :1]) @ basis.helmert
+    y[:, d - 1 :] = blocks @ basis.off
+    y = y.reshape(n, d * d, q)
+    return (basis.lam @ np.concatenate([y.real, y.imag], axis=1)).reshape(n, -1)
 
 
-def _zero_marginal(h: np.ndarray, d: int) -> np.ndarray:
-    """Projections M - Tr_2(M) (x) I/d of stacked d^2 x d^2 matrices onto
-    the zero-second-marginal subspace."""
-    m = h.reshape(-1, d, d, d, d)
-    marginal = np.einsum("xakbk->xab", m)
-    projected = m - marginal[:, :, None, :, None] * np.eye(d)[:, None, :] / d
-    return projected.reshape(-1, d * d, d * d)
-
-
-def _design(h: np.ndarray, d: int) -> np.ndarray:
-    """Tomography design of stacked Hermitian effects: one row per effect,
-    its zero-marginal projection in the coordinates of ``_real_vectors``."""
-    return _real_vectors(_zero_marginal(h, d))
+def _operator(coeff: np.ndarray, d: int) -> np.ndarray:
+    """sum_ij c_ij lambda_i (x) mu_j, the d^2 x d^2 operator of coordinates
+    ``coeff`` (ordered as the design's columns)."""
+    basis = _product_basis(d)
+    blocks = coeff.reshape(d * d, -1) @ basis.mus.reshape(-1, d * d)  # sum_j c_ij mu_j
+    x = basis.lambdas.reshape(d * d, d * d).T @ blocks  # [ab, kl]
+    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def _kept(values: np.ndarray) -> np.ndarray:
-    """Mask of the ascending eigenvalues of a Gram matrix that count as
-    nonzero."""
-    return values > _CUTOFF * values[-1]
+    """Mask of the eigenvalues of a Gram matrix that count as nonzero; the
+    empty spectrum of d = 1 keeps none."""
+    return values > _CUTOFF * values.max(initial=0.0)
 
 
 @dataclass(frozen=True)
 class _GramFactors:
     """The design D of a process POVM, the offsets Tr(M)/d of its effects,
-    and the eigenpairs of G = D^T D above the cutoff (ascending)."""
+    the eigenvalues of G = D^T D above the cutoff (ascending), and the
+    condition number of D on its span (inf when nothing is kept).  This
+    class holds the kept eigenvectors of a dense ``eigh`` of G."""
 
     design: np.ndarray
     offset: np.ndarray
     values: np.ndarray
+    condition: float
     vectors: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -90,16 +135,58 @@ class _GramFactors:
         return self.vectors @ ((self.vectors.T @ (self.design.T @ rhs)) / self.values)
 
 
+@dataclass(frozen=True)
+class _KroneckerFactors(_GramFactors):
+    """G = G_A (x) G_B / tr G: ``vectors`` and ``vectors_b`` hold the
+    eigenvectors of G_A and G_B, and ``grid`` the eigenvalue of G for each
+    pair of them, zero where it is not kept."""
+
+    vectors_b: np.ndarray
+    grid: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = (self.design.T @ rhs).reshape(self.grid.shape)
+        z = self.vectors.T @ y @ self.vectors_b
+        z = np.divide(z, self.grid, out=np.zeros_like(z), where=self.grid > 0.0)
+        return (self.vectors @ z @ self.vectors_b.T).reshape(-1)
+
+
+def _factorize(design: np.ndarray, offset: np.ndarray, d: int) -> _GramFactors:
+    """The eigensystem of G = D^T D, from G's two Kronecker factors when G
+    is their product to within the bound of the module docstring, and from
+    one dense ``eigh`` otherwise."""
+    p, q = d * d, d * d - 1
+    gram = design.T @ design
+    g4 = gram.reshape(p, q, p, q)
+    g_a, g_b, scale = np.einsum("ijkj->ik", g4), np.einsum("ijil->jl", g4), np.trace(gram)
+    product = (g_a[:, None, :, None] * g_b[None, :, None, :]).reshape(gram.shape)
+    bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
+    # the test of the docstring times tr G, which also admits G = 0
+    if np.linalg.norm(gram * scale - product) <= bound:
+        w_a, v_a = np.linalg.eigh(g_a)
+        w_b, v_b = np.linalg.eigh(g_b)
+        products = np.outer(w_a, w_b)
+        keep = _kept(products)
+        grid = np.divide(products, scale, out=np.zeros_like(products), where=keep)
+        condition = math.inf
+        if keep.any():
+            # sqrt(w_max / w_min) per factor, at the smallest kept product
+            i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
+            condition = math.sqrt(w_a[-1] / w_a[i]) * math.sqrt(w_b[-1] / w_b[j])
+        return _KroneckerFactors(design, offset, np.sort(grid[keep]), condition, v_a, v_b, grid)
+    values, vectors = np.linalg.eigh(gram)
+    keep = _kept(values)
+    values = values[keep]
+    condition = math.sqrt(values[-1] / values[0]) if values.size else math.inf
+    return _GramFactors(design, offset, values, condition, vectors[:, keep])
+
+
 def _gram_factors(pp: ProcessPovm) -> _GramFactors:
     """The factorization of ``pp``'s design, computed once per instance."""
     memo = vars(pp)
     if _MEMO not in memo:
-        h = _hermitian_stack(pp)
-        design = _design(h, pp.d)
-        values, vectors = np.linalg.eigh(design.T @ design)
-        keep = _kept(values)
-        offset = np.trace(h, axis1=1, axis2=2).real / pp.d
-        memo[_MEMO] = _GramFactors(design, offset, values[keep], vectors[:, keep])
+        offset = np.trace(pp.effects, axis1=1, axis2=2).real / pp.d
+        memo[_MEMO] = _factorize(_design(pp.effects, pp.d), offset, pp.d)
     return memo[_MEMO]
 
 
@@ -115,19 +202,12 @@ def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
     return rank == target, target - rank
 
 
-def ic_ranks(pp: ProcessPovm) -> tuple[int, int]:
-    """(full span rank over all Hermitian coordinates, projected rank over
-    the traceless-marginal subspace); the two differ by at most the d^2
-    marginal directions."""
-    full = _real_vectors(_hermitian_stack(pp))
-    return int(_kept(np.linalg.eigvalsh(full.T @ full)).sum()), _gram_factors(pp).values.size
-
-
 @dataclass(frozen=True)
 class TomographyResult:
     """Raw and projected reconstructions with their quality numbers;
     ``condition`` is the condition number of the design on its span,
-    sqrt(w_max / w_min) over the kept Gram eigenvalues (inf when none is
+    sqrt(w_max / w_min) over the kept Gram eigenvalues, taken per factor
+    and multiplied for a Kronecker factorization (inf when none is
     kept)."""
 
     omega_raw: np.ndarray
@@ -143,18 +223,20 @@ class TomographyResult:
 def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> TomographyResult:
     """Least-squares reconstruction of a Choi operator from probabilities.
 
-    The unknown is identity/d plus the least-squares X with zero second
-    marginal solving Tr[(M - Tr_2(M) (x) I/d) X] = p - Tr(M)/d for every
-    effect M, so trace and second marginal are exact by construction;
-    positivity is restored afterwards by ``psd_project``.  X is the
-    minimum-norm solution V w^-1 V^T D^T (p - t), t = Tr(M)/d, from the
-    kept eigenpairs (w, V) of the process POVM's memoized Gram
-    factorization, which ``ic_check`` shares and which also gives
-    ``ic_complete``, ``deficiency`` and ``condition``; a further call on
-    the same process POVM costs a few matrix-vector products.  Solving
-    through the Gram matrix makes the error in X about d^4 * eps *
-    condition^2, where an orthogonal factorization of D reaches about eps *
-    condition.  Non-finite probabilities raise.
+    The estimate is I/d + X, with X = sum_ij c_ij lambda_i (x) mu_j in the
+    product basis of the module docstring: X has zero second marginal by
+    construction, so trace and second marginal are exact, and positivity
+    is restored afterwards by ``psd_project``.  The coordinates c are the
+    minimum-norm least-squares solution of D c = p - t, t = Tr(M)/d, from
+    the kept eigenpairs of the process POVM's memoized Gram factorization:
+    V w^-1 V^T D^T (p - t) for a dense one, and for a Kronecker one the
+    same with V = V_A (x) V_B, applied as V_A^T Y V_B, a division by the
+    kept products w_A w_B / tr G, and V_A Z V_B^T.  ``ic_check`` shares the
+    factorization, which also gives ``ic_complete``, ``deficiency`` and
+    ``condition``; a further call on the same process POVM costs a few
+    matrix products.  Solving through the Gram matrix makes the error in X
+    about d^4 * eps * condition^2, where an orthogonal factorization of D
+    reaches about eps * condition.  Non-finite probabilities raise.
     """
     d = pp.d
     probs = np.asarray(probs, dtype=float).reshape(-1)
@@ -165,17 +247,13 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> Tom
     factors = _gram_factors(pp)
     rhs = probs - factors.offset
     coeff = factors.solve(rhs)
-    # eigenvectors of small eigenvalues carry round-off along the marginal
-    # directions, which the projection removes
-    x = _zero_marginal(_hermitian_of(coeff, d * d), d)[0]
-    omega_raw = np.eye(d * d, dtype=complex) / d + x
+    omega_raw = np.eye(d * d, dtype=complex) / d + _operator(coeff, d)
     residual = float(np.linalg.norm(factors.design @ coeff - rhs))
-    values = factors.values
-    target, rank = d**4 - d**2, values.size
-    condition = math.sqrt(values[-1] / values[0]) if rank else math.inf
+    target, rank = d**4 - d**2, factors.values.size
     omega_projected, converged = psd_project(omega_raw, d, iters=iters)
     return TomographyResult(
-        omega_raw, omega_projected, residual, rank == target, target - rank, converged, condition
+        omega_raw, omega_projected, residual, rank == target, target - rank, converged,
+        factors.condition,
     )
 
 

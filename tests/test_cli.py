@@ -691,3 +691,32 @@ def test_integer_options_out_of_range_are_usage_errors(tmp_path, capsys):
     assert not pathlib.Path(counts).exists()
     assert run(capsys, "simulate", ch, pp, "--shots", "1", "--seed", "0", "--out", counts)[0] == 0
     assert run(capsys, "discriminate", u, v, "--copies", "1")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "name, option, value",
+    [
+        ("phase", "--angle", "nan"),
+        ("phase", "--angle", "inf"),
+        ("phase", "--angle=-inf", None),
+        ("depolarizing", "--p", "2"),
+        ("depolarizing", "--p", "-0.1"),
+        ("depolarizing", "--p", "nan"),
+    ],
+)
+def test_gen_float_options_out_of_range_are_usage_errors(tmp_path, capsys, name, option, value):
+    # a negative value goes as --option=value, which argparse cannot take for a flag
+    out_path = tmp_path / "out.json"
+    argv = [option] if value is None else [option, value]
+    code, out, err = run(capsys, "gen", name, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option.split('=')[0]} must be")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name, option", [("phase", "--angle=-7.5"), ("depolarizing", "--p=0"), ("depolarizing", "--p=1")])
+def test_gen_float_options_in_range_are_readable(tmp_path, capsys, name, option):
+    path = gen(tmp_path, name, option)
+    capsys.readouterr()
+    argv = ["discriminate", path, path] if name == "phase" else ["validate", "channel", path]
+    assert run(capsys, *argv)[0] == 0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppovm.channels import PAULI_X, PAULI_Z, choi_of_channel, ket, max_entangled_ket, projector
 from ppovm.linalg import (
     dagger,
     herm_eig,
+    hermiticity_residuals,
     hs_inner,
     kron,
     mat_sqrt_psd,
@@ -74,6 +77,59 @@ def test_kron_is_bitwise_numpy_kron(dtypes, shapes):
     assert same_bits(kron(a, b), np.kron(a, b))
     assert same_bits(kron(a.T, b), np.kron(a.T, b))  # non-contiguous operand
     assert same_bits(kron(b, np.eye(3)), np.kron(b, np.eye(3)))
+
+
+def _reference_hermiticity_residuals(m, tol):
+    """The full-matrix form: both triangles of m - m^dag, and max|m| of
+    every matrix."""
+    res = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
+    return res, res <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+
+
+def _hermiticity_case(seed, count, n, kind, scale, noise):
+    """A stack of ``count`` n x n matrices (one matrix when count is None):
+    Hermitian, non-Hermitian, Hermitian with a complex diagonal, or
+    Hermitian with a NaN entry; scaled, then perturbed by ``noise``."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if count is None else (count, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = g if kind == "non-hermitian" else g + dagger(g)
+    if kind == "complex-diagonal":
+        m = m + np.eye(n) * 1j * rng.standard_normal(shape[:-1])[..., None]
+    m = scale * m + noise * rng.standard_normal(shape)
+    if kind == "nan" and m.size:
+        m.reshape(-1)[rng.integers(m.size)] = np.nan
+    return m
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.one_of(st.none(), st.integers(0, 5)),
+    n=st.integers(0, 6),
+    kind=st.sampled_from(["hermitian", "non-hermitian", "complex-diagonal", "nan"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e4, 1e8]),
+    noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+@example(seed=0, count=3, n=4, kind="hermitian", scale=1e8, noise=1e-6, tol=1e-9)
+@example(seed=1, count=None, n=5, kind="nan", scale=1.0, noise=0.0, tol=1e-9)
+def test_hermiticity_residuals_are_bitwise_the_full_form(seed, count, n, kind, scale, noise, tol):
+    m = _hermiticity_case(seed, count, n, kind, scale, noise)
+    res, passed = hermiticity_residuals(m, tol)
+    expected_res, expected_passed = _reference_hermiticity_residuals(m, tol)
+    assert same_bits(res, expected_res)
+    assert same_bits(passed, expected_passed)
+
+
+def test_hermiticity_cases_cover_every_flag():
+    # residuals above tol that pass by the scale alone, and ones that fail
+    res, passed = hermiticity_residuals(_hermiticity_case(0, 3, 4, "hermitian", 1e8, 1e-6), 1e-9)
+    assert (res > 1e-9).all() and passed.all()
+    for kind in ("non-hermitian", "complex-diagonal"):
+        assert not hermiticity_residuals(_hermiticity_case(0, 3, 4, kind, 1.0, 0.0), 1e-9)[1].any()
+    res, passed = hermiticity_residuals(_hermiticity_case(0, 3, 4, "nan", 1.0, 0.0), 1e-9)
+    assert np.isnan(res).sum() == 1 and passed.sum() == 2
 
 
 def test_kron_rejects_non_matrices():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ppovm import tomography
 from ppovm.channels import (
+    Povm,
     choi_of_channel,
     contraction_channel,
     depolarizing_channel,
@@ -18,12 +20,19 @@ from ppovm.channels import (
 from ppovm.linalg import hs_inner, max_abs, partial_trace
 from ppovm.measurement import (
     ProcessPovm,
+    TestCouple,
     build_ppovm,
     outcome_probabilities,
     realize,
     validate_ppovm,
 )
-from ppovm.rand import random_channel, random_density, random_ppovm, random_test_couple
+from ppovm.rand import (
+    random_channel,
+    random_density,
+    random_ppovm,
+    random_test_couple,
+    random_unitary,
+)
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
     pauli_probe_ppovm,
@@ -31,7 +40,6 @@ from ppovm.schemes import (
 )
 from ppovm.tomography import (
     ic_check,
-    ic_ranks,
     linear_inversion,
     psd_project,
     realization_probabilities,
@@ -87,7 +95,7 @@ def _reference_rank(matrix: np.ndarray) -> int:
 
 
 def _reference_inversion(pp, probs):
-    """(omega_raw, residual, (ic_complete, deficiency), ic_ranks)."""
+    """(omega_raw, residual, (ic_complete, deficiency))."""
     d = pp.d
     basis = traceless_marginal_basis(d)
     design = _reference_coordinates(pp.matrices, basis)
@@ -97,9 +105,8 @@ def _reference_inversion(pp, probs):
     omega_raw = center + sum(c * b for c, b in zip(coeff, basis))
     residual = float(np.linalg.norm(design @ coeff - rhs))
     rank = _reference_rank(design)
-    full = _reference_rank(_reference_coordinates(pp.matrices, hermitian_basis(d * d)))
     target = d**4 - d**2
-    return omega_raw, residual, (rank == target, target - rank), (full, rank)
+    return omega_raw, residual, (rank == target, target - rank)
 
 
 def test_hermitian_basis_orthonormal():
@@ -120,9 +127,9 @@ def test_traceless_marginal_basis():
         assert max_abs(partial_trace(b, 2, 2, "second")) < 1e-14
 
 
-def _single_effect_ppovm():
-    rho = random_density(2, np.random.default_rng(0))
-    return validate_ppovm([kron(rho.T, np.eye(2))], 2)
+def _single_effect_ppovm(d=2, seed=0):
+    rho = random_density(d, np.random.default_rng(seed))
+    return validate_ppovm([kron(rho.T, np.eye(d))], d)
 
 
 def _random_qutrit_ppovm(n_couples, n_outcomes, seed):
@@ -154,13 +161,12 @@ def test_inversion_matches_reference_basis(name):
     # noisy probabilities, so that the residual is not zero
     probs = outcome_probabilities(pp, random_channel(pp.d, rng))
     probs = probs + 1e-3 * rng.standard_normal(len(pp))
-    omega_raw, residual, verdict, ranks = _reference_inversion(pp, probs)
+    omega_raw, residual, verdict = _reference_inversion(pp, probs)
     result = linear_inversion(pp, probs)
     assert max_abs(result.omega_raw - omega_raw) < 1e-12
     assert result.residual == pytest.approx(residual, rel=1e-12)
     assert verdict == (deficiency == 0, deficiency)
     assert (result.ic_complete, result.deficiency) == verdict == ic_check(pp)
-    assert ic_ranks(pp) == ranks
 
 
 @st.composite
@@ -193,12 +199,10 @@ def _random_scheme(seed, d, couples):
     return pp, rng
 
 
-@settings(max_examples=40)
-@given(random_schemes())
-@example((5, 3, [(3, 81, 9)]))  # complete with the fewest outcomes
-@example((6, 4, [(1, 3, 1)]))  # deficient, pure test state
-def test_gram_factorization_matches_svd_and_lstsq(scheme):
-    pp, rng = _random_scheme(*scheme)
+def _assert_matches_lstsq(pp, rng):
+    """ic_check and linear_inversion against an SVD rank and lstsq in the
+    explicit basis of ``traceless_marginal_basis``; returns the max
+    deviation of omega_raw from lstsq's."""
     d = pp.d
     basis = np.array(traceless_marginal_basis(d))
     design = np.einsum("bij,xji->xb", basis, pp.matrices).real
@@ -215,31 +219,125 @@ def test_gram_factorization_matches_svd_and_lstsq(scheme):
     # a solve through the Gram matrix is accurate to n * eps * condition^2
     # for n = d^4 unknowns, where lstsq reaches about eps * condition
     tol = 1e-12 + d**4 * np.finfo(float).eps * result.condition**2
-    assert max_abs(result.omega_raw - center - np.einsum("b,bij->ij", coeff, basis)) < tol
+    deviation = max_abs(result.omega_raw - center - np.einsum("b,bij->ij", coeff, basis))
+    assert deviation < tol
     assert result.condition == pytest.approx(s[0] / s[rank - 1], rel=tol)
+    return deviation
+
+
+@settings(max_examples=40)
+@given(random_schemes())
+@example((5, 3, [(3, 81, 9)]))  # complete with the fewest outcomes
+@example((6, 4, [(1, 3, 1)]))  # deficient, pure test state
+def test_gram_factorization_matches_svd_and_lstsq(scheme):
+    _assert_matches_lstsq(*_random_scheme(*scheme))
+
+
+def _mub_unitaries(d):
+    """Unitaries whose columns are mutually unbiased bases: the d + 1 of
+    Wootters and Fields at prime d, the 9 products of qubit ones at d = 4."""
+    if d == 4:
+        return [np.kron(a, b) for a in _mub_unitaries(2) for b in _mub_unitaries(2)]
+    j = np.arange(d)
+    chirp = 1j ** (j * j) if d == 2 else np.exp(2j * np.pi * j * j / d)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    return [np.eye(d, dtype=complex)] + [(chirp**a)[:, None] * fourier for a in range(d)]
+
+
+def _basis_vectors(d, bases, rng):
+    """The vectors of ``bases`` randomly chosen unbiased bases, in a
+    Haar-random frame: a random, well-conditioned set of bases * d pure
+    states."""
+    unitaries = _mub_unitaries(d)
+    frame = random_unitary(d, rng)
+    chosen = rng.choice(len(unitaries), size=bases, replace=False)
+    return [(frame @ unitaries[c])[:, k] for c in chosen for k in range(d)]
+
+
+def _basis_povm(d, bases, rng):
+    """Measurement in one of the bases of ``_basis_vectors``, chosen
+    uniformly: informationally complete when every basis is there."""
+    vectors = _basis_vectors(d, bases, rng)
+    effects = tuple(projector(v) * (d / len(vectors)) for v in vectors)
+    return Povm(effects, tuple(str(k) for k in range(len(effects))))
+
+
+def _probe_grid(d, rng, sizes):
+    """Maximally entangled probe measured with P (x) Q, for random basis
+    POVMs P and Q: effects A_a (x) B_b over every pair (a, b)."""
+    p, q = (_basis_povm(d, bases, rng).effects for bases in sizes)
+    effects = tuple(kron(a, b) for a in p for b in q)
+    povm = Povm(effects, tuple(str(k) for k in range(len(effects))))
+    probe = projector(max_entangled_ket(d, normalized=True))
+    return build_ppovm([TestCouple(1.0, probe, povm, d)], d)
+
+
+def _prepare_measure_grid(d, rng, sizes):
+    """One couple per test state of ``_basis_vectors(d, sizes[0])``, all
+    measured with one basis POVM: effects rho^T (x) F / N over every pair."""
+    povm = _basis_povm(d, sizes[1], rng)
+    states = _basis_vectors(d, sizes[0], rng)
+    return build_ppovm([TestCouple(1.0 / len(states), projector(v), povm, 1) for v in states], d)
+
+
+def _non_grid(d, rng, sizes):
+    """random_ppovm with two or three couples: no product grid."""
+    return random_ppovm(d, rng, n_couples=2 + sizes[0] % 2)
+
+
+# kind -> (scheme constructor, the factorization's class)
+ROUTES = {
+    "probe": (_probe_grid, "_KroneckerFactors"),
+    "prepare-measure": (_prepare_measure_grid, "_KroneckerFactors"),
+    "random": (_non_grid, "_GramFactors"),
+}
+
+
+@st.composite
+def factor_schemes(draw):
+    """(kind, d, seed, sizes) at d = 2..5, each size a number of bases from
+    one up to all of ``_mub_unitaries(d)`` (a complete factor)."""
+    kind, d = draw(st.sampled_from(sorted(ROUTES))), draw(st.integers(2, 5))
+    bases = st.integers(1, len(_mub_unitaries(d)))
+    return kind, d, draw(st.integers(0, 2**32 - 1)), (draw(bases), draw(bases))
+
+
+@settings(max_examples=17)  # 20 with the explicit examples
+@given(factor_schemes())
+@example(("probe", 5, 0, (6, 6)))  # complete, as the benchmark's MUB scheme
+@example(("prepare-measure", 3, 1, (4, 2)))  # complete states, deficient POVM
+@example(("random", 4, 2, (1, 1)))
+def test_factor_routes_match_svd_and_lstsq(scheme):
+    kind, d, seed, sizes = scheme
+    build, route = ROUTES[kind]
+    rng = np.random.default_rng(seed)
+    pp = build(d, rng, sizes)
+    deviation = _assert_matches_lstsq(pp, rng)
+    assert type(vars(pp)[tomography._MEMO]).__name__ == route
+    if kind != "random":
+        # the grids' factors are well conditioned
+        assert deviation < 1e-12
 
 
 def test_gram_factorization_runs_once_per_process_povm(monkeypatch):
     pp = pauli_probe_ppovm()
-    n = pp.d**4
-    eigh = np.linalg.eigh
-    sizes = []
+    factorize = tomography._factorize
+    builds = []
 
-    def counting_eigh(a, *args, **kwargs):
-        sizes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def counting_factorize(*args):
+        builds.append(args)
+        return factorize(*args)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(tomography, "_factorize", counting_factorize)
     probs = outcome_probabilities(pp, depolarizing_channel(0.3, 2))
     assert ic_check(pp) == (True, 0)
     first = linear_inversion(pp, probs)
     second = linear_inversion(pp, probs)
-    assert sizes.count((n, n)) == 1
-    assert (4, 4) in sizes  # psd_project's eigh is not the design's
+    assert len(builds) == 1
     assert max_abs(first.omega_raw - second.omega_raw) == 0.0
     # a new instance with the same effects starts without the factorization
     assert ic_check(dataclasses.replace(pp)) == (True, 0)
-    assert sizes.count((n, n)) == 2
+    assert len(builds) == 2
 
 
 def test_condition_number_of_known_designs():
@@ -259,22 +357,24 @@ def test_ic_check_six_state_same_verdict():
 
 
 def test_ic_check_single_effect_deficient():
-    rng = np.random.default_rng(0)
-    rho = random_density(2, rng)
-    pp = validate_ppovm([kron(rho.T, np.eye(2))], 2)
-    assert ic_check(pp) == (False, 12)
+    # A (x) I has no component with zero second marginal: its design row
+    # is exactly zero, at every d
+    for d in range(2, 6):
+        assert ic_check(_single_effect_ppovm(d)) == (False, d**4 - d**2)
+
+
+def test_one_dimensional_process_povm_is_complete():
+    # at d = 1 there is one channel and nothing to determine
+    pp = validate_ppovm([np.full((1, 1), 0.5), np.full((1, 1), 0.5)], 1)
+    assert ic_check(pp) == (True, 0)
+    result = linear_inversion(pp, np.array([0.5, 0.5]))
+    assert result.omega_raw.tolist() == [[1.0]] and result.condition == np.inf
 
 
 def test_ic_check_two_outcome_deficient():
     complete, deficiency = ic_check(identity_vs_contraction_ppovm())
     assert not complete
     assert 0 < deficiency < 12
-
-
-def test_ic_ranks_reports_both():
-    full, proj = ic_ranks(PAULI_PP)
-    assert proj == 12
-    assert full > proj
 
 
 def test_ic_check_invariant_under_permutation_and_relabeling():
@@ -318,15 +418,14 @@ def test_exact_inversion_depolarizing():
 
 
 def test_deficient_inversion_minimum_norm():
-    rng = np.random.default_rng(1)
-    rho = random_density(2, rng)
-    pp = validate_ppovm([kron(rho.T, np.eye(2))], 2)
-    result = linear_inversion(pp, np.array([1.0]))
-    assert not result.ic_complete
-    assert result.deficiency == 12
-    assert result.residual < 1e-10
-    truth = projector(max_entangled_ket(2))
-    assert reconstruction_error(result, truth) > 0.5
+    for d in range(2, 6):
+        result = linear_inversion(_single_effect_ppovm(d, seed=1), np.array([1.0]))
+        assert not result.ic_complete
+        assert result.deficiency == d**4 - d**2
+        assert result.condition == np.inf
+        assert result.residual < 1e-10
+        truth = projector(max_entangled_ket(d))
+        assert reconstruction_error(result, truth) > 0.5
 
 
 def test_inversion_rejects_non_finite_probabilities():
