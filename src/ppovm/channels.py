@@ -26,7 +26,6 @@ from .linalg import (
     max_abs,
     partial_trace,
     square_matrix,
-    vec_reshape,
 )
 
 # Eigenvalues below this fraction of the largest are dropped when
@@ -249,7 +248,7 @@ def povm_checks(effects, tol: float = DEFAULT_TOL) -> list[Check]:
 
 def trace_preservation_checks(ch: KrausChannel, tol: float = DEFAULT_TOL) -> list[Check]:
     """Trace preservation: sum A^dag A = I."""
-    total = sum(dagger(a) @ a for a in ch.kraus)
+    total = (dagger(ch.kraus) @ ch.kraus).sum(axis=0)
     res = max_abs(total - np.eye(ch.dim_in))
     return [("trace_preservation_residual", res, res <= tol)]
 
@@ -348,24 +347,26 @@ class Povm:
 class KrausChannel:
     """A completely positive map X -> sum_k A_k X A_k^dag.
 
-    Not necessarily trace preserving; ``is_trace_preserving`` reports
-    whether sum A^dag A = I holds to DEFAULT_TOL.
+    ``kraus`` is one read-only complex (K, dim_out, dim_in) array, copied
+    once here.  Not necessarily trace preserving; ``is_trace_preserving``
+    reports whether sum A^dag A = I holds to DEFAULT_TOL.
     """
 
     dim_in: int
     dim_out: int
-    kraus: tuple[np.ndarray, ...] = field(default=())
+    kraus: np.ndarray = field(default=())
 
     def __post_init__(self):
-        ops = tuple(frozen(a) for a in self.kraus)
+        shape = (self.dim_out, self.dim_in)
+        try:
+            ops = frozen(self.kraus)
+        except ValueError:  # operators of different shapes
+            raise ValueError(f"Kraus operators are not all {shape}") from None
         object.__setattr__(self, "kraus", ops)
-        if not ops:
+        if ops.shape[:1] == (0,):
             raise ValueError("channel needs at least one Kraus operator")
-        for a in ops:
-            if a.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {a.shape} != ({self.dim_out}, {self.dim_in})"
-                )
+        if ops.shape[1:] != shape:
+            raise ValueError(f"Kraus operator shape {ops.shape[1:]} != {shape}")
 
     @property
     def is_trace_preserving(self) -> bool:
@@ -377,10 +378,7 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (ch.dim_in, ch.dim_in):
         raise ValueError(f"operator shape {x.shape} != ({ch.dim_in}, {ch.dim_in})")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for a in ch.kraus:
-        out += a @ x @ dagger(a)
-    return out
+    return _conjugate_sum(ch.kraus, x)
 
 
 def dual_channel(ch: KrausChannel) -> KrausChannel:
@@ -388,7 +386,7 @@ def dual_channel(ch: KrausChannel) -> KrausChannel:
 
     Satisfies Tr(B^dag ch[A]) = Tr(dual(ch)[B]^dag A) for all A, B.
     """
-    return KrausChannel(ch.dim_out, ch.dim_in, tuple(dagger(a) for a in ch.kraus))
+    return KrausChannel(ch.dim_out, ch.dim_in, dagger(ch.kraus))
 
 
 def apply_first(ch: KrausChannel, x: np.ndarray, right_dim: int) -> np.ndarray:
@@ -406,7 +404,7 @@ def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
     return _conjugate_sum([kron(np.eye(left_dim), a) for a in ch.kraus], x)
 
 
-def _conjugate_sum(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+def _conjugate_sum(ops, x: np.ndarray) -> np.ndarray:
     """sum_k K_k x K_k^dag over the last two axes of x."""
     x = np.asarray(x, dtype=complex)
     rows = ops[0].shape[0]
@@ -444,8 +442,8 @@ def choi_of_channel(ch: KrausChannel) -> np.ndarray:
         raise ValueError("Choi operator requires a square channel")
     d = ch.dim_in
     omega = np.zeros((d * d, d * d), dtype=complex)
-    for a in ch.kraus:
-        v = a.T.reshape(-1)  # v[i*d + m] = a[m, i]
+    # row k is vec(A_k^T): v[i*d + m] = A_k[m, i]
+    for v in ch.kraus.swapaxes(1, 2).reshape(-1, d * d):
         omega += np.outer(v, v.conj())
     return omega
 
@@ -460,7 +458,7 @@ def channel_of_choi(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> Krau
     if omega.shape != (d * d, d * d):
         raise ValueError(f"Choi operator must be {d * d}x{d * d}, got {omega.shape}")
     cols = _scaled_eigenvectors(omega, "Choi operator", tol)
-    return KrausChannel(d, d, tuple(c.reshape(d, d).T for c in cols.T))
+    return KrausChannel(d, d, cols.T.reshape(-1, d, d).swapaxes(1, 2))
 
 
 def state_to_map(state: np.ndarray, anc_dim: int, d: int, tol: float = DEFAULT_TOL) -> KrausChannel:
@@ -475,7 +473,7 @@ def state_to_map(state: np.ndarray, anc_dim: int, d: int, tol: float = DEFAULT_T
     if state.shape != (n, n):
         raise ValueError(f"state must be {n}x{n}, got {state.shape}")
     cols = _scaled_eigenvectors(state, "state", tol)
-    return KrausChannel(d, anc_dim, tuple(vec_reshape(c, anc_dim, d) for c in cols.T))
+    return KrausChannel(d, anc_dim, cols.T.reshape(-1, anc_dim, d))
 
 
 # ---------------------------------------------------------------------------

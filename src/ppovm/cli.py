@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     try:
         _check_usage(args)
         return args.func(args)
-    except ParseFailure as exc:
+    except (ParseFailure, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:

@@ -46,35 +46,33 @@ def unitary_eig(w: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
     d = w.shape[0]
     h = (w + dagger(w)) / 2
     k = (w - dagger(w)) / 2j
-    h_values, h_vectors = np.linalg.eigh(h)
-    columns = []
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and h_values[stop] - h_values[stop - 1] < 1e-7:
-            stop += 1
-        block = h_vectors[:, start:stop]
-        if stop - start == 1:
-            columns.append(block[:, 0])
-        else:
+    h_values, vectors = np.linalg.eigh(h)
+    # clusters of h's eigenvalues, split where they differ by 1e-7 or more
+    bounds = [0, *(np.flatnonzero(np.diff(h_values) >= 1e-7) + 1), d]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            block = vectors[:, start:stop]
             sub = dagger(block) @ k @ block
             _, sub_vectors = np.linalg.eigh((sub + dagger(sub)) / 2)
-            for col in (block @ sub_vectors).T:
-                columns.append(col)
-        start = stop
-    phases = np.empty(d)
-    vectors = np.column_stack(columns)
-    for idx in range(d):
-        u = vectors[:, idx]
-        lam = np.vdot(u, w @ u)
-        if np.linalg.norm(w @ u - lam * u) > 1e-8:
-            raise ValueError("eigenvector residual exceeds tolerance")
-        theta = float(np.angle(lam)) % TWO_PI
-        if TWO_PI - theta < 1e-12:
-            theta = 0.0
-        phases[idx] = theta
+            vectors[:, start:stop] = block @ sub_vectors
+    images = w @ vectors
+    lams = np.einsum("ij,ij->j", vectors.conj(), images)  # <u|W|u> per column
+    if (np.linalg.norm(images - lams * vectors, axis=0) > 1e-8).any():
+        raise ValueError("eigenvector residual exceeds tolerance")
+    phases = np.angle(lams) % TWO_PI
+    phases[TWO_PI - phases < 1e-12] = 0.0
     order = np.argsort(phases, kind="stable")
     return phases[order], vectors[:, order]
+
+
+def _relative_eig(u: np.ndarray, v: np.ndarray, tol: float):
+    """U and V, each checked unitary once and of one shape, and the
+    ``unitary_eig`` phases and vectors of U^dag V."""
+    u = check_unitary(u, tol)
+    v = check_unitary(v, tol)
+    if u.shape != v.shape:
+        raise ValueError("unitaries must share a dimension")
+    return u, v, *unitary_eig(dagger(u) @ v, tol)
 
 
 def overlap(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -176,12 +174,8 @@ def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> Discri
     nothing larger than d x d is built.  Raises when the hull criterion
     fails.
     """
-    u = check_unitary(u, tol)
-    v = check_unitary(v, tol)
-    if u.shape != v.shape:
-        raise ValueError("unitaries must share a dimension")
+    u, v, phases, vectors = _relative_eig(u, v, tol)
     d = u.shape[0]
-    phases, vectors = unitary_eig(dagger(u) @ v, tol)
     if not zero_in_hull(phases, tol):
         raise NotPerfectlyDiscriminableError(
             "zero is outside the convex hull of the relative eigenphases"
@@ -191,7 +185,9 @@ def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> Discri
     probe = probe / np.linalg.norm(probe)
     first = u @ projector(probe) @ dagger(u)
     first = (first + dagger(first)) / 2
-    plan = DiscriminationPlan(probe, Povm((first, np.eye(d) - first), ("ch1", "ch2")), (0.0, 0.0))
+    plan = DiscriminationPlan(
+        probe, Povm((first, np.eye(d) - first), ("ch1", "ch2"), tol), (0.0, 0.0)
+    )
     rates = verify_plan(KrausChannel(d, d, (u,)), KrausChannel(d, d, (v,)), plan)
     if max(rates) > tol:
         raise NotPerfectlyDiscriminableError(
@@ -242,8 +238,7 @@ def support_orthogonal(
 def _relative_arc(u: np.ndarray, v: np.ndarray, tol: float) -> float:
     """Theta: the length of the smallest arc holding the eigenphases of
     U^dag V, i.e. 2pi minus their largest circular gap."""
-    phases, _ = unitary_eig(dagger(check_unitary(u, tol)) @ check_unitary(v, tol), tol)
-    return TWO_PI - _largest_gap(phases)
+    return TWO_PI - _largest_gap(_relative_eig(u, v, tol)[2])
 
 
 def always_indistinguishable(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -59,8 +59,8 @@ def random_channel(d: int, rng: np.random.Generator, n_kraus: int | None = None)
     """Random CPTP channel from a Haar-random Stinespring isometry."""
     k = d if n_kraus is None else n_kraus
     iso = random_unitary(d * k, rng)[:, :d]  # isometry H_d -> H_d (x) H_env
-    blocks = [iso[e::k, :] for e in range(k)]  # A_e = (I (x) <e|) V
-    return KrausChannel(d, d, tuple(blocks))
+    # A_e = (I (x) <e|) V, whose row m is row m*k + e of V
+    return KrausChannel(d, d, iso.reshape(d, k, d).swapaxes(0, 1))
 
 
 def random_test_couple(

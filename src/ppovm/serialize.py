@@ -125,7 +125,7 @@ def encode_vector(v: np.ndarray) -> dict:
 
 def encode_channel(ch: KrausChannel, kind: str = "kraus") -> dict:
     if kind == "kraus":
-        ops = _payloads(np.asarray(ch.kraus))
+        ops = _payloads(ch.kraus)
         return {"kind": "kraus", "dim_in": ch.dim_in, "dim_out": ch.dim_out, "ops": ops}
     if kind == "choi":
         if ch.dim_in != ch.dim_out:
@@ -142,7 +142,7 @@ def decode_channel(obj: dict, tol: float = DEFAULT_TOL) -> KrausChannel:
     if kind == "kraus":
         dim_in, dim_out = _int(obj["dim_in"], "dim_in", 1), _int(obj["dim_out"], "dim_out", 1)
         ops = _stack(obj["ops"], (dim_out, dim_in), "Kraus operator")
-        return KrausChannel(dim_in, dim_out, tuple(ops))
+        return KrausChannel(dim_in, dim_out, ops)
     if kind == "choi":
         d = _int(obj["d"], "d", 1)
         return channel_of_choi(_stack([obj["matrix"]], (d * d, d * d), "Choi matrix")[0], d, tol)

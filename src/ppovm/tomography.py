@@ -220,7 +220,7 @@ class TomographyResult:
     hs_error: float | None = None
 
 
-def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> TomographyResult:
+def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     """Least-squares reconstruction of a Choi operator from probabilities.
 
     The estimate is I/d + X, with X = sum_ij c_ij lambda_i (x) mu_j in the
@@ -250,7 +250,7 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray, iters: int = 50) -> Tom
     omega_raw = np.eye(d * d, dtype=complex) / d + _operator(coeff, d)
     residual = float(np.linalg.norm(factors.design @ coeff - rhs))
     target, rank = d**4 - d**2, factors.values.size
-    omega_projected, converged = psd_project(omega_raw, d, iters=iters)
+    omega_projected, converged = psd_project(omega_raw, d)
     return TomographyResult(
         omega_raw, omega_projected, residual, rank == target, target - rank, converged,
         factors.condition,

@@ -23,9 +23,10 @@ from ppovm.channels import (
     projector,
     stacked_effect_checks,
     state_to_map,
+    trace_preservation_checks,
     unitary_channel,
 )
-from ppovm.linalg import dagger, hs_distance, kron
+from ppovm.linalg import dagger, hs_distance, kron, max_abs, vec_reshape
 from ppovm.rand import random_channel, random_density, random_unitary
 
 
@@ -278,3 +279,83 @@ def test_stacked_effect_checks_are_per_effect():
     assert [name for name, _, passed in got if not passed] == [
         "effect_0_max_eigenvalue", "effect_1_hermiticity_residual", "effect_2_max_eigenvalue"
     ]
+
+
+# -- reference loops: the per-operator forms that the (K, dim_out, dim_in)
+# Kraus stack replaced, which the stacked forms must match bit for bit -----
+
+
+def _reference_tp_residual(ch):
+    return max_abs(sum(dagger(a) @ a for a in ch.kraus) - np.eye(ch.dim_in))
+
+
+def _reference_apply(ch, x):
+    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
+    for a in ch.kraus:
+        out += a @ x @ dagger(a)
+    return out
+
+
+def _reference_choi(ch):
+    d = ch.dim_in
+    omega = np.zeros((d * d, d * d), dtype=complex)
+    for a in ch.kraus:
+        v = a.T.reshape(-1)
+        omega += np.outer(v, v.conj())
+    return omega
+
+
+def _scaled_columns(m):
+    """The columns sqrt(s) v that channel_of_choi and state_to_map fold."""
+    values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
+    keep = values > 1e-12 * values[-1]
+    return np.sqrt(values[keep]) * vectors[:, keep]
+
+
+def _reference_random_channel(d, rng, k):
+    iso = random_unitary(d * k, rng)[:, :d]
+    return [iso[e::k, :] for e in range(k)]
+
+
+def _same_bytes(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kraus_stack_matches_reference_loops(d):
+    rng = np.random.default_rng(40 + d)
+    channels = [random_channel(d, np.random.default_rng(k), n_kraus=k) for k in range(1, d * d + 1)]
+    channels += [depolarizing_channel(0.3, d), contraction_channel(ket(1, d))]
+    for k in range(1, d * d + 1):
+        ops = _reference_random_channel(d, np.random.default_rng(k), k)
+        assert _same_bytes(channels[k - 1].kraus, ops)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for ch in channels:
+        assert trace_preservation_checks(ch)[0][1] == _reference_tp_residual(ch)
+        assert _same_bytes(apply_channel(ch, x), _reference_apply(ch, x))
+        assert _same_bytes(dual_channel(ch).kraus, [dagger(a) for a in ch.kraus])
+        omega = choi_of_channel(ch)
+        assert _same_bytes(omega, _reference_choi(ch))
+        cols = _scaled_columns(omega)
+        expected = [c.reshape(d, d).T for c in cols.T]
+        assert _same_bytes(channel_of_choi(omega, d).kraus, expected)
+        for anc_dim, state in ((d, omega / d), (d + 1, random_density((d + 1) * d, rng))):
+            cols = _scaled_columns(state)
+            expected = [vec_reshape(c, anc_dim, d) for c in cols.T]
+            assert _same_bytes(state_to_map(state, anc_dim, d).kraus, expected)
+
+
+def test_kraus_stack_is_read_only_and_checked():
+    ops = [np.eye(2), np.diag([1.0, -1.0])]
+    ch = KrausChannel(2, 2, ops)
+    assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == complex
+    assert not ch.kraus.flags.writeable
+    ops[0][0, 0] = 5.0  # the channel holds its own copy
+    assert ch.kraus[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        KrausChannel(2, 2, ())
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 2\) != \(2, 2\)"):
+        KrausChannel(2, 2, [np.eye(3, 2)])
+    with pytest.raises(ValueError, match=r"Kraus operators are not all \(2, 2\)"):
+        KrausChannel(2, 2, [np.eye(2), np.eye(3)])

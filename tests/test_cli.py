@@ -310,9 +310,10 @@ def test_tol_reaches_discriminate_plan(tmp_path, capsys):
     code, _, err = run(capsys, "discriminate", id_path, z_path)
     assert code == 1
     assert "unitary" in err
-    code, out, _ = run(capsys, "discriminate", id_path, z_path, "--tol", "1e-6", "--format", "json")
-    assert code == 0
-    assert max(abs(r) for r in json.loads(out)["plan"]["error_rates"]) < 1e-6
+    for pair in ((id_path, z_path), (z_path, id_path)):
+        code, out, _ = run(capsys, "discriminate", *pair, "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        assert max(abs(r) for r in json.loads(out)["plan"]["error_rates"]) < 1e-6
 
 
 def _slightly_negative_choi(tmp_path):
@@ -720,3 +721,26 @@ def test_gen_float_options_in_range_are_readable(tmp_path, capsys, name, option)
     capsys.readouterr()
     argv = ["discriminate", path, path] if name == "phase" else ["validate", "channel", path]
     assert run(capsys, *argv)[0] == 0
+
+
+# each command that writes --out, with its other arguments
+OUT_WRITERS = {
+    "gen": lambda t: ["gen", "identity"],
+    "convert": lambda t: ["convert", "kraus2choi", gen(t, "identity")],
+    "simulate": lambda t: [
+        "simulate", gen(t, "identity"), gen(t, "pauli-probe"), "--shots", "10"
+    ],
+    "tomo": lambda t: ["tomo", gen(t, "pauli-probe"), "--exact", gen(t, "identity")],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(OUT_WRITERS))
+def test_unwritable_out_is_io_failure(tmp_path, capsys, command, where):
+    out = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    argv = OUT_WRITERS[command](tmp_path)
+    capsys.readouterr()
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err

@@ -147,6 +147,63 @@ def test_unitary_eig_degenerate_phases():
     assert max_abs(dagger(vectors) @ vectors - np.eye(4)) < 1e-10
 
 
+def _reference_unitary_eig(w):
+    """The per-column loop that unitary_eig replaced."""
+    d = w.shape[0]
+    h = (w + dagger(w)) / 2
+    k = (w - dagger(w)) / 2j
+    h_values, h_vectors = np.linalg.eigh(h)
+    columns = []
+    start = 0
+    while start < d:
+        stop = start + 1
+        while stop < d and h_values[stop] - h_values[stop - 1] < 1e-7:
+            stop += 1
+        block = h_vectors[:, start:stop]
+        if stop - start == 1:
+            columns.append(block[:, 0])
+        else:
+            sub = dagger(block) @ k @ block
+            _, sub_vectors = np.linalg.eigh((sub + dagger(sub)) / 2)
+            for col in (block @ sub_vectors).T:
+                columns.append(col)
+        start = stop
+    phases = np.empty(d)
+    vectors = np.column_stack(columns)
+    for idx in range(d):
+        u = vectors[:, idx]
+        lam = np.vdot(u, w @ u)
+        assert np.linalg.norm(w @ u - lam * u) <= 1e-8
+        theta = float(np.angle(lam)) % TWO_PI
+        if TWO_PI - theta < 1e-12:
+            theta = 0.0
+        phases[idx] = theta
+    order = np.argsort(phases, kind="stable")
+    return phases[order], vectors[:, order]
+
+
+def test_unitary_eig_matches_reference_loop():
+    rng = np.random.default_rng(31)
+    q = random_unitary(4, np.random.default_rng(1))
+    t = 0.7
+    cases = [random_unitary(d, rng) for d in (2, 3, 5, 8, 16, 32) for _ in range(5)]
+    cases.append(q @ np.diag(np.exp(1j * np.array([t, t, -t, -t]))) @ dagger(q))
+    cases.append(np.diag(np.exp(-1j * np.array([1e-13, 1.0, 2.0]))))  # wraps to 0
+    for w in cases:
+        phases, vectors = unitary_eig(w)
+        expected_phases, expected_vectors = _reference_unitary_eig(w)
+        assert vectors.tobytes() == expected_vectors.tobytes()
+        assert np.abs(phases - expected_phases).max() <= 2e-15
+
+
+def test_unitaries_of_different_sizes_are_rejected():
+    for check in (overlap, build_plan, always_indistinguishable):
+        with pytest.raises(ValueError, match="unitaries must share a dimension"):
+            check(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="unitaries must share a dimension"):
+        min_copies(np.eye(2), np.eye(3), 4)
+
+
 def test_unitary_eig_rejects_non_unitary():
     with pytest.raises(ValueError):
         unitary_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
