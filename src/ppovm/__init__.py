@@ -29,11 +29,13 @@ from .discrimination import (
     DiscriminationPlan,
     NoHullError,
     NotPerfectlyDiscriminableError,
+    PairReport,
     build_plan,
     hull_weights,
     min_copies,
     necessary_condition,
     overlap,
+    pair_report,
     support_orthogonal,
     unitary_eig,
     verify_plan,

@@ -36,17 +36,8 @@ from .channels import (
     state_checks,
     trace_preservation_checks,
 )
-from .discrimination import (
-    NotPerfectlyDiscriminableError,
-    always_indistinguishable,
-    build_plan,
-    min_copies,
-    necessary_condition,
-    overlap,
-    unitary_eig,
-    zero_in_hull,
-)
-from .linalg import DEFAULT_TOL, dagger, max_abs
+from .discrimination import pair_report
+from .linalg import DEFAULT_TOL, max_abs
 from .measurement import outcome_probabilities, ppovm_checks, realize
 from .tomography import linear_inversion, reconstruction_error, simulate_counts
 
@@ -163,8 +154,6 @@ def cmd_probs(args) -> int:
 
 def cmd_tomo(args) -> int:
     pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
-    if (args.exact is None) == (args.counts is None):
-        raise ParseFailure("provide exactly one of --exact or --counts")
     if args.exact is not None:
         ch = _read(args.exact, serialize.decode_channel, tol=args.tol)
         probs = outcome_probabilities(pp, ch, args.tol)
@@ -231,48 +220,28 @@ def cmd_simulate(args) -> int:
 def cmd_discriminate(args) -> int:
     u = _read(args.u, serialize.decode_square_matrix)
     v = _read(args.v, serialize.decode_square_matrix)
-    ov = overlap(u, v, args.tol)
-    necessary = necessary_condition(u, v, args.tol)
-    phases, _ = unitary_eig(dagger(u) @ v, args.tol)
-    hull = zero_in_hull(phases, args.tol)
-    identical = always_indistinguishable(u, v, args.tol)
-    plan_payload = None
-    if hull:
-        try:
-            plan = build_plan(u, v, args.tol)
-            plan_payload = {
-                "probe": serialize.encode_vector(plan.probe),
-                "povm": serialize.encode_effects(plan.povm.effects, plan.povm.labels),
-                "ppovm": serialize.encode_ppovm(plan.ppovm),
-                "error_rates": [float(x) for x in plan.error_rates],
-            }
-        except NotPerfectlyDiscriminableError:
-            plan_payload = None
-    copies = None
-    if args.copies is not None and not identical:
-        copies = min_copies(u, v, args.copies, args.tol)
-    elif hull:
-        copies = 1
-    payload = {
-        "overlap": float(ov),
-        "necessary": bool(necessary),
-        "zero_in_hull": bool(hull),
-        "always_indistinguishable": bool(identical),
-        "min_copies": copies,
-        "plan": plan_payload,
+    report = pair_report(u, v, args.copies, args.tol)
+    plan = report.plan
+    plan_payload = None if plan is None else {
+        "probe": serialize.encode_vector(plan.probe),
+        "povm": serialize.encode_effects(plan.povm.effects, plan.povm.labels),
+        "ppovm": serialize.encode_ppovm(plan.ppovm),
+        "error_rates": [float(x) for x in plan.error_rates],
     }
     lines = [
-        f"overlap: {_fmt(ov)}",
-        f"necessary_condition: {necessary}",
-        f"zero_in_hull: {hull}",
+        f"overlap: {_fmt(report.overlap)}",
+        f"necessary_condition: {report.necessary}",
+        f"zero_in_hull: {report.zero_in_hull}",
     ]
-    if identical:
+    if report.always_indistinguishable:
         lines.append("always indistinguishable: the channels differ by a global phase")
     elif args.copies is not None:
+        copies = report.min_copies
         lines.append(f"min_copies: {copies if copies is not None else f'none <= {args.copies}'}")
-    if plan_payload is not None:
+    if plan is not None:
         lines.append(f"plan: error rates {plan_payload['error_rates']}")
-    _emit(args, payload, lines)
+    # the report's fields, in order, are the payload's keys
+    _emit(args, {**vars(report), "plan": plan_payload}, lines)
     return 0
 
 
@@ -405,6 +374,8 @@ def _check_usage(args) -> None:
     tol = getattr(args, "tol", 1.0)
     if not (math.isfinite(tol) and tol > 0):
         raise ParseFailure(f"--tol must be positive and finite, got {tol}")
+    if args.command == "tomo" and (args.exact is None) == (args.counts is None):
+        raise ParseFailure("provide exactly one of --exact or --counts")
     for name, least in _INT_RANGES:
         value = getattr(args, name, None)
         if value is not None and value < least:

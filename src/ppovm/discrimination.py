@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import KrausChannel, Povm, apply_channel, check_unitary, projector
-from .linalg import DEFAULT_TOL, dagger, hs_inner, max_abs, rank_and_support
+from .linalg import DEFAULT_TOL, dagger, frozen, hs_inner, max_abs, rank_and_support
 from .measurement import ProcessPovm, TestCouple, build_ppovm
 
 TWO_PI = 2.0 * np.pi
@@ -65,31 +65,33 @@ def unitary_eig(w: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
     return phases[order], vectors[:, order]
 
 
-def _relative_eig(u: np.ndarray, v: np.ndarray, tol: float):
-    """U and V, each checked unitary once and of one shape, and the
-    ``unitary_eig`` phases and vectors of U^dag V."""
+def _checked_pair(u: np.ndarray, v: np.ndarray, tol: float):
+    """U and V, each checked unitary once and of one shape."""
     u = check_unitary(u, tol)
     v = check_unitary(v, tol)
     if u.shape != v.shape:
         raise ValueError("unitaries must share a dimension")
+    return u, v
+
+
+def _relative_eig(u: np.ndarray, v: np.ndarray, tol: float):
+    """The checked U and V and the ``unitary_eig`` phases and vectors of
+    U^dag V."""
+    u, v = _checked_pair(u, v, tol)
     return u, v, *unitary_eig(dagger(u) @ v, tol)
 
 
 def overlap(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """|Tr(U^dag V)|: the unambiguous-discrimination failure rate of the
     two unitary channels' (trace-d) pure process states."""
-    u = check_unitary(u, tol)
-    v = check_unitary(v, tol)
-    if u.shape != v.shape:
-        raise ValueError("unitaries must share a dimension")
+    u, v = _checked_pair(u, v, tol)
     return float(abs(np.trace(dagger(u) @ v)))
 
 
 def necessary_condition(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """|Tr(U^dag V)| <= d - 1, necessary (not sufficient) for an
     error-free test."""
-    d = np.asarray(u).shape[0]
-    return overlap(u, v, tol) <= d - 1 + tol
+    return overlap(u, v, tol) <= np.shape(u)[0] - 1 + tol  # U is checked first
 
 
 def _largest_gap(phases: np.ndarray) -> float:
@@ -98,6 +100,12 @@ def _largest_gap(phases: np.ndarray) -> float:
     if phases.size == 0:
         raise ValueError("need at least one phase")
     return float(np.diff(phases, append=phases[0] + TWO_PI).max())
+
+
+def _arc(phases: np.ndarray) -> float:
+    """Theta: the length of the smallest arc holding the phases, i.e. 2pi
+    minus their largest circular gap."""
+    return TWO_PI - _largest_gap(phases)
 
 
 def zero_in_hull(phases: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -154,9 +162,7 @@ class DiscriminationPlan:
     error_rates: tuple[float, float]
 
     def __post_init__(self):
-        v = np.array(self.probe, dtype=complex).reshape(-1)
-        v.setflags(write=False)
-        object.__setattr__(self, "probe", v)
+        object.__setattr__(self, "probe", frozen(self.probe).reshape(-1))
 
     @property
     def ppovm(self) -> ProcessPovm:
@@ -174,7 +180,11 @@ def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> Discri
     nothing larger than d x d is built.  Raises when the hull criterion
     fails.
     """
-    u, v, phases, vectors = _relative_eig(u, v, tol)
+    return _plan(*_relative_eig(u, v, tol), tol)
+
+
+def _plan(u, v, phases, vectors, tol: float) -> DiscriminationPlan:
+    """``build_plan`` on checked U, V and the eigensystem of U^dag V."""
     d = u.shape[0]
     if not zero_in_hull(phases, tol):
         raise NotPerfectlyDiscriminableError(
@@ -235,18 +245,6 @@ def support_orthogonal(
     return max_abs(p1 @ p2) <= tol
 
 
-def _relative_arc(u: np.ndarray, v: np.ndarray, tol: float) -> float:
-    """Theta: the length of the smallest arc holding the eigenphases of
-    U^dag V, i.e. 2pi minus their largest circular gap."""
-    return TWO_PI - _largest_gap(_relative_eig(u, v, tol)[2])
-
-
-def always_indistinguishable(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff U^dag V is a phase times the identity, so that no number
-    of parallel copies can ever separate the two channels."""
-    return _relative_arc(u, v, tol) <= _SAME_PHASE
-
-
 def min_copies(
     u: np.ndarray, v: np.ndarray, n_max: int, tol: float = DEFAULT_TOL
 ) -> int | None:
@@ -259,10 +257,55 @@ def min_copies(
     Duan, Feng and Ying 2007).  Identical channels (Theta ~ 0) always
     return None.
     """
+    return _copies(_arc(_relative_eig(u, v, tol)[2]), n_max, tol)
+
+
+def _copies(theta: float, n_max: int, tol: float) -> int | None:
+    """``min_copies`` for the arc Theta of the relative eigenphases."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    theta = _relative_arc(u, v, tol)
     if theta <= _SAME_PHASE:
         return None
     n = max(1, math.ceil((np.pi - tol) / theta))
     return n if n <= n_max else None
+
+
+@dataclass(frozen=True)
+class PairReport:
+    """Every discrimination answer for one unitary pair.
+
+    ``always_indistinguishable`` means U^dag V is a phase times the
+    identity, so no number of parallel copies separates the channels.
+    ``min_copies`` is the copies search up to ``n_max`` when one is given
+    and the pair is not identical; otherwise 1 when zero is in the hull
+    and None when it is not.  ``plan`` is None when no error-free
+    single-shot test exists.
+    """
+
+    overlap: float
+    necessary: bool
+    zero_in_hull: bool
+    always_indistinguishable: bool
+    min_copies: int | None
+    plan: DiscriminationPlan | None
+
+
+def pair_report(
+    u: np.ndarray, v: np.ndarray, n_max: int | None = None, tol: float = DEFAULT_TOL
+) -> PairReport:
+    """Check U and V once each, decompose U^dag V once, and read every
+    answer of the pair from that one eigensystem."""
+    u, v, phases, vectors = _relative_eig(u, v, tol)
+    ov = float(abs(np.trace(dagger(u) @ v)))
+    hull = zero_in_hull(phases, tol)
+    theta = _arc(phases)
+    identical = theta <= _SAME_PHASE
+    try:
+        plan = _plan(u, v, phases, vectors, tol)
+    except NotPerfectlyDiscriminableError:
+        plan = None
+    if n_max is not None and not identical:
+        copies = _copies(theta, n_max, tol)
+    else:
+        copies = 1 if hull else None
+    return PairReport(ov, ov <= u.shape[0] - 1 + tol, hull, identical, copies, plan)

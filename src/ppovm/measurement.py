@@ -138,9 +138,7 @@ class Realization:
     povm: Povm
 
     def __post_init__(self):
-        v = np.array(self.test_vector, dtype=complex).reshape(-1)
-        v.setflags(write=False)
-        object.__setattr__(self, "test_vector", v)
+        object.__setattr__(self, "test_vector", frozen(self.test_vector).reshape(-1))
 
     def qudit_dim(self) -> int:
         return self.test_vector.size // self.r

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import ppovm
-from ppovm import serialize
+from ppovm import discrimination, serialize
 from ppovm.channels import KrausChannel, ket, projector
 from ppovm.cli import main
 from ppovm.linalg import max_abs
+from ppovm.rand import random_unitary
 
 
 def run(capsys, *argv):
@@ -497,6 +498,13 @@ def test_tomo_reports_design_condition(tmp_path, capsys):
     assert json.loads(out)["condition"] == np.inf
 
 
+@pytest.mark.parametrize("sources", [[], ["--exact", "a.json", "--counts", "b.json"]])
+def test_tomo_source_usage_is_checked_before_any_file_is_read(tmp_path, capsys, sources):
+    code, out, err = run(capsys, "tomo", str(tmp_path / "missing.json"), *sources)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: provide exactly one of --exact or --counts")
+
+
 def test_tomo_counts_label_mismatch(tmp_path, capsys):
     pp_path = gen(tmp_path, "pauli-probe")
     counts_path = tmp_path / "counts.json"
@@ -564,6 +572,28 @@ def test_discriminate_identical(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["always_indistinguishable"] is True
     assert payload["min_copies"] is None
+
+
+def test_discriminate_decomposes_the_pair_once(tmp_path, capsys, monkeypatch):
+    # U and V are each checked once; the one unitary_eig of U^dag V checks it
+    rng = np.random.default_rng(12)
+    paths = []
+    for name in ("u", "v"):
+        paths.append(str(tmp_path / f"{name}.json"))
+        serialize.write_json(paths[-1], serialize.encode_matrix(random_unitary(8, rng)))
+    calls = {}
+    for name in ("unitary_eig", "check_unitary"):
+        def counted(*args, _name=name, _original=getattr(discrimination, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(discrimination, name, counted)
+    for extra in ([], ["--copies", "3"]):
+        calls.update(unitary_eig=0, check_unitary=0)
+        code, out, _ = run(capsys, "discriminate", *paths, "--format", "json", *extra)
+        assert code == 0
+        assert json.loads(out)["plan"] is not None
+        assert calls == {"unitary_eig": 1, "check_unitary": 3}
 
 
 def test_discriminate_rejects_non_unitary(tmp_path, capsys):

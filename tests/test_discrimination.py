@@ -21,12 +21,12 @@ from ppovm.discrimination import (
     DiscriminationPlan,
     NoHullError,
     NotPerfectlyDiscriminableError,
-    always_indistinguishable,
     build_plan,
     hull_weights,
     min_copies,
     necessary_condition,
     overlap,
+    pair_report,
     support_orthogonal,
     unitary_eig,
     verify_plan,
@@ -197,11 +197,17 @@ def test_unitary_eig_matches_reference_loop():
 
 
 def test_unitaries_of_different_sizes_are_rejected():
-    for check in (overlap, build_plan, always_indistinguishable):
+    for check in (overlap, necessary_condition, build_plan, pair_report):
         with pytest.raises(ValueError, match="unitaries must share a dimension"):
             check(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="unitaries must share a dimension"):
         min_copies(np.eye(2), np.eye(3), 4)
+
+
+def test_scalars_are_rejected_before_their_dimension_is_read():
+    for check in (overlap, necessary_condition, pair_report):
+        with pytest.raises(ValueError, match=r"unitary must be square, got \(\)"):
+            check(1.0, 1.0)
 
 
 def test_unitary_eig_rejects_non_unitary():
@@ -399,6 +405,55 @@ def test_support_orthogonal_cases():
     assert not support_orthogonal(omega_id, omega_id)
 
 
+def _report_oracle(u, v, n_max):
+    """PairReport's fields from the standalone functions, one call each."""
+    phases, _ = unitary_eig(dagger(u) @ v)
+    hull = zero_in_hull(phases)
+    identical = _dedup_phases(phases).size == 1
+    if n_max is not None and not identical:
+        copies = min_copies(u, v, n_max)
+    else:
+        copies = 1 if hull else None
+    try:
+        plan = build_plan(u, v)
+    except NotPerfectlyDiscriminableError:
+        plan = None
+    return overlap(u, v), necessary_condition(u, v), hull, identical, copies, plan
+
+
+def test_pair_report_matches_standalone_functions():
+    rng = np.random.default_rng(13)
+    # (u, v, copies expected with n_max = 10, or None to skip that check)
+    cases = [(random_unitary(d, rng), random_unitary(d, rng), None) for d in (2, 3, 5, 8)]
+    for gap, copies in ((np.pi / 3, 3), (2 * np.pi / 5, 3), (np.pi / 2, 2), (np.pi / 7, 7)):
+        cases.append((*qubit_pair_with_phase_gap(gap, rng), copies))
+    u = random_unitary(3, rng)
+    same_channel = (u, np.exp(0.3j) * u)
+    cases.append((*same_channel, None))
+    # the |Tr| = d - 1 boundary: an arc of 2pi/3, so two copies
+    cases.append((np.eye(3), np.diag(np.exp(1j * np.array([0.0, np.pi / 3, -np.pi / 3]))), 2))
+    planned = set()
+    for u, v, copies in cases:
+        for n_max in (None, 10):
+            report = pair_report(u, v, n_max)
+            *answers, plan = _report_oracle(u, v, n_max)
+            assert [
+                report.overlap, report.necessary, report.zero_in_hull,
+                report.always_indistinguishable, report.min_copies,
+            ] == answers
+            assert (report.plan is None) == (plan is None)
+            planned.add(plan is not None)
+            if plan is not None:
+                assert report.plan.probe.tobytes() == plan.probe.tobytes()
+                assert report.plan.povm.effects.tobytes() == plan.povm.effects.tobytes()
+                assert report.plan.povm.labels == plan.povm.labels
+                assert report.plan.error_rates == plan.error_rates
+        if copies is not None:
+            assert pair_report(u, v, 10).min_copies == copies
+    assert pair_report(*same_channel, 10).always_indistinguishable
+    assert planned == {True, False}
+
+
 def test_min_copies_antipodal_is_one():
     assert min_copies(np.eye(2), PAULI_Z, 5) == 1
 
@@ -431,14 +486,14 @@ def test_min_copies_monotone():
 def test_min_copies_identical_channels():
     u = random_unitary(2, np.random.default_rng(8))
     assert min_copies(u, np.exp(1j * 0.3) * u, 10) is None
-    assert always_indistinguishable(u, np.exp(1j * 0.3) * u)
-    assert not always_indistinguishable(np.eye(2), PAULI_Z)
+    assert pair_report(u, np.exp(1j * 0.3) * u).always_indistinguishable
+    assert not pair_report(np.eye(2), PAULI_Z).always_indistinguishable
 
 
 def test_min_copies_closed_form_beyond_reference_reach():
     # an arc of 1e-6 needs ~3.1e6 copies: far past any multiset growth
     v = np.diag([1.0, np.exp(1e-6j)])
-    assert not always_indistinguishable(np.eye(2), v)
+    assert not pair_report(np.eye(2), v).always_indistinguishable
     assert min_copies(np.eye(2), v, 4_000_000) == int(np.ceil((np.pi - 1e-9) / 1e-6))
     assert min_copies(np.eye(2), v, 3_000_000) is None
 
@@ -499,7 +554,7 @@ def test_closed_forms_match_references(fractions, offset, spread, seed):
     assert min_copies(u, v, 12) == _reference_min_copies(phases, 12)
     reference = _reference_hull_weights(phases)
     assert zero_in_hull(phases) == (reference is not None)
-    assert always_indistinguishable(u, v) == (_dedup_phases(phases).size == 1)
+    assert pair_report(u, v).always_indistinguishable == (_dedup_phases(phases).size == 1)
     if reference is not None:
         shuffled = rng.permutation(phases)
         q = hull_weights(shuffled)
