@@ -68,9 +68,11 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # Each invariant has one routine returning (name, value, passed) entries.
 # The raising validators below and the CLI's `validate` report read them.
 # Effects are the exception on the raising side: `require_effects` proves
-# the bounds 0 <= M <= 1 by two batched Cholesky factorizations and only
-# falls back to the spectra of `stacked_effect_checks` when that proof
-# fails, so a raised error still names that routine's first failing entry.
+# the bounds 0 <= M <= 1 by one batched Cholesky factorization plus the
+# trace, factoring again only the effects whose trace is too large for
+# that, and only falls back to the spectra of `stacked_effect_checks`
+# when the proof fails, so a raised error still names that routine's
+# first failing entry.
 # Reports always print the spectra.
 # ---------------------------------------------------------------------------
 
@@ -161,8 +163,9 @@ def hermitian_parts(stack: np.ndarray) -> np.ndarray:
 # bound times n, times CHOLESKY_FLOOR = 8, on the scale max(1, max_i |M_ii|):
 # the spare factor 8 n covers the shifted diagonals reaching 1 + tol/2 +
 # |M_ii|, the larger constants of complex arithmetic, the rounding of the
-# shifts, and eigvalsh's own error (~n eps on a proven spectrum), so that a
-# proven stack passes the eigenvalue check too.  At tol = 1e-9 the proof
+# shifts and of the diagonal sums of the trace bound (~n^2 eps), and
+# eigvalsh's own error (~n eps on a proven spectrum), so that a proven
+# stack passes the eigenvalue check too.  At tol = 1e-9 the proof
 # runs up to n = 65, the d^2 x d^2 effects of d <= 8; larger effects fall
 # back to the spectra.
 CHOLESKY_FLOOR = 8.0
@@ -171,22 +174,37 @@ CHOLESKY_FLOOR = 8.0
 def _effects_proven(stack: np.ndarray, tol: float) -> bool:
     """Whether every matrix of an (N, n, n) stack passes its effect checks:
     hermiticity as in ``stacked_effect_checks``, and the spectrum of its
-    Hermitian part h inside [-tol, 1 + tol], proven by factoring
-    h + (tol/2) I and (1 + tol/2) I - h.  False means "not proven", not
-    "failed"."""
+    Hermitian part h inside [-tol, 1 + tol].  False means "not proven",
+    not "failed".
+
+    Factoring h + (tol/2) I proves lambda_min(h) > -tol, so the other
+    n - 1 eigenvalues sum to more than -(n - 1) tol and
+    lambda_max(h) < tr h + (n - 1) tol.  An effect with
+    tr h + (n - 1) tol <= 1 + tol/2 is therefore proven at most 1; the
+    margin tol/2 exceeds the round-off floor, which covers the rounding of
+    the diagonal sum and eigvalsh's own error.  Only the other effects
+    are factored again, as (1 + tol/2) I - h.
+    """
     n = stack.shape[-1]
     diag = np.arange(n)
     values = stack[:, diag, diag].real  # the diagonal of h, exactly
     scale = max(1.0, float(np.abs(values).max()))
     if not tol / 2 > CHOLESKY_FLOOR * n**3 * np.finfo(float).eps * scale:
         return False  # tol/2 is inside the round-off floor
-    if not hermiticity_residuals(stack, tol)[1].all():
+    residuals, hermitian = hermiticity_residuals(stack, tol)
+    if not hermitian.all():
         return False
-    # one buffer holds both shifted stacks in turn
-    h = hermitian_parts(stack)
+    # an exactly Hermitian stack is its own Hermitian part
+    h = hermitian_parts(stack) if residuals.any() else stack.copy()
+    # tr h + (n - 1) tol > 1 + tol/2: the trace does not bound lambda_max
+    unbounded = values.sum(axis=1) > 1.0 - (n - 1.5) * tol
     try:
         h[:, diag, diag] = values + tol / 2
         np.linalg.cholesky(h)
+        if not unbounded.any():
+            return True
+        if not unbounded.all():  # else one buffer holds both shifted stacks
+            h, values = h[unbounded], values[unbounded]
         h *= -1
         h[:, diag, diag] = (1.0 + tol / 2) - values
         np.linalg.cholesky(h)

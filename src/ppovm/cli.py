@@ -389,8 +389,39 @@ def _check_usage(args) -> None:
         raise ParseFailure(f"--p must be in [0, 1], got {strength}")
 
 
+# argparse takes only digit-led negatives such as -1 or -.5 for values, so
+# "--tol -1e-9" or "--angle -inf" would read as a missing value; main
+# writes such a pair as "--tol=-1e-9", which reaches the range checks
+_FLOAT_OPTIONS = ("--tol", "--angle", "--p")
+
+
+def _is_float_option(token: str) -> bool:
+    """Whether ``token`` is a float option, in full or abbreviated."""
+    return len(token) > 2 and token.startswith("--") and any(
+        option.startswith(token) for option in _FLOAT_OPTIONS
+    )
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``argv`` with each float option joined to a following token that
+    ``float`` accepts."""
+    out = []
+    for token in argv:
+        if out and _is_float_option(out[-1]):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_float_values(argv))
     try:
         _check_usage(args)
         return args.func(args)

@@ -304,8 +304,8 @@ def pair_report(
         plan = _plan(u, v, phases, vectors, tol)
     except NotPerfectlyDiscriminableError:
         plan = None
-    if n_max is not None and not identical:
-        copies = _copies(theta, n_max, tol)
+    if n_max is not None:
+        copies = _copies(theta, n_max, tol)  # None for an identical pair
     else:
         copies = 1 if hull else None
     return PairReport(ov, ov <= u.shape[0] - 1 + tol, hull, identical, copies, plan)

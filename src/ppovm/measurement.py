@@ -249,10 +249,14 @@ def validate_ppovm(
     """Check that raw matrices form a process POVM and assemble it.
 
     Raises for the first failing entry of ``ppovm_checks``: NotPsdError
-    for an effect (through ``require_effects``, which computes spectra
-    only when the factorization proof of the bounds fails),
-    NotProductNormalizationError for the sum, and NormStateInvalidError
-    for the norm state.
+    for an effect, NotProductNormalizationError for the sum, and
+    NormStateInvalidError for the norm state.  Effects go through
+    ``require_effects``: one Cholesky factorization of M + (tol/2) I
+    proves lambda_min(M) > -tol, hence lambda_max(M) < tr M + (n - 1) tol,
+    which proves M <= 1 + tol when tr M + (n - 1) tol <= 1 + tol/2.  The
+    N effects sum to rho^T (x) I, of trace d, so with N well above d that
+    test holds for most of them; only the effects that fail it are
+    factored again, and spectra are computed only when this proof fails.
     """
     stack = effect_stack(matrices, d * d, PpovmError)
     labels = effect_labels(labels, len(stack))

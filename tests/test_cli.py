@@ -753,6 +753,54 @@ def test_gen_float_options_in_range_are_readable(tmp_path, capsys, name, option)
     assert run(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("joined", [True, False])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["discriminate", "U", "U", "--tol", "-1e-9"], "--tol must be positive"),
+        (["validate", "ppovm", "P", "--tol", "-inf"], "--tol must be positive"),
+        (["tomo", "P", "--exact", "C", "--tol", "-nan"], "--tol must be positive"),
+        (["gen", "phase", "--angle", "-inf"], "--angle must be finite"),
+        (["gen", "phase", "--ang", "-inf"], "--angle must be finite"),  # an abbreviation
+        (["gen", "depolarizing", "--p", "-1e-3"], "--p must be in [0, 1]"),
+    ],
+)
+def test_negative_float_values_reach_the_range_checks(tmp_path, capsys, argv, message, joined):
+    # argparse alone reads "-1e-9" or "-inf" after a space as an option, not a value
+    files = {"U": gen(tmp_path, "pauli-z"), "P": gen(tmp_path, "pauli-probe"),
+             "C": gen(tmp_path, "identity")}
+    argv = [files.get(token, token) for token in argv]
+    if joined:
+        argv[-2:] = ["=".join(argv[-2:])]
+    out_path = tmp_path / "out.json"
+    if argv[0] == "gen":
+        argv += ["--out", str(out_path)]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("joined", [True, False])
+@pytest.mark.parametrize("value", ["-7.5", "-1e-3", "-0"])
+def test_negative_angle_is_readable_in_both_spellings(tmp_path, capsys, value, joined):
+    argv = [f"--angle={value}"] if joined else ["--angle", value]
+    path = gen(tmp_path, "phase", *argv)
+    capsys.readouterr()
+    assert run(capsys, "discriminate", path, path)[0] == 0
+
+
+def test_float_option_keeps_a_following_non_number(tmp_path, capsys):
+    # "--tol" followed by another option is still a missing value
+    pp = gen(tmp_path, "pauli-probe")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "ppovm", pp, "--tol", "--format", "json"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # each command that writes --out, with its other arguments
 OUT_WRITERS = {
     "gen": lambda t: ["gen", "identity"],

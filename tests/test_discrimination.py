@@ -410,7 +410,7 @@ def _report_oracle(u, v, n_max):
     phases, _ = unitary_eig(dagger(u) @ v)
     hull = zero_in_hull(phases)
     identical = _dedup_phases(phases).size == 1
-    if n_max is not None and not identical:
+    if n_max is not None:
         copies = min_copies(u, v, n_max)
     else:
         copies = 1 if hull else None
@@ -452,6 +452,18 @@ def test_pair_report_matches_standalone_functions():
             assert pair_report(u, v, 10).min_copies == copies
     assert pair_report(*same_channel, 10).always_indistinguishable
     assert planned == {True, False}
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_pair_report_rejects_n_max_below_one(identical):
+    rng = np.random.default_rng(14)
+    u = random_unitary(3, rng)
+    v = np.exp(0.3j) * u if identical else random_unitary(3, rng)
+    assert pair_report(u, v, 1).always_indistinguishable == identical
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        pair_report(u, v, 0)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        min_copies(u, v, 0)
 
 
 def test_min_copies_antipodal_is_one():

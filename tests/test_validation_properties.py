@@ -16,15 +16,26 @@ from hypothesis import strategies as st
 
 from ppovm import serialize
 from ppovm.channels import (
+    CHOLESKY_FLOOR,
     Povm,
     _effects_proven,
+    all_pass,
     check_effect,
     effect_checks,
+    hermitian_parts,
     povm_checks,
     require_effects,
+    stacked_effect_checks,
 )
 from ppovm.cli import main
-from ppovm.linalg import DEFAULT_TOL, dagger, max_abs, rank_and_support
+from ppovm.linalg import (
+    DEFAULT_TOL,
+    dagger,
+    hermiticity_residuals,
+    kron,
+    max_abs,
+    rank_and_support,
+)
 from ppovm.measurement import (
     NormStateInvalidError,
     NotProductNormalizationError,
@@ -237,3 +248,128 @@ def test_round_off_floor_falls_back_to_spectra(monkeypatch):
     assert calls == [stack.shape]
     # effects of 10 x 10 qudit pairs sit under the floor at the default tol
     assert not _effects_proven(np.full((1, 100, 100), 0.0, dtype=complex), DEFAULT_TOL)
+
+
+def _two_factorization_proof(stack, tol):
+    """The bound proof without the trace test: both shifted stacks are
+    factored in full.  The reference the trace test must never fall
+    short of."""
+    n = stack.shape[-1]
+    diag = np.arange(n)
+    values = stack[:, diag, diag].real
+    scale = max(1.0, float(np.abs(values).max()))
+    if not tol / 2 > CHOLESKY_FLOOR * n**3 * np.finfo(float).eps * scale:
+        return False
+    if not hermiticity_residuals(stack, tol)[1].all():
+        return False
+    h = hermitian_parts(stack)
+    try:
+        h[:, diag, diag] = values + tol / 2
+        np.linalg.cholesky(h)
+        h *= -1
+        h[:, diag, diag] = (1.0 + tol / 2) - values
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _straddling_stack(n, count, low, tol, rng):
+    """``count`` effects on C^n whose traces lie within 2 tol of the trace
+    test's bound 1 - (n - 3/2) tol, each with its other n - 1 eigenvalues
+    in [low * tol, 0.9 low * tol] and the rest of the trace on the top one
+    (low just above -1/2 puts that one near 1 + tol); then
+    ``count`` effects with spectra inside [0, 1/(2n)]."""
+    lows = rng.uniform(low, 0.9 * low, (count, n - 1)) * tol
+    traces = 1.0 - (n - 1.5) * tol + rng.uniform(-2.0, 2.0, count) * tol
+    values = np.column_stack([lows, traces - lows.sum(axis=1)])
+    values = np.concatenate([values, rng.uniform(0.0, 0.5 / n, (count, n))])
+    rotations = np.array([random_unitary(n, rng) for _ in range(2 * count)])
+    return (rotations * values[:, None, :]) @ dagger(rotations)
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3),
+    low=st.sampled_from([-1.2, -0.49, -0.3, 0.0]),
+    offset=st.sampled_from(OFFSETS),
+    high=st.booleans(),
+    exact=st.booleans(),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-4]),
+)
+@example(d=5, seed=3, count=3, low=-0.49, offset=-0.4, high=True, exact=True, tol=1e-9)
+@example(d=2, seed=4, count=1, low=0.0, offset=-1.1, high=False, exact=False, tol=1e-4)
+def test_trace_bound_proof_is_sound(d, seed, count, low, offset, high, exact, tol):
+    rng = np.random.default_rng(seed)
+    n = d * d
+    index = int(rng.integers(count))
+    stacks = {
+        "straddling": _straddling_stack(n, count, low, tol, rng),
+        "povm edge": _edge_stack(n, count, index, offset, high, tol, 1.0, rng),
+        "ppovm edge": _edge_stack(n, count, index, offset, high, tol, 1.0 / d, rng),
+    }
+    for kind, stack in stacks.items():
+        if exact:  # exactly Hermitian, as realize's effects are
+            stack = hermitian_parts(stack)
+        proven = _effects_proven(stack, tol)
+        event(f"{kind}: {'proven' if proven else 'not proven'}")
+        if proven:
+            assert all_pass(stacked_effect_checks(stack, tol))
+        if _two_factorization_proof(stack, tol):
+            assert proven
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+def _rotated_product_stack(d, rng):
+    """Effects shaped like a MUB scheme's: |a><a| (x) |b><b| / (d (d+1)^2)
+    for every vector a of d+1 Haar-random bases on the first factor and b
+    of d+1 on the second, summing to I/d (x) I; each trace is
+    1/(d (d+1)^2)."""
+    first = [random_unitary(d, rng) for _ in range(d + 1)]
+    second = [random_unitary(d, rng) for _ in range(d + 1)]
+    weight = 1.0 / (d * (d + 1) ** 2)
+    return np.array([
+        kron(np.outer(a, a.conj()), np.outer(b, b.conj())) * weight
+        for u in first for a in u.T for w in second for b in w.T
+    ])
+
+
+def test_small_trace_effects_take_one_factorization(monkeypatch):
+    stack = _rotated_product_stack(5, np.random.default_rng(7))
+    calls = _count_factorizations(monkeypatch)
+    pp = validate_ppovm(stack, 5)
+    assert calls == [(900, 25, 25)]
+    calls.clear()
+    realized = realize(pp)  # exactly Hermitian effects of trace ~0.028
+    assert realized.povm.effects.shape == (900, 25, 25)
+    assert calls == [(900, 25, 25)]
+
+
+def test_projective_povm_takes_two_full_factorizations(monkeypatch):
+    u = random_unitary(4, np.random.default_rng(8))
+    p = np.outer(u[:, 0], u[:, 0].conj())
+    calls = _count_factorizations(monkeypatch)
+    Povm(np.array([p, np.eye(4) - p]), None)
+    assert calls == [(2, 4, 4), (2, 4, 4)]
+
+
+def test_second_factorization_covers_only_large_traces(monkeypatch):
+    u = random_unitary(4, np.random.default_rng(9))
+    p0, p1 = (np.outer(u[:, k], u[:, k].conj()) for k in (0, 1))
+    small = (np.eye(4) - p0 - p1) / 4  # trace 1/2, under the trace test's bound
+    calls = _count_factorizations(monkeypatch)
+    Povm(np.array([small, p0, small, small, p1, small]), None)
+    assert calls == [(6, 4, 4), (2, 4, 4)]
