@@ -17,6 +17,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Check,
+    block_slices,
+    blockwise,
     dagger,
     frozen,
     hermiticity_check,
@@ -68,11 +70,11 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # Each invariant has one routine returning (name, value, passed) entries.
 # The raising validators below and the CLI's `validate` report read them.
 # Effects are the exception on the raising side: `require_effects` proves
-# the bounds 0 <= M <= 1 by one batched Cholesky factorization plus the
-# trace, factoring again only the effects whose trace is too large for
-# that, and only falls back to the spectra of `stacked_effect_checks`
-# when the proof fails, so a raised error still names that routine's
-# first failing entry.
+# the bounds 0 <= M <= 1 by one Cholesky factorization per effect plus the
+# trace, block by block, factoring again only the effects whose trace is
+# too large for that, and only falls back to the spectra of
+# `stacked_effect_checks` when the proof fails, so a raised error still
+# names that routine's first failing entry.
 # Reports always print the spectra.
 # ---------------------------------------------------------------------------
 
@@ -90,13 +92,20 @@ def raise_failed(checks: list[Check], what: str, error: type = ValueError) -> No
 
 def effect_stack(effects, side: int | None = None, error: type = ValueError) -> np.ndarray:
     """The effects as one complex (N, n, n) array, N >= 1, without a copy
-    when they already are one; with ``side`` given, n must equal it."""
+    when they already are one; with ``side`` given, n must equal it.  An
+    array built here from a sequence, or converted from another dtype, has
+    no other holder, so it is returned read-only and ``frozen`` keeps it
+    without a second copy."""
     try:
         stack = np.asarray(effects, dtype=complex)
     except ValueError:  # effects of different shapes
         stack = np.empty((0, 0))
     if stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2]:
         if side is None or stack.shape[1] == side:
+            if stack is not effects and stack.flags.owndata and isinstance(
+                effects, (list, tuple, np.ndarray)
+            ):
+                stack.setflags(write=False)
             return stack
     if not len(effects):
         raise error("need one or more effects")
@@ -126,7 +135,7 @@ def stacked_effect_checks(
     if names is None:
         names = [f"effect_{k}" for k in range(len(stack))]
     res, hermitian = hermiticity_residuals(stack, tol)
-    values = np.linalg.eigvalsh(hermitian_parts(stack))
+    values = _spectra(hermitian_parts(stack))
     low, high = values[:, 0], values[:, -1]
     rows = zip(
         names, res.tolist(), hermitian.tolist(), low.tolist(), (low >= -tol).tolist(),
@@ -143,14 +152,28 @@ def stacked_effect_checks(
     ]
 
 
-def hermitian_parts(stack: np.ndarray) -> np.ndarray:
-    """(m + m^dag)/2 of every matrix of an (N, n, n) stack, in one new
-    buffer.  Exactly Hermitian: entry (j, i) is computed as the conjugate
-    of entry (i, j), since floating-point addition commutes."""
-    h = dagger(stack)
-    h += stack
-    h /= 2
+def hermitian_parts(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 of a matrix or of every matrix of a stack, computed as
+    m/2 + m^dag/2: bitwise the same in the normal range, and finite for
+    every finite m, where m + m^dag may overflow.  Exactly Hermitian: entry
+    (j, i) is computed as the conjugate of entry (i, j), since
+    floating-point addition commutes."""
+    h = m / 2
+    h += dagger(h)
     return h
+
+
+def _spectra(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of every matrix of a
+    stack; a matrix with a non-finite entry, on which eigvalsh fails, gets
+    NaN, which fails every bound."""
+    if np.isfinite(h).all():
+        return np.linalg.eigvalsh(h)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    values = np.full(h.shape[:-1], np.nan)
+    if finite.any():
+        values[finite] = np.linalg.eigvalsh(h[finite])
+    return values
 
 
 # Cholesky's backward error (Higham, Accuracy and Stability of Numerical
@@ -167,7 +190,11 @@ def hermitian_parts(stack: np.ndarray) -> np.ndarray:
 # eigvalsh's own error (~n eps on a proven spectrum), so that a proven
 # stack passes the eigenvalue check too.  At tol = 1e-9 the proof
 # runs up to n = 65, the d^2 x d^2 effects of d <= 8; larger effects fall
-# back to the spectra.
+# back to the spectra.  LAPACK reads one triangle of each matrix and the
+# real part of its diagonal, so the Hermitian matrix it factors differs
+# from h = (M + M^dag)/2 by at most r/2 in each off-diagonal entry, r the
+# largest hermiticity residual of the block, hence by at most n r / 2 in
+# spectral norm; the proof requires tol/2 > floor + n r.
 CHOLESKY_FLOOR = 8.0
 
 
@@ -184,32 +211,40 @@ def _effects_proven(stack: np.ndarray, tol: float) -> bool:
     margin tol/2 exceeds the round-off floor, which covers the rounding of
     the diagonal sum and eigvalsh's own error.  Only the other effects
     are factored again, as (1 + tol/2) I - h.
+
+    The stack goes a block at a time (``block_slices``).  Each block is
+    copied once, its diagonal shifted, and its transposed view factored:
+    numpy copies every matrix into a Fortran-order buffer for LAPACK, and
+    the transposed view makes that copy contiguous.  LAPACK then reads the
+    upper triangle of each copy; the matrix it factors is the conjugate of
+    that triangle's Hermitian matrix, with the same spectrum, within n r / 2
+    of h (see ``CHOLESKY_FLOOR``).
     """
     n = stack.shape[-1]
     diag = np.arange(n)
     values = stack[:, diag, diag].real  # the diagonal of h, exactly
     scale = max(1.0, float(np.abs(values).max()))
-    if not tol / 2 > CHOLESKY_FLOOR * n**3 * np.finfo(float).eps * scale:
+    floor = CHOLESKY_FLOOR * n**3 * np.finfo(float).eps * scale
+    if not tol / 2 > floor:
         return False  # tol/2 is inside the round-off floor
-    residuals, hermitian = hermiticity_residuals(stack, tol)
-    if not hermitian.all():
-        return False
-    # an exactly Hermitian stack is its own Hermitian part
-    h = hermitian_parts(stack) if residuals.any() else stack.copy()
     # tr h + (n - 1) tol > 1 + tol/2: the trace does not bound lambda_max
     unbounded = values.sum(axis=1) > 1.0 - (n - 1.5) * tol
-    try:
-        h[:, diag, diag] = values + tol / 2
-        np.linalg.cholesky(h)
-        if not unbounded.any():
-            return True
-        if not unbounded.all():  # else one buffer holds both shifted stacks
-            h, values = h[unbounded], values[unbounded]
-        h *= -1
-        h[:, diag, diag] = (1.0 + tol / 2) - values
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
+    for part in block_slices(len(stack), n * n):
+        residuals, hermitian = hermiticity_residuals(stack[part], tol)
+        if not (hermitian.all() and tol / 2 > floor + n * residuals.max()):
+            return False
+        h, diagonal, over = stack[part].copy(), values[part], unbounded[part]
+        try:
+            h[:, diag, diag] = diagonal + tol / 2
+            np.linalg.cholesky(h.swapaxes(1, 2))
+            if over.any():
+                if not over.all():  # else one buffer holds both shifted blocks
+                    h, diagonal = h[over], diagonal[over]
+                h *= -1
+                h[:, diag, diag] = (1.0 + tol / 2) - diagonal
+                np.linalg.cholesky(h.swapaxes(1, 2))
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
@@ -237,7 +272,7 @@ def effect_checks(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "effect")
 
 def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") -> list[Check]:
     """Density operator: PSD with unit trace (hermiticity is separate)."""
-    values = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    values = _spectra(hermitian_parts(m))
     trace_dev = abs(float(np.trace(m).real) - 1.0)
     psd = values[0] >= -tol * max(1.0, float(values[-1]))
     return [
@@ -336,8 +371,10 @@ def _invalid_povm_effect(k: int, entry: str, value: float) -> ValueError:
 class Povm:
     """A measurement: effects summing to the identity, one distinct label each.
 
-    ``effects`` is one read-only complex (N, n, n) array, copied once here;
-    its checks use ``tol``.
+    ``effects`` is one read-only complex (N, n, n) array, kept by the
+    rule of ``frozen``: a stack built here from a sequence, or one already
+    frozen (``realize`` returns one), is kept as it is, and any other
+    array is copied once.  Its checks use ``tol``.
     """
 
     effects: np.ndarray
@@ -347,8 +384,8 @@ class Povm:
     def __post_init__(self, tol):
         effects = effect_stack(self.effects)
         object.__setattr__(self, "labels", effect_labels(self.labels, len(effects)))
-        # checked before the copy is made, so the checks' temporaries never
-        # sit beside two copies of the effects
+        # checked before any copy is made, so the checks' temporaries
+        # never sit beside two copies of the effects
         require_effects(effects, tol, _invalid_povm_effect)
         raise_failed([completeness_check(effects, tol)], "invalid POVM")
         object.__setattr__(self, "effects", frozen(effects))
@@ -365,8 +402,9 @@ class Povm:
 class KrausChannel:
     """A completely positive map X -> sum_k A_k X A_k^dag.
 
-    ``kraus`` is one read-only complex (K, dim_out, dim_in) array, copied
-    once here.  Not necessarily trace preserving; ``is_trace_preserving``
+    ``kraus`` is one read-only complex (K, dim_out, dim_in) array, kept
+    by the rule of ``frozen``: copied once here unless it already is one.
+    Not necessarily trace preserving; ``is_trace_preserving``
     reports whether sum A^dag A = I holds to DEFAULT_TOL.
     """
 
@@ -423,13 +461,22 @@ def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
 
 
 def _conjugate_sum(ops, x: np.ndarray) -> np.ndarray:
-    """sum_k K_k x K_k^dag over the last two axes of x."""
+    """sum_k K_k x K_k^dag over the last two axes of x; an (N, n, n) stack
+    is summed a block at a time (``blockwise``)."""
     x = np.asarray(x, dtype=complex)
+
+    def block(part):
+        xs = x[part]
+        out = ops[0] @ xs @ dagger(ops[0])
+        out += 0.0  # the signed zeros of a sum started from zeros
+        for k in ops[1:]:
+            out += k @ xs @ dagger(k)
+        return out
+
+    if x.ndim != 3:
+        return block(Ellipsis)
     rows = ops[0].shape[0]
-    out = np.zeros((*x.shape[:-2], rows, rows), dtype=complex)
-    for k in ops:
-        out += k @ x @ dagger(k)
-    return out
+    return blockwise(block, len(x), max(x.shape[1] * x.shape[2], rows * rows))
 
 
 # ---------------------------------------------------------------------------

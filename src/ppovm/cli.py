@@ -74,19 +74,22 @@ def _fmt(x: float) -> str:
 
 def cmd_validate(args) -> int:
     extra = {}
-    if args.kind == "state":
-        m = _read(args.path, serialize.decode_square_matrix)
-        checks = state_checks(m, args.tol)
-    elif args.kind == "povm":
-        effects, _ = _read(args.path, serialize.decode_povm_effects)
-        checks = povm_checks(effects, args.tol)
-    elif args.kind == "channel":
-        ch = _read(args.path, serialize.decode_channel, tol=args.tol)
-        checks = trace_preservation_checks(ch, args.tol)
-    else:
-        mats, _, d = _read(args.path, serialize.decode_ppovm_effects)
-        checks, rho = ppovm_checks(mats, d, args.tol)
-        extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
+    # finite entries near the float limit overflow in sums and traces; the
+    # report shows the inf and NaN values they become, as failed checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.kind == "state":
+            m = _read(args.path, serialize.decode_square_matrix)
+            checks = state_checks(m, args.tol)
+        elif args.kind == "povm":
+            effects, _ = _read(args.path, serialize.decode_povm_effects)
+            checks = povm_checks(effects, args.tol)
+        elif args.kind == "channel":
+            ch = _read(args.path, serialize.decode_channel, tol=args.tol)
+            checks = trace_preservation_checks(ch, args.tol)
+        else:
+            mats, _, d = _read(args.path, serialize.decode_ppovm_effects)
+            checks, rho = ppovm_checks(mats, d, args.tol)
+            extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
     ok = all_pass(checks)
     payload = {
         "kind": args.kind,

@@ -36,6 +36,7 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     Check,
+    blockwise,
     dagger,
     frozen,
     herm_eig,
@@ -97,9 +98,12 @@ class TestCouple:
 class ProcessPovm:
     """Process effects summing to norm_state^T (x) I on H_d (x) H_d.
 
-    ``effects`` is one read-only complex (N, d^2, d^2) array, copied once
-    here, and ``matrices`` is the same array; ``labels`` holds one distinct
-    label per effect ("0", "1", ... by default).
+    ``effects`` is one read-only complex (N, d^2, d^2) array, kept by the
+    rule of ``frozen``: a stack built here from a sequence, or one already
+    frozen (``build_ppovm`` and ``validate_ppovm`` pass one), is kept as it
+    is, and any other array is copied once.  ``matrices`` is the same
+    array; ``labels`` holds one distinct label per effect ("0", "1", ...
+    by default).
     """
 
     d: int
@@ -190,7 +194,9 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
         if couple.povm.dim != couple.anc_dim * d:
             raise ValueError(f"couple {j}: POVM dimension mismatch")
         lifted = dual_channel(state_to_map(couple.state, couple.anc_dim, d, tol))
-        blocks.append(couple.weight * apply_first(lifted, couple.povm.effects, d))
+        block = apply_first(lifted, couple.povm.effects, d)
+        block *= couple.weight
+        blocks.append(block)
         if len(couples) == 1:
             labels += couple.povm.labels
         else:
@@ -198,7 +204,8 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
         norm_state += couple.weight * partial_trace(
             couple.state, couple.anc_dim, d, "first"
         )
-    effects = np.concatenate(blocks)
+    effects = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    effects.setflags(write=False)  # so ProcessPovm keeps it without a copy
     checks = [_normalization_check(effects.sum(axis=0), norm_state.T, d, tol)]
     what = "assembled effects do not satisfy the normalization condition"
     raise_failed(checks, what, NotProductNormalizationError)
@@ -257,6 +264,8 @@ def validate_ppovm(
     N effects sum to rho^T (x) I, of trace d, so with N well above d that
     test holds for most of them; only the effects that fail it are
     factored again, and spectra are computed only when this proof fails.
+    A stack built here from a sequence is the process POVM's own, without
+    a second copy.
     """
     stack = effect_stack(matrices, d * d, PpovmError)
     labels = effect_labels(labels, len(stack))
@@ -357,26 +366,38 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
     dimension r = rank(rho^T), and POVM elements obtained from the effects
     by the pseudo-inverse congruence.
     The realized POVM is complete on H_r (x) H_d and rebuilding a process
-    POVM from it reproduces the input.
+    POVM from it reproduces the input.  The effects are checked for support
+    leaks and transformed a block at a time (``blockwise``), into one
+    (N, r d, r d) array that the realized POVM keeps.
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
     k = kron(dagger(pinv(a, tol)), np.eye(d))
+    k_dag = dagger(k)
     m = pp.effects
-    if a.shape[0] < d:  # at full rank the support is all of H_d: nothing can leak
-        proj = kron(v @ dagger(v), np.eye(d))
-        # in-place steps keep the temporaries to two stacks
-        leak = proj @ m @ proj
-        leak -= m
-        leak = np.abs(leak).max(axis=(1, 2))
-        outside = np.flatnonzero(leak > 10 * tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2))))
-        if outside.size:
-            raise SupportViolationError(
-                f"effect {pp.labels[outside[0]]!r} leaks outside the normalization support"
-            )
-    f = k @ m @ dagger(k)
-    f += dagger(f)
-    f /= 2
+    # at full rank the support is all of H_d: nothing can leak
+    proj = kron(v @ dagger(v), np.eye(d)) if a.shape[0] < d else None
+
+    def block(part):  # one block of the realized effects, (n, r d, r d)
+        ms = m[part]
+        if proj is not None:
+            leak = proj @ ms @ proj
+            leak -= ms
+            leak = np.abs(leak).max(axis=(1, 2))
+            scale = np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))
+            outside = np.flatnonzero(leak > 10 * tol * scale)
+            if outside.size:
+                label = pp.labels[part.start + outside[0]]
+                raise SupportViolationError(
+                    f"effect {label!r} leaks outside the normalization support"
+                )
+        f = k @ ms @ k_dag
+        f += dagger(f)
+        f /= 2
+        return f
+
+    f = blockwise(block, len(m), m.shape[1] * m.shape[2])
+    f.setflags(write=False)  # so Povm keeps it without a copy
     return Realization(a.reshape(-1), a.shape[0], Povm(f, pp.labels, tol))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
-from .linalg import DEFAULT_TOL, hs_distance, max_abs, partial_trace
+from .linalg import DEFAULT_TOL, block_slices, blockwise, hs_distance, max_abs, partial_trace
 from .measurement import ProcessPovm, Realization, effect_pairings
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
@@ -89,17 +89,24 @@ def _product_basis(d: int) -> _ProductBasis:
 def _design(effects: np.ndarray, d: int) -> np.ndarray:
     """Tomography design of an (N, d^2, d^2) stack: row x holds
     c_ij = Re Tr[M_x (lambda_i (x) mu_j)] at column i (d^2 - 1) + j.  The
-    rows of effects A (x) I are exactly zero."""
+    rows of effects A (x) I are exactly zero.  The rows are computed a
+    block of effects at a time (``blockwise``)."""
     basis = _product_basis(d)
-    n, q = len(effects), d * d - 1
-    # blocks[x, a, b] is the d x d block (<a| (x) I) M_x (|b> (x) I)
-    blocks = effects.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n * d * d, d * d)
-    diag = blocks[:, :: d + 1]
-    y = np.empty((n * d * d, q), dtype=complex)
-    y[:, : d - 1] = (diag[:, 1:] - diag[:, :1]) @ basis.helmert
-    y[:, d - 1 :] = blocks @ basis.off
-    y = y.reshape(n, d * d, q)
-    return (basis.lam @ np.concatenate([y.real, y.imag], axis=1)).reshape(n, -1)
+    q = d * d - 1
+
+    def rows(part):
+        stack = effects[part]
+        n = len(stack)
+        # blocks[x, a, b] is the d x d block (<a| (x) I) M_x (|b> (x) I)
+        blocks = stack.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n * d * d, d * d)
+        diag = blocks[:, :: d + 1]
+        y = np.empty((n * d * d, q), dtype=complex)
+        y[:, : d - 1] = (diag[:, 1:] - diag[:, :1]) @ basis.helmert
+        y[:, d - 1 :] = blocks @ basis.off
+        y = y.reshape(n, d * d, q)
+        return (basis.lam @ np.concatenate([y.real, y.imag], axis=1)).reshape(n, -1)
+
+    return blockwise(rows, len(effects), d**4)
 
 
 def _operator(coeff: np.ndarray, d: int) -> np.ndarray:
@@ -159,10 +166,15 @@ def _factorize(design: np.ndarray, offset: np.ndarray, d: int) -> _GramFactors:
     gram = design.T @ design
     g4 = gram.reshape(p, q, p, q)
     g_a, g_b, scale = np.einsum("ijkj->ik", g4), np.einsum("ijil->jl", g4), np.trace(gram)
-    product = (g_a[:, None, :, None] * g_b[None, :, None, :]).reshape(gram.shape)
+    # G tr G - G_A (x) G_B, a block of rows of G_A at a time: no second
+    # buffer of G's size
+    diff = gram * scale
+    rows = diff.reshape(p, q, p, q)
+    for part in block_slices(p, q * p * q):
+        rows[part] -= g_a[part, None, :, None] * g_b[None, :, None, :]
     bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
     # the test of the docstring times tr G, which also admits G = 0
-    if np.linalg.norm(gram * scale - product) <= bound:
+    if np.linalg.norm(diff) <= bound:
         w_a, v_a = np.linalg.eigh(g_a)
         w_b, v_b = np.linalg.eigh(g_b)
         products = np.outer(w_a, w_b)

@@ -49,6 +49,25 @@ def test_validate_incomplete_povm(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_validate_reports_effects_near_the_float_limit(tmp_path, capsys):
+    # finite, so the file decodes; m + m^dag would overflow to inf
+    huge = 1.5e308 * np.eye(4)
+    obj = {"d": 2, "effects": serialize.encode_effects(huge[None], ["0"])}
+    path = _write(tmp_path, "huge.json", obj)
+    code, out, err = run(capsys, "validate", "ppovm", path)
+    assert (code, err) == (1, "")
+    assert "effect_0_max_eigenvalue: 1.5e+308 [FAIL]" in out
+    assert out.endswith("INVALID\n")
+    code, out, err = run(capsys, "validate", "ppovm", path, "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert not payload["ok"]
+    assert payload["checks"][2] == {
+        "name": "effect_0_max_eigenvalue", "pass": False, "value": 1.5e308
+    }
+    assert all(not c["pass"] for c in payload["checks"][3:])
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -305,6 +305,20 @@ def test_validate_rejects_non_psd():
         validate_ppovm([bad, good], 2)
 
 
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        # finite entries whose sum m + m^dag overflows to inf
+        (1.5e308 * np.eye(4, dtype=complex)[None], "effect 0: max_eigenvalue = 1.500e+308"),
+        (np.full((2, 4, 4), np.nan, dtype=complex), "effect 0: hermiticity_residual = nan"),
+    ],
+)
+def test_validate_reports_huge_and_nan_effects_as_not_psd(stack, message):
+    with pytest.raises(NotPsdError) as raised:
+        validate_ppovm(stack, 2)
+    assert str(raised.value) == message
+
+
 def test_tol_reaches_validate_and_probabilities():
     # one entry moved by 1e-8: the sum and the norm-state trace drift by 5e-9
     mats = [np.array(m) for m in pauli_probe_ppovm().matrices]

@@ -29,6 +29,7 @@ from ppovm.channels import (
 )
 from ppovm.cli import main
 from ppovm.linalg import (
+    BLOCK_ENTRIES,
     DEFAULT_TOL,
     dagger,
     hermiticity_residuals,
@@ -347,15 +348,39 @@ def _rotated_product_stack(d, rng):
     ])
 
 
+def _record_factorized_diagonals(monkeypatch):
+    """The diagonal of every matrix each np.linalg.cholesky call factors,
+    one (n_call, n) array per call."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.diagonal(a, axis1=-2, axis2=-1).real.copy())
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return calls
+
+
+def _assert_factored_in_blocks(calls, stack, tol):
+    """One factorization per effect of ``stack``, its diagonal shifted by
+    tol/2, in order, in calls of at most one block of effects each."""
+    per_block = BLOCK_ENTRIES // stack[0].size
+    assert max(map(len, calls)) <= per_block
+    shifted = np.diagonal(stack, axis1=1, axis2=2).real + tol / 2
+    np.testing.assert_array_equal(np.concatenate(calls), shifted)
+
+
 def test_small_trace_effects_take_one_factorization(monkeypatch):
     stack = _rotated_product_stack(5, np.random.default_rng(7))
-    calls = _count_factorizations(monkeypatch)
+    calls = _record_factorized_diagonals(monkeypatch)
     pp = validate_ppovm(stack, 5)
-    assert calls == [(900, 25, 25)]
+    assert len(calls) == -(-900 // (BLOCK_ENTRIES // 625)) > 1
+    _assert_factored_in_blocks(calls, stack, DEFAULT_TOL)
     calls.clear()
     realized = realize(pp)  # exactly Hermitian effects of trace ~0.028
     assert realized.povm.effects.shape == (900, 25, 25)
-    assert calls == [(900, 25, 25)]
+    _assert_factored_in_blocks(calls, realized.povm.effects, DEFAULT_TOL)
 
 
 def test_projective_povm_takes_two_full_factorizations(monkeypatch):
