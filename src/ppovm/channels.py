@@ -21,12 +21,15 @@ from .linalg import (
     blockwise,
     dagger,
     frozen,
+    hermitian_parts,
     hermiticity_check,
     hermiticity_residuals,
     herm_eig,
+    is_psd,
     kron,
     max_abs,
     partial_trace,
+    spectra,
     square_matrix,
 )
 
@@ -74,8 +77,8 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # trace, block by block, factoring again only the effects whose trace is
 # too large for that, and only falls back to the spectra of
 # `stacked_effect_checks` when the proof fails, so a raised error still
-# names that routine's first failing entry.
-# Reports always print the spectra.
+# names that routine's first failing entry.  Reports always print the
+# spectra, block by block; Hermitian parts, spectra and PSD tests are `linalg`'s.
 # ---------------------------------------------------------------------------
 
 
@@ -131,16 +134,18 @@ def stacked_effect_checks(
 ) -> list[Check]:
     """Effect checks of every matrix of an (N, n, n) stack, effect by effect:
     hermiticity residual relative to the effect's own max|m|, then min and
-    max eigenvalue, from one batched eigvalsh.  Names default to effect_k."""
+    max eigenvalue, from one ``spectra`` call per block.  Names default to effect_k."""
     if names is None:
         names = [f"effect_{k}" for k in range(len(stack))]
-    res, hermitian = hermiticity_residuals(stack, tol)
-    values = _spectra(hermitian_parts(stack))
-    low, high = values[:, 0], values[:, -1]
-    rows = zip(
-        names, res.tolist(), hermitian.tolist(), low.tolist(), (low >= -tol).tolist(),
-        high.tolist(), (high <= 1.0 + tol).tolist(),
-    )
+    rows: list[tuple] = []
+    for part in block_slices(len(stack), stack.shape[-1] ** 2):
+        res, hermitian = hermiticity_residuals(stack[part], tol)
+        values = spectra(hermitian_parts(stack[part]))
+        low, high = values[:, 0], values[:, -1]
+        rows += zip(
+            names[part], res.tolist(), hermitian.tolist(), low.tolist(),
+            (low >= -tol).tolist(), high.tolist(), (high <= 1.0 + tol).tolist(),
+        )
     return [
         entry
         for name, r, r_ok, lo, lo_ok, hi, hi_ok in rows
@@ -150,30 +155,6 @@ def stacked_effect_checks(
             (f"{name}_max_eigenvalue", hi, hi_ok),
         )
     ]
-
-
-def hermitian_parts(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag)/2 of a matrix or of every matrix of a stack, computed as
-    m/2 + m^dag/2: bitwise the same in the normal range, and finite for
-    every finite m, where m + m^dag may overflow.  Exactly Hermitian: entry
-    (j, i) is computed as the conjugate of entry (i, j), since
-    floating-point addition commutes."""
-    h = m / 2
-    h += dagger(h)
-    return h
-
-
-def _spectra(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or of every matrix of a
-    stack; a matrix with a non-finite entry, on which eigvalsh fails, gets
-    NaN, which fails every bound."""
-    if np.isfinite(h).all():
-        return np.linalg.eigvalsh(h)
-    finite = np.isfinite(h).all(axis=(-2, -1))
-    values = np.full(h.shape[:-1], np.nan)
-    if finite.any():
-        values[finite] = np.linalg.eigvalsh(h[finite])
-    return values
 
 
 # Cholesky's backward error (Higham, Accuracy and Stability of Numerical
@@ -272,11 +253,10 @@ def effect_checks(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "effect")
 
 def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") -> list[Check]:
     """Density operator: PSD with unit trace (hermiticity is separate)."""
-    values = _spectra(hermitian_parts(m))
+    values = spectra(hermitian_parts(m))
     trace_dev = abs(float(np.trace(m).real) - 1.0)
-    psd = values[0] >= -tol * max(1.0, float(values[-1]))
     return [
-        (f"{prefix}min_eigenvalue", float(values[0]), psd),
+        (f"{prefix}min_eigenvalue", float(values[0]), is_psd(values, tol)),
         (f"{prefix}trace_deviation", trace_dev, trace_dev <= tol),
     ]
 
@@ -347,7 +327,7 @@ def check_process_state(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> 
     if omega.shape != (d * d, d * d):
         raise ValueError(f"process state must be {d * d}x{d * d}, got {omega.shape}")
     values, _ = herm_eig(omega, tol)
-    if values[0] < -tol * max(1.0, float(values[-1])):
+    if not is_psd(values, tol):
         raise ValueError(f"process state not PSD: min eigenvalue {values[0]:.3e}")
     tr = float(np.trace(omega).real)
     if abs(tr - d) > tol * max(1.0, d):
@@ -490,7 +470,7 @@ def _scaled_eigenvectors(m: np.ndarray, what: str, tol: float) -> np.ndarray:
     top = float(values[-1]) if values.size else 0.0
     if top <= 0.0:
         raise ValueError(f"{what} has no positive spectrum")
-    if values[0] < -tol * max(1.0, top):
+    if not is_psd(values, tol):
         raise ValueError(f"{what} not PSD: min eigenvalue {values[0]:.3e}")
     keep = values > KRAUS_CUTOFF * top
     return np.sqrt(values[keep]) * vectors[:, keep]
@@ -561,7 +541,7 @@ def contraction_channel(target: np.ndarray) -> KrausChannel:
     Kraus operators are |target><k| over the computational basis.
     """
     t = np.asarray(target, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(t) - 1.0) > DEFAULT_TOL:
+    if not abs(np.linalg.norm(t) - 1.0) <= DEFAULT_TOL:
         raise ValueError("target state must be normalized")
     d = t.size
     ops = tuple(np.outer(t, ket(k, d).conj()) for k in range(d))

@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import KrausChannel, Povm, apply_channel, check_unitary, projector
-from .linalg import DEFAULT_TOL, dagger, frozen, hs_inner, max_abs, rank_and_support
+from .linalg import (
+    DEFAULT_TOL, dagger, frozen, hermitian_parts, hs_inner, max_abs, rank_and_support,
+)
 from .measurement import ProcessPovm, TestCouple, build_ppovm
 
 TWO_PI = 2.0 * np.pi
@@ -44,16 +46,15 @@ def unitary_eig(w: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
     """
     w = check_unitary(w, tol)
     d = w.shape[0]
-    h = (w + dagger(w)) / 2
     k = (w - dagger(w)) / 2j
-    h_values, vectors = np.linalg.eigh(h)
+    h_values, vectors = np.linalg.eigh(hermitian_parts(w))
     # clusters of h's eigenvalues, split where they differ by 1e-7 or more
     bounds = [0, *(np.flatnonzero(np.diff(h_values) >= 1e-7) + 1), d]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start > 1:
             block = vectors[:, start:stop]
             sub = dagger(block) @ k @ block
-            _, sub_vectors = np.linalg.eigh((sub + dagger(sub)) / 2)
+            _, sub_vectors = np.linalg.eigh(hermitian_parts(sub))
             vectors[:, start:stop] = block @ sub_vectors
     images = w @ vectors
     lams = np.einsum("ij,ij->j", vectors.conj(), images)  # <u|W|u> per column
@@ -193,8 +194,7 @@ def _plan(u, v, phases, vectors, tol: float) -> DiscriminationPlan:
     q = hull_weights(phases, tol)
     probe = vectors @ np.sqrt(q)
     probe = probe / np.linalg.norm(probe)
-    first = u @ projector(probe) @ dagger(u)
-    first = (first + dagger(first)) / 2
+    first = hermitian_parts(u @ projector(probe) @ dagger(u))
     plan = DiscriminationPlan(
         probe, Povm((first, np.eye(d) - first), ("ch1", "ch2"), tol), (0.0, 0.0)
     )

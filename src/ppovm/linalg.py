@@ -111,12 +111,9 @@ def hermiticity_residuals(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.n
     The upper triangle holds every residual, since |m_ij - conj(m_ji)| and
     |m_ji - conj(m_ij)| are exactly equal.  A residual at most tol passes
     whatever max|m| is, so max|m| is read only when some residual is
-    larger.  A stack larger than one block is read a block at a time."""
+    larger.  The callers pass one matrix or one block of a stack."""
     m = np.asarray(m)
     n = m.shape[-1]
-    if m.ndim == 3 and len(m) > 1 and m.size > BLOCK_ENTRIES:
-        parts = [hermiticity_residuals(m[part], tol) for part in block_slices(len(m), n * n)]
-        return tuple(np.concatenate(column) for column in zip(*parts))
     upper, mirror = _triangle(n)
     flat = m.reshape(*m.shape[:-2], n * n)
     diff = flat[..., upper]
@@ -176,28 +173,56 @@ def vec_reshape(phi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return phi.reshape(dim_a, dim_b)
 
 
+def hermitian_parts(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 of a matrix or of every matrix of a stack, computed as
+    m/2 + m^dag/2: bitwise the same in the normal range, and finite for
+    every finite m, where m + m^dag may overflow.  Exactly Hermitian: entry
+    (j, i) is computed as the conjugate of entry (i, j), since
+    floating-point addition commutes."""
+    h = m / 2
+    h += dagger(h)
+    return h
+
+
 def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized to (m + m^dag)/2 before solving; deviations
-    beyond ``tol`` (relative to the max norm) are an error.
+    The input is replaced by its ``hermitian_parts`` before solving;
+    deviations beyond ``tol`` (relative to the max norm) are an error.
     """
     m = square_matrix(m)
     if not hermiticity_check("matrix", m, tol)[2]:
         raise ValueError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
-    return HermitianEigen(values, vectors)
+    return HermitianEigen(*np.linalg.eigh(hermitian_parts(m)))
+
+
+def spectra(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of every matrix of a
+    stack; a matrix with a non-finite entry, on which eigvalsh fails, gets
+    NaN, which fails every bound."""
+    if np.isfinite(h).all():
+        return np.linalg.eigvalsh(h)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    values = np.full(h.shape[:-1], np.nan)
+    if finite.any():
+        values[finite] = np.linalg.eigvalsh(h[finite])
+    return values
+
+
+def is_psd(values: np.ndarray, tol: float) -> bool:
+    """The PSD rule on an ascending spectrum: the least eigenvalue is at
+    least -tol max(1, the largest).  NaN fails; an empty spectrum passes."""
+    return not values.size or bool(values[0] >= -tol * max(1.0, float(values[-1])))
 
 
 def mat_sqrt_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in [-tol*max_eig, 0) are clamped to zero; anything more
-    negative is an error.
+    negative (``is_psd``) is an error.
     """
     values, vectors = herm_eig(m, tol)
-    floor = -tol * max(1.0, float(values[-1])) if values.size else 0.0
-    if values.size and values[0] < floor:
+    if not is_psd(values, tol):
         raise ValueError(f"matrix is not PSD: min eigenvalue {values[0]:.3e}")
     clamped = np.clip(values, 0.0, None)
     return (vectors * np.sqrt(clamped)) @ dagger(vectors)

@@ -40,6 +40,7 @@ from .linalg import (
     dagger,
     frozen,
     herm_eig,
+    hermitian_parts,
     kron,
     max_abs,
     partial_trace,
@@ -180,13 +181,13 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
     if not couples:
         raise ValueError("need at least one test couple")
     total_weight = sum(c.weight for c in couples)
-    if abs(total_weight - 1.0) > tol:
+    if not abs(total_weight - 1.0) <= tol:
         raise ValueError(f"couple weights sum to {total_weight}, expected 1")
     blocks: list[np.ndarray] = []
     labels: list[str] = []
     norm_state = np.zeros((d, d), dtype=complex)
     for j, couple in enumerate(couples):
-        if couple.weight <= 0.0:
+        if not couple.weight > 0.0:
             raise ValueError(f"couple {j} has non-positive weight {couple.weight}")
         if couple.qudit_dim() != d:
             raise ValueError(f"couple {j} is not defined on qudit dimension {d}")
@@ -293,7 +294,7 @@ def merge_couples(couples: list[TestCouple]) -> TestCouple:
     d = couples[0].qudit_dim()
     if any(c.qudit_dim() != d for c in couples):
         raise ValueError("couples must share the qudit dimension")
-    if any(c.weight <= 0.0 for c in couples):
+    if not all(c.weight > 0.0 for c in couples):
         raise ValueError("zero-weight couples cannot be merged")
     n_big = max(c.anc_dim for c in couples) * d
     n = len(couples) * n_big
@@ -391,10 +392,7 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
                 raise SupportViolationError(
                     f"effect {label!r} leaks outside the normalization support"
                 )
-        f = k @ ms @ k_dag
-        f += dagger(f)
-        f /= 2
-        return f
+        return hermitian_parts(k @ ms @ k_dag)
 
     f = blockwise(block, len(m), m.shape[1] * m.shape[2])
     f.setflags(write=False)  # so Povm keeps it without a copy

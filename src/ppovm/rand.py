@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KrausChannel, Povm, projector
-from .linalg import dagger, mat_sqrt_psd, pinv
+from .linalg import dagger, hermitian_parts, mat_sqrt_psd, pinv
 from .measurement import ProcessPovm, TestCouple, build_ppovm, purification
 
 
@@ -48,7 +48,7 @@ def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
         parts.append(g @ dagger(g))
     total = sum(parts)
     root = pinv(mat_sqrt_psd(total, 1e-12), 1e-12)
-    effects = [(root @ p @ root + dagger(root @ p @ root)) / 2 for p in parts]
+    effects = [hermitian_parts(root @ p @ root) for p in parts]
     # absorb the rounding slack so the sum is the identity to machine precision
     slack = (np.eye(d) - sum(effects)) / n_outcomes
     effects = [e + slack for e in effects]

@@ -6,12 +6,12 @@ bit-exactly through Python's shortest-repr encoding.  The ``effects`` of
 a povm or ppovm file and the ``ops`` of a kraus channel are read as one
 (N, rows, cols) stack.  Every decoder raises ``FormatError`` for a
 structural fault: a missing key, a wrong type, a dimension that is not a
-positive integer, an entry that is not a [re, im] pair of finite numbers,
-a matrix of the wrong length or shape (a state or unitary file that is
-not square among them), an empty list, a repeated label, bad counts.  A
-well-formed payload that breaks a physical invariant (a Choi matrix that
-is not PSD beyond the caller's ``tol``) raises a plain ``ValueError``
-instead.
+positive integer (JSON true and false are not integers), an entry that is
+not a [re, im] pair of finite numbers, a matrix of the wrong length or
+shape (a state or unitary file that is not square among them), an empty
+list, a repeated label, bad counts.  A well-formed payload that breaks a
+physical invariant (a Choi matrix that is not PSD beyond the caller's
+``tol``) raises a plain ``ValueError`` instead.
 
 Every file and ``--format json`` output is ``dumps``'s text: exactly
 ``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline.  The float
@@ -55,7 +55,11 @@ def _decoder(decode):
 
 
 def _int(value, what: str, least: int) -> int:
+    """``value`` as an integer of at least ``least``; a JSON boolean, which
+    Python counts as an integer, is not one."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise FormatError(f"{what} must be an integer, got {value!r}") from None
@@ -79,7 +83,7 @@ def _entries(mats: list[dict]) -> np.ndarray:
         raise FormatError("a matrix entry is not a [re, im] pair")
     try:
         flat = np.asarray(list(chain.from_iterable(pairs)))
-        numbers = flat.ndim == 1 and flat.dtype.kind in "biuf"
+        numbers = flat.ndim == 1 and flat.dtype.kind in "iuf"  # no all-boolean data
     except ValueError:  # values that are lists of different lengths
         numbers = False
     if not numbers:

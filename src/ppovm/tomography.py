@@ -35,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
-from .linalg import DEFAULT_TOL, block_slices, blockwise, hs_distance, max_abs, partial_trace
+from .linalg import (
+    DEFAULT_TOL, block_slices, blockwise, hermitian_parts, hs_distance, max_abs, partial_trace,
+)
 from .measurement import ProcessPovm, Realization, effect_pairings
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
@@ -283,9 +285,9 @@ def psd_project(
     n = d * d
     if omega.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {omega.shape}")
-    if max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) > 100 * tol:
+    if not max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) <= 100 * tol:
         raise ValueError("input marginal is too far from the identity")
-    omega = (omega + omega.conj().T) / 2
+    omega = hermitian_parts(omega)
     eye = np.eye(d)
     for _ in range(iters):
         previous = omega

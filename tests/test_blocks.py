@@ -31,12 +31,14 @@ from ppovm.linalg import (
     hermiticity_residuals,
     kron,
     pinv,
+    spectra,
 )
 from ppovm.measurement import (
     ProcessPovm,
     SupportViolationError,
     TestCouple,
     build_ppovm,
+    ppovm_checks,
     purification,
     realize,
     validate_ppovm,
@@ -84,6 +86,21 @@ def _residuals_reference(m: np.ndarray, tol: float):
     if not passed.all():
         passed = res <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     return res, passed
+
+
+def _effect_checks_reference(m: np.ndarray, tol: float) -> list:
+    res, passed = _residuals_reference(m, tol)
+    values = spectra((m + dagger(m)) / 2)
+    low, high = values[:, 0], values[:, -1]
+    return [
+        entry
+        for k in range(len(m))
+        for entry in (
+            (f"effect_{k}_hermiticity_residual", float(res[k]), bool(passed[k])),
+            (f"effect_{k}_min_eigenvalue", float(low[k]), bool(low[k] >= -tol)),
+            (f"effect_{k}_max_eigenvalue", float(high[k]), bool(high[k] <= 1.0 + tol)),
+        )
+    ]
 
 
 def _design_reference(effects: np.ndarray, d: int) -> np.ndarray:
@@ -160,12 +177,15 @@ def test_blocked_stages_match_whole_stack_references(d, count):
     assert _same_bytes(pp.effects, _build_reference(couple, d))
     assert _same_bytes(_design(pp.effects, d), _design_reference(pp.effects, d))
 
-    # residuals of an almost-Hermitian stack, some above tol: the relative
-    # test then runs, per block and on the whole stack alike
+    # effect checks of an almost-Hermitian stack, some residuals above tol:
+    # the relative test then runs, per block and on the whole stack alike
     noise = rng.normal(size=pp.effects.shape) * 1e-9
     stack = pp.effects + 1j * noise
     for got, want in zip(hermiticity_residuals(stack, 1e-9), _residuals_reference(stack, 1e-9)):
         assert _same_bytes(got, want)
+    got, want = stacked_effect_checks(stack, 1e-9), _effect_checks_reference(stack, 1e-9)
+    assert got == want
+    assert np.array([v for _, v, _ in got]).tobytes() == np.array([v for _, v, _ in want]).tobytes()
 
     real = realize(pp)
     vector, effects = _realize_reference(pp)
@@ -378,6 +398,7 @@ def test_heavy_stages_stay_within_one_and_a_half_stacks():
             "validate_ppovm": lambda: validate_ppovm(list(pp.matrices), d),
             "realize": lambda: realize(pp),
             "ic_check": lambda: ic_check(pp),
+            "ppovm_checks": lambda: ppovm_checks(pp.matrices, d),
         }
         pp = None
         for name, stage in stages.items():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,10 +230,22 @@ def test_factories_validate_inputs():
         depolarizing_channel(1.5, 2)
     with pytest.raises(ValueError):
         contraction_channel(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        contraction_channel(np.array([np.nan, 0.0]))
     assert identity_channel(3).kraus[0].shape == (3, 3)
     for d in (2, 3):
         for ch in (contraction_channel(ket(0, d)), depolarizing_channel(0.3, d)):
             assert ch.is_trace_preserving
+
+
+def test_channel_of_choi_near_the_float_limit():
+    # (omega + omega^dag)/2 would overflow; the Hermitian part stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ch = channel_of_choi(1.5e308 * np.eye(4), 2)
+    assert ch.kraus.shape == (4, 2, 2)
+    assert np.isfinite(ch.kraus).all()
+    assert np.allclose(ch.kraus / np.sqrt(1.5e308), channel_of_choi(np.eye(4), 2).kraus)
 
 
 def test_check_density_and_process_state():

@@ -68,6 +68,16 @@ def test_validate_reports_effects_near_the_float_limit(tmp_path, capsys):
     assert all(not c["pass"] for c in payload["checks"][3:])
 
 
+def test_validate_reports_a_choi_matrix_near_the_float_limit(tmp_path, capsys):
+    # its Hermitian part is finite, so the Kraus operators are; their
+    # trace-preservation sum overflows, which the report shows as inf
+    huge = {"kind": "choi", "d": 2, "matrix": serialize.encode_matrix(1.5e308 * np.eye(4))}
+    path = _write(tmp_path, "huge-choi.json", huge)
+    code, out, err = run(capsys, "validate", "channel", path)
+    assert (code, err) == (1, "")
+    assert out == "trace_preservation_residual: inf [FAIL]\nINVALID\n"
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -224,6 +234,62 @@ MALFORMED = {
     "non-square state": lambda t: ["validate", "state", _non_square(t)],
     "non-square unitary": lambda t: ["discriminate", _non_square(t), _non_square(t)],
 }
+
+
+def _one_by_one(**keys):
+    """A 1 x 1 matrix payload holding 1, with ``keys`` replaced."""
+    return {"rows": 1, "cols": 1, "data": [[1.0, 0.0]], **keys}
+
+
+def _one_outcome(kind, size, **matrix):
+    """A povm (kind "dim") or ppovm (kind "d") file of one 1 x 1 effect."""
+    return {kind: size, "effects": [{"label": "0", "matrix": _one_by_one(**matrix)}]}
+
+
+def _counts_with(tmp_path, value, key=None):
+    """Counts of 1 shot on a pauli-probe outcome, with ``key`` (or the
+    first count) set to ``value``."""
+    obj = serialize.read_json(_counts_file(tmp_path, 1, 1))
+    if key is None:
+        obj["counts"][next(iter(obj["counts"]))] = value
+    else:
+        obj[key] = value
+    return ["tomo", gen(tmp_path, "pauli-probe"), "--counts", _write(tmp_path, "c.json", obj)]
+
+
+def _validate(kind, obj):
+    return lambda t: ["validate", kind, _write(t, "b.json", obj)]
+
+
+def _kraus(**dims):
+    return {"kind": "kraus", "dim_in": 1, "dim_out": 1, "ops": [_one_by_one()], **dims}
+
+
+# a file holding JSON true where it needs an integer, or as every number of
+# a matrix, and the same file with 1 there
+BOOLEANS = {
+    "ppovm d": lambda v: _validate("ppovm", _one_outcome("d", v)),
+    "ppovm rows": lambda v: _validate("ppovm", _one_outcome("d", 1, rows=v)),
+    "ppovm cols": lambda v: _validate("ppovm", _one_outcome("d", 1, cols=v)),
+    "ppovm data": lambda v: _validate("ppovm", _one_outcome("d", 1, data=[[v, not v]])),
+    "povm dim": lambda v: _validate("povm", _one_outcome("dim", v)),
+    "dim_in": lambda v: _validate("channel", _kraus(dim_in=v)),
+    "dim_out": lambda v: _validate("channel", _kraus(dim_out=v)),
+    "shots": lambda v: lambda t: _counts_with(t, v, "shots"),
+    "seed": lambda v: lambda t: _counts_with(t, v, "seed"),
+    "a count": lambda v: lambda t: _counts_with(t, v),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEANS))
+def test_json_booleans_are_not_numbers(tmp_path, capsys, case):
+    code, _, err = run(capsys, *BOOLEANS[case](1)(tmp_path))
+    assert code == 0, err
+    argv = BOOLEANS[case](True)(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -7,13 +7,16 @@ from ppovm.channels import PAULI_X, PAULI_Z, choi_of_channel, ket, max_entangled
 from ppovm.linalg import (
     dagger,
     herm_eig,
+    hermitian_parts,
     hermiticity_residuals,
     hs_inner,
+    is_psd,
     kron,
     mat_sqrt_psd,
     partial_trace,
     pinv,
     rank_and_support,
+    spectra,
     vec_reshape,
 )
 from ppovm.rand import random_channel, random_density, random_unitary
@@ -231,6 +234,36 @@ def test_herm_eig_rejects_bad_input():
         herm_eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_parts_are_bitwise_the_sum_form_and_finite_at_the_limit():
+    rng = np.random.default_rng(10)
+    m = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    h = hermitian_parts(m)
+    assert h.tobytes() == ((m + dagger(m)) / 2).tobytes()
+    assert np.array_equal(h, dagger(h))
+    huge = 1.5e308 * np.eye(4, dtype=complex)
+    huge[0, 1] = 1e308
+    assert np.isfinite(hermitian_parts(huge)).all()
+    values, _ = herm_eig(1.5e308 * np.eye(4))  # (m + m^dag)/2 overflows
+    assert np.array_equal(values, np.full(4, 1.5e308))
+
+
+def test_spectra_are_nan_for_non_finite_matrices():
+    stack = np.array([np.diag([1.0, 2.0]), np.diag([np.inf, 0.0]), np.diag([3.0, np.nan])])
+    values = spectra(stack.astype(complex))
+    assert np.array_equal(values[0], [1.0, 2.0])
+    assert np.isnan(values[1:]).all()
+    assert np.array_equal(spectra(np.eye(2)), [1.0, 1.0])
+
+
+def test_psd_rule():
+    assert is_psd(np.array([-1e-9, 1.0]), 1e-9)
+    assert not is_psd(np.array([-2e-9, 1.0]), 1e-9)
+    assert is_psd(np.array([-2e-9, 2.0]), 1e-9)  # relative to the largest
+    assert not is_psd(np.array([np.nan, 1.0]), 1e-9)
+    assert not is_psd(np.array([np.nan, np.nan]), 1e-9)
+    assert is_psd(np.array([]), 1e-9)
 
 
 def test_mat_sqrt_psd_examples():

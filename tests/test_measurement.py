@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,8 @@ def test_build_rejects_bad_weights():
              random_test_couple(2, 1, rng, weight=0.5)],
             2,
         )
+    with pytest.raises(ValueError, match="weights sum to nan"):
+        build_ppovm([dataclasses.replace(couple, weight=np.nan)], 2)
 
 
 def test_validate_half_povm():

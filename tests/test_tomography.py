@@ -464,6 +464,11 @@ def test_psd_project_restores_invariants():
     assert max_abs(partial_trace(projected, 2, 2, "second") - np.eye(2)) < 1e-6
 
 
+def test_psd_project_rejects_a_nan_marginal():
+    with pytest.raises(ValueError, match="marginal"):
+        psd_project(np.full((4, 4), np.nan), 2)
+
+
 def _reference_psd_project(omega_raw, d, iters=50, tol=1e-10):
     """The projection loop before broadcasting: numpy.kron for the marginal
     repair, the partial_trace and max_abs wrappers, np.eye per iteration."""

@@ -22,7 +22,6 @@ from ppovm.channels import (
     all_pass,
     check_effect,
     effect_checks,
-    hermitian_parts,
     povm_checks,
     require_effects,
     stacked_effect_checks,
@@ -32,6 +31,7 @@ from ppovm.linalg import (
     BLOCK_ENTRIES,
     DEFAULT_TOL,
     dagger,
+    hermitian_parts,
     hermiticity_residuals,
     kron,
     max_abs,
