@@ -1,12 +1,13 @@
 """Command-line front end over the JSON file formats.
 
 Exit codes: 0 success, 1 domain or invariant failure, 2 usage, I/O or
-parse failure.  Malformed input, every ``serialize.FormatError``
-(non-finite numbers among them), is a parse failure; so is an option out
-of its range, such as a ``--tol`` that is not positive and finite.
-``--tol`` is the tolerance of every invariant check made on the input
-files; ``validate`` prints the library's own check entries.  Table output
-is for humans; ``--format json`` is the stable surface.
+parse failure, or memory exhausted.  Malformed input, every
+``serialize.FormatError`` (non-finite numbers among them), is a parse
+failure; so is an option out of its range, such as a ``--tol`` that is
+not positive and finite.  ``--tol`` is the tolerance of every invariant
+check made on the input files; ``validate`` prints the library's own
+check entries.  Table output is for humans; ``--format json`` is the
+stable surface.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .channels import (
     identity_channel,
     ket,
     povm_checks,
+    projector,
     state_checks,
     trace_preservation_checks,
 )
@@ -117,11 +119,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ch = _read(args.path, serialize.decode_channel, tol=args.tol)
-    if not all_pass(trace_preservation_checks(ch, args.tol)):
-        print("warning: channel is not trace preserving", file=sys.stderr)
-    out = serialize.encode_channel(ch, kind="choi" if args.direction == "kraus2choi" else "kraus")
-    residual = max_abs(choi_of_channel(serialize.decode_channel(out)) - choi_of_channel(ch))
+    # as in validate: sums of entries near the float limit overflow, and the
+    # trace-preservation check fails on the inf they become
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = _read(args.path, serialize.decode_channel, tol=args.tol)
+        if not all_pass(trace_preservation_checks(ch, args.tol)):
+            print("warning: channel is not trace preserving", file=sys.stderr)
+        kind = "choi" if args.direction == "kraus2choi" else "kraus"
+        out = serialize.encode_channel(ch, kind=kind)
+        residual = max_abs(choi_of_channel(serialize.decode_channel(out)) - choi_of_channel(ch))
     serialize.write_json(args.out, out)
     _emit(
         args,
@@ -228,7 +234,10 @@ def cmd_discriminate(args) -> int:
     plan_payload = None if plan is None else {
         "probe": serialize.encode_vector(plan.probe),
         "povm": serialize.encode_effects(plan.povm.effects, plan.povm.labels),
-        "ppovm": serialize.encode_ppovm(plan.ppovm),
+        # the process POVM {rho^T (x) F_k} in product form: O(d^2) numbers
+        "ppovm": serialize.encode_product_ppovm(
+            [projector(plan.probe).T], plan.povm.effects, plan.povm.labels
+        ),
         "error_rates": [float(x) for x in plan.error_rates],
     }
     lines = [
@@ -430,6 +439,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseFailure, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. the dense effects of a large product file
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

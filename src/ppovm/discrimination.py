@@ -154,8 +154,10 @@ def hull_weights(phases: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 class DiscriminationPlan:
     """Ancilla-free probe, output POVM, and the error rates of the test.
 
-    ``ppovm`` is the induced d^2 x d^2 process POVM, built only when asked
-    for; the plan itself holds O(d^2) numbers.
+    The plan holds O(d^2) numbers.  Its process POVM is the product
+    {rho^T (x) F_k}, rho = |probe><probe|: the CLI writes it as those
+    factors (``serialize.encode_product_ppovm``), and ``ppovm`` builds
+    the two dense d^2 x d^2 effects only when asked for.
     """
 
     probe: np.ndarray

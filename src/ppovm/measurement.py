@@ -221,14 +221,17 @@ def _normalization_check(total: np.ndarray, sigma: np.ndarray, d: int, tol: floa
 
 def _sum_checks(stack: np.ndarray, d: int, tol: float) -> tuple[list[Check], np.ndarray]:
     """The sum factors as sigma (x) I_d, and rho = sigma^T is a density
-    operator; returns those entries and rho."""
-    total = stack.sum(axis=0)
-    sigma = partial_trace(total, d, d, "second") / d
-    rho = sigma.T
-    return [
-        _normalization_check(total, sigma, d, tol),
-        *density_checks(rho, tol, "norm_state_"),
-    ], rho
+    operator; returns those entries and rho.  Effects near the float limit
+    overflow in the sum and its partial trace; the inf and NaN values they
+    become fail the entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = stack.sum(axis=0)
+        sigma = partial_trace(total, d, d, "second") / d
+        rho = sigma.T
+        return [
+            _normalization_check(total, sigma, d, tol),
+            *density_checks(rho, tol, "norm_state_"),
+        ], rho
 
 
 def ppovm_checks(

@@ -4,12 +4,14 @@ A matrix is ``{"rows": r, "cols": c, "data": [[re, im], ...]}``, entries
 row-major, written from its (r*c, 2) float view; floats round-trip
 bit-exactly through Python's shortest-repr encoding.  The ``effects`` of
 a povm or ppovm file and the ``ops`` of a kraus channel are read as one
-(N, rows, cols) stack.  Every decoder raises ``FormatError`` for a
-structural fault: a missing key, a wrong type, a dimension that is not a
-positive integer (JSON true and false are not integers), an entry that is
-not a [re, im] pair of finite numbers, a matrix of the wrong length or
-shape (a state or unitary file that is not square among them), an empty
-list, a repeated label, bad counts.  A well-formed payload that breaks a
+(N, rows, cols) stack; a ``product_ppovm`` file, which holds the d x d
+factors of a process POVM {A_a (x) B_b}, is read as the stack of its
+products.  Every decoder raises ``FormatError`` for a structural fault: a
+missing key, a wrong type, a dimension that is not a positive integer
+(JSON true and false are not integers), an entry that is not a [re, im]
+pair of finite numbers, a matrix of the wrong length or shape (a state or
+unitary file that is not square among them), an empty list, a repeated
+label, an unknown kind, bad counts.  A well-formed payload that breaks a
 physical invariant (a Choi matrix that is not PSD beyond the caller's
 ``tol``) raises a plain ``ValueError`` instead.
 
@@ -159,13 +161,18 @@ def encode_effects(effects, labels) -> list[dict]:
     return [{"label": lbl, "matrix": m} for lbl, m in zip(labels, payloads)]
 
 
+def _labelled(effects: list[dict], side: int, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A list of labelled matrices as one (N, side, side) stack, and the
+    distinct labels."""
+    stack = _stack([e["matrix"] for e in effects], (side, side), what)
+    return stack, effect_labels([str(e["label"]) for e in effects], len(stack), FormatError)
+
+
 @_decoder
 def decode_effects(obj: dict, side: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """The ``effects`` list of a povm or ppovm file as one (N, side, side)
     stack, and the labels."""
-    effects = obj["effects"]
-    stack = _stack([e["matrix"] for e in effects], (side, side), "effect")
-    return stack, effect_labels([str(e["label"]) for e in effects], len(stack), FormatError)
+    return _labelled(obj["effects"], side, "effect")
 
 
 @_decoder
@@ -178,11 +185,55 @@ def encode_ppovm(pp: ProcessPovm) -> dict:
     return {"d": pp.d, "effects": encode_effects(pp.effects, pp.labels)}
 
 
+def encode_product_ppovm(first, second, labels) -> dict:
+    """A ``product_ppovm`` file: the process POVM {A_a (x) B_b}, a-major, of
+    the d x d factors A = ``first`` and B = ``second``, whose effects carry
+    ``labels``.  It holds O(d^2) numbers per factor where the dense file
+    holds d^4 per effect."""
+    first = np.asarray(first)
+    return {
+        "kind": "product_ppovm",
+        "d": first.shape[-1],
+        "first": _payloads(first),
+        "second": encode_effects(second, labels),
+    }
+
+
+def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Every first[a] (x) second[b], a-major, as one read-only (Na Nb, d^2,
+    d^2) stack written by one broadcast: the products ``linalg.kron``
+    forms, in an array ``frozen`` keeps without a copy."""
+    (na, d, _), nb = first.shape, len(second)
+    stack = np.empty((na * nb, d * d, d * d), complex)
+    np.multiply(
+        first[:, None, :, None, :, None],
+        second[None, :, None, :, None, :],
+        out=stack.reshape(na, nb, d, d, d, d),
+    )
+    stack.setflags(write=False)
+    return stack
+
+
 @_decoder
 def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
-    """Effects, labels and d of a ppovm file; every effect is d^2 x d^2."""
+    """Effects, labels and d of a ppovm file; every effect is d^2 x d^2.
+
+    A file with no ``kind`` lists the effects; a ``product_ppovm`` file
+    lists d x d factors A_a (``first``) and labelled B_b (``second``), and
+    its effects are the A_a (x) B_b, a-major, labelled as ``build_ppovm``
+    labels couples: B_b's label alone when there is one A, else "a:label".
+    """
+    kind = obj.get("kind")
+    if kind is not None and kind != "product_ppovm":
+        raise FormatError(f"unknown process POVM kind {kind!r}")
     d = _int(obj["d"], "d", 1)
-    return *decode_effects(obj, d * d), d
+    if kind is None:
+        return *decode_effects(obj, d * d), d
+    first = _stack(obj["first"], (d, d), "first factor")
+    second, labels = _labelled(obj["second"], d, "second factor")
+    if len(first) > 1:
+        labels = tuple(f"{a}:{lbl}" for a in range(len(first)) for lbl in labels)
+    return _products(first, second), labels, d
 
 
 def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:

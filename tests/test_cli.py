@@ -3,13 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ppovm
 from ppovm import discrimination, serialize
-from ppovm.channels import KrausChannel, ket, projector
+from ppovm.channels import PAULI_Z, KrausChannel, ket, projector
 from ppovm.cli import main
 from ppovm.linalg import max_abs
 from ppovm.rand import random_unitary
@@ -481,6 +482,17 @@ def test_convert_non_tp_warns_but_converts(tmp_path, capsys):
     assert out_path.exists()
 
 
+def test_convert_reports_a_choi_matrix_near_the_float_limit(tmp_path, capsys):
+    # the trace-preservation sum overflows to inf, which fails the check:
+    # a warning, and no RuntimeWarning
+    huge = {"kind": "choi", "d": 2, "matrix": serialize.encode_matrix(1.5e308 * np.eye(4))}
+    path = _write(tmp_path, "huge-choi.json", huge)
+    argv = ["convert", "choi2kraus", path, "--out", str(tmp_path / "k.json"), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "warning: channel is not trace preserving\n")
+    assert json.loads(out)["round_trip_residual"] == 0.0
+
+
 def test_probs_identity_vs_contraction(tmp_path, capsys):
     pp_path = gen(tmp_path, "identity-vs-contraction")
     id_path = gen(tmp_path, "identity")
@@ -679,6 +691,144 @@ def test_discriminate_decomposes_the_pair_once(tmp_path, capsys, monkeypatch):
         assert code == 0
         assert json.loads(out)["plan"] is not None
         assert calls == {"unitary_eig": 1, "check_unitary": 3}
+
+
+def _matrix_files(tmp_path, **mats):
+    return [
+        _write(tmp_path, f"{name}.json", serialize.encode_matrix(m)) for name, m in mats.items()
+    ]
+
+
+def _no_dense_plan(monkeypatch):
+    def dense(plan):
+        raise AssertionError("the plan's d^2 x d^2 process POVM was built")
+
+    monkeypatch.setattr(discrimination.DiscriminationPlan, "ppovm", property(dense))
+
+
+def test_discriminate_writes_the_plan_in_product_form(tmp_path, capsys, monkeypatch):
+    # the dense ppovm key alone held two 256 x 256 matrices: 10.6 MB of JSON
+    rng = np.random.default_rng(16)
+    paths = _matrix_files(tmp_path, u=random_unitary(16, rng), v=random_unitary(16, rng))
+    _no_dense_plan(monkeypatch)
+    code, out, err = run(capsys, "discriminate", *paths, "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(out.encode()) < 200_000
+    plan = json.loads(out)["plan"]
+    ppovm = plan["ppovm"]
+    assert (ppovm["kind"], ppovm["d"], len(ppovm["first"])) == ("product_ppovm", 16, 1)
+    assert ppovm["second"] == plan["povm"]
+
+
+def test_discriminate_at_d_128(tmp_path, capsys, monkeypatch):
+    # one 16384 x 16384 complex matrix is 4 GiB; the output is O(d^2)
+    d = 128
+    phases = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    paths = _matrix_files(tmp_path, u=np.eye(d), v=phases)
+    _no_dense_plan(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "discriminate", *paths, "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["plan"] is not None
+    assert len(out.encode()) < 4_000_000
+    assert peak < 2**27
+
+
+def test_product_plan_file_reads_like_its_dense_equivalent(tmp_path, capsys):
+    identity, pauli_z = _matrix_files(tmp_path, identity=np.eye(2), pauli_z=PAULI_Z)
+    code, out, _ = run(capsys, "discriminate", identity, pauli_z, "--format", "json")
+    assert code == 0
+    product = _write(tmp_path, "product.json", json.loads(out)["plan"]["ppovm"])
+    plan = discrimination.pair_report(np.eye(2), PAULI_Z).plan
+    dense = _write(tmp_path, "dense.json", serialize.encode_ppovm(plan.ppovm))
+    channel = gen(tmp_path, "depolarizing", "--p", "0.37")
+    capsys.readouterr()
+    validated, probs = [], []
+    for path in (product, dense):
+        code, out, err = run(capsys, "validate", "ppovm", path, "--format", "json")
+        assert (code, err) == (0, "")
+        validated.append(json.loads(out))
+        code, out, err = run(capsys, "probs", path, channel, "--format", "json")
+        assert (code, err) == (0, "")
+        probs.append(json.loads(out)["probs"])
+        counts = str(tmp_path / "counts.json")
+        argv = ["simulate", channel, path, "--shots", "100", "--out", counts]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "tomo", path, "--counts", counts)[0] == 0
+    a, b = validated
+    assert a["n_effects"] == b["n_effects"] == 2
+    assert [(c["name"], c["pass"]) for c in a["checks"]] == [
+        (c["name"], c["pass"]) for c in b["checks"]
+    ]
+    # the two stacks differ by 1.1e-16 an entry, which moves an eigenvalue
+    # near 1 of a 4 x 4 effect by up to 5 ulps (1.1e-15)
+    assert max(abs(x["value"] - y["value"]) for x, y in zip(a["checks"], b["checks"])) <= 2e-15
+    assert probs[0].keys() == probs[1].keys() == {"ch1", "ch2"}
+    assert max(abs(probs[0][k] - probs[1][k]) for k in probs[0]) <= 1e-14
+
+
+PLUS = projector(np.ones(2) / np.sqrt(2))
+
+
+def _product_file(**keys):
+    """A d = 2 product file {P^T (x) P, P^T (x) (I - P)}, P = |+><+|, with
+    ``keys`` replaced."""
+    obj = serialize.encode_product_ppovm([PLUS.T], [PLUS, np.eye(2) - PLUS], ["a", "b"])
+    return {**obj, **keys}
+
+
+# case -> (the replaced keys, the message)
+PRODUCT_MALFORMED = {
+    "unknown kind": ({"kind": "product"}, "unknown process POVM kind 'product'"),
+    "first factor of the wrong shape": (
+        {"first": [serialize.encode_matrix(np.eye(4))]},
+        "first factor 0 is 4x4 with 16 entries, not 2x2",
+    ),
+    "second factor of the wrong shape": (
+        {"second": [{"label": "a", "matrix": serialize.encode_matrix(np.eye(3))}]},
+        "second factor 0 is 3x3 with 9 entries, not 2x2",
+    ),
+    "no first factor": ({"first": []}, "need one or more first factors"),
+    "no second factor": ({"second": []}, "need one or more second factors"),
+    "repeated second label": (
+        {"second": serialize.encode_effects([PLUS, np.eye(2) - PLUS], ["a", "a"])},
+        "repeated effect label 'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_MALFORMED))
+def test_malformed_product_ppovm_exits_2(tmp_path, capsys, case):
+    assert run(capsys, "validate", "ppovm", _write(tmp_path, "ok.json", _product_file()))[0] == 0
+    keys, message = PRODUCT_MALFORMED[case]
+    path = _write(tmp_path, "bad.json", _product_file(**keys))
+    code, out, err = run(capsys, "validate", "ppovm", path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 8 GiB"), "error: out of memory: Unable to allocate 8 GiB"),
+        (MemoryError(), "error: out of memory"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "probs"])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, command, exc, line):
+    # such as the dense stack of a large product file; nothing is allocated
+    pp, channel = gen(tmp_path, "pauli-probe"), gen(tmp_path, "identity")
+    capsys.readouterr()
+
+    def exhausted(obj):
+        raise exc
+
+    monkeypatch.setattr(serialize, "decode_ppovm_effects", exhausted)
+    argv = ["validate", "ppovm", pp] if command == "validate" else ["probs", pp, channel]
+    assert run(capsys, *argv) == (2, "", line + "\n")
 
 
 def test_discriminate_rejects_non_unitary(tmp_path, capsys):

@@ -323,6 +323,19 @@ def test_validate_reports_huge_and_nan_effects_as_not_psd(stack, message):
     assert str(raised.value) == message
 
 
+def test_ppovm_checks_report_effects_near_the_float_limit():
+    # the partial trace of the effect sum overflows; the inf and NaN it
+    # becomes fail the sum's entries, with no RuntimeWarning
+    checks, rho = ppovm_checks(1.5e308 * np.eye(4, dtype=complex)[None], 2)
+    assert [name for name, _, passed in checks if not passed] == [
+        "effect_0_max_eigenvalue",
+        "product_normalization_residual",
+        "norm_state_min_eigenvalue",
+        "norm_state_trace_deviation",
+    ]
+    assert not np.isfinite(rho).all()
+
+
 def test_tol_reaches_validate_and_probabilities():
     # one entry moved by 1e-8: the sum and the norm-state trace drift by 5e-9
     mats = [np.array(m) for m in pauli_probe_ppovm().matrices]

@@ -7,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppovm import serialize
-from ppovm.channels import choi_of_channel, depolarizing_channel, identity_channel
-from ppovm.linalg import max_abs
+from ppovm.channels import (
+    PAULI_Z, choi_of_channel, depolarizing_channel, identity_channel, projector,
+)
+from ppovm.discrimination import pair_report
+from ppovm.linalg import kron, max_abs
 from ppovm.measurement import outcome_probabilities
-from ppovm.rand import random_channel
+from ppovm.rand import random_channel, random_unitary
 from ppovm.schemes import pauli_probe_ppovm
 from ppovm.tomography import ShotRecord, linear_inversion
 
@@ -49,6 +52,44 @@ def test_ppovm_round_trip_validates():
     assert max_abs(back.norm_state - pp.norm_state) < 1e-9
     for a, b in zip(pp.matrices, back.matrices):
         assert np.array_equal(a, b)
+
+
+def _plan(d):
+    """The plan of I against Z at d = 2, else of the first seeded Haar pair
+    that has one."""
+    if d == 2:
+        return pair_report(np.eye(2), PAULI_Z).plan
+    for seed in range(20):
+        rng = np.random.default_rng([d, seed])
+        plan = pair_report(random_unitary(d, rng), random_unitary(d, rng)).plan
+        if plan is not None:
+            return plan
+    raise AssertionError(f"no one-shot pair at d={d}")
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_product_ppovm_decodes_to_the_plan_process_povm(d):
+    plan = _plan(d)
+    obj = serialize.encode_product_ppovm(
+        [projector(plan.probe).T], plan.povm.effects, plan.povm.labels
+    )
+    stack, labels, side = serialize.decode_ppovm_effects(json.loads(serialize.dumps(obj)))
+    dense = plan.ppovm
+    assert (labels, side) == (dense.labels, d)
+    assert max_abs(stack - dense.effects) <= 1e-15
+
+
+def test_product_ppovm_effects_are_kron_products_a_major():
+    rng = np.random.default_rng(3)
+    first, second = (
+        rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)) for n in (2, 3)
+    )
+    obj = serialize.encode_product_ppovm(first, second, ["x", "y", "z"])
+    assert (obj["kind"], obj["d"]) == ("product_ppovm", 3)
+    stack, labels, d = serialize.decode_ppovm_effects(obj)
+    assert stack.tobytes() == np.array([kron(a, b) for a in first for b in second]).tobytes()
+    assert labels == ("0:x", "0:y", "0:z", "1:x", "1:y", "1:z")
+    assert d == 3 and not stack.flags.writeable
 
 
 def test_counts_round_trip_and_validation():
