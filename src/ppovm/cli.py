@@ -57,11 +57,13 @@ def _read(path, decode, **kwargs):
         raise ParseFailure(f"{path}: {exc}") from exc
 
 
-def _emit(args, payload: dict, table_lines: list[str]) -> None:
+def _emit(args, payload: dict, table) -> None:
+    """Print ``payload`` as JSON, or the lines ``table()`` gives; JSON
+    output builds no table text."""
     if args.format == "json":
         sys.stdout.write(serialize.dumps(payload))
     else:
-        for line in table_lines:
+        for line in table():
             print(line)
 
 
@@ -102,14 +104,15 @@ def cmd_validate(args) -> int:
         ],
         **extra,
     }
-    lines = [
-        f"{name}: {_fmt(value)} [{'ok' if passed else 'FAIL'}]"
-        for name, value, passed in checks
-    ]
-    if args.kind == "ppovm":
-        lines.append("norm_state: " + np.array2string(rho, precision=6, suppress_small=True))
-    lines.append("valid" if ok else "INVALID")
-    _emit(args, payload, lines)
+
+    def table():
+        for name, value, passed in checks:
+            yield f"{name}: {_fmt(value)} [{'ok' if passed else 'FAIL'}]"
+        if args.kind == "ppovm":
+            yield "norm_state: " + np.array2string(rho, precision=6, suppress_small=True)
+        yield "valid" if ok else "INVALID"
+
+    _emit(args, payload, table)
     return 0 if ok else 1
 
 
@@ -132,7 +135,7 @@ def cmd_convert(args) -> int:
     _emit(
         args,
         {"out": args.out, "round_trip_residual": float(residual)},
-        [f"wrote {args.out}", f"round_trip_residual: {_fmt(residual)}"],
+        lambda: [f"wrote {args.out}", f"round_trip_residual: {_fmt(residual)}"],
     )
     return 0
 
@@ -150,9 +153,13 @@ def cmd_probs(args) -> int:
         "probs": {lbl: float(p) for lbl, p in zip(pp.labels, probs)},
         "sum": float(probs.sum()),
     }
-    lines = [f"{lbl}\t{_fmt(p)}" for lbl, p in zip(pp.labels, probs)]
-    lines.append(f"sum\t{_fmt(probs.sum())}")
-    _emit(args, payload, lines)
+
+    def table():
+        for lbl, p in zip(pp.labels, probs):
+            yield f"{lbl}\t{_fmt(p)}"
+        yield f"sum\t{_fmt(probs.sum())}"
+
+    _emit(args, payload, table)
     return 0
 
 
@@ -198,7 +205,7 @@ def cmd_tomo(args) -> int:
     ]
     if hs_error is not None:
         lines.append(f"hs_error: {_fmt(hs_error)}")
-    _emit(args, summary if not args.out else {**summary, "out": args.out}, lines)
+    _emit(args, summary if not args.out else {**summary, "out": args.out}, lambda: lines)
     return 0
 
 
@@ -216,7 +223,7 @@ def cmd_simulate(args) -> int:
     _emit(
         args,
         {"out": args.out, "shots": record.shots, "seed": record.seed},
-        [f"wrote {args.out} ({record.shots} shots, seed {record.seed})"],
+        lambda: [f"wrote {args.out} ({record.shots} shots, seed {record.seed})"],
     )
     return 0
 
@@ -253,7 +260,7 @@ def cmd_discriminate(args) -> int:
     if plan is not None:
         lines.append(f"plan: error rates {plan_payload['error_rates']}")
     # the report's fields, in order, are the payload's keys
-    _emit(args, {**vars(report), "plan": plan_payload}, lines)
+    _emit(args, {**vars(report), "plan": plan_payload}, lambda: lines)
     return 0
 
 
@@ -302,7 +309,7 @@ def cmd_gen(args) -> int:
     else:
         obj = serialize.encode_matrix(_UNITARIES[args.name](args))
     serialize.write_json(args.out, obj)
-    _emit(args, {"out": args.out, "name": args.name}, [f"wrote {args.out}"])
+    _emit(args, {"out": args.out, "name": args.name}, lambda: [f"wrote {args.out}"])
     return 0
 
 

@@ -16,9 +16,8 @@ physical invariant (a Choi matrix that is not PSD beyond the caller's
 ``tol``) raises a plain ``ValueError`` instead.
 
 Every file and ``--format json`` output is ``dumps``'s text: exactly
-``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline.  The float
-rows of matrix data are rendered in bulk and spliced into the standard
-library's layout of the rest.
+``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, laid out by
+one recursive writer that renders the float rows of matrix data in bulk.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import functools
 import json
 import operator
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class FormatError(ValueError):
 
 
 def _decoder(decode):
-    """``decode`` raising FormatError where the payload lacks a key or
-    holds a value of the wrong type."""
+    """``decode`` raising FormatError where the payload lacks a key, holds
+    a value of the wrong type or a number beyond the float range."""
 
     @functools.wraps(decode)
     def checked(obj, *args, **kwargs):
@@ -50,7 +50,7 @@ def _decoder(decode):
             return decode(obj, *args, **kwargs)
         except KeyError as exc:
             raise FormatError(f"missing key {exc}") from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, OverflowError) as exc:
             raise FormatError(str(exc)) from exc
 
     return checked
@@ -77,27 +77,10 @@ def _payloads(stack: np.ndarray) -> list[dict]:
     return [{"rows": rows, "cols": cols, "data": data} for data in pairs.tolist()]
 
 
-def _entries(mats: list[dict]) -> np.ndarray:
-    """The entries of the matrix payloads ``mats``, concatenated, as one
-    flat complex array."""
-    pairs = list(chain.from_iterable(m["data"] for m in mats))
-    if set(map(len, pairs)) - {2}:
-        raise FormatError("a matrix entry is not a [re, im] pair")
-    try:
-        flat = np.asarray(list(chain.from_iterable(pairs)))
-        numbers = flat.ndim == 1 and flat.dtype.kind in "iuf"  # no all-boolean data
-    except ValueError:  # values that are lists of different lengths
-        numbers = False
-    if not numbers:
-        raise FormatError("matrix data holds a value that is not a number")
-    if not np.isfinite(flat).all():
-        raise FormatError("matrix data is not finite")
-    return flat.astype(float, copy=False).view(complex)
-
-
 def _stack(mats: list[dict], shape: tuple[int, int] | None, what: str) -> np.ndarray:
     """One or more matrix payloads of one shape (``shape``, or the first
-    one's) as an (N, rows, cols) array."""
+    one's) as one owned, read-only (N, rows, cols) complex array, which
+    ``linalg.frozen`` keeps as it is."""
     if not mats:
         raise FormatError(f"need one or more {what}s")
     found = [(_int(m["rows"], "rows", 1), _int(m["cols"], "cols", 1), len(m["data"])) for m in mats]
@@ -105,7 +88,19 @@ def _stack(mats: list[dict], shape: tuple[int, int] | None, what: str) -> np.nda
     if set(found) != {(rows, cols, rows * cols)}:
         k, (r, c, n) = next((k, s) for k, s in enumerate(found) if s != (rows, cols, rows * cols))
         raise FormatError(f"{what} {k} is {r}x{c} with {n} entries, not {rows}x{cols}")
-    return _entries(mats).reshape(len(mats), rows, cols)
+    pairs = list(chain.from_iterable(m["data"] for m in mats))
+    if set(map(len, pairs)) - {2}:
+        raise FormatError("a matrix entry is not a [re, im] pair")
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:  # JSON true and false are not numbers
+        raise FormatError("matrix data holds a value that is not a number")
+    stack = np.empty((len(mats), rows, cols), complex)
+    parts = stack.view(float).reshape(-1)
+    parts[:] = flat  # an OverflowError for an integer beyond the float range
+    if not np.isfinite(parts).all():
+        raise FormatError("matrix data is not finite")
+    stack.setflags(write=False)
+    return stack
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -275,10 +270,8 @@ def encode_tomography_report(result: TomographyResult) -> dict:
 
 # ``indent`` sends ``json.dumps`` to its pure-Python encoder, which spends
 # ~3 us on each float of a matrix; ``float.__repr__`` alone takes ~1 us.  So
-# ``dumps`` writes the text of each list of float rows itself and lets the
-# stdlib lay out the rest, where a slot string stands for each such list.
-_SLOT = "\x00"
-_SLOT_TEXT = json.dumps(_SLOT)[:-1]  # the slot's opening quote and escape
+# ``dumps`` lays out the document itself, and writes each list of float rows
+# in bulk.
 
 
 def _rows_text(rows: list, level: int) -> str | None:
@@ -303,57 +296,57 @@ def _rows_text(rows: list, level: int) -> str | None:
     return "[" + outer + "[" + inner + text + outer + "]\n" + " " * level + "]"
 
 
-_CONTAINERS = frozenset((dict, list))
-
-
-def _hoist(obj, level: int, texts: list[str]):
-    """``obj``, at indent ``level``, with each list of float rows in it
-    replaced by a slot string holding the index of its text in ``texts``.
-    A container with no such list inside is returned as it is, uncopied."""
-    if type(obj) is dict:
-        keys = obj.keys()
-        if _CONTAINERS.isdisjoint(map(type, obj.values())):
-            return obj
-    elif type(obj) is list:
-        text = _rows_text(obj, level)
-        if text is not None:
-            texts.append(text)
-            return _SLOT + str(len(texts) - 1)
-        types = set(map(type, obj))
-        if _CONTAINERS.isdisjoint(types) or types == {dict} and _CONTAINERS.isdisjoint(
-            map(type, chain.from_iterable(map(dict.values, obj)))
-        ):  # scalars, or records of scalars such as check entries
-            return obj
-        keys = range(len(obj))
+def _write(obj, level: int, out: list[str]) -> None:
+    """Append the stdlib's ``sort_keys=True, indent=1`` text of ``obj``, at
+    indent ``level``, to ``out`` as chunks."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj).replace("nan", "NaN").replace("inf", "Infinity"))
+    elif isinstance(obj, (list, tuple)):
+        rows = _rows_text(obj, level)
+        if rows is not None:
+            out.append(rows)
+        elif obj:
+            sep = ",\n" + " " * (level + 1)
+            for k, item in enumerate(obj):
+                out.append(sep if k else "[" + sep[1:])
+                _write(item, level + 1, out)
+            out.append("\n" + " " * level + "]")
+        else:
+            out.append("[]")
+    elif isinstance(obj, dict):
+        if obj:
+            sep = ",\n" + " " * (level + 1)
+            for k, key in enumerate(sorted(obj)):
+                out.append(sep if k else "{" + sep[1:])
+                out.append(encode_basestring_ascii(key) + ": ")  # a TypeError for a non-str key
+                _write(obj[key], level + 1, out)
+            out.append("\n" + " " * level + "}")
+        else:
+            out.append("{}")
     else:
-        return obj
-    out = obj
-    for key in keys:
-        value = obj[key]
-        if type(value) in _CONTAINERS:
-            new = _hoist(value, level + 1, texts)
-            if new is not value:
-                if out is obj:
-                    out = obj.copy()
-                out[key] = new
-    return out
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, byte for
-    byte, with the float rows of matrix data rendered in bulk."""
-    texts: list[str] = []
-    text = json.dumps(_hoist(obj, 0, texts), sort_keys=True, indent=1)
-    if texts:
-        head, *slots = text.split(_SLOT_TEXT)
-        if len(slots) != len(texts):  # a string of obj holds the slot text
-            return json.dumps(obj, sort_keys=True, indent=1) + "\n"
-        parts = [head]
-        for slot in slots:
-            index, rest = slot.split('"', 1)
-            parts += (texts[int(index)], rest)
-        text = "".join(parts)
-    return text + "\n"
+    byte, with the float rows of matrix data rendered in bulk.  Like the
+    stdlib it raises TypeError for a value JSON has no form for (a numpy
+    integer, a set); unlike it, also for a dict key that is not a str,
+    which no library payload holds."""
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, obj) -> None:

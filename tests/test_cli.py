@@ -266,13 +266,17 @@ def _kraus(**dims):
     return {"kind": "kraus", "dim_in": 1, "dim_out": 1, "ops": [_one_by_one()], **dims}
 
 
-# a file holding JSON true where it needs an integer, or as every number of
-# a matrix, and the same file with 1 there
+# a file holding JSON true where it needs an integer, or a boolean among
+# (or as every one of) the numbers of a matrix, and the same file with 1
+# and 0 there
 BOOLEANS = {
     "ppovm d": lambda v: _validate("ppovm", _one_outcome("d", v)),
     "ppovm rows": lambda v: _validate("ppovm", _one_outcome("d", 1, rows=v)),
     "ppovm cols": lambda v: _validate("ppovm", _one_outcome("d", 1, cols=v)),
-    "ppovm data": lambda v: _validate("ppovm", _one_outcome("d", 1, data=[[v, not v]])),
+    "ppovm data": lambda v: _validate("ppovm", _one_outcome("d", 1, data=[[v, type(v)(0)]])),
+    "ppovm data re": lambda v: _validate("ppovm", _one_outcome("d", 1, data=[[v, 0]])),
+    "ppovm data im": lambda v: _validate("ppovm", _one_outcome("d", 1, data=[[1, type(v)(0)]])),
+    "ppovm data beside a float": lambda v: _validate("ppovm", _one_outcome("d", 1, data=[[v, 0.0]])),
     "povm dim": lambda v: _validate("povm", _one_outcome("dim", v)),
     "dim_in": lambda v: _validate("channel", _kraus(dim_in=v)),
     "dim_out": lambda v: _validate("channel", _kraus(dim_out=v)),
@@ -291,6 +295,19 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, case):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_json_output_builds_no_table_text(tmp_path, capsys, monkeypatch):
+    path = gen(tmp_path, "pauli-probe")
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table text built for JSON output")
+
+    monkeypatch.setattr(np, "array2string", refuse)
+    code, out, err = run(capsys, "validate", "ppovm", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -12,7 +12,7 @@ from ppovm.channels import (
 )
 from ppovm.discrimination import pair_report
 from ppovm.linalg import kron, max_abs
-from ppovm.measurement import outcome_probabilities
+from ppovm.measurement import outcome_probabilities, validate_ppovm
 from ppovm.rand import random_channel, random_unitary
 from ppovm.schemes import pauli_probe_ppovm
 from ppovm.tomography import ShotRecord, linear_inversion
@@ -90,6 +90,26 @@ def test_product_ppovm_effects_are_kron_products_a_major():
     assert stack.tobytes() == np.array([kron(a, b) for a in first for b in second]).tobytes()
     assert labels == ("0:x", "0:y", "0:z", "1:x", "1:y", "1:z")
     assert d == 3 and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("data", [[[True, 0]], [[1, False]], [[True, 0.5]]])
+def test_booleans_in_matrix_data_are_malformed(data):
+    with pytest.raises(serialize.FormatError, match="not a number"):
+        serialize.decode_matrix({"rows": 1, "cols": 1, "data": data})
+    effect = {"label": "0", "matrix": {"rows": 1, "cols": 1, "data": data}}
+    with pytest.raises(serialize.FormatError, match="not a number"):
+        serialize.decode_ppovm_effects({"d": 1, "effects": [effect]})
+
+
+def test_an_integer_beyond_the_float_range_is_malformed():
+    with pytest.raises(serialize.FormatError):
+        serialize.decode_matrix({"rows": 1, "cols": 1, "data": [[10**400, 0]]})
+
+
+def test_dense_ppovm_effects_are_read_into_one_owned_array():
+    stack, labels, d = serialize.decode_ppovm_effects(serialize.encode_ppovm(pauli_probe_ppovm()))
+    assert stack.flags.owndata and not stack.flags.writeable
+    assert np.shares_memory(validate_ppovm(stack, d, labels=labels).effects, stack)
 
 
 def test_counts_round_trip_and_validation():
@@ -183,23 +203,50 @@ WRITER_FLOATS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
     st.floats(),
 )
+WRITER_FLOATS = WRITER_FLOATS | WRITER_FLOATS.map(np.float64)  # a float subclass
 LABELS = st.one_of(
     st.text(max_size=8),
     st.sampled_from(
         ['"', 'say "hi"', "naïve ψ", "\\", "\x00", "\x000", '"\x00', "nan", "inf", "],\n ["]
     ),
-    st.integers(0, 20).map(lambda k: serialize._SLOT + str(k)),
+    st.integers(0, 20).map(lambda k: "\x00" + str(k)),
 )
 ENTRIES = st.one_of(WRITER_FLOATS, st.integers(-3, 3), st.booleans())
-ROWS = st.integers(1, 3).flatmap(
+
+
+def _with_bool(rows, k, value):
+    """``rows`` with the k-th entry, counted across rows, set to ``value``."""
+    width = len(rows[0])
+    return [
+        [value if i * width + j == k else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+FLOAT_ROWS = st.integers(1, 3).flatmap(
     lambda width: st.lists(
-        st.one_of(
-            st.lists(WRITER_FLOATS, min_size=width, max_size=width),
-            st.lists(ENTRIES, min_size=width, max_size=width),
-        ),
-        max_size=5,
+        st.lists(WRITER_FLOATS, min_size=width, max_size=width), min_size=1, max_size=4
     )
-) | st.lists(st.lists(WRITER_FLOATS, max_size=3), max_size=4)  # rows of mixed lengths
+)
+ROWS = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda width: st.lists(
+            st.one_of(
+                st.lists(WRITER_FLOATS, min_size=width, max_size=width),
+                st.lists(ENTRIES, min_size=width, max_size=width),
+            ),
+            max_size=5,
+        )
+    ),
+    st.lists(st.lists(WRITER_FLOATS, max_size=3), max_size=4),  # rows of mixed lengths
+    FLOAT_ROWS.flatmap(  # float rows but for one bool
+        lambda rows: st.builds(
+            _with_bool, st.just(rows), st.integers(0, len(rows) * len(rows[0]) - 1), st.booleans()
+        )
+    ),
+    FLOAT_ROWS.map(lambda rows: tuple(map(tuple, rows))),  # written as lists
+    FLOAT_ROWS.map(tuple),
+)
 WRITER_MATRICES = st.fixed_dictionaries(
     {"rows": st.integers(0, 4), "cols": st.integers(0, 4), "data": ROWS}
 )
@@ -208,6 +255,7 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), WRITER_FLOATS, LABE
 PAYLOADS = st.recursive(
     st.one_of(
         SCALARS,
+        st.sampled_from([[], {}, (), [[]], [{}], {"": []}]),  # empty containers, at any depth
         ROWS,
         WRITER_MATRICES,
         CHECKS,
@@ -215,7 +263,9 @@ PAYLOADS = st.recursive(
         st.fixed_dictionaries({"label": LABELS, "matrix": WRITER_MATRICES}),
     ),
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(LABELS, inner, max_size=4)
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(LABELS, inner, max_size=4),
     ),
     max_leaves=12,
 )
@@ -229,10 +279,33 @@ PAYLOADS = st.recursive(
 @example(obj={"a": {"label": "\x000", "matrix": {"data": [[0.1, 0.2]]}}})
 @example(obj={"effects": [{"label": '"\x00', "matrix": {"data": [[0.1, 0.2], [0.3, 0.4]]}}]})
 @example(obj={"\x000": [[0.5, 0.5]], "x": "\x001"})
+@example(obj={"a": ([0.5, 1.0], [2.0, 3.0]), "b": [[0.5, True], [1.0, 2.0]], "c": [[[], {}]]})
+@example(obj=[np.float64(0.1), [[np.float64(-0.0), np.float64(math.nan)]], ()])
 def test_dumps_is_the_stdlib_indent_1_layout(obj):
     before = json.dumps(obj, sort_keys=True)
     assert serialize.dumps(obj) == _stdlib_dumps(obj)
     assert json.dumps(obj, sort_keys=True) == before  # obj is not modified
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.int64(1), np.bool_(True), {1, 2}, [0.5, np.int64(1)], [[0.5, np.int64(1)]], {"a": {1}}],
+    ids=["int64", "bool_", "set", "list", "rows", "nested"],
+)
+def test_dumps_raises_type_error_where_the_stdlib_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=1)
+    with pytest.raises(TypeError):
+        serialize.dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 0.5}, {None: 1}, {"a": {2.5: 1}}, {True: []}])
+def test_dumps_takes_only_str_keys(obj):
+    # the stdlib writes these keys as strings; every library payload has
+    # str keys, so dumps refuses the others
+    json.dumps(obj, sort_keys=True, indent=1)
+    with pytest.raises(TypeError):
+        serialize.dumps(obj)
 
 
 def test_dumps_of_library_payloads_is_the_stdlib_layout():
