@@ -8,14 +8,24 @@ not positive and finite.  ``--tol`` is the tolerance of every invariant
 check made on the input files; ``validate`` prints the library's own
 check entries.  Table output is for humans; ``--format json`` is the
 stable surface.
+
+Every file is read as UTF-8 JSON, whatever the locale.  In one process,
+successive ``main`` calls parse a process-POVM file once per content:
+the file is read on every call, and the decoded effects of the two most
+recently used contents, keyed by the SHA-256 digest of the bytes, are
+reused.  Each call still checks the effects at its own ``--tol``.
+Separate ``ppovm`` processes share nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import hashlib
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -40,7 +50,7 @@ from .channels import (
 )
 from .discrimination import pair_report
 from .linalg import DEFAULT_TOL, max_abs
-from .measurement import outcome_probabilities, ppovm_checks, realize
+from .measurement import ProcessPovm, outcome_probabilities, ppovm_checks, realize, validate_ppovm
 from .tomography import linear_inversion, reconstruction_error, simulate_counts
 
 
@@ -48,13 +58,49 @@ class ParseFailure(Exception):
     """File missing, unreadable, or structurally malformed."""
 
 
-def _read(path, decode, **kwargs):
+@contextlib.contextmanager
+def _reading(path):
     # an unreadable or malformed file is a parse failure (exit 2); the
     # library's ValueErrors (invariant violations) propagate and exit 1
     try:
-        return decode(serialize.read_json(path), **kwargs)
+        yield
     except (OSError, serialize.FormatError) as exc:
         raise ParseFailure(f"{path}: {exc}") from exc
+
+
+def _read(path, decode, **kwargs):
+    with _reading(path):
+        return decode(serialize.read_json(path), **kwargs)
+
+
+# decode_ppovm_effects' results for the last _PPOVM_FILES process-POVM files
+# read, by the SHA-256 digest of their bytes, least recently used first.
+# Two, so that a caller alternating two scheme files never misses.
+_PPOVM_FILES = 2
+_ppovm_effects: dict[bytes, tuple[np.ndarray, tuple[str, ...], int]] = {}
+
+
+def _read_ppovm_effects(path) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """Effects, labels and d of the process-POVM file at ``path``, parsed
+    once per content: the file is read on every call, and a file whose
+    bytes were decoded before gets that decoding's read-only stack back.
+    A read that fails is not kept."""
+    with _reading(path):
+        raw = pathlib.Path(path).read_bytes()
+        key = hashlib.sha256(raw).digest()
+        found = _ppovm_effects.pop(key, None)
+        if found is None:
+            found = serialize.decode_ppovm_effects(serialize.parse_json(raw))
+    _ppovm_effects[key] = found
+    if len(_ppovm_effects) > _PPOVM_FILES:
+        del _ppovm_effects[next(iter(_ppovm_effects))]
+    return found
+
+
+def _read_ppovm(path, tol: float) -> ProcessPovm:
+    """The process POVM in the file at ``path``, validated at ``tol``."""
+    stack, labels, d = _read_ppovm_effects(path)
+    return validate_ppovm(stack, d, labels=labels, tol=tol)
 
 
 def _emit(args, payload: dict, table) -> None:
@@ -91,7 +137,7 @@ def cmd_validate(args) -> int:
             ch = _read(args.path, serialize.decode_channel, tol=args.tol)
             checks = trace_preservation_checks(ch, args.tol)
         else:
-            mats, _, d = _read(args.path, serialize.decode_ppovm_effects)
+            mats, _, d = _read_ppovm_effects(args.path)
             checks, rho = ppovm_checks(mats, d, args.tol)
             extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
     ok = all_pass(checks)
@@ -146,7 +192,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_probs(args) -> int:
-    pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
+    pp = _read_ppovm(args.ppovm, args.tol)
     ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
     probs = outcome_probabilities(pp, ch, args.tol)
     payload = {
@@ -169,7 +215,7 @@ def cmd_probs(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
+    pp = _read_ppovm(args.ppovm, args.tol)
     if args.exact is not None:
         ch = _read(args.exact, serialize.decode_channel, tol=args.tol)
         probs = outcome_probabilities(pp, ch, args.tol)
@@ -216,7 +262,7 @@ def cmd_tomo(args) -> int:
 
 def cmd_simulate(args) -> int:
     ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
-    pp = _read(args.ppovm, serialize.decode_ppovm, tol=args.tol)
+    pp = _read_ppovm(args.ppovm, args.tol)
     real = realize(pp, args.tol)
     record = simulate_counts(ch, real, args.shots, args.seed, args.tol)
     serialize.write_json(args.out, serialize.encode_counts(record))

@@ -18,6 +18,7 @@ physical invariant (a Choi matrix that is not PSD beyond the caller's
 Every file and ``--format json`` output is ``dumps``'s text: exactly
 ``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, laid out by
 one recursive writer that renders the float rows of matrix data in bulk.
+Every file is read as UTF-8 (``parse_json``), whatever the locale.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import pathlib
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -354,11 +356,17 @@ def write_json(path, obj) -> None:
         fh.write(dumps(obj))
 
 
+def parse_json(raw: bytes):
+    """The JSON value of a file's bytes, read as UTF-8 whatever the locale;
+    FormatError for bytes that are not UTF-8 JSON text, a leading
+    byte-order mark included."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"not a JSON file: {exc}") from exc
+
+
 def read_json(path):
-    """The JSON value in the file at ``path``; FormatError when the file is
-    not JSON text."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-            raise FormatError(f"not a JSON file: {exc}") from exc
+    """The JSON value in the file at ``path``: ``parse_json`` of its
+    bytes."""
+    return parse_json(pathlib.Path(path).read_bytes())

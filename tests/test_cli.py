@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +99,16 @@ def _edited(tmp_path, name, edit):
     obj = serialize.read_json(gen(tmp_path, name))
     edit(obj)
     return _write(tmp_path, f"edited-{name}.json", obj)
+
+
+def _encoded(tmp_path, encoding):
+    """A Pauli-probe file whose first label is "\u03b8", as JSON text
+    encoded in ``encoding``."""
+    obj = serialize.read_json(gen(tmp_path, "pauli-probe"))
+    obj["effects"][0]["label"] = "\u03b8"
+    path = tmp_path / f"{encoding}.json"
+    path.write_bytes(json.dumps(obj, ensure_ascii=False).encode(encoding))
+    return str(path)
 
 
 NAN = float("nan")
@@ -234,6 +246,8 @@ MALFORMED = {
     ],
     "non-square state": lambda t: ["validate", "state", _non_square(t)],
     "non-square unitary": lambda t: ["discriminate", _non_square(t), _non_square(t)],
+    "ppovm after a byte-order mark": lambda t: ["validate", "ppovm", _encoded(t, "utf-8-sig")],
+    "ppovm in an 8-bit encoding": lambda t: ["validate", "ppovm", _encoded(t, "cp1253")],
 }
 
 
@@ -320,13 +334,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert out == ""
 
 
-def _module_cli(*argv):
-    # run the CLI as `python -m ppovm.cli`, with the imported package on the path
+def _module_cli(*argv, **env):
+    # run the CLI as `python -m ppovm.cli`, with the imported package on the
+    # path and the environment variables ``env`` set
     src = str(pathlib.Path(ppovm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ppovm.cli", *argv],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -846,6 +862,91 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, command, exc, line)
     monkeypatch.setattr(serialize, "decode_ppovm_effects", exhausted)
     argv = ["validate", "ppovm", pp] if command == "validate" else ["probs", pp, channel]
     assert run(capsys, *argv) == (2, "", line + "\n")
+
+
+def _counted_decoder(monkeypatch):
+    """Weak references to the stacks ``decode_ppovm_effects`` returns from
+    now on, one per call."""
+    decode, stacks = serialize.decode_ppovm_effects, []
+
+    def counted(obj):
+        found = decode(obj)
+        stacks.append(weakref.ref(found[0]))
+        return found
+
+    monkeypatch.setattr(serialize, "decode_ppovm_effects", counted)
+    return stacks
+
+
+def test_every_ppovm_reader_parses_a_file_once(tmp_path, capsys, monkeypatch):
+    pp, channel = gen(tmp_path, "pauli-probe"), gen(tmp_path, "depolarizing", "--p", "0.3")
+    counts = str(tmp_path / "counts.json")
+    stacks = _counted_decoder(monkeypatch)
+    for argv in (
+        ["validate", "ppovm", pp],
+        ["probs", pp, channel],
+        ["simulate", channel, pp, "--shots", "1000", "--out", counts],
+        ["tomo", pp, "--counts", counts, "--truth", channel],
+        ["tomo", pp, "--exact", channel],
+    ):
+        assert main(argv) == 0, argv
+    assert len(stacks) == 1
+
+
+def test_a_rewritten_ppovm_file_is_parsed_again(tmp_path, capsys, monkeypatch):
+    path = pathlib.Path(gen(tmp_path, "pauli-probe"))
+    stacks = _counted_decoder(monkeypatch)
+    assert run(capsys, "validate", "ppovm", str(path))[0] == 0
+    text = path.read_text()
+    edited = text.replace("0.013888888888888874", "0.513888888888888874", 1)
+    assert len(edited) == len(text) and edited != text
+    path.write_text(edited)
+    code, out, _ = run(capsys, "validate", "ppovm", str(path))
+    assert (code, out.splitlines()[-1]) == (1, "INVALID")
+    assert len(stacks) == 2
+
+
+@pytest.mark.parametrize("first", ["1e-6", None])
+def test_tol_reaches_every_check_on_a_memo_hit(tmp_path, capsys, first):
+    pp_path, ch_path = _perturbed_pauli_probe(tmp_path), gen(tmp_path, "identity")
+    tols = ["1e-6", None] if first else [None, "1e-6"]
+    for tol in tols * 2:
+        extra = ["--tol", tol] if tol else []
+        assert run(capsys, "validate", "ppovm", pp_path, *extra)[0] == (0 if tol else 1)
+        assert run(capsys, "probs", pp_path, ch_path, *extra)[0] == (0 if tol else 1)
+
+
+def test_a_malformed_ppovm_file_is_not_kept(tmp_path, capsys):
+    path = tmp_path / "pp.json"
+    path.write_text("{not json")
+    for _ in range(2):
+        code, out, err = run(capsys, "validate", "ppovm", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}: not a JSON file")
+    path.write_bytes(pathlib.Path(gen(tmp_path, "pauli-probe")).read_bytes())
+    assert run(capsys, "validate", "ppovm", str(path))[0] == 0
+
+
+def test_at_most_two_ppovm_stacks_are_kept(tmp_path, capsys, monkeypatch):
+    paths = [gen(tmp_path, name) for name in ("pauli-probe", "six-state", "identity-vs-contraction")]
+    stacks = _counted_decoder(monkeypatch)
+    for path in paths:
+        assert main(["validate", "ppovm", path]) == 0
+    gc.collect()
+    assert [ref() is not None for ref in stacks] == [False, True, True]
+    # the two most recently used are hits; the first is parsed again
+    for path in (paths[1], paths[2], paths[0]):
+        assert main(["validate", "ppovm", path]) == 0
+    assert len(stacks) == 4
+
+
+def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
+    pp, channel = _encoded(tmp_path, "utf-8"), gen(tmp_path, "identity")
+    shown = _module_cli(
+        "probs", pp, channel, "--format", "json",
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert "\u03b8" in json.loads(shown.stdout)["probs"]
 
 
 def test_discriminate_rejects_non_unitary(tmp_path, capsys):
