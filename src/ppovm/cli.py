@@ -9,11 +9,13 @@ check made on the input files; ``validate`` prints the library's own
 check entries.  Table output is for humans; ``--format json`` is the
 stable surface.
 
-Every file is read as UTF-8 JSON, whatever the locale.  In one process,
-successive ``main`` calls parse a process-POVM file once per content:
-the file is read on every call, and the decoded effects of the two most
-recently used contents, keyed by the SHA-256 digest of the bytes, are
-reused.  Each call still checks the effects at its own ``--tol``.
+Every file is read as UTF-8 JSON, whatever the locale; table text that
+the output stream's encoding cannot hold is written as backslash escapes.
+In one process, successive ``main`` calls parse a process-POVM file once
+per content: the file is read on every call, and the decoded effects of
+the two most recently used contents, keyed by the bytes themselves, are
+reused.  A content is kept only while its bytes and effects take at most
+16 MiB.  Each call still checks the effects at its own ``--tol``.
 Separate ``ppovm`` processes share nothing.
 """
 
@@ -23,7 +25,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import math
 import pathlib
 import sys
@@ -74,9 +75,12 @@ def _read(path, decode, **kwargs):
 
 
 # decode_ppovm_effects' results for the last _PPOVM_FILES process-POVM files
-# read, by the SHA-256 digest of their bytes, least recently used first.
-# Two, so that a caller alternating two scheme files never misses.
+# read, keyed by their bytes, least recently used first.  Two, so that a
+# caller alternating two scheme files never misses.  A file is kept only
+# when its bytes and stack take at most _PPOVM_BYTES: a product file's
+# stack of N d^4 values can be far larger than its O(d^2) text.
 _PPOVM_FILES = 2
+_PPOVM_BYTES = 16 << 20
 _ppovm_effects: dict[bytes, tuple[np.ndarray, tuple[str, ...], int]] = {}
 
 
@@ -87,13 +91,13 @@ def _read_ppovm_effects(path) -> tuple[np.ndarray, tuple[str, ...], int]:
     A read that fails is not kept."""
     with _reading(path):
         raw = pathlib.Path(path).read_bytes()
-        key = hashlib.sha256(raw).digest()
-        found = _ppovm_effects.pop(key, None)
+        found = _ppovm_effects.pop(raw, None)
         if found is None:
             found = serialize.decode_ppovm_effects(serialize.parse_json(raw))
-    _ppovm_effects[key] = found
-    if len(_ppovm_effects) > _PPOVM_FILES:
-        del _ppovm_effects[next(iter(_ppovm_effects))]
+    if len(raw) + found[0].nbytes <= _PPOVM_BYTES:
+        _ppovm_effects[raw] = found
+        if len(_ppovm_effects) > _PPOVM_FILES:
+            del _ppovm_effects[next(iter(_ppovm_effects))]
     return found
 
 
@@ -105,12 +109,18 @@ def _read_ppovm(path, tol: float) -> ProcessPovm:
 
 def _emit(args, payload: dict, table) -> None:
     """Print ``payload`` as JSON, or the lines ``table()`` gives; JSON
-    output builds no table text."""
+    output builds no table text.  A table line that the stream's encoding
+    cannot hold, such as a label under the C locale, is written with
+    backslash escapes (JSON text is ASCII)."""
     if args.format == "json":
         sys.stdout.write(serialize.dumps(payload))
     else:
         for line in table():
-            print(line)
+            try:
+                print(line)
+            except UnicodeEncodeError:  # raised before any of the line is written
+                encoding = sys.stdout.encoding
+                print(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _fmt(x: float) -> str:

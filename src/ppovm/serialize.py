@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import KrausChannel, channel_of_choi, choi_of_channel, effect_labels
 from .linalg import DEFAULT_TOL
-from .measurement import ProcessPovm, validate_ppovm
+from .measurement import ProcessPovm
 from .tomography import ShotRecord, TomographyResult
 
 
@@ -231,11 +231,6 @@ def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
     if len(first) > 1:
         labels = tuple(f"{a}:{lbl}" for a in range(len(first)) for lbl in labels)
     return _products(first, second), labels, d
-
-
-def decode_ppovm(obj: dict, tol: float = DEFAULT_TOL) -> ProcessPovm:
-    stack, labels, d = decode_ppovm_effects(obj)
-    return validate_ppovm(stack, d, labels=labels, tol=tol)
 
 
 def encode_counts(record: ShotRecord) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ppovm
-from ppovm import discrimination, serialize
+from ppovm import cli, discrimination, serialize
 from ppovm.channels import PAULI_Z, KrausChannel, ket, projector
 from ppovm.cli import main
 from ppovm.linalg import max_abs
@@ -939,6 +939,18 @@ def test_at_most_two_ppovm_stacks_are_kept(tmp_path, capsys, monkeypatch):
     assert len(stacks) == 4
 
 
+def test_a_ppovm_file_above_the_size_bound_is_not_kept(tmp_path, capsys, monkeypatch):
+    # the Pauli probe's 30 kB text and 9 kB stack, against a 30 kB bound
+    path = gen(tmp_path, "pauli-probe")
+    monkeypatch.setattr(cli, "_PPOVM_BYTES", 30_000)
+    stacks = _counted_decoder(monkeypatch)
+    for _ in range(2):
+        assert main(["validate", "ppovm", path]) == 0
+    gc.collect()
+    assert [ref() is not None for ref in stacks] == [False, False]
+    assert cli._ppovm_effects == {}
+
+
 def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
     pp, channel = _encoded(tmp_path, "utf-8"), gen(tmp_path, "identity")
     shown = _module_cli(
@@ -947,6 +959,11 @@ def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
     )
     assert (shown.returncode, shown.stderr) == (0, "")
     assert "\u03b8" in json.loads(shown.stdout)["probs"]
+    # table text the locale cannot encode is written with escapes
+    shown = _module_cli("probs", pp, channel, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    lines = shown.stdout.splitlines()
+    assert (len(lines), lines[0], lines[-1]) == (37, "\\u03b8\t0.0555555555556", "sum\t1")
 
 
 def test_discriminate_rejects_non_unitary(tmp_path, capsys):
@@ -1000,12 +1017,14 @@ def test_validate_non_hermitian_ppovm_effect_fails(tmp_path, capsys):
 
 
 def test_gen_six_state_matches_pauli_probe_multiset(tmp_path, capsys):
-    from ppovm.measurement import effects_multiset_equal
+    from ppovm.measurement import effects_multiset_equal, validate_ppovm
 
-    six_path = gen(tmp_path, "six-state")
-    pauli_path = gen(tmp_path, "pauli-probe")
-    six = serialize.decode_ppovm(serialize.read_json(six_path))
-    pauli = serialize.decode_ppovm(serialize.read_json(pauli_path))
+    def read(path):
+        stack, labels, d = serialize.decode_ppovm_effects(serialize.read_json(path))
+        return validate_ppovm(stack, d, labels=labels)
+
+    six = read(gen(tmp_path, "six-state"))
+    pauli = read(gen(tmp_path, "pauli-probe"))
     assert effects_multiset_equal(six, pauli, 1e-12)
 
 

@@ -47,7 +47,8 @@ def test_channel_choi_round_trip():
 
 def test_ppovm_round_trip_validates():
     pp = pauli_probe_ppovm()
-    back = serialize.decode_ppovm(serialize.encode_ppovm(pp))
+    stack, labels, d = serialize.decode_ppovm_effects(serialize.encode_ppovm(pp))
+    back = validate_ppovm(stack, d, labels=labels)
     assert back.labels == pp.labels
     assert max_abs(back.norm_state - pp.norm_state) < 1e-9
     for a, b in zip(pp.matrices, back.matrices):
