@@ -430,17 +430,17 @@ def apply_first(ch: KrausChannel, x: np.ndarray, right_dim: int) -> np.ndarray:
     H_{dim_in} (x) H_{right_dim}, identity on the second; ``x`` may be a
     stack of operators, each conjugated by one batched matmul per Kraus
     operator."""
-    return _conjugate_sum([kron(a, np.eye(right_dim)) for a in ch.kraus], x)
+    return _conjugate_sum(kron(ch.kraus, np.eye(right_dim)), x)
 
 
 def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
     """Apply the channel to the second factor of an operator on
     H_{left_dim} (x) H_{dim_in}, identity on the first; ``x`` may be a
     stack of operators."""
-    return _conjugate_sum([kron(np.eye(left_dim), a) for a in ch.kraus], x)
+    return _conjugate_sum(kron(np.eye(left_dim), ch.kraus), x)
 
 
-def _conjugate_sum(ops, x: np.ndarray) -> np.ndarray:
+def _conjugate_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k K_k x K_k^dag over the last two axes of x; an (N, n, n) stack
     is summed a block at a time (``blockwise``)."""
     x = np.asarray(x, dtype=complex)

@@ -52,7 +52,7 @@ from .channels import (
 from .discrimination import pair_report
 from .linalg import DEFAULT_TOL, max_abs
 from .measurement import ProcessPovm, outcome_probabilities, ppovm_checks, realize, validate_ppovm
-from .tomography import linear_inversion, reconstruction_error, simulate_counts
+from .tomography import MAX_SHOTS, linear_inversion, reconstruction_error, simulate_counts
 
 
 class ParseFailure(Exception):
@@ -440,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (option, least allowed value) of the integer options; the library's own
-# range checks stay as they are, these are usage errors
-_INT_RANGES = (("shots", 1), ("seed", 0), ("copies", 1))
+# (option, least, most allowed value) of the integer options; the library's
+# own range checks stay as they are, these are usage errors
+_INT_RANGES = (("shots", 1, MAX_SHOTS), ("seed", 0, math.inf), ("copies", 1, math.inf))
 
 
 def _check_usage(args) -> None:
@@ -451,10 +451,12 @@ def _check_usage(args) -> None:
         raise ParseFailure(f"--tol must be positive and finite, got {tol}")
     if args.command == "tomo" and (args.exact is None) == (args.counts is None):
         raise ParseFailure("provide exactly one of --exact or --counts")
-    for name, least in _INT_RANGES:
+    for name, least, most in _INT_RANGES:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ParseFailure(f"--{name} must be at least {least}, got {value}")
+        if value is not None and value > most:
+            raise ParseFailure(f"--{name} must be at most {most}, got {value}")
     # gen's float options; NaN fails every comparison
     angle = getattr(args, "angle", 0.0)
     if not math.isfinite(angle):

@@ -19,9 +19,9 @@ import numpy as np
 
 from .channels import KrausChannel, Povm, apply_channel, check_unitary, projector
 from .linalg import (
-    DEFAULT_TOL, dagger, frozen, hermitian_parts, hs_inner, max_abs, rank_and_support,
+    DEFAULT_TOL, dagger, frozen, hermitian_parts, hs_inner, kron, max_abs, rank_and_support,
 )
-from .measurement import ProcessPovm, TestCouple, build_ppovm
+from .measurement import ProcessPovm
 
 TWO_PI = 2.0 * np.pi
 # arcs shorter than this are a single phase: U^dag V is a multiple of I
@@ -170,8 +170,8 @@ class DiscriminationPlan:
     @property
     def ppovm(self) -> ProcessPovm:
         """The process POVM {rho^T (x) F_k} of the plan, built on each call."""
-        couple = TestCouple(1.0, projector(self.probe), self.povm, 1)
-        return build_ppovm([couple], self.probe.size)
+        rho = projector(self.probe)
+        return ProcessPovm(self.probe.size, kron(rho.T, self.povm.effects), rho, self.povm.labels)
 
 
 def build_plan(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> DiscriminationPlan:

@@ -133,13 +133,22 @@ def hermiticity_check(name: str, m: np.ndarray, tol: float = DEFAULT_TOL) -> Che
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two matrices; entry [i*rows(b)+k, j*cols(b)+l] is
-    a[i,j]*b[k,l], the same products ``numpy.kron`` forms, by broadcasting."""
+    a[i,j]*b[k,l], the same products ``numpy.kron`` forms, by broadcasting.
+    Given an (N, rows, cols) stack for either (a matrix is a stack of one),
+    the stack of every a[x] (x) b[y], a-major, written by one multiply."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ValueError(f"kron takes matrices or stacks of them, got {a.shape} and {b.shape}")
+    if a.ndim == b.ndim == 2:
+        (p, q), (r, s) = a.shape, b.shape
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    a, b = a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:])
+    (na, p, q), (nb, r, s) = a.shape, b.shape
+    out = np.empty((na * nb, p * r, q * s), np.result_type(a, b))
+    grid = out.reshape(na, nb, p, r, q, s)
+    np.multiply(a[:, None, :, None, :, None], b[None, :, None, :, None, :], out=grid)
+    return out
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, which: str = "first") -> np.ndarray:

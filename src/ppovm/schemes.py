@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Povm, ket, max_entangled_ket, projector
+from .linalg import kron
 from .measurement import ProcessPovm, TestCouple, build_ppovm
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -31,14 +32,9 @@ def pauli_probe_couple() -> TestCouple:
     """Entangled-probe scheme: maximally entangled test state, joint Pauli
     eigenbasis measurements chosen uniformly over the 9 axis pairs."""
     state = projector(max_entangled_ket(2, normalized=True))
-    effects = []
-    labels = []
-    for a in _AXES:
-        for b in _AXES:
-            f = np.kron(projector(BLOCH_KETS[a]), projector(BLOCH_KETS[b])) / 9.0
-            effects.append(f)
-            labels.append(f"{a},{b}")
-    return TestCouple(1.0, state, Povm(tuple(effects), tuple(labels)), 2)
+    bloch = np.array([projector(BLOCH_KETS[a]) for a in _AXES])
+    labels = [f"{a},{b}" for a in _AXES for b in _AXES]
+    return TestCouple(1.0, state, Povm(kron(bloch, bloch) / 9.0, labels), 2)
 
 
 def pauli_probe_ppovm() -> ProcessPovm:

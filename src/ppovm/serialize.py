@@ -5,13 +5,14 @@ row-major, written from its (r*c, 2) float view; floats round-trip
 bit-exactly through Python's shortest-repr encoding.  The ``effects`` of
 a povm or ppovm file and the ``ops`` of a kraus channel are read as one
 (N, rows, cols) stack; a ``product_ppovm`` file, which holds the d x d
-factors of a process POVM {A_a (x) B_b}, is read as the stack of its
-products.  Every decoder raises ``FormatError`` for a structural fault: a
-missing key, a wrong type, a dimension that is not a positive integer
-(JSON true and false are not integers), an entry that is not a [re, im]
-pair of finite numbers, a matrix of the wrong length or shape (a state or
-unitary file that is not square among them), an empty list, a repeated
-label, an unknown kind, bad counts.  A well-formed payload that breaks a
+factors of a process POVM {A_a (x) B_b}, is read as the stack of their
+``linalg.kron`` products.  Every decoder raises ``FormatError`` for a
+structural fault: a missing key, a wrong type, a dimension that is not a
+positive integer (JSON true and false are not integers), an entry that is
+not a [re, im] pair of finite numbers, a matrix of the wrong length or
+shape (a state or unitary file that is not square among them), an empty
+list, a label or counts generator that is not a string, a repeated label,
+an unknown kind, bad counts.  A well-formed payload that breaks a
 physical invariant (a Choi matrix that is not PSD beyond the caller's
 ``tol``) raises a plain ``ValueError`` instead.
 
@@ -33,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .channels import KrausChannel, channel_of_choi, choi_of_channel, effect_labels
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, kron
 from .measurement import ProcessPovm
 from .tomography import ShotRecord, TomographyResult
 
@@ -70,6 +71,13 @@ def _int(value, what: str, least: int) -> int:
     if n < least:
         raise FormatError(f"{what} must be at least {least}, got {n}")
     return n
+
+
+def _str(value, what: str) -> str:
+    """``value``, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _payloads(stack: np.ndarray) -> list[dict]:
@@ -153,16 +161,18 @@ def decode_channel(obj: dict, tol: float = DEFAULT_TOL) -> KrausChannel:
 
 
 def encode_effects(effects, labels) -> list[dict]:
-    """The ``effects`` list of a povm or ppovm file."""
+    """The ``effects`` list of a povm or ppovm file; each label is written
+    as a string."""
     payloads = _payloads(np.asarray(effects))
-    return [{"label": lbl, "matrix": m} for lbl, m in zip(labels, payloads)]
+    return [{"label": str(lbl), "matrix": m} for lbl, m in zip(labels, payloads)]
 
 
 def _labelled(effects: list[dict], side: int, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """A list of labelled matrices as one (N, side, side) stack, and the
     distinct labels."""
     stack = _stack([e["matrix"] for e in effects], (side, side), what)
-    return stack, effect_labels([str(e["label"]) for e in effects], len(stack), FormatError)
+    labels = [_str(e["label"], "an effect label") for e in effects]
+    return stack, effect_labels(labels, len(stack), FormatError)
 
 
 @_decoder
@@ -196,21 +206,6 @@ def encode_product_ppovm(first, second, labels) -> dict:
     }
 
 
-def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Every first[a] (x) second[b], a-major, as one read-only (Na Nb, d^2,
-    d^2) stack written by one broadcast: the products ``linalg.kron``
-    forms, in an array ``frozen`` keeps without a copy."""
-    (na, d, _), nb = first.shape, len(second)
-    stack = np.empty((na * nb, d * d, d * d), complex)
-    np.multiply(
-        first[:, None, :, None, :, None],
-        second[None, :, None, :, None, :],
-        out=stack.reshape(na, nb, d, d, d, d),
-    )
-    stack.setflags(write=False)
-    return stack
-
-
 @_decoder
 def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
     """Effects, labels and d of a ppovm file; every effect is d^2 x d^2.
@@ -230,7 +225,9 @@ def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
     second, labels = _labelled(obj["second"], d, "second factor")
     if len(first) > 1:
         labels = tuple(f"{a}:{lbl}" for a in range(len(first)) for lbl in labels)
-    return _products(first, second), labels, d
+    effects = kron(first, second)
+    effects.setflags(write=False)  # so ProcessPovm keeps it without a copy
+    return effects, labels, d
 
 
 def encode_counts(record: ShotRecord) -> dict:
@@ -249,7 +246,8 @@ def decode_counts(obj: dict) -> ShotRecord:
     if sum(counts.values()) != shots:
         raise FormatError("counts do not sum to the recorded shot total")
     seed = _int(obj["seed"], "seed", 0)
-    return ShotRecord(counts, shots, seed, str(obj.get("generator", "numpy-pcg64")))
+    generator = _str(obj.get("generator", "numpy-pcg64"), "the generator")
+    return ShotRecord(counts, shots, seed, generator)
 
 
 def encode_tomography_report(result: TomographyResult) -> dict:

@@ -19,11 +19,13 @@ G_B.  When ||G - G_A (x) G_B / tr G||_F <= (d^4 - d^2) eps ||G||_F, within
 the backward error of a dense eigensolver, the eigenpairs of G are taken
 as the products of those of G_A and G_B.  Every full product grid
 {A_a (x) B_b} of effects has such a G.  Otherwise G gets one dense
-``eigh``.  An eigenvalue of G counts as zero when it is at most
-``_CUTOFF`` times the largest (1e-6 times the largest singular value of
-D).  The factorization is computed on first use and kept in the process
-POVM's instance ``__dict__``, as ``functools.cached_property`` does; the
-effects are read-only, so it cannot go stale.
+``eigh``, as the factor of G (x) [1] with tr G read as 1, so one
+factorization type serves both cases.  An eigenvalue of G counts as zero
+when it is at most ``_CUTOFF`` times the largest (1e-6 times the largest
+singular value of D).  The factorization is computed on first use and
+kept in the process POVM's instance ``__dict__``, as
+``functools.cached_property`` does; the effects are read-only, so it
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ import numpy as np
 
 from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
 from .linalg import (
-    DEFAULT_TOL, block_slices, blockwise, hermitian_parts, hs_distance, max_abs, partial_trace,
+    DEFAULT_TOL, block_slices, blockwise, hermitian_parts, hs_distance, kron, max_abs,
+    partial_trace,
 )
 from .measurement import ProcessPovm, Realization, effect_pairings
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
 _MEMO = "_gram_factors"  # instance __dict__ key of a process POVM's factorization
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial takes its count as a C int64
 
 
 @dataclass(frozen=True)
@@ -129,41 +133,36 @@ def _kept(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _GramFactors:
     """The design D of a process POVM, the offsets Tr(M)/d of its effects,
-    the eigenvalues of G = D^T D above the cutoff (ascending), and the
-    condition number of D on its span (inf when nothing is kept).  This
-    class holds the kept eigenvectors of a dense ``eigh`` of G."""
+    and the eigensystem of G = D^T D as that of G_A (x) G_B / tr G:
+    ``vectors_a`` and ``vectors_b`` hold the eigenvectors of G_A and G_B,
+    and ``grid`` the eigenvalue of G for each pair of them, zero where it
+    is not kept.  A G that is no such product is stored as G (x) [1], with
+    tr G read as 1.  ``condition`` is the condition number of D on its
+    span (inf when nothing is kept)."""
 
     design: np.ndarray
     offset: np.ndarray
-    values: np.ndarray
+    vectors_a: np.ndarray
+    vectors_b: np.ndarray
+    grid: np.ndarray
     condition: float
-    vectors: np.ndarray
+
+    @property
+    def rank(self) -> int:  # the number of kept eigenvalues of G
+        return int(np.count_nonzero(self.grid))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The minimum-norm least-squares solution of D x = rhs."""
-        return self.vectors @ ((self.vectors.T @ (self.design.T @ rhs)) / self.values)
-
-
-@dataclass(frozen=True)
-class _KroneckerFactors(_GramFactors):
-    """G = G_A (x) G_B / tr G: ``vectors`` and ``vectors_b`` hold the
-    eigenvectors of G_A and G_B, and ``grid`` the eigenvalue of G for each
-    pair of them, zero where it is not kept."""
-
-    vectors_b: np.ndarray
-    grid: np.ndarray
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = (self.design.T @ rhs).reshape(self.grid.shape)
-        z = self.vectors.T @ y @ self.vectors_b
+        z = self.vectors_a.T @ y @ self.vectors_b
         z = np.divide(z, self.grid, out=np.zeros_like(z), where=self.grid > 0.0)
-        return (self.vectors @ z @ self.vectors_b.T).reshape(-1)
+        return (self.vectors_a @ z @ self.vectors_b.T).reshape(-1)
 
 
 def _factorize(design: np.ndarray, offset: np.ndarray, d: int) -> _GramFactors:
     """The eigensystem of G = D^T D, from G's two Kronecker factors when G
     is their product to within the bound of the module docstring, and from
-    one dense ``eigh`` otherwise."""
+    one dense ``eigh`` of G, as the factor of G (x) [1], otherwise."""
     p, q = d * d, d * d - 1
     gram = design.T @ design
     g4 = gram.reshape(p, q, p, q)
@@ -171,28 +170,23 @@ def _factorize(design: np.ndarray, offset: np.ndarray, d: int) -> _GramFactors:
     # G tr G - G_A (x) G_B, a block of rows of G_A at a time: no second
     # buffer of G's size
     diff = gram * scale
-    rows = diff.reshape(p, q, p, q)
     for part in block_slices(p, q * p * q):
-        rows[part] -= g_a[part, None, :, None] * g_b[None, :, None, :]
+        diff[part.start * q : part.stop * q] -= kron(g_a[part], g_b)
     bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
     # the test of the docstring times tr G, which also admits G = 0
-    if np.linalg.norm(diff) <= bound:
-        w_a, v_a = np.linalg.eigh(g_a)
-        w_b, v_b = np.linalg.eigh(g_b)
-        products = np.outer(w_a, w_b)
-        keep = _kept(products)
-        grid = np.divide(products, scale, out=np.zeros_like(products), where=keep)
-        condition = math.inf
-        if keep.any():
-            # sqrt(w_max / w_min) per factor, at the smallest kept product
-            i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
-            condition = math.sqrt(w_a[-1] / w_a[i]) * math.sqrt(w_b[-1] / w_b[j])
-        return _KroneckerFactors(design, offset, np.sort(grid[keep]), condition, v_a, v_b, grid)
-    values, vectors = np.linalg.eigh(gram)
-    keep = _kept(values)
-    values = values[keep]
-    condition = math.sqrt(values[-1] / values[0]) if values.size else math.inf
-    return _GramFactors(design, offset, values, condition, vectors[:, keep])
+    if not np.linalg.norm(diff) <= bound:
+        g_a, g_b, scale = gram, np.ones((1, 1)), 1.0
+    w_a, v_a = np.linalg.eigh(g_a)
+    w_b, v_b = np.linalg.eigh(g_b)
+    products = np.outer(w_a, w_b)
+    keep = _kept(products)
+    grid = np.divide(products, scale, out=np.zeros_like(products), where=keep)
+    condition = math.inf
+    if keep.any():
+        # sqrt(w_max / w_min) per factor, at the smallest kept product
+        i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
+        condition = math.sqrt(w_a[-1] / w_a[i]) * math.sqrt(w_b[-1] / w_b[j])
+    return _GramFactors(design, offset, v_a, v_b, grid, condition)
 
 
 def _gram_factors(pp: ProcessPovm) -> _GramFactors:
@@ -212,7 +206,7 @@ def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
     deficiency (0 when complete).
     """
     target = pp.d**4 - pp.d**2
-    rank = _gram_factors(pp).values.size
+    rank = _gram_factors(pp).rank
     return rank == target, target - rank
 
 
@@ -220,9 +214,8 @@ def ic_check(pp: ProcessPovm) -> tuple[bool, int]:
 class TomographyResult:
     """Raw and projected reconstructions with their quality numbers;
     ``condition`` is the condition number of the design on its span,
-    sqrt(w_max / w_min) over the kept Gram eigenvalues, taken per factor
-    and multiplied for a Kronecker factorization (inf when none is
-    kept)."""
+    sqrt(w_max / w_min) over the kept Gram eigenvalues, taken per
+    Kronecker factor and multiplied (inf when none is kept)."""
 
     omega_raw: np.ndarray
     omega_projected: np.ndarray
@@ -243,9 +236,9 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     is restored afterwards by ``psd_project``.  The coordinates c are the
     minimum-norm least-squares solution of D c = p - t, t = Tr(M)/d, from
     the kept eigenpairs of the process POVM's memoized Gram factorization:
-    V w^-1 V^T D^T (p - t) for a dense one, and for a Kronecker one the
-    same with V = V_A (x) V_B, applied as V_A^T Y V_B, a division by the
-    kept products w_A w_B / tr G, and V_A Z V_B^T.  ``ic_check`` shares the
+    V w^-1 V^T D^T (p - t) with V = V_A (x) V_B, applied as V_A^T Y V_B, a
+    division by the kept products w_A w_B / tr G, and V_A Z V_B^T (V_B =
+    [1] for a dense G).  ``ic_check`` shares the
     factorization, which also gives ``ic_complete``, ``deficiency`` and
     ``condition``; a further call on the same process POVM costs a few
     matrix products.  Solving through the Gram matrix makes the error in X
@@ -263,7 +256,7 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     coeff = factors.solve(rhs)
     omega_raw = np.eye(d * d, dtype=complex) / d + _operator(coeff, d)
     residual = float(np.linalg.norm(factors.design @ coeff - rhs))
-    target, rank = d**4 - d**2, factors.values.size
+    target, rank = d**4 - d**2, factors.rank
     omega_projected, converged = psd_project(omega_raw, d)
     return TomographyResult(
         omega_raw, omega_projected, residual, rank == target, target - rank, converged,
@@ -297,9 +290,8 @@ def psd_project(
         if total > 0.0:
             clamped *= d / total
         omega = (vectors * clamped) @ vectors.conj().T
-        repair = (eye - np.einsum("akbk->ab", omega.reshape(d, d, d, d))) / d
-        # repair (x) I, broadcast as in linalg.kron
-        omega = omega + (repair[:, None, :, None] * eye[None, :, None, :]).reshape(n, n)
+        repair = (eye - partial_trace(omega, d, d, "second")) / d
+        omega = omega + kron(repair, eye)
         if np.abs(omega - previous).max() < tol:
             return omega, True
     return omega, False
@@ -336,8 +328,8 @@ def simulate_counts(
     Identical (seed, shots) always reproduce identical counts; every label
     appears in the record, including zero counts.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     what = "simulated counts require a trace-preserving channel"
     raise_failed(trace_preservation_checks(ch, tol), what)
     probs = realization_probabilities(real, ch)

@@ -311,6 +311,41 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, case):
     assert err.startswith("error:")
 
 
+def _product_outcome(label):
+    """A product_ppovm file of one 1 x 1 effect labelled ``label``."""
+    second = [{"label": label, "matrix": _one_by_one()}]
+    return {"kind": "product_ppovm", "d": 1, "first": [_one_by_one()], "second": second}
+
+
+def _first_label(obj, value):
+    obj["effects"][0]["label"] = value
+    return obj
+
+
+# a file whose label (or counts generator) is ``value``
+LABELS = {
+    "povm": lambda v: _validate("povm", _first_label(_one_outcome("dim", 1), v)),
+    "ppovm": lambda v: _validate("ppovm", _first_label(_one_outcome("d", 1), v)),
+    "product_ppovm": lambda v: _validate("ppovm", _product_outcome(v)),
+    "probs": lambda v: lambda t: [
+        "probs", _write(t, "p.json", _product_outcome(v)), gen(t, "identity", "--d", "1")
+    ],
+    "generator": lambda v: lambda t: _counts_with(t, v, "generator"),
+}
+
+
+@pytest.mark.parametrize("value", [True, None, 5, [1, 2]], ids=["true", "null", "5", "list"])
+@pytest.mark.parametrize("case", sorted(LABELS))
+def test_labels_that_are_not_strings_are_malformed(tmp_path, capsys, case, value):
+    code, _, err = run(capsys, *LABELS[case]("0")(tmp_path))
+    assert code == 0, err
+    argv = LABELS[case](value)(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must be a string" in err
+
+
 def test_json_output_builds_no_table_text(tmp_path, capsys, monkeypatch):
     path = gen(tmp_path, "pauli-probe")
     capsys.readouterr()
@@ -1081,18 +1116,21 @@ def test_integer_options_out_of_range_are_usage_errors(tmp_path, capsys):
     u, v = gen(tmp_path, "identity-matrix"), gen(tmp_path, "pauli-z")
     counts = str(tmp_path / "counts.json")
     cases = [
-        (["simulate", ch, pp, "--shots", "0", "--out", counts], "--shots"),
-        (["simulate", ch, pp, "--shots", "10", "--seed", "-1", "--out", counts], "--seed"),
-        (["discriminate", u, v, "--copies", "0"], "--copies"),
-        (["discriminate", u, u, "--copies", "0"], "--copies"),
+        (["simulate", ch, pp, "--shots", "0", "--out", counts], "--shots must be at least"),
+        (["simulate", ch, pp, "--shots", str(10**20), "--out", counts], "--shots must be at most"),
+        (["simulate", ch, pp, "--shots", str(2**63), "--out", counts], "--shots must be at most"),
+        (["simulate", ch, pp, "--shots", "10", "--seed", "-1", "--out", counts], "--seed must be at least"),
+        (["discriminate", u, v, "--copies", "0"], "--copies must be at least"),
+        (["discriminate", u, u, "--copies", "0"], "--copies must be at least"),
     ]
     capsys.readouterr()
-    for argv, option in cases:
+    for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {option} must be at least")
+        assert err.startswith(f"error: {message}")
     assert not pathlib.Path(counts).exists()
     assert run(capsys, "simulate", ch, pp, "--shots", "1", "--seed", "0", "--out", counts)[0] == 0
+    assert run(capsys, "simulate", ch, pp, "--shots", str(2**63 - 1), "--out", counts)[0] == 0
     assert run(capsys, "discriminate", u, v, "--copies", "1")[0] == 0
 
 

@@ -68,18 +68,32 @@ def same_bits(got, expected):
     return got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def numpy_kron(a, b):
+    """numpy.kron of two matrices; when either is a stack (a matrix then
+    counting as a stack of one), the a-major stack of numpy.kron of every
+    pair."""
+    if a.ndim == b.ndim == 2:
+        return np.kron(a, b)
+    return np.array([np.kron(x, y) for x in a.reshape(-1, *a.shape[-2:]) for y in b.reshape(-1, *b.shape[-2:])])
+
+
+STACKS = [((2, 2, 2), (3, 2, 2)), ((1, 3, 3), (2, 2, 2)), ((4, 1, 2), (3, 2, 3)), ((2, 2, 3), (4, 1)), ((3, 3), (2, 2, 2))]
+
+
 @pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex), (complex, float)])
-@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (5, 5)), ((2, 3), (4, 1)), ((1, 4), (3, 2))])
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (5, 5)), ((2, 3), (4, 1)), ((1, 4), (3, 2)), *STACKS])
 def test_kron_is_bitwise_numpy_kron(dtypes, shapes):
     rng = np.random.default_rng(3)
     a, b = (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if dtype is complex else rng.standard_normal(shape)
         for dtype, shape in zip(dtypes, shapes)
     )
-    a[0, 0], b[-1, -1] = -0.0, -0.0  # signed zeros must survive as numpy.kron leaves them
-    assert same_bits(kron(a, b), np.kron(a, b))
-    assert same_bits(kron(a.T, b), np.kron(a.T, b))  # non-contiguous operand
-    assert same_bits(kron(b, np.eye(3)), np.kron(b, np.eye(3)))
+    # signed zeros must survive as numpy.kron leaves them
+    a[(0,) * a.ndim], b[(-1,) * b.ndim] = -0.0, -0.0
+    assert same_bits(kron(a, b), numpy_kron(a, b))
+    a_t = a.swapaxes(-1, -2)  # non-contiguous operand
+    assert same_bits(kron(a_t, b), numpy_kron(a_t, b))
+    assert same_bits(kron(b, np.eye(3)), numpy_kron(b, np.eye(3)))
 
 
 def _reference_hermiticity_residuals(m, tol):
@@ -136,7 +150,7 @@ def test_hermiticity_cases_cover_every_flag():
 
 
 def test_kron_rejects_non_matrices():
-    for a, b in [(np.ones(2), np.eye(2)), (np.eye(2), np.ones(2)), (np.ones((2, 2, 2)), np.eye(2)), (1.0, np.eye(2))]:
+    for a, b in [(np.ones(2), np.eye(2)), (np.eye(2), np.ones(2)), (np.ones((2, 2, 2, 2)), np.eye(2)), (1.0, np.eye(2))]:
         with pytest.raises(ValueError, match="matrices"):
             kron(a, b)
 

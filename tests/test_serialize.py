@@ -77,7 +77,7 @@ def test_product_ppovm_decodes_to_the_plan_process_povm(d):
     stack, labels, side = serialize.decode_ppovm_effects(json.loads(serialize.dumps(obj)))
     dense = plan.ppovm
     assert (labels, side) == (dense.labels, d)
-    assert max_abs(stack - dense.effects) <= 1e-15
+    assert stack.tobytes() == dense.effects.tobytes()
 
 
 def test_product_ppovm_effects_are_kron_products_a_major():
@@ -100,6 +100,27 @@ def test_booleans_in_matrix_data_are_malformed(data):
     effect = {"label": "0", "matrix": {"rows": 1, "cols": 1, "data": data}}
     with pytest.raises(serialize.FormatError, match="not a number"):
         serialize.decode_ppovm_effects({"d": 1, "effects": [effect]})
+
+
+@pytest.mark.parametrize("label", [True, None, 5, [1, 2]], ids=["true", "null", "5", "list"])
+def test_labels_that_are_not_strings_are_malformed(label):
+    effect = {"label": label, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}
+    product = {"kind": "product_ppovm", "d": 1, "first": [effect["matrix"]], "second": [effect]}
+    counts = {**serialize.encode_counts(ShotRecord({"a": 1}, 1, 0)), "generator": label}
+    for decode, obj in [
+        (serialize.decode_povm_effects, {"dim": 1, "effects": [effect]}),
+        (serialize.decode_ppovm_effects, {"d": 1, "effects": [effect]}),
+        (serialize.decode_ppovm_effects, product),
+        (serialize.decode_counts, counts),
+    ]:
+        with pytest.raises(serialize.FormatError, match="must be a string"):
+            decode(obj)
+
+
+def test_written_labels_are_strings_and_read_back():
+    effects = serialize.encode_effects(np.ones((2, 1, 1)), [0, 1])
+    assert [e["label"] for e in effects] == ["0", "1"]
+    assert serialize.decode_povm_effects({"dim": 1, "effects": effects})[1] == ("0", "1")
 
 
 def test_an_integer_beyond_the_float_range_is_malformed():

@@ -285,11 +285,11 @@ def _non_grid(d, rng, sizes):
     return random_ppovm(d, rng, n_couples=2 + sizes[0] % 2)
 
 
-# kind -> (scheme constructor, the factorization's class)
+# kind -> (scheme constructor, the factorization's route)
 ROUTES = {
-    "probe": (_probe_grid, "_KroneckerFactors"),
-    "prepare-measure": (_prepare_measure_grid, "_KroneckerFactors"),
-    "random": (_non_grid, "_GramFactors"),
+    "probe": (_probe_grid, "kronecker"),
+    "prepare-measure": (_prepare_measure_grid, "kronecker"),
+    "random": (_non_grid, "dense"),
 }
 
 
@@ -313,7 +313,7 @@ def test_factor_routes_match_svd_and_lstsq(scheme):
     rng = np.random.default_rng(seed)
     pp = build(d, rng, sizes)
     deviation = _assert_matches_lstsq(pp, rng)
-    assert type(vars(pp)[tomography._MEMO]).__name__ == route
+    assert (vars(pp)[tomography._MEMO].vectors_b.size > 1) == (route == "kronecker")
     if kind != "random":
         # the grids' factors are well conditioned
         assert deviation < 1e-12
@@ -560,6 +560,14 @@ def test_simulate_counts_zero_error_case():
 def test_simulate_counts_rejects_zero_shots():
     with pytest.raises(ValueError):
         simulate_counts(identity_channel(2), realize(PAULI_PP), 0, 0)
+
+
+def test_simulate_counts_takes_at_most_int64_shots():
+    real = realize(PAULI_PP)
+    with pytest.raises(ValueError, match="shots"):
+        simulate_counts(identity_channel(2), real, tomography.MAX_SHOTS + 1, 0)
+    rec = simulate_counts(identity_channel(2), real, tomography.MAX_SHOTS, 0)
+    assert sum(rec.counts.values()) == rec.shots == 2**63 - 1
 
 
 def test_simulated_frequencies_within_four_sigma():
