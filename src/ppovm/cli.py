@@ -11,11 +11,13 @@ stable surface.
 
 Every file is read as UTF-8 JSON, whatever the locale; table text that
 the output stream's encoding cannot hold is written as backslash escapes.
-In one process, successive ``main`` calls parse a process-POVM file once
-per content: the file is read on every call, and the decoded effects of
-the two most recently used contents, keyed by the bytes themselves, are
-reused.  A content is kept only while its bytes and effects take at most
-16 MiB.  Each call still checks the effects at its own ``--tol``.
+In one process, successive ``main`` calls share the work a process-POVM
+file's content needs, for the two most recently used contents: the file
+is read on every call and parsed once per content, and once per content
+and ``--tol`` its effects are validated, realized as an experiment and
+their tomography design factorized.  A call at another ``--tol``
+validates again.  A content is kept only while the most it can come to
+hold is at most 16 MiB (1.19 MB for a dense d=3 file of 144 effects).
 Separate ``ppovm`` processes share nothing.
 """
 
@@ -51,7 +53,9 @@ from .channels import (
 )
 from .discrimination import pair_report
 from .linalg import DEFAULT_TOL, max_abs
-from .measurement import ProcessPovm, outcome_probabilities, ppovm_checks, realize, validate_ppovm
+from .measurement import (
+    ProcessPovm, Realization, outcome_probabilities, ppovm_checks, realize, validate_ppovm,
+)
 from .tomography import MAX_SHOTS, linear_inversion, reconstruction_error, simulate_counts
 
 
@@ -74,37 +78,76 @@ def _read(path, decode, **kwargs):
         return decode(serialize.read_json(path), **kwargs)
 
 
-# decode_ppovm_effects' results for the last _PPOVM_FILES process-POVM files
-# read, keyed by their bytes, least recently used first.  Two, so that a
-# caller alternating two scheme files never misses.  A file is kept only
-# when its bytes and stack take at most _PPOVM_BYTES: a product file's
-# stack of N d^4 values can be far larger than its O(d^2) text.
+# What the CLI keeps of the last _PPOVM_FILES process-POVM contents read,
+# least recently used first.  Two, so that a caller alternating two scheme
+# files never misses.  A content is found by comparing its bytes with each
+# kept content's, which costs less than hashing them would (~0.02 ms
+# against ~0.24 ms for a 0.69 MB d=3 file); nothing is hashed.  A content
+# is kept only when the most it can come to hold (``_Kept.bound``) is at
+# most _PPOVM_BYTES: 1.19 MB for that d=3 file, but the effects and the
+# Gram eigenbasis of a product file, with N d^4 values and a side of
+# d^4 - d^2, can be far larger than its O(d^2) text.
 _PPOVM_FILES = 2
 _PPOVM_BYTES = 16 << 20
-_ppovm_effects: dict[bytes, tuple[np.ndarray, tuple[str, ...], int]] = {}
 
 
-def _read_ppovm_effects(path) -> tuple[np.ndarray, tuple[str, ...], int]:
-    """Effects, labels and d of the process-POVM file at ``path``, parsed
-    once per content: the file is read on every call, and a file whose
-    bytes were decoded before gets that decoding's read-only stack back.
-    A read that fails is not kept."""
+@dataclasses.dataclass(eq=False)
+class _Kept:
+    """One process-POVM content: the file's bytes and their decoding, and,
+    for the last ``--tol`` it was validated at, the process POVM (which
+    keeps its own Gram factorization once ``tomo`` asks for it) and its
+    realization.  A validation that fails keeps no process POVM."""
+
+    raw: bytes
+    decoded: tuple[np.ndarray, tuple[str, ...], int]
+    tol: float | None = None
+    ppovm: ProcessPovm | None = None
+    realization: Realization | None = None
+
+    def bound(self) -> int:
+        """Bytes this content can come to hold: the file, the stack, a
+        realized stack no larger, the design (N (d^4 - d^2) doubles) and a
+        dense Gram eigenbasis ((d^4 - d^2)^2 doubles)."""
+        stack = self.decoded[0]
+        cols = stack.shape[1] ** 2 - stack.shape[1]
+        return len(self.raw) + 2 * stack.nbytes + 8 * cols * (len(stack) + cols)
+
+    def validated(self, tol: float) -> ProcessPovm:
+        """The process POVM, validated at ``tol`` unless the last call was."""
+        if self.tol != tol:
+            self.tol = self.ppovm = self.realization = None
+            stack, labels, d = self.decoded
+            self.ppovm = validate_ppovm(stack, d, labels=labels, tol=tol)
+            self.tol = tol
+        return self.ppovm
+
+    def realized(self, tol: float) -> Realization:
+        """The realization of the process POVM validated at ``tol``."""
+        pp = self.validated(tol)
+        if self.realization is None:
+            self.realization = realize(pp, tol)
+        return self.realization
+
+
+_ppovm_memo: list[_Kept] = []
+
+
+def _read_kept(path) -> _Kept:
+    """The content of the process-POVM file at ``path``: the file is read
+    on every call and parsed only when no kept content has its bytes.  A
+    read that fails is not kept."""
     with _reading(path):
         raw = pathlib.Path(path).read_bytes()
-        found = _ppovm_effects.pop(raw, None)
-        if found is None:
-            found = serialize.decode_ppovm_effects(serialize.parse_json(raw))
-    if len(raw) + found[0].nbytes <= _PPOVM_BYTES:
-        _ppovm_effects[raw] = found
-        if len(_ppovm_effects) > _PPOVM_FILES:
-            del _ppovm_effects[next(iter(_ppovm_effects))]
-    return found
-
-
-def _read_ppovm(path, tol: float) -> ProcessPovm:
-    """The process POVM in the file at ``path``, validated at ``tol``."""
-    stack, labels, d = _read_ppovm_effects(path)
-    return validate_ppovm(stack, d, labels=labels, tol=tol)
+        kept = next((k for k in _ppovm_memo if k.raw == raw), None)
+        if kept is None:
+            kept = _Kept(raw, serialize.decode_ppovm_effects(serialize.parse_json(raw)))
+        else:
+            _ppovm_memo.remove(kept)
+    if kept.bound() <= _PPOVM_BYTES:
+        _ppovm_memo.append(kept)
+        if len(_ppovm_memo) > _PPOVM_FILES:
+            del _ppovm_memo[0]
+    return kept
 
 
 def _emit(args, payload: dict, table) -> None:
@@ -147,7 +190,7 @@ def cmd_validate(args) -> int:
             ch = _read(args.path, serialize.decode_channel, tol=args.tol)
             checks = trace_preservation_checks(ch, args.tol)
         else:
-            mats, _, d = _read_ppovm_effects(args.path)
+            mats, _, d = _read_kept(args.path).decoded
             checks, rho = ppovm_checks(mats, d, args.tol)
             extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
     ok = all_pass(checks)
@@ -202,7 +245,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_probs(args) -> int:
-    pp = _read_ppovm(args.ppovm, args.tol)
+    pp = _read_kept(args.ppovm).validated(args.tol)
     ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
     probs = outcome_probabilities(pp, ch, args.tol)
     payload = {
@@ -225,7 +268,7 @@ def cmd_probs(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    pp = _read_ppovm(args.ppovm, args.tol)
+    pp = _read_kept(args.ppovm).validated(args.tol)
     if args.exact is not None:
         ch = _read(args.exact, serialize.decode_channel, tol=args.tol)
         probs = outcome_probabilities(pp, ch, args.tol)
@@ -272,8 +315,7 @@ def cmd_tomo(args) -> int:
 
 def cmd_simulate(args) -> int:
     ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
-    pp = _read_ppovm(args.ppovm, args.tol)
-    real = realize(pp, args.tol)
+    real = _read_kept(args.ppovm).realized(args.tol)
     record = simulate_counts(ch, real, args.shots, args.seed, args.tol)
     serialize.write_json(args.out, serialize.encode_counts(record))
     _emit(

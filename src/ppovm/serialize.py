@@ -80,6 +80,35 @@ def _str(value, what: str) -> str:
     return value
 
 
+def _json_type(value) -> str:
+    """The JSON type of a decoded value, with its article."""
+    names = {
+        dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null",
+    }
+    return names.get(type(value), "a number")
+
+
+def _object(value, what: str) -> dict:
+    """``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object, got {_json_type(value)}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    """``value``, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a JSON array, got {_json_type(value)}")
+    return value
+
+
+def _shape(m, what: str) -> tuple[int, int, int]:
+    """Rows, columns and number of entries of a matrix payload."""
+    m = _object(m, what)
+    entries = len(_list(m["data"], f"{what} data"))
+    return _int(m["rows"], "rows", 1), _int(m["cols"], "cols", 1), entries
+
+
 def _payloads(stack: np.ndarray) -> list[dict]:
     """Matrix payloads of an (N, rows, cols) stack."""
     n, rows, cols = stack.shape
@@ -93,13 +122,13 @@ def _stack(mats: list[dict], shape: tuple[int, int] | None, what: str) -> np.nda
     ``linalg.frozen`` keeps as it is."""
     if not mats:
         raise FormatError(f"need one or more {what}s")
-    found = [(_int(m["rows"], "rows", 1), _int(m["cols"], "cols", 1), len(m["data"])) for m in mats]
+    found = [_shape(m, f"{what} {k}") for k, m in enumerate(mats)]
     rows, cols = shape or found[0][:2]
     if set(found) != {(rows, cols, rows * cols)}:
         k, (r, c, n) = next((k, s) for k, s in enumerate(found) if s != (rows, cols, rows * cols))
         raise FormatError(f"{what} {k} is {r}x{c} with {n} entries, not {rows}x{cols}")
     pairs = list(chain.from_iterable(m["data"] for m in mats))
-    if set(map(len, pairs)) - {2}:
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         raise FormatError("a matrix entry is not a [re, im] pair")
     flat = list(chain.from_iterable(pairs))
     if not set(map(type, flat)) <= {int, float}:  # JSON true and false are not numbers
@@ -119,7 +148,7 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 @_decoder
 def decode_matrix(obj: dict) -> np.ndarray:
-    return _stack([obj], None, "matrix")[0]
+    return _stack([_object(obj, "a matrix")], None, "matrix")[0]
 
 
 def decode_square_matrix(obj: dict) -> np.ndarray:
@@ -149,10 +178,10 @@ def encode_channel(ch: KrausChannel, kind: str = "kraus") -> dict:
 def decode_channel(obj: dict, tol: float = DEFAULT_TOL) -> KrausChannel:
     """A kraus or choi channel file; ``tol`` bounds the Choi matrix's
     negative eigenvalues."""
-    kind = obj.get("kind")
+    kind = _object(obj, "a channel").get("kind")
     if kind == "kraus":
         dim_in, dim_out = _int(obj["dim_in"], "dim_in", 1), _int(obj["dim_out"], "dim_out", 1)
-        ops = _stack(obj["ops"], (dim_out, dim_in), "Kraus operator")
+        ops = _stack(_list(obj["ops"], "ops"), (dim_out, dim_in), "Kraus operator")
         return KrausChannel(dim_in, dim_out, ops)
     if kind == "choi":
         d = _int(obj["d"], "d", 1)
@@ -170,6 +199,7 @@ def encode_effects(effects, labels) -> list[dict]:
 def _labelled(effects: list[dict], side: int, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """A list of labelled matrices as one (N, side, side) stack, and the
     distinct labels."""
+    effects = [_object(e, f"{what} {k}") for k, e in enumerate(effects)]
     stack = _stack([e["matrix"] for e in effects], (side, side), what)
     labels = [_str(e["label"], "an effect label") for e in effects]
     return stack, effect_labels(labels, len(stack), FormatError)
@@ -179,13 +209,13 @@ def _labelled(effects: list[dict], side: int, what: str) -> tuple[np.ndarray, tu
 def decode_effects(obj: dict, side: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """The ``effects`` list of a povm or ppovm file as one (N, side, side)
     stack, and the labels."""
-    return _labelled(obj["effects"], side, "effect")
+    return _labelled(_list(_object(obj, "a POVM")["effects"], "effects"), side, "effect")
 
 
 @_decoder
 def decode_povm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...]]:
     """Effects and labels of a povm file; every effect is dim x dim."""
-    return decode_effects(obj, _int(obj["dim"], "dim", 1))
+    return decode_effects(obj, _int(_object(obj, "a POVM")["dim"], "dim", 1))
 
 
 def encode_ppovm(pp: ProcessPovm) -> dict:
@@ -215,14 +245,14 @@ def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
     its effects are the A_a (x) B_b, a-major, labelled as ``build_ppovm``
     labels couples: B_b's label alone when there is one A, else "a:label".
     """
-    kind = obj.get("kind")
+    kind = _object(obj, "a process POVM").get("kind")
     if kind is not None and kind != "product_ppovm":
         raise FormatError(f"unknown process POVM kind {kind!r}")
     d = _int(obj["d"], "d", 1)
     if kind is None:
         return *decode_effects(obj, d * d), d
-    first = _stack(obj["first"], (d, d), "first factor")
-    second, labels = _labelled(obj["second"], d, "second factor")
+    first = _stack(_list(obj["first"], "first"), (d, d), "first factor")
+    second, labels = _labelled(_list(obj["second"], "second"), d, "second factor")
     if len(first) > 1:
         labels = tuple(f"{a}:{lbl}" for a in range(len(first)) for lbl in labels)
     effects = kron(first, second)
@@ -241,7 +271,8 @@ def encode_counts(record: ShotRecord) -> dict:
 
 @_decoder
 def decode_counts(obj: dict) -> ShotRecord:
-    counts = {str(k): _int(v, "a count", 0) for k, v in obj["counts"].items()}
+    counts = _object(_object(obj, "a counts record")["counts"], "counts")
+    counts = {str(k): _int(v, "a count", 0) for k, v in counts.items()}
     shots = _int(obj["shots"], "shots", 1)
     if sum(counts.values()) != shots:
         raise FormatError("counts do not sum to the recorded shot total")

@@ -15,4 +15,4 @@ settings.load_profile("ppovm")
 
 @pytest.fixture(autouse=True)
 def _empty_ppovm_memo():
-    cli._ppovm_effects.clear()
+    cli._ppovm_memo.clear()

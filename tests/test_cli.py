@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import ppovm
-from ppovm import cli, discrimination, serialize
-from ppovm.channels import PAULI_Z, KrausChannel, ket, projector
+from ppovm import cli, discrimination, serialize, tomography
+from ppovm.channels import PAULI_Z, KrausChannel, Povm, ket, max_entangled_ket, projector
 from ppovm.cli import main
-from ppovm.linalg import max_abs
-from ppovm.rand import random_unitary
+from ppovm.linalg import kron, max_abs
+from ppovm.measurement import TestCouple, build_ppovm
+from ppovm.rand import random_channel, random_unitary
 
 
 def run(capsys, *argv):
@@ -878,6 +879,43 @@ def test_malformed_product_ppovm_exits_2(tmp_path, capsys, case):
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
+# (command, the file's JSON value, the message after "error: <path>: ");
+# a tomo case reads the file as its --counts
+CONTAINER_MALFORMED = {
+    "effects object": ("validate ppovm", {"d": 2, "effects": {"a": 1}}, "effects must be a JSON array, got an object"),
+    "effects string": ("validate ppovm", {"d": 2, "effects": "abc"}, "effects must be a JSON array, got a string"),
+    "effect number": ("validate ppovm", {"d": 2, "effects": [1]}, "effect 0 must be a JSON object, got a number"),
+    "data null": (
+        "validate ppovm",
+        {"d": 1, "effects": [{"label": "a", "matrix": {"rows": 1, "cols": 1, "data": None}}]},
+        "effect 0 data must be a JSON array, got null",
+    ),
+    "entry number": (
+        "validate ppovm",
+        {"d": 1, "effects": [{"label": "a", "matrix": {"rows": 1, "cols": 1, "data": [1]}}]},
+        "a matrix entry is not a [re, im] pair",
+    ),
+    "ppovm list": ("validate ppovm", [1], "a process POVM must be a JSON object, got an array"),
+    "state list": ("validate state", [[1, 0]], "a matrix must be a JSON object, got an array"),
+    "counts list": ("tomo", [1], "a counts record must be a JSON object, got an array"),
+    "counts field list": (
+        "tomo", {"shots": 1, "seed": 0, "counts": [1]}, "counts must be a JSON object, got an array"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTAINER_MALFORMED))
+def test_malformed_json_containers_exit_2_naming_the_field(tmp_path, capsys, case):
+    command, obj, message = CONTAINER_MALFORMED[case]
+    path = _write(tmp_path, "bad.json", obj)
+    if command == "tomo":
+        argv = ["tomo", gen(tmp_path, "pauli-probe"), "--counts", path]
+        capsys.readouterr()
+    else:
+        argv = [*command.split(), path]
+    assert run(capsys, *argv) == (2, "", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "exc, line",
     [
@@ -983,7 +1021,133 @@ def test_a_ppovm_file_above_the_size_bound_is_not_kept(tmp_path, capsys, monkeyp
         assert main(["validate", "ppovm", path]) == 0
     gc.collect()
     assert [ref() is not None for ref in stacks] == [False, False]
-    assert cli._ppovm_effects == {}
+    assert cli._ppovm_memo == []
+
+
+def _counted_steps(monkeypatch):
+    """Calls, from now on, of the steps the memo keeps the results of:
+    parsing a process-POVM file, validating, realizing and factorizing
+    its design."""
+    calls = dict.fromkeys(["decode", "validate", "realize", "factorize"], 0)
+
+    def count(module, name, step):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[step] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(serialize, "decode_ppovm_effects", "decode")
+    count(cli, "validate_ppovm", "validate")
+    count(cli, "realize", "realize")
+    count(tomography, "_factorize", "factorize")
+    return calls
+
+
+def _mub_scheme(tmp_path):
+    """A d = 3 scheme file of 144 effects: a maximally entangled probe, and
+    both qutrits measured in one of the four mutually unbiased bases."""
+    d, j = 3, np.arange(3)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    bases = [np.eye(d)] + [np.exp(2j * np.pi * a * j * j / d)[:, None] * fourier for a in j]
+    projectors = np.concatenate([np.einsum("ik,jk->kij", b, b.conj()) for b in bases]) / (d + 1)
+    probe = projector(max_entangled_ket(d, normalized=True))
+    couple = TestCouple(1.0, probe, Povm(kron(projectors, projectors), None), d)
+    return _write(tmp_path, "mub3.json", serialize.encode_ppovm(build_ppovm([couple], d)))
+
+
+def _cli_pass(tmp_path, capsys, pp, channel, *extra):
+    """Outputs of one validate, probs, simulate and tomo pass over ``pp``:
+    each command's (exit code, stdout, stderr), then the bytes of the files
+    it wrote."""
+    counts, report = tmp_path / "counts.json", tmp_path / "report.json"
+    outputs = [
+        run(capsys, *argv, *extra)
+        for argv in (
+            ["validate", "ppovm", pp],
+            ["probs", pp, channel],
+            ["simulate", channel, pp, "--shots", "1000", "--seed", "7", "--out", str(counts)],
+            ["tomo", pp, "--counts", str(counts), "--truth", channel, "--out", str(report)],
+        )
+    ]
+    return outputs, counts.read_bytes(), report.read_bytes()
+
+
+def test_one_pass_validates_realizes_and_factorizes_once(tmp_path, capsys, monkeypatch):
+    pp, channel = gen(tmp_path, "pauli-probe"), gen(tmp_path, "depolarizing", "--p", "0.3")
+    calls = _counted_steps(monkeypatch)
+    for _ in range(2):
+        outputs = _cli_pass(tmp_path, capsys, pp, channel)[0]
+        assert [code for code, _, _ in outputs] == [0, 0, 0, 0]
+    assert calls == {"decode": 1, "validate": 1, "realize": 1, "factorize": 1}
+
+
+def test_a_changed_tol_validates_and_realizes_again(tmp_path, capsys, monkeypatch):
+    pp, channel = gen(tmp_path, "pauli-probe"), gen(tmp_path, "identity")
+    counts = str(tmp_path / "counts.json")
+    calls = _counted_steps(monkeypatch)
+    for tol in ["1e-9", "1e-8", "1e-8", "1e-9"]:
+        assert main(["simulate", channel, pp, "--shots", "10", "--out", counts, "--tol", tol]) == 0
+        assert main(["probs", pp, channel, "--tol", tol]) == 0
+    assert calls == {"decode": 1, "validate": 3, "realize": 3, "factorize": 0}
+
+
+def test_a_failed_validation_keeps_no_process_povm(tmp_path, capsys, monkeypatch):
+    pp, channel = _perturbed_pauli_probe(tmp_path), gen(tmp_path, "identity")
+    calls = _counted_steps(monkeypatch)
+    for _ in range(2):
+        code, _, err = run(capsys, "probs", pp, channel)
+        assert code == 1 and err.startswith("error: product_normalization_residual")
+    [kept] = cli._ppovm_memo
+    assert (kept.tol, kept.ppovm, kept.realization) == (None, None, None)
+    assert (calls["decode"], calls["validate"]) == (1, 2)
+
+
+@pytest.mark.parametrize("scheme", ["pauli-probe", "mub3"])
+def test_a_memo_hit_writes_the_bytes_of_a_cold_run(tmp_path, capsys, scheme):
+    if scheme == "mub3":
+        pp = _mub_scheme(tmp_path)
+        channel = _write(tmp_path, "ch3.json", serialize.encode_channel(
+            random_channel(3, np.random.default_rng(5))
+        ))
+    else:
+        pp, channel = gen(tmp_path, scheme), gen(tmp_path, "depolarizing", "--p", "0.3")
+    capsys.readouterr()
+    for extra in (["--format", "json"], []):
+        cli._ppovm_memo.clear()
+        cold = _cli_pass(tmp_path, capsys, pp, channel, *extra)
+        assert [code for code, _, _ in cold[0]] == [0, 0, 0, 0]
+        assert len(cli._ppovm_memo) == 1 and cli._ppovm_memo[0].realization is not None
+        assert _cli_pass(tmp_path, capsys, pp, channel, *extra) == cold
+
+
+def test_a_ppovm_whose_factorization_can_exceed_the_bound_is_not_kept(tmp_path, capsys):
+    # a d = 8 plan's two 64 x 64 effects take 131 kB, but a dense Gram
+    # eigenbasis of side 8^4 - 8^2 would take 130 MB
+    d = 8
+    u = _write(tmp_path, "u.json", serialize.encode_matrix(np.eye(d)))
+    v = _write(tmp_path, "v.json", serialize.encode_matrix(np.diag(np.exp(2j * np.pi * np.arange(d) / d))))
+    code, out, _ = run(capsys, "discriminate", u, v, "--format", "json")
+    assert code == 0
+    plan = _write(tmp_path, "plan.json", json.loads(out)["plan"]["ppovm"])
+    assert run(capsys, "validate", "ppovm", plan)[0] == 0
+    assert cli._ppovm_memo == []
+    # the d = 3 scheme's 0.7 MB text with its worst case is kept
+    assert run(capsys, "validate", "ppovm", _mub_scheme(tmp_path))[0] == 0
+    [kept] = cli._ppovm_memo
+    assert kept.bound() <= cli._PPOVM_BYTES
+
+
+def test_emptying_the_memo_forgets_every_kept_step(tmp_path, capsys, monkeypatch):
+    assert cli._ppovm_memo == []  # emptied by conftest before every test
+    pp, channel = gen(tmp_path, "pauli-probe"), gen(tmp_path, "depolarizing", "--p", "0.3")
+    calls = _counted_steps(monkeypatch)
+    _cli_pass(tmp_path, capsys, pp, channel)
+    cli._ppovm_memo.clear()  # what conftest's fixture does
+    _cli_pass(tmp_path, capsys, pp, channel)
+    assert calls == {"decode": 2, "validate": 2, "realize": 2, "factorize": 2}
 
 
 def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
