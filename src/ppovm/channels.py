@@ -408,6 +408,12 @@ class KrausChannel:
     def is_trace_preserving(self) -> bool:
         return all_pass(trace_preservation_checks(self))
 
+    def check_dims(self, d: int) -> None:
+        """Raise ValueError unless the channel maps d x d operators to d x d."""
+        if (self.dim_in, self.dim_out) != (d, d):
+            maps = f"channel maps dimension {self.dim_in} to {self.dim_out}"
+            raise ValueError(f"{maps}, expected {d} to {d}")
+
 
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Apply the channel: sum_k A_k x A_k^dag."""

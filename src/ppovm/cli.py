@@ -278,12 +278,10 @@ def cmd_tomo(args) -> int:
             raise ValueError("counts labels do not match the measurement's outcomes")
         probs = record.frequencies(pp.labels)
     result = linear_inversion(pp, probs)
-    hs_error = None
     if args.truth is not None:
         truth_ch = _read(args.truth, serialize.decode_channel, tol=args.tol)
         truth = check_process_state(choi_of_channel(truth_ch), pp.d, args.tol)
-        hs_error = reconstruction_error(result, truth)
-        result = dataclasses.replace(result, hs_error=hs_error)
+        result = dataclasses.replace(result, hs_error=reconstruction_error(result, truth))
     if not result.ic_complete:
         print(
             f"warning: measurement is informationally deficient, deficiency = {result.deficiency}; "
@@ -293,18 +291,12 @@ def cmd_tomo(args) -> int:
     report = serialize.encode_tomography_report(result)
     if args.out:
         serialize.write_json(args.out, report)
-    keys = ("ic_complete", "deficiency", "residual", "converged", "condition", "hs_error")
-    summary = {k: report[k] for k in keys}
+    # the result's fields, in order: the matrices are only written, the rest printed
+    fields = {k: v for k, v in report.items() if not isinstance(v, dict)}
     lines = [
-        f"ic_complete: {result.ic_complete}",
-        f"deficiency: {result.deficiency}",
-        f"residual: {_fmt(result.residual)}",
-        f"converged: {result.converged}",
-        f"condition: {_fmt(result.condition)}",
+        f"{k}: {_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items() if v is not None
     ]
-    if hs_error is not None:
-        lines.append(f"hs_error: {_fmt(hs_error)}")
-    _emit(args, summary if not args.out else {**summary, "out": args.out}, lambda: lines)
+    _emit(args, {**fields, "out": args.out} if args.out else fields, lambda: lines)
     return 0
 
 

@@ -220,8 +220,8 @@ def verify_plan(
     if len(plan.povm.effects) != 2:
         raise ValueError("discrimination requires exactly two effects")
     d = plan.probe.size
-    if ch1.dim_in != d or ch2.dim_in != d:
-        raise ValueError("channel dimension does not match the plan")
+    ch1.check_dims(d)
+    ch2.check_dims(d)
     psi = projector(plan.probe)
     f1, f2 = plan.povm.effects
     return (

@@ -329,8 +329,7 @@ def outcome_probabilities(
     pp: ProcessPovm, ch: KrausChannel, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Outcome distribution Tr[choi(ch) M_alpha], clamped to [0, 1]."""
-    if ch.dim_in != pp.d or ch.dim_out != pp.d:
-        raise ValueError(f"channel dimension {ch.dim_in} != {pp.d}")
+    ch.check_dims(pp.d)
     what = "outcome probabilities require a trace-preserving channel"
     raise_failed(trace_preservation_checks(ch, tol), what)
     omega = choi_of_channel(ch)

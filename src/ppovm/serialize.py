@@ -14,7 +14,9 @@ shape (a state or unitary file that is not square among them), an empty
 list, a label or counts generator that is not a string, a repeated label,
 an unknown kind, bad counts.  A well-formed payload that breaks a
 physical invariant (a Choi matrix that is not PSD beyond the caller's
-``tol``) raises a plain ``ValueError`` instead.
+``tol``) raises a plain ``ValueError`` instead.  A tomography report and
+a counts file hold every field of their ``TomographyResult`` and
+``ShotRecord``, so a field added to either is written with no edit here.
 
 Every file and ``--format json`` output is ``dumps``'s text: exactly
 ``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, laid out by
@@ -261,12 +263,7 @@ def decode_ppovm_effects(obj: dict) -> tuple[np.ndarray, tuple[str, ...], int]:
 
 
 def encode_counts(record: ShotRecord) -> dict:
-    return {
-        "shots": record.shots,
-        "seed": record.seed,
-        "generator": record.generator,
-        "counts": {lbl: int(n) for lbl, n in record.counts.items()},
-    }
+    return {**vars(record), "counts": {lbl: int(n) for lbl, n in record.counts.items()}}
 
 
 @_decoder
@@ -282,15 +279,10 @@ def decode_counts(obj: dict) -> ShotRecord:
 
 
 def encode_tomography_report(result: TomographyResult) -> dict:
+    """Every field of ``result``, each array as a matrix payload."""
     return {
-        "ic_complete": result.ic_complete,
-        "deficiency": result.deficiency,
-        "residual": result.residual,
-        "converged": result.converged,
-        "condition": result.condition,
-        "hs_error": result.hs_error,
-        "omega_raw": encode_matrix(result.omega_raw),
-        "omega_projected": encode_matrix(result.omega_projected),
+        name: encode_matrix(value) if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items()
     }
 
 

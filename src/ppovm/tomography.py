@@ -215,15 +215,17 @@ class TomographyResult:
     """Raw and projected reconstructions with their quality numbers;
     ``condition`` is the condition number of the design on its span,
     sqrt(w_max / w_min) over the kept Gram eigenvalues, taken per
-    Kronecker factor and multiplied (inf when none is kept)."""
+    Kronecker factor and multiplied (inf when none is kept).  The fields
+    are what ``ppovm tomo`` reports (table lines, JSON keys and ``--out``
+    report), and their order is its table order."""
 
-    omega_raw: np.ndarray
-    omega_projected: np.ndarray
-    residual: float
     ic_complete: bool
     deficiency: int
+    residual: float
     converged: bool
     condition: float
+    omega_raw: np.ndarray
+    omega_projected: np.ndarray
     hs_error: float | None = None
 
 
@@ -256,11 +258,11 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     coeff = factors.solve(rhs)
     omega_raw = np.eye(d * d, dtype=complex) / d + _operator(coeff, d)
     residual = float(np.linalg.norm(factors.design @ coeff - rhs))
-    target, rank = d**4 - d**2, factors.rank
+    deficiency = d**4 - d**2 - factors.rank
     omega_projected, converged = psd_project(omega_raw, d)
     return TomographyResult(
-        omega_raw, omega_projected, residual, rank == target, target - rank, converged,
-        factors.condition,
+        ic_complete=deficiency == 0, deficiency=deficiency, residual=residual, converged=converged,
+        condition=factors.condition, omega_raw=omega_raw, omega_projected=omega_projected,
     )
 
 
@@ -312,9 +314,7 @@ class ShotRecord:
 
 def realization_probabilities(real: Realization, ch: KrausChannel) -> np.ndarray:
     """Born-rule outcome distribution of a realized experiment."""
-    d = real.qudit_dim()
-    if ch.dim_in != d or ch.dim_out != d:
-        raise ValueError(f"channel dimension {ch.dim_in} != {d}")
+    ch.check_dims(real.qudit_dim())
     output = apply_second(ch, projector(real.test_vector), real.r)
     return effect_pairings(real.povm.effects, output)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -12,11 +13,14 @@ import pytest
 
 import ppovm
 from ppovm import cli, discrimination, serialize, tomography
-from ppovm.channels import PAULI_Z, KrausChannel, Povm, ket, max_entangled_ket, projector
+from ppovm.channels import (
+    PAULI_Z, KrausChannel, Povm, identity_channel, ket, max_entangled_ket, projector,
+)
 from ppovm.cli import main
 from ppovm.linalg import kron, max_abs
-from ppovm.measurement import TestCouple, build_ppovm
+from ppovm.measurement import TestCouple, build_ppovm, outcome_probabilities
 from ppovm.rand import random_channel, random_unitary
+from ppovm.schemes import pauli_probe_ppovm
 
 
 def run(capsys, *argv):
@@ -587,6 +591,22 @@ def test_probs_sum_to_one(tmp_path, capsys):
     assert abs(payload["sum"] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("command", ["probs", "simulate"])
+def test_a_channel_that_changes_dimension_is_named_by_both(tmp_path, capsys, command):
+    pp_path = gen(tmp_path, "pauli-probe")
+    # a 2 -> 3 isometry, trace preserving, so the dimension check is the one to fail
+    iso = KrausChannel(2, 3, (np.eye(3, 2),))
+    ch_path = _write(tmp_path, "iso.json", serialize.encode_channel(iso))
+    capsys.readouterr()
+    if command == "probs":
+        argv = ["probs", pp_path, ch_path]
+    else:
+        argv = ["simulate", ch_path, pp_path, "--shots", "10", "--out", str(tmp_path / "c.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: channel maps dimension 2 to 3, expected 2 to 2\n"
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     pp_path = gen(tmp_path, "identity-vs-contraction")
     ch_path = gen(tmp_path, "identity")
@@ -680,6 +700,62 @@ def test_tomo_counts_label_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "tomo", pp_path, "--counts", str(counts_path))
     assert code == 1
     assert "labels" in err
+
+
+def _pauli_probe_result():
+    pp = pauli_probe_ppovm()
+    return tomography.linear_inversion(pp, outcome_probabilities(pp, identity_channel(2)))
+
+
+def _assert_tomo_outputs_list_the_fields(tmp_path, capsys, result, *argv):
+    """``tomo`` with arguments ``argv`` prints the non-array fields of
+    ``result`` (a result of the type it reports) as JSON, with ``out``
+    when given, writes every field with ``--out``, and prints one table
+    line per field that is set, in field order; the JSON and table."""
+    names = [f.name for f in dataclasses.fields(result)]
+    scalars = [n for n in names if not isinstance(getattr(result, n), np.ndarray)]
+    report_path = str(tmp_path / "report.json")
+    capsys.readouterr()
+    outputs = []
+    for extra in (["--out", report_path, "--format", "json"], ["--format", "json"], []):
+        code, out, _ = run(capsys, "tomo", *argv, *extra)
+        assert code == 0
+        outputs.append(out)
+    with_out, without_out = json.loads(outputs[0]), json.loads(outputs[1])
+    table = outputs[2].splitlines()
+    assert set(serialize.read_json(report_path)) == set(names)
+    assert set(with_out) == {*scalars, "out"} and set(without_out) == set(scalars)
+    shown = [n for n in scalars if with_out[n] is not None]
+    assert [line.split(": ")[0] for line in table] == shown
+    return with_out, table
+
+
+@pytest.mark.parametrize("truth", [False, True])
+def test_tomo_outputs_list_the_result_fields_in_order(tmp_path, capsys, truth):
+    pp_path, ch_path = gen(tmp_path, "pauli-probe"), gen(tmp_path, "depolarizing", "--p", "0.3")
+    extra = ["--truth", ch_path] if truth else []
+    argv = [pp_path, "--exact", ch_path, *extra]
+    result = _pauli_probe_result()
+    out, table = _assert_tomo_outputs_list_the_fields(tmp_path, capsys, result, *argv)
+    assert (out["hs_error"] is not None) == truth
+    assert table[0] == "ic_complete: True" and len(table) == 5 + truth
+
+
+@dataclasses.dataclass(frozen=True)
+class _ResultWithAStep(tomography.TomographyResult):
+    last_step: float = 1 / 3
+
+
+def test_a_new_result_field_reaches_every_tomo_output(tmp_path, capsys, monkeypatch):
+    invert = cli.linear_inversion
+    monkeypatch.setattr(cli, "linear_inversion", lambda *a: _ResultWithAStep(**vars(invert(*a))))
+    pp_path, ch_path = gen(tmp_path, "pauli-probe"), gen(tmp_path, "identity")
+    result = _ResultWithAStep(**vars(_pauli_probe_result()))
+    argv = [pp_path, "--exact", ch_path, "--truth", ch_path]
+    out, table = _assert_tomo_outputs_list_the_fields(tmp_path, capsys, result, *argv)
+    assert out["last_step"] == 1 / 3
+    assert table[-2:] == [f"hs_error: {out['hs_error']:.12g}", "last_step: 0.333333333333"]
+    assert serialize.read_json(tmp_path / "report.json")["last_step"] == 1 / 3
 
 
 def test_discriminate_identity_vs_pauli_z(tmp_path, capsys):
@@ -982,11 +1058,19 @@ def test_a_rewritten_ppovm_file_is_parsed_again(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("first", ["1e-6", None])
 def test_tol_reaches_every_check_on_a_memo_hit(tmp_path, capsys, first):
     pp_path, ch_path = _perturbed_pauli_probe(tmp_path), gen(tmp_path, "identity")
+    # counts with the perturbed file's labels, which any tol can read back
+    counts, simulated = str(tmp_path / "counts.json"), str(tmp_path / "simulated.json")
+    argv = ["simulate", ch_path, gen(tmp_path, "pauli-probe"), "--shots", "1000", "--out", counts]
+    assert run(capsys, *argv)[0] == 0
     tols = ["1e-6", None] if first else [None, "1e-6"]
     for tol in tols * 2:
         extra = ["--tol", tol] if tol else []
         assert run(capsys, "validate", "ppovm", pp_path, *extra)[0] == (0 if tol else 1)
         assert run(capsys, "probs", pp_path, ch_path, *extra)[0] == (0 if tol else 1)
+        # neither makes a sum check of its own that the perturbation fails
+        argv = ["simulate", ch_path, pp_path, "--shots", "1000", "--out", simulated, *extra]
+        assert run(capsys, *argv)[0] == (0 if tol else 1)
+        assert run(capsys, "tomo", pp_path, "--counts", counts, *extra)[0] == (0 if tol else 1)
 
 
 def test_a_malformed_ppovm_file_is_not_kept(tmp_path, capsys):

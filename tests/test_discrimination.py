@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ppovm.channels import (
     HADAMARD,
     PAULI_Z,
+    KrausChannel,
     Povm,
     apply_channel,
     choi_of_channel,
@@ -353,6 +354,16 @@ def test_verify_plan_identity_vs_contraction():
     plan = DiscriminationPlan(ket(1, 2), povm, (0.0, 0.0))
     rates = verify_plan(identity_channel(2), contraction_channel(ket(0, 2)), plan)
     assert rates == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_verify_plan_names_both_dimensions_of_a_channel_that_changes_them(first):
+    # a 2 -> 3 isometry, trace preserving; its 3x3 output once met the 2x2
+    # effects in hs_inner
+    iso = KrausChannel(2, 3, (np.eye(3, 2),))
+    pair = (iso, identity_channel(2)) if first else (identity_channel(2), iso)
+    with pytest.raises(ValueError, match=r"^channel maps dimension 2 to 3, expected 2 to 2$"):
+        verify_plan(*pair, build_plan(np.eye(2), PAULI_Z))
 
 
 def test_verify_plan_bad_probe_fails():
