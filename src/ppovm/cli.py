@@ -15,9 +15,10 @@ In one process, successive ``main`` calls share the work a process-POVM
 file's content needs, for the two most recently used contents: the file
 is read on every call and parsed once per content, and once per content
 and ``--tol`` its effects are validated, realized as an experiment and
-their tomography design factorized.  A call at another ``--tol``
-validates again.  A content is kept only while the most it can come to
-hold is at most 16 MiB (1.19 MB for a dense d=3 file of 144 effects).
+their tomography design factorized, and ``validate``'s report on them is
+computed.  A call at another ``--tol`` validates and reports again.  A
+content is kept only while the most it can come to hold is at most
+16 MiB (1.29 MB for a dense d=3 file of 144 effects).
 Separate ``ppovm`` processes share nothing.
 """
 
@@ -52,7 +53,7 @@ from .channels import (
     trace_preservation_checks,
 )
 from .discrimination import pair_report
-from .linalg import DEFAULT_TOL, max_abs
+from .linalg import DEFAULT_TOL, Check, max_abs
 from .measurement import (
     ProcessPovm, Realization, outcome_probabilities, ppovm_checks, realize, validate_ppovm,
 )
@@ -84,11 +85,14 @@ def _read(path, decode, **kwargs):
 # kept content's, which costs less than hashing them would (~0.02 ms
 # against ~0.24 ms for a 0.69 MB d=3 file); nothing is hashed.  A content
 # is kept only when the most it can come to hold (``_Kept.bound``) is at
-# most _PPOVM_BYTES: 1.19 MB for that d=3 file, but the effects and the
+# most _PPOVM_BYTES: 1.29 MB for that d=3 file, but the effects and the
 # Gram eigenbasis of a product file, with N d^4 values and a side of
-# d^4 - d^2, can be far larger than its O(d^2) text.
+# d^4 - d^2, can be far larger than its O(d^2) text.  _CHECK_BYTES bounds
+# one entry of validate's report: a (name, value, passed) tuple takes
+# ~170 bytes with its list slot.
 _PPOVM_FILES = 2
 _PPOVM_BYTES = 16 << 20
+_CHECK_BYTES = 256
 
 
 @dataclasses.dataclass(eq=False)
@@ -96,21 +100,38 @@ class _Kept:
     """One process-POVM content: the file's bytes and their decoding, and,
     for the last ``--tol`` it was validated at, the process POVM (which
     keeps its own Gram factorization once ``tomo`` asks for it) and its
-    realization.  A validation that fails keeps no process POVM."""
+    realization.  A validation that fails keeps no process POVM.
+    Apart from these, ``report`` keeps ``validate``'s checks and norm state
+    with the ``--tol`` they were computed at, whether or not they pass."""
 
     raw: bytes
     decoded: tuple[np.ndarray, tuple[str, ...], int]
     tol: float | None = None
     ppovm: ProcessPovm | None = None
     realization: Realization | None = None
+    report: tuple[float, tuple[Check, ...], np.ndarray] | None = None
 
     def bound(self) -> int:
         """Bytes this content can come to hold: the file, the stack, a
-        realized stack no larger, the design (N (d^4 - d^2) doubles) and a
-        dense Gram eigenbasis ((d^4 - d^2)^2 doubles)."""
+        realized stack no larger, the design (N (d^4 - d^2) doubles), a
+        dense Gram eigenbasis ((d^4 - d^2)^2 doubles) and the report's
+        3N + 3 check entries with its d x d norm state."""
         stack = self.decoded[0]
-        cols = stack.shape[1] ** 2 - stack.shape[1]
-        return len(self.raw) + 2 * stack.nbytes + 8 * cols * (len(stack) + cols)
+        side = stack.shape[1]
+        cols = side**2 - side
+        report = _CHECK_BYTES * (3 * len(stack) + 3) + 16 * side
+        return len(self.raw) + 2 * stack.nbytes + 8 * cols * (len(stack) + cols) + report
+
+    def checked(self, tol: float) -> tuple[tuple[Check, ...], np.ndarray]:
+        """``ppovm_checks`` of the effects at ``tol``, unless the last call
+        computed them at ``tol``; the norm state is read-only."""
+        if self.report is None or self.report[0] != tol:
+            self.report = None
+            stack, _, d = self.decoded
+            checks, rho = ppovm_checks(stack, d, tol)
+            rho.setflags(write=False)
+            self.report = (tol, tuple(checks), rho)
+        return self.report[1:]
 
     def validated(self, tol: float) -> ProcessPovm:
         """The process POVM, validated at ``tol`` unless the last call was."""
@@ -190,9 +211,9 @@ def cmd_validate(args) -> int:
             ch = _read(args.path, serialize.decode_channel, tol=args.tol)
             checks = trace_preservation_checks(ch, args.tol)
         else:
-            mats, _, d = _read_kept(args.path).decoded
-            checks, rho = ppovm_checks(mats, d, args.tol)
-            extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(mats)}
+            kept = _read_kept(args.path)
+            checks, rho = kept.checked(args.tol)
+            extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(kept.decoded[0])}
     ok = all_pass(checks)
     payload = {
         "kind": args.kind,

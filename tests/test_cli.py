@@ -1111,8 +1111,8 @@ def test_a_ppovm_file_above_the_size_bound_is_not_kept(tmp_path, capsys, monkeyp
 def _counted_steps(monkeypatch):
     """Calls, from now on, of the steps the memo keeps the results of:
     parsing a process-POVM file, validating, realizing and factorizing
-    its design."""
-    calls = dict.fromkeys(["decode", "validate", "realize", "factorize"], 0)
+    its design, and computing validate's report."""
+    calls = dict.fromkeys(["decode", "validate", "realize", "factorize", "report"], 0)
 
     def count(module, name, step):
         original = getattr(module, name)
@@ -1127,6 +1127,7 @@ def _counted_steps(monkeypatch):
     count(cli, "validate_ppovm", "validate")
     count(cli, "realize", "realize")
     count(tomography, "_factorize", "factorize")
+    count(cli, "ppovm_checks", "report")
     return calls
 
 
@@ -1165,7 +1166,7 @@ def test_one_pass_validates_realizes_and_factorizes_once(tmp_path, capsys, monke
     for _ in range(2):
         outputs = _cli_pass(tmp_path, capsys, pp, channel)[0]
         assert [code for code, _, _ in outputs] == [0, 0, 0, 0]
-    assert calls == {"decode": 1, "validate": 1, "realize": 1, "factorize": 1}
+    assert calls == {"decode": 1, "validate": 1, "realize": 1, "factorize": 1, "report": 1}
 
 
 def test_a_changed_tol_validates_and_realizes_again(tmp_path, capsys, monkeypatch):
@@ -1175,7 +1176,31 @@ def test_a_changed_tol_validates_and_realizes_again(tmp_path, capsys, monkeypatc
     for tol in ["1e-9", "1e-8", "1e-8", "1e-9"]:
         assert main(["simulate", channel, pp, "--shots", "10", "--out", counts, "--tol", tol]) == 0
         assert main(["probs", pp, channel, "--tol", tol]) == 0
-    assert calls == {"decode": 1, "validate": 3, "realize": 3, "factorize": 0}
+    assert calls == {"decode": 1, "validate": 3, "realize": 3, "factorize": 0, "report": 0}
+
+
+def test_a_changed_tol_reports_again(tmp_path, capsys, monkeypatch):
+    pp = _perturbed_pauli_probe(tmp_path)
+    capsys.readouterr()
+    calls = _counted_steps(monkeypatch)
+    shown = {}
+    for tol in ["1e-9", "1e-6", "1e-6", "1e-9"]:
+        code, out, _ = run(capsys, "validate", "ppovm", pp, "--tol", tol, "--format", "json")
+        assert shown.setdefault(tol, (code, out)) == (code, out)
+    assert (shown["1e-9"][0], shown["1e-6"][0]) == (1, 0)
+    assert calls == {"decode": 1, "validate": 0, "realize": 0, "factorize": 0, "report": 3}
+
+
+def test_a_failed_report_is_kept_but_no_process_povm(tmp_path, capsys, monkeypatch):
+    pp = _perturbed_pauli_probe(tmp_path)
+    calls = _counted_steps(monkeypatch)
+    for _ in range(2):
+        code, out, _ = run(capsys, "validate", "ppovm", pp)
+        assert code == 1 and out.endswith("INVALID\n")
+    [kept] = cli._ppovm_memo
+    assert (kept.tol, kept.ppovm, kept.realization) == (None, None, None)
+    assert not kept.report[2].flags.writeable
+    assert calls["report"] == 1
 
 
 def test_a_failed_validation_keeps_no_process_povm(tmp_path, capsys, monkeypatch):
@@ -1224,6 +1249,25 @@ def test_a_ppovm_whose_factorization_can_exceed_the_bound_is_not_kept(tmp_path, 
     assert kept.bound() <= cli._PPOVM_BYTES
 
 
+def test_the_bound_counts_the_kept_report(tmp_path):
+    raw = pathlib.Path(_mub_scheme(tmp_path)).read_bytes()
+    kept = cli._Kept(raw, serialize.decode_ppovm_effects(serialize.parse_json(raw)))
+    stack = kept.decoded[0]
+    n, side = len(stack), stack.shape[1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        checks, rho = kept.checked(1e-9)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(checks) == 3 * n + 3 and rho.shape == (3, 3)
+    report = cli._CHECK_BYTES * (3 * n + 3) + 16 * side
+    assert held <= report
+    rest = len(raw) + 2 * stack.nbytes + 8 * (side**2 - side) * (n + side**2 - side)
+    assert kept.bound() >= rest + report
+
+
 def test_emptying_the_memo_forgets_every_kept_step(tmp_path, capsys, monkeypatch):
     assert cli._ppovm_memo == []  # emptied by conftest before every test
     pp, channel = gen(tmp_path, "pauli-probe"), gen(tmp_path, "depolarizing", "--p", "0.3")
@@ -1231,7 +1275,7 @@ def test_emptying_the_memo_forgets_every_kept_step(tmp_path, capsys, monkeypatch
     _cli_pass(tmp_path, capsys, pp, channel)
     cli._ppovm_memo.clear()  # what conftest's fixture does
     _cli_pass(tmp_path, capsys, pp, channel)
-    assert calls == {"decode": 2, "validate": 2, "realize": 2, "factorize": 2}
+    assert calls == {"decode": 2, "validate": 2, "realize": 2, "factorize": 2, "report": 2}
 
 
 def test_a_utf8_file_reads_whatever_the_locale(tmp_path):

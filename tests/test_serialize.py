@@ -13,7 +13,7 @@ from ppovm.channels import (
 )
 from ppovm.discrimination import pair_report
 from ppovm.linalg import kron, max_abs
-from ppovm.measurement import outcome_probabilities, validate_ppovm
+from ppovm.measurement import outcome_probabilities, ppovm_checks, validate_ppovm
 from ppovm.rand import random_channel, random_unitary
 from ppovm.schemes import pauli_probe_ppovm
 from ppovm.tomography import ShotRecord, linear_inversion
@@ -224,11 +224,11 @@ def _stdlib_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-WRITER_FLOATS = st.one_of(
+PLAIN_FLOATS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
     st.floats(),
 )
-WRITER_FLOATS = WRITER_FLOATS | WRITER_FLOATS.map(np.float64)  # a float subclass
+WRITER_FLOATS = PLAIN_FLOATS | PLAIN_FLOATS.map(np.float64)  # a float subclass
 LABELS = st.one_of(
     st.text(max_size=8),
     st.sampled_from(
@@ -277,6 +277,25 @@ WRITER_MATRICES = st.fixed_dictionaries(
 )
 CHECKS = st.fixed_dictionaries({"name": LABELS, "value": WRITER_FLOATS, "pass": st.booleans()})
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), WRITER_FLOATS, LABELS)
+PLAIN_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), PLAIN_FLOATS, LABELS)
+# validate's checks and the probs and counts maps, of the sizes the CLI
+# writes; a plain float or scalar column is written in bulk, one with an
+# np.float64 is not
+RECORDS = st.one_of(
+    *(
+        st.lists(
+            st.fixed_dictionaries({"name": LABELS, "value": values, "pass": st.booleans()}),
+            min_size=9,
+            max_size=40,
+        )
+        for values in (PLAIN_FLOATS, PLAIN_SCALARS, WRITER_FLOATS)
+    )
+)
+SCALAR_MAPS = st.one_of(
+    st.dictionaries(LABELS, PLAIN_FLOATS, max_size=150),
+    st.dictionaries(LABELS, st.integers(0, 10**6), max_size=150),
+    st.dictionaries(LABELS, SCALARS, max_size=150),
+)
 PAYLOADS = st.recursive(
     st.one_of(
         SCALARS,
@@ -284,6 +303,8 @@ PAYLOADS = st.recursive(
         ROWS,
         WRITER_MATRICES,
         CHECKS,
+        RECORDS,
+        SCALAR_MAPS,
         st.dictionaries(LABELS, st.integers(0, 10**6), max_size=4),  # counts
         st.fixed_dictionaries({"label": LABELS, "matrix": WRITER_MATRICES}),
     ),
@@ -306,16 +327,59 @@ PAYLOADS = st.recursive(
 @example(obj={"\x000": [[0.5, 0.5]], "x": "\x001"})
 @example(obj={"a": ([0.5, 1.0], [2.0, 3.0]), "b": [[0.5, True], [1.0, 2.0]], "c": [[[], {}]]})
 @example(obj=[np.float64(0.1), [[np.float64(-0.0), np.float64(math.nan)]], ()])
+# records that must fall back: key sets that differ, one nested value
+@example(obj=[{"name": "a", "pass": True, "value": 0.5}] * 8 + [{"name": "b", "pass": False}])
+@example(obj=[{"name": "a", "pass": True, "value": 0.5}] * 9 + [{"name": "b", "pass": 1, "x": 0}])
+@example(obj=[{"name": "a", "pass": True, "value": 0.5}] * 9 + [{"name": "b", "pass": [], "value": 1}])
+@example(obj=({"a": 0.5, "b": {"c": 1.0}}, {"a": 0.5, "b": {"c": 2.0}}))
+# values the bulk columns must spell as the stdlib does
+@example(obj=[
+    {"name": "x", "pass": p, "value": v}
+    for v, p in zip([np.float64(0.1), 1, True, math.nan, math.inf, -math.inf, -0.0, None, 1.0], [1, True] * 5)
+])
+@example(obj=[{"name": "x", "pass": p, "value": v} for v in [math.nan, math.inf, -math.inf] for p in [True, 1]] * 2)
+@example(obj={"probs": {"a": math.nan, "b": -math.inf, "c": math.inf, "d": 1e300}, "counts": {"a": 1, "b": True}})
+@example(obj={"a": np.float64(0.1), "b": 0.1, "c": True, "d": 1, "e": None, "f": "nan"})
+# names and keys that break a %- or format-based template
+@example(obj=[{k: k for k in ["%", "%s", "%(a)s", "{", "{0}", '"', "\x00", "ψ", "naïve"]}] * 9)
+@example(obj={k: 0.5 for k in ["%", "%%", "%s", "%d", "{}", "{0}", "}", '"', "\x00", "\u03b8"]})
+@example(obj=[{"%s": "%s", "{0}": "{1}", '"': "\x00", "é": "ψ"}] * 12)
 def test_dumps_is_the_stdlib_indent_1_layout(obj):
     before = json.dumps(obj, sort_keys=True)
     assert serialize.dumps(obj) == _stdlib_dumps(obj)
     assert json.dumps(obj, sort_keys=True) == before  # obj is not modified
 
 
+def test_checks_and_scalar_maps_are_written_in_bulk(monkeypatch):
+    pp = pauli_probe_ppovm()
+    probs = outcome_probabilities(pp, identity_channel(2))
+    payload = {
+        "checks": [
+            {"name": name, "value": float(value), "pass": bool(passed)}
+            for name, value, passed in ppovm_checks(pp.effects, pp.d)[0]
+        ],
+        "probs": {lbl: float(p) for lbl, p in zip(pp.labels, probs)},
+    }
+    written = []
+    write = serialize._write
+
+    def counted(obj, *args):
+        written.append(obj)
+        write(obj, *args)
+
+    monkeypatch.setattr(serialize, "_write", counted)
+    assert serialize.dumps(payload) == _stdlib_dumps(payload)
+    # the payload, its 111 checks and its 36 probabilities: no call per entry
+    assert len(written) == 3
+
+
 @pytest.mark.parametrize(
     "obj",
-    [np.int64(1), np.bool_(True), {1, 2}, [0.5, np.int64(1)], [[0.5, np.int64(1)]], {"a": {1}}],
-    ids=["int64", "bool_", "set", "list", "rows", "nested"],
+    [
+        np.int64(1), np.bool_(True), {1, 2}, [0.5, np.int64(1)], [[0.5, np.int64(1)]], {"a": {1}},
+        [{"a": 0.5}, {"a": np.int64(1)}], {"a": 0.5, "b": np.bool_(True)},
+    ],
+    ids=["int64", "bool_", "set", "list", "rows", "nested", "records", "map"],
 )
 def test_dumps_raises_type_error_where_the_stdlib_does(obj):
     with pytest.raises(TypeError):
@@ -324,7 +388,9 @@ def test_dumps_raises_type_error_where_the_stdlib_does(obj):
         serialize.dumps(obj)
 
 
-@pytest.mark.parametrize("obj", [{1: 0.5}, {None: 1}, {"a": {2.5: 1}}, {True: []}])
+@pytest.mark.parametrize(
+    "obj", [{1: 0.5}, {None: 1}, {"a": {2.5: 1}}, {True: []}, [{1: 0.5, 2: 1}] * 3, [{1: "a"}] * 3]
+)
 def test_dumps_takes_only_str_keys(obj):
     # the stdlib writes these keys as strings; every library payload has
     # str keys, so dumps refuses the others
