@@ -15,10 +15,12 @@ In one process, successive ``main`` calls share the work a process-POVM
 file's content needs, for the two most recently used contents: the file
 is read on every call and parsed once per content, and once per content
 and ``--tol`` its effects are validated, realized as an experiment and
-their tomography design factorized, and ``validate``'s report on them is
-computed.  A call at another ``--tol`` validates and reports again.  A
-content is kept only while the most it can come to hold is at most
-16 MiB (1.29 MB for a dense d=3 file of 144 effects).
+their tomography design factorized, and ``validate``'s checks on them and
+its ``--format json`` text are computed.  A kept content holds its bytes,
+its decoded effects and these results for one ``--tol``; a call at
+another ``--tol`` drops the results and computes them again.  A content
+is kept only while the most it can come to hold is at most 16 MiB
+(1.33 MB for a dense d=3 file of 144 effects).
 Separate ``ppovm`` processes share nothing.
 """
 
@@ -85,61 +87,91 @@ def _read(path, decode, **kwargs):
 # kept content's, which costs less than hashing them would (~0.02 ms
 # against ~0.24 ms for a 0.69 MB d=3 file); nothing is hashed.  A content
 # is kept only when the most it can come to hold (``_Kept.bound``) is at
-# most _PPOVM_BYTES: 1.29 MB for that d=3 file, but the effects and the
+# most _PPOVM_BYTES: 1.33 MB for that d=3 file, but the effects and the
 # Gram eigenbasis of a product file, with N d^4 values and a side of
 # d^4 - d^2, can be far larger than its O(d^2) text.  _CHECK_BYTES bounds
-# one entry of validate's report: a (name, value, passed) tuple takes
-# ~170 bytes with its list slot.
+# one entry of validate's report with its share of the JSON text: a
+# (name, value, passed) tuple takes ~180 bytes with its list slot, and its
+# entry in the text ~100 (tracemalloc reads 314 a check for that file).
 _PPOVM_FILES = 2
 _PPOVM_BYTES = 16 << 20
-_CHECK_BYTES = 256
+_CHECK_BYTES = 352
+
+
+def _report(kind: str, checks, **extra) -> dict:
+    """``validate``'s JSON payload: the verdict, each check and ``extra``."""
+    return {
+        "kind": kind,
+        "ok": all_pass(checks),
+        "checks": [
+            {"name": name, "value": float(value), "pass": bool(passed)}
+            for name, value, passed in checks
+        ],
+        **extra,
+    }
 
 
 @dataclasses.dataclass(eq=False)
 class _Kept:
-    """One process-POVM content: the file's bytes and their decoding, and,
-    for the last ``--tol`` it was validated at, the process POVM (which
-    keeps its own Gram factorization once ``tomo`` asks for it) and its
-    realization.  A validation that fails keeps no process POVM.
-    Apart from these, ``report`` keeps ``validate``'s checks and norm state
-    with the ``--tol`` they were computed at, whether or not they pass."""
+    """One process-POVM content: the file's bytes and their decoding, and
+    what was computed from them at one ``--tol``, which a call at another
+    ``--tol`` drops.  That is ``validate``'s checks, norm state and
+    ``--format json`` text, kept whether or not the checks pass, and the
+    process POVM (which keeps its own Gram factorization once ``tomo`` asks
+    for it) with its realization.  A validation that fails keeps no
+    process POVM."""
 
     raw: bytes
     decoded: tuple[np.ndarray, tuple[str, ...], int]
     tol: float | None = None
+    report: tuple[tuple[Check, ...], np.ndarray] | None = None
+    text: str | None = None
     ppovm: ProcessPovm | None = None
     realization: Realization | None = None
-    report: tuple[float, tuple[Check, ...], np.ndarray] | None = None
 
     def bound(self) -> int:
         """Bytes this content can come to hold: the file, the stack, a
         realized stack no larger, the design (N (d^4 - d^2) doubles), a
         dense Gram eigenbasis ((d^4 - d^2)^2 doubles) and the report's
-        3N + 3 check entries with its d x d norm state."""
+        3N + 3 check entries, each with its text, and its d x d norm
+        state."""
         stack = self.decoded[0]
         side = stack.shape[1]
         cols = side**2 - side
         report = _CHECK_BYTES * (3 * len(stack) + 3) + 16 * side
         return len(self.raw) + 2 * stack.nbytes + 8 * cols * (len(stack) + cols) + report
 
+    def _at(self, tol: float) -> None:
+        """Drop what was computed at a ``--tol`` other than ``tol``."""
+        if self.tol != tol:
+            self.tol = tol
+            self.report = self.text = self.ppovm = self.realization = None
+
     def checked(self, tol: float) -> tuple[tuple[Check, ...], np.ndarray]:
-        """``ppovm_checks`` of the effects at ``tol``, unless the last call
-        computed them at ``tol``; the norm state is read-only."""
-        if self.report is None or self.report[0] != tol:
-            self.report = None
+        """``ppovm_checks`` of the effects at ``tol``; the norm state is
+        read-only."""
+        self._at(tol)
+        if self.report is None:
             stack, _, d = self.decoded
             checks, rho = ppovm_checks(stack, d, tol)
             rho.setflags(write=False)
-            self.report = (tol, tuple(checks), rho)
-        return self.report[1:]
+            self.report = (tuple(checks), rho)
+        return self.report
+
+    def report_text(self, tol: float) -> str:
+        """``validate``'s ``--format json`` text of the checks at ``tol``."""
+        checks, rho = self.checked(tol)
+        if self.text is None:
+            extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(self.decoded[0])}
+            self.text = serialize.dumps(_report("ppovm", checks, **extra))
+        return self.text
 
     def validated(self, tol: float) -> ProcessPovm:
-        """The process POVM, validated at ``tol`` unless the last call was."""
-        if self.tol != tol:
-            self.tol = self.ppovm = self.realization = None
+        """The process POVM, validated at ``tol``."""
+        self._at(tol)
+        if self.ppovm is None:
             stack, labels, d = self.decoded
             self.ppovm = validate_ppovm(stack, d, labels=labels, tol=tol)
-            self.tol = tol
         return self.ppovm
 
     def realized(self, tol: float) -> Realization:
@@ -197,7 +229,6 @@ def _fmt(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    extra = {}
     # finite entries near the float limit overflow in sums and traces; the
     # report shows the inf and NaN values they become, as failed checks
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,17 +244,7 @@ def cmd_validate(args) -> int:
         else:
             kept = _read_kept(args.path)
             checks, rho = kept.checked(args.tol)
-            extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(kept.decoded[0])}
     ok = all_pass(checks)
-    payload = {
-        "kind": args.kind,
-        "ok": ok,
-        "checks": [
-            {"name": name, "value": float(value), "pass": bool(passed)}
-            for name, value, passed in checks
-        ],
-        **extra,
-    }
 
     def table():
         for name, value, passed in checks:
@@ -232,7 +253,10 @@ def cmd_validate(args) -> int:
             yield "norm_state: " + np.array2string(rho, precision=6, suppress_small=True)
         yield "valid" if ok else "INVALID"
 
-    _emit(args, payload, table)
+    if args.kind == "ppovm" and args.format == "json":
+        sys.stdout.write(kept.report_text(args.tol))
+    else:
+        _emit(args, _report(args.kind, checks), table)
     return 0 if ok else 1
 
 

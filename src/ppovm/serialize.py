@@ -20,10 +20,7 @@ a counts file hold every field of their ``TomographyResult`` and
 
 Every file and ``--format json`` output is ``dumps``'s text: exactly
 ``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, laid out by
-one recursive writer that renders three shapes in bulk: the float rows of
-matrix data, a list of records (dicts with one set of keys and only
-scalar values, as ``validate``'s checks) and a dict of scalars (as the
-``probs`` and counts maps).
+one recursive writer that renders the float rows of matrix data in bulk.
 Every file is read as UTF-8 (``parse_json``), whatever the locale.
 """
 
@@ -291,76 +288,8 @@ def encode_tomography_report(result: TomographyResult) -> dict:
 
 # ``indent`` sends ``json.dumps`` to its pure-Python encoder, which spends
 # ~3 us on each float of a matrix; ``float.__repr__`` alone takes ~1 us.  So
-# ``dumps`` lays out the document itself, and writes in bulk each list of
-# float rows, each list of records and each dict of scalars.
-
-# The text of a JSON scalar, by exact type.  Only a float's repr can read
-# "nan", "inf" or "-inf", which the stdlib writes as _NONFINITE has them.
-_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda _: "null",
-}
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SCALARS = frozenset(_TEXT)
-
-
-def _scalar_text(value) -> str:
-    """The stdlib's text of a str, int, float, bool or None, or of an
-    instance of a subclass of str, int or float (``np.float64``);
-    TypeError for any other value."""
-    kind = type(value)
-    if kind not in _TEXT:
-        kind = next((k for k in (str, int, float) if isinstance(value, k)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    text = _TEXT[kind](value)
-    return _NONFINITE.get(text, text)
-
-
-def _column(values: list) -> list[str] | None:
-    """The stdlib's texts of ``values``, when each is a str, int, float,
-    bool or None, not of a subclass; else None."""
-    kinds = set(map(type, values))
-    if not kinds <= _SCALARS:
-        return None
-    if len(kinds) != 1:
-        return list(map(_scalar_text, values))
-    texts = list(map(_TEXT[next(iter(kinds))], values))
-    return list(map(_NONFINITE.get, texts, texts)) if float in kinds else texts
-
-
-def _template(keys: list, level: int) -> str:
-    """The stdlib's text at indent ``level`` of a dict whose sorted keys are
-    ``keys``, as a ``%`` template with one ``%s`` for each value's text;
-    TypeError for a key that is not a str."""
-    inner = "\n" + " " * (level + 1)
-    fields = (encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + inner + ("," + inner).join(fields) + "\n" + " " * level + "}"
-
-
-def _records_text(records: list, level: int) -> str | None:
-    """The stdlib's text of ``records`` at indent ``level``, when it is a
-    non-empty list of dicts that have one set of keys and hold only scalars
-    (as ``_column`` takes them); else None.  The first record decides
-    before any scan, so a list of matrix or effect payloads is turned down
-    at once."""
-    first = records[0] if records else None
-    if type(first) is not dict or not first or not _SCALARS.issuperset(map(type, first.values())):
-        return None
-    if set(map(type, records)) != {dict}:
-        return None
-    if not all(map(first.keys().__eq__, map(dict.keys, records))):
-        return None
-    keys = sorted(first)
-    columns = [_column(list(map(operator.itemgetter(key), records))) for key in keys]
-    if None in columns:
-        return None
-    outer = "\n" + " " * (level + 1)
-    items = map(_template(keys, level + 1).__mod__, zip(*columns))
-    return "[" + outer + ("," + outer).join(items) + "\n" + " " * level + "]"
+# ``dumps`` lays out the document itself, and writes each list of float rows
+# in bulk.
 
 
 def _rows_text(rows: list, level: int) -> str | None:
@@ -388,12 +317,22 @@ def _rows_text(rows: list, level: int) -> str | None:
 def _write(obj, level: int, out: list[str]) -> None:
     """Append the stdlib's ``sort_keys=True, indent=1`` text of ``obj``, at
     indent ``level``, to ``out`` as chunks."""
-    if type(obj) in _SCALARS:  # most values; a subclass takes the last branch
-        out.append(_scalar_text(obj))
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj).replace("nan", "NaN").replace("inf", "Infinity"))
     elif isinstance(obj, (list, tuple)):
-        text = _rows_text(obj, level) or _records_text(obj, level)
-        if text is not None:
-            out.append(text)
+        rows = _rows_text(obj, level)
+        if rows is not None:
+            out.append(rows)
         elif obj:
             sep = ",\n" + " " * (level + 1)
             for k, item in enumerate(obj):
@@ -403,10 +342,7 @@ def _write(obj, level: int, out: list[str]) -> None:
         else:
             out.append("[]")
     elif isinstance(obj, dict):
-        if obj and _SCALARS.issuperset(map(type, obj.values())):  # a dict of scalars
-            keys = sorted(obj)
-            out.append(_template(keys, level) % tuple(_column(list(map(obj.__getitem__, keys)))))
-        elif obj:
+        if obj:
             sep = ",\n" + " " * (level + 1)
             for k, key in enumerate(sorted(obj)):
                 out.append(sep if k else "{" + sep[1:])
@@ -416,15 +352,15 @@ def _write(obj, level: int, out: list[str]) -> None:
         else:
             out.append("{}")
     else:
-        out.append(_scalar_text(obj))
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, byte for
-    byte, with float rows, record lists and scalar maps rendered in bulk.
-    Like the stdlib it raises TypeError for a value JSON has no form for (a
-    numpy integer, a set); unlike it, also for a dict key that is not a
-    str, which no library payload holds."""
+    byte, with the float rows of matrix data rendered in bulk.  Like the
+    stdlib it raises TypeError for a value JSON has no form for (a numpy
+    integer, a set); unlike it, also for a dict key that is not a str,
+    which no library payload holds."""
     out: list[str] = []
     _write(obj, 0, out)
     out.append("\n")

@@ -1108,11 +1108,22 @@ def test_a_ppovm_file_above_the_size_bound_is_not_kept(tmp_path, capsys, monkeyp
     assert cli._ppovm_memo == []
 
 
-def _counted_steps(monkeypatch):
-    """Calls, from now on, of the steps the memo keeps the results of:
-    parsing a process-POVM file, validating, realizing and factorizing
-    its design, and computing validate's report."""
-    calls = dict.fromkeys(["decode", "validate", "realize", "factorize", "report"], 0)
+_STEPS = {
+    "decode": (serialize, "decode_ppovm_effects"),
+    "validate": (cli, "validate_ppovm"),
+    "realize": (cli, "realize"),
+    "factorize": (tomography, "_factorize"),
+    "report": (cli, "ppovm_checks"),
+    "dumps": (serialize, "dumps"),
+}
+
+
+def _counted_steps(monkeypatch, *steps):
+    """Calls, from now on, of ``steps``: by default those the memo keeps
+    the results of (parsing a process-POVM file, validating, realizing and
+    factorizing its design, and computing validate's checks); "dumps"
+    counts each JSON text laid out."""
+    calls = dict.fromkeys(steps or ["decode", "validate", "realize", "factorize", "report"], 0)
 
     def count(module, name, step):
         original = getattr(module, name)
@@ -1123,11 +1134,8 @@ def _counted_steps(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(serialize, "decode_ppovm_effects", "decode")
-    count(cli, "validate_ppovm", "validate")
-    count(cli, "realize", "realize")
-    count(tomography, "_factorize", "factorize")
-    count(cli, "ppovm_checks", "report")
+    for step in calls:
+        count(*_STEPS[step], step)
     return calls
 
 
@@ -1191,6 +1199,24 @@ def test_a_changed_tol_reports_again(tmp_path, capsys, monkeypatch):
     assert calls == {"decode": 1, "validate": 0, "realize": 0, "factorize": 0, "report": 3}
 
 
+def test_a_memo_hit_writes_the_kept_report_text(tmp_path, capsys, monkeypatch):
+    pp = _perturbed_pauli_probe(tmp_path)
+    capsys.readouterr()
+    cold = {}
+    for tol in ["1e-9", "1e-6"]:
+        for fmt in ["json", "table"]:
+            cli._ppovm_memo.clear()
+            cold[tol, fmt] = run(capsys, "validate", "ppovm", pp, "--tol", tol, "--format", fmt)
+    assert (cold["1e-9", "json"][0], cold["1e-6", "json"][0]) == (1, 0)
+    calls = _counted_steps(monkeypatch, "report", "dumps")
+    for tol in ["1e-9", "1e-6", "1e-6", "1e-9"]:
+        for fmt in ["json", "table"]:
+            code, out, err = run(capsys, "validate", "ppovm", pp, "--tol", tol, "--format", fmt)
+            assert (code, out, err) == cold[tol, fmt]
+    # each tol's checks and text are computed once, and only at a change of tol
+    assert calls == {"report": 3, "dumps": 3}
+
+
 def test_a_failed_report_is_kept_but_no_process_povm(tmp_path, capsys, monkeypatch):
     pp = _perturbed_pauli_probe(tmp_path)
     calls = _counted_steps(monkeypatch)
@@ -1198,8 +1224,8 @@ def test_a_failed_report_is_kept_but_no_process_povm(tmp_path, capsys, monkeypat
         code, out, _ = run(capsys, "validate", "ppovm", pp)
         assert code == 1 and out.endswith("INVALID\n")
     [kept] = cli._ppovm_memo
-    assert (kept.tol, kept.ppovm, kept.realization) == (None, None, None)
-    assert not kept.report[2].flags.writeable
+    assert (kept.ppovm, kept.realization) == (None, None)
+    assert not kept.report[1].flags.writeable
     assert calls["report"] == 1
 
 
@@ -1210,7 +1236,7 @@ def test_a_failed_validation_keeps_no_process_povm(tmp_path, capsys, monkeypatch
         code, _, err = run(capsys, "probs", pp, channel)
         assert code == 1 and err.startswith("error: product_normalization_residual")
     [kept] = cli._ppovm_memo
-    assert (kept.tol, kept.ppovm, kept.realization) == (None, None, None)
+    assert (kept.ppovm, kept.realization) == (None, None)
     assert (calls["decode"], calls["validate"]) == (1, 2)
 
 
@@ -1258,10 +1284,12 @@ def test_the_bound_counts_the_kept_report(tmp_path):
     try:
         before = tracemalloc.get_traced_memory()[0]
         checks, rho = kept.checked(1e-9)
+        text = kept.report_text(1e-9)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(checks) == 3 * n + 3 and rho.shape == (3, 3)
+    assert len(json.loads(text)["checks"]) == 3 * n + 3
     report = cli._CHECK_BYTES * (3 * n + 3) + 16 * side
     assert held <= report
     rest = len(raw) + 2 * stack.nbytes + 8 * (side**2 - side) * (n + side**2 - side)

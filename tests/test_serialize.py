@@ -13,7 +13,7 @@ from ppovm.channels import (
 )
 from ppovm.discrimination import pair_report
 from ppovm.linalg import kron, max_abs
-from ppovm.measurement import outcome_probabilities, ppovm_checks, validate_ppovm
+from ppovm.measurement import outcome_probabilities, validate_ppovm
 from ppovm.rand import random_channel, random_unitary
 from ppovm.schemes import pauli_probe_ppovm
 from ppovm.tomography import ShotRecord, linear_inversion
@@ -279,8 +279,7 @@ CHECKS = st.fixed_dictionaries({"name": LABELS, "value": WRITER_FLOATS, "pass": 
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), WRITER_FLOATS, LABELS)
 PLAIN_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), PLAIN_FLOATS, LABELS)
 # validate's checks and the probs and counts maps, of the sizes the CLI
-# writes; a plain float or scalar column is written in bulk, one with an
-# np.float64 is not
+# writes, with plain-float, mixed-scalar and np.float64 values
 RECORDS = st.one_of(
     *(
         st.lists(
@@ -327,12 +326,12 @@ PAYLOADS = st.recursive(
 @example(obj={"\x000": [[0.5, 0.5]], "x": "\x001"})
 @example(obj={"a": ([0.5, 1.0], [2.0, 3.0]), "b": [[0.5, True], [1.0, 2.0]], "c": [[[], {}]]})
 @example(obj=[np.float64(0.1), [[np.float64(-0.0), np.float64(math.nan)]], ()])
-# records that must fall back: key sets that differ, one nested value
+# records whose key sets differ, or that hold one nested value
 @example(obj=[{"name": "a", "pass": True, "value": 0.5}] * 8 + [{"name": "b", "pass": False}])
 @example(obj=[{"name": "a", "pass": True, "value": 0.5}] * 9 + [{"name": "b", "pass": 1, "x": 0}])
 @example(obj=[{"name": "a", "pass": True, "value": 0.5}] * 9 + [{"name": "b", "pass": [], "value": 1}])
 @example(obj=({"a": 0.5, "b": {"c": 1.0}}, {"a": 0.5, "b": {"c": 2.0}}))
-# values the bulk columns must spell as the stdlib does
+# every scalar type, NaN and the infinities beside one another
 @example(obj=[
     {"name": "x", "pass": p, "value": v}
     for v, p in zip([np.float64(0.1), 1, True, math.nan, math.inf, -math.inf, -0.0, None, 1.0], [1, True] * 5)
@@ -340,7 +339,7 @@ PAYLOADS = st.recursive(
 @example(obj=[{"name": "x", "pass": p, "value": v} for v in [math.nan, math.inf, -math.inf] for p in [True, 1]] * 2)
 @example(obj={"probs": {"a": math.nan, "b": -math.inf, "c": math.inf, "d": 1e300}, "counts": {"a": 1, "b": True}})
 @example(obj={"a": np.float64(0.1), "b": 0.1, "c": True, "d": 1, "e": None, "f": "nan"})
-# names and keys that break a %- or format-based template
+# names and keys that hold %- and format-template characters
 @example(obj=[{k: k for k in ["%", "%s", "%(a)s", "{", "{0}", '"', "\x00", "ψ", "naïve"]}] * 9)
 @example(obj={k: 0.5 for k in ["%", "%%", "%s", "%d", "{}", "{0}", "}", '"', "\x00", "\u03b8"]})
 @example(obj=[{"%s": "%s", "{0}": "{1}", '"': "\x00", "é": "ψ"}] * 12)
@@ -348,29 +347,6 @@ def test_dumps_is_the_stdlib_indent_1_layout(obj):
     before = json.dumps(obj, sort_keys=True)
     assert serialize.dumps(obj) == _stdlib_dumps(obj)
     assert json.dumps(obj, sort_keys=True) == before  # obj is not modified
-
-
-def test_checks_and_scalar_maps_are_written_in_bulk(monkeypatch):
-    pp = pauli_probe_ppovm()
-    probs = outcome_probabilities(pp, identity_channel(2))
-    payload = {
-        "checks": [
-            {"name": name, "value": float(value), "pass": bool(passed)}
-            for name, value, passed in ppovm_checks(pp.effects, pp.d)[0]
-        ],
-        "probs": {lbl: float(p) for lbl, p in zip(pp.labels, probs)},
-    }
-    written = []
-    write = serialize._write
-
-    def counted(obj, *args):
-        written.append(obj)
-        write(obj, *args)
-
-    monkeypatch.setattr(serialize, "_write", counted)
-    assert serialize.dumps(payload) == _stdlib_dumps(payload)
-    # the payload, its 111 checks and its 36 probabilities: no call per entry
-    assert len(written) == 3
 
 
 @pytest.mark.parametrize(
