@@ -13,12 +13,13 @@ Every file is read as UTF-8 JSON, whatever the locale; table text that
 the output stream's encoding cannot hold is written as backslash escapes.
 In one process, successive ``main`` calls share the work a process-POVM
 file's content needs, for the two most recently used contents: the file
-is read on every call and parsed once per content, and once per content
-and ``--tol`` its effects are validated, realized as an experiment and
-their tomography design factorized, and ``validate``'s checks on them and
-its ``--format json`` text are computed.  A kept content holds its bytes,
-its decoded effects and these results for one ``--tol``; a call at
-another ``--tol`` drops the results and computes them again.  A content
+is read on every call and parsed once per content.  Each kept entry is
+one content at one ``--tol``, and computes each result on first use and
+keeps it: the validated effects, their realization as an experiment,
+their tomography design's factorization, and ``validate``'s checks and
+``--format json`` text.  A call at another ``--tol`` replaces the entry
+by one at that ``--tol``, which shares the decoded effects and computes
+every result again.  A content
 is kept only while the most it can come to hold is at most 16 MiB
 (1.33 MB for a dense d=3 file of 144 effects).
 Separate ``ppovm`` processes share nothing.
@@ -113,21 +114,17 @@ def _report(kind: str, checks, **extra) -> dict:
 
 @dataclasses.dataclass(eq=False)
 class _Kept:
-    """One process-POVM content: the file's bytes and their decoding, and
-    what was computed from them at one ``--tol``, which a call at another
-    ``--tol`` drops.  That is ``validate``'s checks, norm state and
+    """One process-POVM content at one ``--tol``: the file's bytes, their
+    decoding, and what is computed from them at ``tol`` on first use.  That
+    is ``validate``'s checks with the read-only norm state and its
     ``--format json`` text, kept whether or not the checks pass, and the
     process POVM (which keeps its own Gram factorization once ``tomo`` asks
-    for it) with its realization.  A validation that fails keeps no
-    process POVM."""
+    for it) with its realization.  A getter that raises keeps nothing, so a
+    validation that fails keeps no process POVM."""
 
     raw: bytes
     decoded: tuple[np.ndarray, tuple[str, ...], int]
-    tol: float | None = None
-    report: tuple[tuple[Check, ...], np.ndarray] | None = None
-    text: str | None = None
-    ppovm: ProcessPovm | None = None
-    realization: Realization | None = None
+    tol: float
 
     def bound(self) -> int:
         """Bytes this content can come to hold: the file, the stack, a
@@ -141,61 +138,51 @@ class _Kept:
         report = _CHECK_BYTES * (3 * len(stack) + 3) + 16 * side
         return len(self.raw) + 2 * stack.nbytes + 8 * cols * (len(stack) + cols) + report
 
-    def _at(self, tol: float) -> None:
-        """Drop what was computed at a ``--tol`` other than ``tol``."""
-        if self.tol != tol:
-            self.tol = tol
-            self.report = self.text = self.ppovm = self.realization = None
+    @functools.cached_property
+    def report(self) -> tuple[tuple[Check, ...], np.ndarray]:
+        """``ppovm_checks`` of the effects, and the norm state."""
+        stack, _, d = self.decoded
+        checks, rho = ppovm_checks(stack, d, self.tol)
+        rho.setflags(write=False)
+        return tuple(checks), rho
 
-    def checked(self, tol: float) -> tuple[tuple[Check, ...], np.ndarray]:
-        """``ppovm_checks`` of the effects at ``tol``; the norm state is
-        read-only."""
-        self._at(tol)
-        if self.report is None:
-            stack, _, d = self.decoded
-            checks, rho = ppovm_checks(stack, d, tol)
-            rho.setflags(write=False)
-            self.report = (tuple(checks), rho)
-        return self.report
+    @functools.cached_property
+    def text(self) -> str:
+        """``validate``'s ``--format json`` text of the checks."""
+        checks, rho = self.report
+        extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(self.decoded[0])}
+        return serialize.dumps(_report("ppovm", checks, **extra))
 
-    def report_text(self, tol: float) -> str:
-        """``validate``'s ``--format json`` text of the checks at ``tol``."""
-        checks, rho = self.checked(tol)
-        if self.text is None:
-            extra = {"norm_state": serialize.encode_matrix(rho), "n_effects": len(self.decoded[0])}
-            self.text = serialize.dumps(_report("ppovm", checks, **extra))
-        return self.text
+    @functools.cached_property
+    def ppovm(self) -> ProcessPovm:
+        """The process POVM, validated."""
+        stack, labels, d = self.decoded
+        return validate_ppovm(stack, d, labels=labels, tol=self.tol)
 
-    def validated(self, tol: float) -> ProcessPovm:
-        """The process POVM, validated at ``tol``."""
-        self._at(tol)
-        if self.ppovm is None:
-            stack, labels, d = self.decoded
-            self.ppovm = validate_ppovm(stack, d, labels=labels, tol=tol)
-        return self.ppovm
-
-    def realized(self, tol: float) -> Realization:
-        """The realization of the process POVM validated at ``tol``."""
-        pp = self.validated(tol)
-        if self.realization is None:
-            self.realization = realize(pp, tol)
-        return self.realization
+    @functools.cached_property
+    def realization(self) -> Realization:
+        """The realization of the process POVM."""
+        return realize(self.ppovm, self.tol)
 
 
 _ppovm_memo: list[_Kept] = []
 
 
-def _read_kept(path) -> _Kept:
-    """The content of the process-POVM file at ``path``: the file is read
-    on every call and parsed only when no kept content has its bytes.  A
-    read that fails is not kept."""
+def _read_kept(path, tol: float) -> _Kept:
+    """The content of the process-POVM file at ``path``, at ``tol``: the
+    file is read on every call and parsed only when no kept content has its
+    bytes.  A kept content at another tol is replaced by a new entry at
+    ``tol`` that shares its decoding and none of its results.  A read that
+    fails is not kept."""
     with _reading(path):
         raw = pathlib.Path(path).read_bytes()
         kept = next((k for k in _ppovm_memo if k.raw == raw), None)
         if kept is None:
-            kept = _Kept(raw, serialize.decode_ppovm_effects(serialize.parse_json(raw)))
+            kept = _Kept(raw, serialize.decode_ppovm_effects(serialize.parse_json(raw)), tol)
         else:
             _ppovm_memo.remove(kept)
+            if kept.tol != tol:
+                kept = _Kept(raw, kept.decoded, tol)
     if kept.bound() <= _PPOVM_BYTES:
         _ppovm_memo.append(kept)
         if len(_ppovm_memo) > _PPOVM_FILES:
@@ -242,8 +229,8 @@ def cmd_validate(args) -> int:
             ch = _read(args.path, serialize.decode_channel, tol=args.tol)
             checks = trace_preservation_checks(ch, args.tol)
         else:
-            kept = _read_kept(args.path)
-            checks, rho = kept.checked(args.tol)
+            kept = _read_kept(args.path, args.tol)
+            checks, rho = kept.report
     ok = all_pass(checks)
 
     def table():
@@ -254,7 +241,7 @@ def cmd_validate(args) -> int:
         yield "valid" if ok else "INVALID"
 
     if args.kind == "ppovm" and args.format == "json":
-        sys.stdout.write(kept.report_text(args.tol))
+        sys.stdout.write(kept.text)
     else:
         _emit(args, _report(args.kind, checks), table)
     return 0 if ok else 1
@@ -290,7 +277,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_probs(args) -> int:
-    pp = _read_kept(args.ppovm).validated(args.tol)
+    pp = _read_kept(args.ppovm, args.tol).ppovm
     ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
     probs = outcome_probabilities(pp, ch, args.tol)
     payload = {
@@ -313,7 +300,7 @@ def cmd_probs(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    pp = _read_kept(args.ppovm).validated(args.tol)
+    pp = _read_kept(args.ppovm, args.tol).ppovm
     if args.exact is not None:
         ch = _read(args.exact, serialize.decode_channel, tol=args.tol)
         probs = outcome_probabilities(pp, ch, args.tol)
@@ -352,7 +339,7 @@ def cmd_tomo(args) -> int:
 
 def cmd_simulate(args) -> int:
     ch = _read(args.channel, serialize.decode_channel, tol=args.tol)
-    real = _read_kept(args.ppovm).realized(args.tol)
+    real = _read_kept(args.ppovm, args.tol).realization
     record = simulate_counts(ch, real, args.shots, args.seed, args.tol)
     serialize.write_json(args.out, serialize.encode_counts(record))
     _emit(

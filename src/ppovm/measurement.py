@@ -158,17 +158,21 @@ class Realization:
 
 
 def process_effect(
-    state: np.ndarray, effect: np.ndarray, anc_dim: int, d: int, weight: float = 1.0
+    state: np.ndarray, effect: np.ndarray, anc_dim: int, d: int, weight: float = 1.0,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Process effect of one outcome: weight * (R_state^* (x) I)[effect].
 
     ``state`` is the test state on H_anc (x) H_d, ``effect`` the POVM
-    element measured on the channel output.  The result is a positive
-    operator on H_d (x) H_d whose pairing with any Choi operator gives the
-    outcome probability of the underlying experiment.
+    element measured on the channel output, or an (N, n, n) stack of them.
+    The result is a positive operator on H_d (x) H_d whose pairing with any
+    Choi operator gives the outcome probability of the underlying
+    experiment; ``tol`` is the rank cutoff of the state's eigenvalues.
     """
-    lifted = dual_channel(state_to_map(state, anc_dim, d))
-    return weight * apply_first(lifted, np.asarray(effect, dtype=complex), d)
+    lifted = dual_channel(state_to_map(state, anc_dim, d, tol))
+    out = apply_first(lifted, np.asarray(effect, dtype=complex), d)
+    out *= weight
+    return out
 
 
 def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> ProcessPovm:
@@ -194,10 +198,9 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
         check_density(couple.state, tol)
         if couple.povm.dim != couple.anc_dim * d:
             raise ValueError(f"couple {j}: POVM dimension mismatch")
-        lifted = dual_channel(state_to_map(couple.state, couple.anc_dim, d, tol))
-        block = apply_first(lifted, couple.povm.effects, d)
-        block *= couple.weight
-        blocks.append(block)
+        blocks.append(process_effect(
+            couple.state, couple.povm.effects, couple.anc_dim, d, couple.weight, tol
+        ))
         if len(couples) == 1:
             labels += couple.povm.labels
         else:
@@ -418,22 +421,16 @@ def effects_multiset_equal(
 ) -> bool:
     """Compare two effect collections as multisets, ignoring labels/order.
 
-    Greedy matching under max-norm distance < tol.  True proves that a
-    one-to-one pairing within tol exists; False may be a miss of the
-    first-fit search when effects lie closer than tol to several others.
+    Both stacks are sorted by one fixed, generic real linear functional of
+    their entries and compared effect by effect in max norm (< tol).  True
+    proves that a one-to-one pairing within tol exists; False may be a miss
+    when effects far apart take nearly equal values of the functional.
+    Different shapes or counts are unequal.
     """
-    mats_a = list(a.matrices) if isinstance(a, ProcessPovm) else [np.asarray(m) for m in a]
-    mats_b = list(b.matrices) if isinstance(b, ProcessPovm) else [np.asarray(m) for m in b]
-    if len(mats_a) != len(mats_b):
+    a, b = (np.asarray(x.matrices if isinstance(x, ProcessPovm) else x) for x in (a, b))
+    if a.shape != b.shape:
         return False
-    remaining = list(range(len(mats_b)))
-    for m in mats_a:
-        hit = None
-        for idx in remaining:
-            if max_abs(m - mats_b[idx]) < tol:
-                hit = idx
-                break
-        if hit is None:
-            return False
-        remaining.remove(hit)
-    return True
+    re, im = np.random.default_rng(0).standard_normal((2, *a.shape[1:]))
+    functional = re + 1j * im
+    a, b = (x[np.argsort(np.tensordot(x, functional, x.ndim - 1).real)] for x in (a, b))
+    return max_abs(a - b) < tol

@@ -44,6 +44,7 @@ from ppovm.rand import (
     random_povm,
     random_ppovm,
     random_test_couple,
+    random_unitary,
 )
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
@@ -573,3 +574,30 @@ def test_effects_multiset_equal_ignores_order_and_labels():
     )
     assert effects_multiset_equal(pp, shuffled, 1e-12)
     assert not effects_multiset_equal(pp.matrices[:-1], pp.matrices[1:], 1e-12)
+
+
+def _rotated_mub_ppovm(d, rng):
+    """The d^2 (d+1)^2 effects of a maximally entangled probe with both
+    qudits measured in one of the d + 1 mutually unbiased bases (d an odd
+    prime), each qudit in its own Haar-rotated frame."""
+    j = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    bases = [np.eye(d)] + [np.exp(2j * np.pi * a * j * j / d)[:, None] * fourier for a in j]
+    first, second = (
+        np.concatenate([np.einsum("ik,jk->kij", u @ b, (u @ b).conj()) for b in bases]) / (d + 1)
+        for u in (random_unitary(d, rng), random_unitary(d, rng))
+    )
+    probe = projector(max_entangled_ket(d, normalized=True))
+    return build_ppovm([TestCouple(1.0, probe, Povm(kron(first, second), None), d)], d)
+
+
+def test_realize_then_build_gives_back_a_rotated_mub_scheme_as_a_multiset():
+    d, tol = 5, 1e-8
+    pp = _rotated_mub_ppovm(d, np.random.default_rng(5))
+    assert len(pp) == d**2 * (d + 1) ** 2
+    back = build_ppovm([realize(pp, tol).as_couple()], d, tol).effects[::-1]
+    assert effects_multiset_equal(pp, back, tol)
+    moved = back.copy()
+    moved[7] += 2 * tol * np.eye(d * d)
+    assert not effects_multiset_equal(pp, moved, tol)
+    assert not effects_multiset_equal(pp, back[1:], tol)
