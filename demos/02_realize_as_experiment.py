@@ -25,8 +25,8 @@ pp = validate_ppovm(
 )
 real = realize(pp)
 print("two-outcome discriminator:")
-print("ancilla dimension:", real.r, "(normalization state is rank one)")
-print("test vector:", real.test_vector.real, " -- probe with |1>")
+print("ancilla dimension:", real.anc_dim, "(normalization state is rank one)")
+print("test state (probe with |1><1|):", real.state.real, sep="\n")
 print("POVM elements on the output:")
 for lbl, f in zip(real.povm.labels, real.povm.effects):
     print(f"  {lbl}:")
@@ -37,10 +37,12 @@ rng = np.random.default_rng(5)
 pp = random_ppovm(3, rng, rho_rank=2)
 real = realize(pp)
 print("\nrandom qutrit measurement, rank-2 normalization state:")
-print("ancilla dimension:", real.r)
+print("ancilla dimension:", real.anc_dim)
+print("test state:", real.state, sep="\n")
 print("realized POVM completeness residual:",
-      np.abs(sum(real.povm.effects) - np.eye(real.r * 3)).max())
+      np.abs(sum(real.povm.effects) - np.eye(real.anc_dim * 3)).max())
 
-back = build_ppovm([real.as_couple()], 3)
+# the realization is the one couple build_ppovm takes back to the effects
+back = build_ppovm([real], 3)
 print("round-trip effect residual:",
       max(np.abs(a - b).max() for a, b in zip(pp.matrices, back.matrices)))

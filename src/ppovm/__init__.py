@@ -42,7 +42,6 @@ from .discrimination import (
     zero_in_hull,
 )
 from .linalg import (
-    HermitianEigen,
     herm_eig,
     hs_distance,
     hs_inner,
@@ -55,7 +54,6 @@ from .linalg import (
 )
 from .measurement import (
     ProcessPovm,
-    Realization,
     TestCouple,
     build_ppovm,
     effects_multiset_equal,

@@ -58,7 +58,7 @@ from .channels import (
 from .discrimination import pair_report
 from .linalg import DEFAULT_TOL, Check, max_abs
 from .measurement import (
-    ProcessPovm, Realization, outcome_probabilities, ppovm_checks, realize, validate_ppovm,
+    ProcessPovm, TestCouple, outcome_probabilities, ppovm_checks, realize, validate_ppovm,
 )
 from .tomography import MAX_SHOTS, linear_inversion, reconstruction_error, simulate_counts
 
@@ -160,8 +160,8 @@ class _Kept:
         return validate_ppovm(stack, d, labels=labels, tol=self.tol)
 
     @functools.cached_property
-    def realization(self) -> Realization:
-        """The realization of the process POVM."""
+    def realization(self) -> TestCouple:
+        """The realization of the process POVM: ``realize``'s couple."""
         return realize(self.ppovm, self.tol)
 
 

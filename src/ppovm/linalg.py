@@ -8,7 +8,7 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -22,13 +22,6 @@ BLOCK_ENTRIES = 2**16
 
 # A validation entry: (check name, measured value, passed).
 Check = tuple[str, float, bool]
-
-
-class HermitianEigen(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -193,8 +186,9 @@ def hermitian_parts(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix: eigenvalues ascending,
+    then eigenvectors as columns.
 
     The input is replaced by its ``hermitian_parts`` before solving;
     deviations beyond ``tol`` (relative to the max norm) are an error.
@@ -202,7 +196,7 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     m = square_matrix(m)
     if not hermiticity_check("matrix", m, tol)[2]:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return HermitianEigen(*np.linalg.eigh(hermitian_parts(m)))
+    return np.linalg.eigh(hermitian_parts(m))
 
 
 def spectra(h: np.ndarray) -> np.ndarray:

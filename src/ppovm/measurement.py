@@ -20,6 +20,7 @@ from .channels import (
     KrausChannel,
     Povm,
     apply_first,
+    apply_second,
     check_density,
     choi_of_channel,
     density_checks,
@@ -127,29 +128,6 @@ class ProcessPovm:
 
     def __len__(self) -> int:
         return len(self.effects)
-
-
-@dataclass(frozen=True)
-class Realization:
-    """A concrete experiment implementing a process POVM.
-
-    ``test_vector`` is a unit vector on H_r (x) H_d whose ancilla marginal
-    is the POVM's normalization state; ``povm`` measures the channel
-    output on that same space.
-    """
-
-    test_vector: np.ndarray
-    r: int
-    povm: Povm
-
-    def __post_init__(self):
-        object.__setattr__(self, "test_vector", frozen(self.test_vector).reshape(-1))
-
-    def qudit_dim(self) -> int:
-        return self.test_vector.size // self.r
-
-    def as_couple(self) -> TestCouple:
-        return TestCouple(1.0, projector(self.test_vector), self.povm, self.r)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +323,14 @@ def outcome_probabilities(
     return np.clip(probs, 0.0, 1.0)
 
 
+def couple_probabilities(couple: TestCouple, ch: KrausChannel) -> np.ndarray:
+    """Born-rule outcome distribution of running one couple's experiment on
+    ``ch``, not scaled by the couple's weight."""
+    ch.check_dims(couple.qudit_dim())
+    output = apply_second(ch, couple.state, couple.anc_dim)
+    return effect_pairings(couple.povm.effects, output)
+
+
 def effect_pairings(effects: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Re Tr[E_k^dag x] for every matrix E_k of an (N, n, n) stack, in one
     einsum: the outcome probabilities of a measurement on x."""
@@ -365,16 +351,18 @@ def purification(rho_t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarra
     return np.sqrt(values[keep])[:, None] * dagger(v), v
 
 
-def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
-    """Implement an abstract process POVM as a concrete experiment.
+def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
+    """Implement an abstract process POVM as a concrete experiment: the
+    one couple, of weight 1, that ``build_ppovm`` takes back to ``pp``.
 
-    Uses the minimal purification of rho^T (``purification``): ancilla
-    dimension r = rank(rho^T), and POVM elements obtained from the effects
-    by the pseudo-inverse congruence.
-    The realized POVM is complete on H_r (x) H_d and rebuilding a process
-    POVM from it reproduces the input.  The effects are checked for support
-    leaks and transformed a block at a time (``blockwise``), into one
-    (N, r d, r d) array that the realized POVM keeps.
+    Uses the minimal purification of rho^T (``purification``): the test
+    state is the projector onto the unit vector A.reshape(-1) on
+    H_r (x) H_d, with ancilla dimension r = rank(rho^T), and the POVM
+    elements are obtained from the effects by the pseudo-inverse
+    congruence.  The realized POVM is complete on H_r (x) H_d.  The
+    effects are checked for support leaks and transformed a block at a
+    time (``blockwise``), into one (N, r d, r d) array that the realized
+    POVM keeps.
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
@@ -401,7 +389,7 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> Realization:
 
     f = blockwise(block, len(m), m.shape[1] * m.shape[2])
     f.setflags(write=False)  # so Povm keeps it without a copy
-    return Realization(a.reshape(-1), a.shape[0], Povm(f, pp.labels, tol))
+    return TestCouple(1.0, projector(a.reshape(-1)), Povm(f, pp.labels, tol), a.shape[0])
 
 
 def extra_effect(pp: ProcessPovm) -> np.ndarray:

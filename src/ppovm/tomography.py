@@ -36,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_second, projector, raise_failed, trace_preservation_checks
+from .channels import KrausChannel, raise_failed, trace_preservation_checks
 from .linalg import (
     DEFAULT_TOL, block_slices, blockwise, hermitian_parts, hs_distance, kron, max_abs,
     partial_trace,
 )
-from .measurement import ProcessPovm, Realization, effect_pairings
+from .measurement import ProcessPovm, TestCouple, couple_probabilities
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
 _MEMO = "_gram_factors"  # instance __dict__ key of a process POVM's factorization
@@ -312,18 +312,12 @@ class ShotRecord:
         return np.array([self.counts.get(lbl, 0) for lbl in labels]) / self.shots
 
 
-def realization_probabilities(real: Realization, ch: KrausChannel) -> np.ndarray:
-    """Born-rule outcome distribution of a realized experiment."""
-    ch.check_dims(real.qudit_dim())
-    output = apply_second(ch, projector(real.test_vector), real.r)
-    return effect_pairings(real.povm.effects, output)
-
-
 def simulate_counts(
-    ch: KrausChannel, real: Realization, shots: int, seed: int, tol: float = DEFAULT_TOL
+    ch: KrausChannel, couple: TestCouple, shots: int, seed: int, tol: float = DEFAULT_TOL
 ) -> ShotRecord:
-    """Draw i.i.d. outcomes of the realized experiment on a known channel,
-    which must be trace preserving to ``tol``.
+    """Draw i.i.d. outcomes of one couple's experiment (``realize``'s or
+    any other) on a known channel, which must be trace preserving to
+    ``tol``; the outcome distribution is ``couple_probabilities``.
 
     Identical (seed, shots) always reproduce identical counts; every label
     appears in the record, including zero counts.
@@ -332,12 +326,12 @@ def simulate_counts(
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     what = "simulated counts require a trace-preserving channel"
     raise_failed(trace_preservation_checks(ch, tol), what)
-    probs = realization_probabilities(real, ch)
+    probs = couple_probabilities(couple, ch)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {lbl: int(n) for lbl, n in zip(real.povm.labels, draws)}
+    counts = {lbl: int(n) for lbl, n in zip(couple.povm.labels, draws)}
     return ShotRecord(counts, shots, seed)
 
 

@@ -97,16 +97,16 @@ def test_criterion_04_realization_round_trip():
             for _ in range(8):
                 pp = random_ppovm(d, rng, rho_rank=rank)
                 real = realize(pp)
-                assert max_abs(sum(real.povm.effects) - np.eye(real.r * d)) <= 1e-9
-                back = build_ppovm([real.as_couple()], d)
+                assert max_abs(sum(real.povm.effects) - np.eye(real.anc_dim * d)) <= 1e-9
+                back = build_ppovm([real], d)
                 for a, b in zip(pp.matrices, back.matrices):
                     assert max_abs(a - b) <= 1e-8
                 cases += 1
     for _ in range(10):
         pp = random_ppovm(2, rng, n_couples=2)
         real = realize(pp)
-        assert max_abs(sum(real.povm.effects) - np.eye(real.r * 2)) <= 1e-9
-        back = build_ppovm([real.as_couple()], 2)
+        assert max_abs(sum(real.povm.effects) - np.eye(real.anc_dim * 2)) <= 1e-9
+        back = build_ppovm([real], 2)
         for a, b in zip(pp.matrices, back.matrices):
             assert max_abs(a - b) <= 1e-8
         cases += 1

@@ -189,7 +189,7 @@ def test_blocked_stages_match_whole_stack_references(d, count):
 
     real = realize(pp)
     vector, effects = _realize_reference(pp)
-    assert _same_bytes(real.test_vector, vector)
+    assert _same_bytes(real.state, projector(vector))
     assert _same_bytes(real.povm.effects, effects)
 
 
@@ -199,9 +199,9 @@ def test_blocked_realize_of_rank_deficient_norm_state(d, count):
     pp = build_ppovm([_couple(d, count, rng, rank=d - 1)], d)
     real = realize(pp)
     vector, effects = _realize_reference(pp)
-    assert real.r == d - 1
+    assert real.anc_dim == d - 1
     assert real.povm.effects.shape == (count, (d - 1) * d, (d - 1) * d)
-    assert _same_bytes(real.test_vector, vector)
+    assert _same_bytes(real.state, projector(vector))
     assert _same_bytes(real.povm.effects, effects)
 
 

@@ -27,6 +27,7 @@ from ppovm.measurement import (
     SupportViolationError,
     TestCouple,
     build_ppovm,
+    couple_probabilities,
     effects_multiset_equal,
     extra_effect,
     merge_couples,
@@ -52,7 +53,6 @@ from ppovm.schemes import (
     pauli_probe_ppovm,
     six_state_couples,
 )
-from ppovm.tomography import realization_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_stacked_pipeline_matches_reference_loops(d, seed, ancillas, rank_fracti
     _same_entries(
         povm_checks(real.povm.effects)[:-1], _reference_effects_checks(realized, 1e-9)
     )
-    back = build_ppovm([real.as_couple()], d)
+    back = build_ppovm([real], d)
     assert effects_multiset_equal(pp, back, 1e-8)
 
     ch = random_channel(d, rng)
@@ -158,8 +158,8 @@ def test_stacked_pipeline_matches_reference_loops(d, seed, ancillas, rank_fracti
     probs = outcome_probabilities(pp, ch)
     assert np.abs(probs - _reference_probabilities(pp.matrices, omega)).max() < 1e-12
     assert abs(probs.sum() - 1.0) < 1e-9
-    output = apply_second(ch, projector(real.test_vector), real.r)
-    born = realization_probabilities(real, ch)
+    output = apply_second(ch, real.state, real.anc_dim)
+    born = couple_probabilities(real, ch)
     assert np.abs(born - _reference_probabilities(real.povm.effects, output)).max() < 1e-12
     assert abs(born.sum() - 1.0) < 1e-9
 
@@ -467,19 +467,18 @@ def test_outcome_probabilities_requires_tp():
 def test_realize_maximally_mixed_norm_state():
     pp = pauli_probe_ppovm()  # norm state I/2
     real = realize(pp)
-    assert real.r == 2
-    assert abs(np.linalg.norm(real.test_vector) - 1.0) < 1e-9
-    xi = projector(real.test_vector)
-    assert max_abs(partial_trace(xi, 2, 2, "first") - pp.norm_state) < 1e-8
-    assert max_abs(real.test_vector - max_entangled_ket(2, normalized=True)) < 1e-12
+    assert real.anc_dim == 2
+    assert abs(np.trace(real.state) - 1.0) < 1e-9
+    assert max_abs(partial_trace(real.state, 2, 2, "first") - pp.norm_state) < 1e-8
+    assert max_abs(real.state - projector(max_entangled_ket(2, normalized=True))) < 1e-12
     for f, m in zip(real.povm.effects, pp.matrices):
         assert max_abs(f - 2 * m) < 1e-9
 
 
 def test_realize_identity_vs_contraction():
     real = realize(identity_vs_contraction_ppovm())
-    assert real.r == 1
-    assert max_abs(real.test_vector - ket(1, 2)) < 1e-12
+    assert real.anc_dim == 1
+    assert max_abs(real.state - projector(ket(1, 2))) < 1e-12
     p0 = projector(ket(0, 2))
     assert max_abs(real.povm.effects[0] - (np.eye(2) - p0)) < 1e-12
     assert max_abs(real.povm.effects[1] - p0) < 1e-12
@@ -491,7 +490,7 @@ def test_realize_round_trip_ancilla_free_full_rank():
     povm = random_povm(2, 3, rng)
     pp = build_ppovm([TestCouple(1.0, rho, povm, 1)], 2)
     real = realize(pp)
-    back = build_ppovm([real.as_couple()], 2)
+    back = build_ppovm([real], 2)
     for a, b in zip(pp.matrices, back.matrices):
         assert max_abs(a - b) < 1e-8
 
@@ -502,9 +501,9 @@ def test_realize_round_trip_random_including_rank_deficient():
         for rank in range(1, d + 1):
             pp = random_ppovm(d, rng, rho_rank=rank)
             real = realize(pp)
-            assert real.r == rank
+            assert real.anc_dim == rank
             assert max_abs(sum(real.povm.effects) - np.eye(rank * d)) < 1e-9
-            back = build_ppovm([real.as_couple()], d)
+            back = build_ppovm([real], d)
             for a, b in zip(pp.matrices, back.matrices):
                 assert max_abs(a - b) < 1e-8
 
@@ -519,7 +518,7 @@ def test_realize_detects_support_violation():
 def test_realize_detects_support_violation_of_rank_two_norm_state():
     rng = np.random.default_rng(12)
     pp = random_ppovm(3, rng, rho_rank=2)
-    assert realize(pp).r == 2
+    assert realize(pp).anc_dim == 2
     values, vectors = np.linalg.eigh(pp.norm_state.T)
     assert values[0] < 1e-12 < values[1]
     leaking = 0.1 * kron(projector(vectors[:, 0]), np.eye(3))
@@ -595,7 +594,7 @@ def test_realize_then_build_gives_back_a_rotated_mub_scheme_as_a_multiset():
     d, tol = 5, 1e-8
     pp = _rotated_mub_ppovm(d, np.random.default_rng(5))
     assert len(pp) == d**2 * (d + 1) ** 2
-    back = build_ppovm([realize(pp, tol).as_couple()], d, tol).effects[::-1]
+    back = build_ppovm([realize(pp, tol)], d, tol).effects[::-1]
     assert effects_multiset_equal(pp, back, tol)
     moved = back.copy()
     moved[7] += 2 * tol * np.eye(d * d)

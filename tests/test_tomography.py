@@ -22,6 +22,7 @@ from ppovm.measurement import (
     ProcessPovm,
     TestCouple,
     build_ppovm,
+    couple_probabilities,
     outcome_probabilities,
     realize,
     validate_ppovm,
@@ -36,13 +37,13 @@ from ppovm.rand import (
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
     pauli_probe_ppovm,
+    six_state_couples,
     six_state_ppovm,
 )
 from ppovm.tomography import (
     ic_check,
     linear_inversion,
     psd_project,
-    realization_probabilities,
     reconstruction_error,
     simulate_counts,
 )
@@ -397,7 +398,7 @@ def test_ic_check_invariant_under_random_permutation(d, n_couples, seed):
 
 def test_ic_check_invariant_under_realization_round_trip():
     pp = identity_vs_contraction_ppovm()
-    back = build_ppovm([realize(pp).as_couple()], 2)
+    back = build_ppovm([realize(pp)], 2)
     assert ic_check(back) == ic_check(pp)
 
 
@@ -573,7 +574,7 @@ def test_simulate_counts_takes_at_most_int64_shots():
 def test_simulated_frequencies_within_four_sigma():
     ch = depolarizing_channel(0.5, 2)
     real = realize(PAULI_PP)
-    exact = realization_probabilities(real, ch)
+    exact = couple_probabilities(real, ch)
     shots = 10**6
     rec = simulate_counts(ch, real, shots, 42)
     freqs = rec.frequencies(PAULI_PP.labels)
@@ -581,13 +582,25 @@ def test_simulated_frequencies_within_four_sigma():
     assert np.all(np.abs(freqs - exact) <= 4 * sigma + 1e-12)
 
 
-def test_realization_probabilities_match_abstract_pairing():
+def test_couple_probabilities_match_abstract_pairing():
     rng = np.random.default_rng(3)
-    ch = random_channel(2, rng)
-    real = realize(PAULI_PP)
-    assert np.abs(
-        realization_probabilities(real, ch) - outcome_probabilities(PAULI_PP, ch)
-    ).max() < 1e-9
+    # realize: the realized experiment's distribution is the process POVM's,
+    # rank-deficient norm states included
+    cases = [(2, PAULI_PP)]
+    cases += [(d, random_ppovm(d, rng, rho_rank=r)) for d in (2, 3, 4) for r in range(1, d + 1)]
+    cases.append((3, random_ppovm(3, rng, n_couples=2)))
+    for d, pp in cases:
+        ch = random_channel(d, rng)
+        got = couple_probabilities(realize(pp), ch)
+        assert np.abs(got - outcome_probabilities(pp, ch)).max() < 1e-9
+    # build: each couple's distribution, weighted and in couple order, is
+    # that of the process POVM built from the couples
+    couples = six_state_couples()
+    pp = build_ppovm(couples, 2)
+    for _ in range(5):
+        ch = random_channel(2, rng)
+        got = np.concatenate([c.weight * couple_probabilities(c, ch) for c in couples])
+        assert np.abs(got - outcome_probabilities(pp, ch)).max() < 1e-9
 
 
 def test_reconstruction_error_examples():

@@ -129,7 +129,7 @@ def test_random_ppovm_norm_state_has_requested_rank(d, rank, seed):
     pp = random_ppovm(d, np.random.default_rng(seed), rho_rank=rank)
     assert rank_and_support(pp.norm_state)[0] == rank
     assert _report(pp.matrices, d, 1e-9)["ok"]
-    assert realize(pp).r == rank
+    assert realize(pp).anc_dim == rank
 
 
 # where the extreme eigenvalue of one effect sits, in units of tol below 0
