@@ -447,22 +447,30 @@ def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
 
 
 def _conjugate_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k K_k x K_k^dag over the last two axes of x; an (N, n, n) stack
-    is summed a block at a time (``blockwise``)."""
+    """sum_k K_k x K_k^dag over the last two axes of x.  An (N, n, n) stack
+    is written a block at a time (``blockwise``) into one preallocated
+    result: per K_k and block, t = K_k x is one batched product, and
+    t K_k^dag one BLAS product of t's rows, written straight into the
+    result for the first K_k.  A matrix takes the plain products, which
+    cost it no reshaping and no ``out`` argument."""
     x = np.asarray(x, dtype=complex)
-
-    def block(part):
-        xs = x[part]
-        out = ops[0] @ xs @ dagger(ops[0])
+    if x.ndim != 3:
+        out = ops[0] @ x @ dagger(ops[0])
         out += 0.0  # the signed zeros of a sum started from zeros
         for k in ops[1:]:
-            out += k @ xs @ dagger(k)
+            out += k @ x @ dagger(k)
         return out
+    rows, cols = ops.shape[1:]
 
-    if x.ndim != 3:
-        return block(Ellipsis)
-    rows = ops[0].shape[0]
-    return blockwise(block, len(x), max(x.shape[1] * x.shape[2], rows * rows))
+    def block(part, out):
+        xs, flat = x[part], out.reshape(-1, rows)
+        np.matmul((ops[0] @ xs).reshape(-1, cols), dagger(ops[0]), out=flat)
+        out += 0.0  # as for a matrix
+        for k in ops[1:]:
+            flat += (k @ xs).reshape(-1, cols) @ dagger(k)
+
+    out = np.empty((len(x), rows, rows), dtype=complex)
+    return blockwise(block, out, max(x.shape[1] * x.shape[2], rows * rows))
 
 
 # ---------------------------------------------------------------------------

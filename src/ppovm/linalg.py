@@ -17,7 +17,9 @@ DEFAULT_TOL = 1e-9
 # Complex entries per block of a stack pass: 2**16 entries are 1 MiB, half
 # a 2 MiB L2 cache, so a block and its temporaries stay in cache.  The
 # (N, 25, 25) effects of d = 5 go 104 to a block; the 144 (9, 9) effects
-# of a d = 3 MUB scheme fit in one.
+# of a d = 3 MUB scheme fit in one.  Each stage writes its blocks into one
+# preallocated result (``blockwise``), so a block's temporaries are the
+# only memory it takes beyond that result.
 BLOCK_ENTRIES = 2**16
 
 # A validation entry: (check name, measured value, passed).
@@ -54,21 +56,15 @@ def block_slices(count: int, size: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def blockwise(fn: Callable[[slice], np.ndarray], count: int, size: int) -> np.ndarray:
-    """The results of ``fn`` on the ``block_slices(count, size)``, joined
-    along the first axis in one preallocated array.  When one block holds
-    every item, the result is ``fn(slice(0, count))`` itself, with no
-    copy.  ``fn`` computes each item from that item alone, so the joined
-    result is bitwise what one call on all items gives."""
-    parts = block_slices(count, size)
-    if len(parts) == 1:
-        return fn(parts[0])
-    first = fn(parts[0])
-    out = np.empty((count, *first.shape[1:]), first.dtype)
-    out[parts[0]] = first
-    del first  # so no later block sits beside it
-    for part in parts[1:]:
-        out[part] = fn(part)
+def blockwise(fn: Callable[[slice, np.ndarray], None], out: np.ndarray, size: int) -> np.ndarray:
+    """Fill the preallocated ``out`` a block at a time and return it:
+    ``fn(part, out[part])`` writes the items of each of the
+    ``block_slices(len(out), size)`` into that view of ``out``, so no
+    block's result is built apart and copied in.  ``fn`` computes each
+    item from that item alone, so ``out`` is bitwise what one call on all
+    items gives."""
+    for part in block_slices(len(out), size):
+        fn(part, out[part])
     return out
 
 

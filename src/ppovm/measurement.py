@@ -23,6 +23,7 @@ from .channels import (
     apply_second,
     check_density,
     choi_of_channel,
+    completeness_check,
     density_checks,
     dual_channel,
     effect_labels,
@@ -41,7 +42,6 @@ from .linalg import (
     dagger,
     frozen,
     herm_eig,
-    hermitian_parts,
     kron,
     max_abs,
     partial_trace,
@@ -359,20 +359,26 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     state is the projector onto the unit vector A.reshape(-1) on
     H_r (x) H_d, with ancilla dimension r = rank(rho^T), and the POVM
     elements are obtained from the effects by the pseudo-inverse
-    congruence.  The realized POVM is complete on H_r (x) H_d.  The
-    effects are checked for support leaks and transformed a block at a
-    time (``blockwise``), into one (N, r d, r d) array that the realized
-    POVM keeps.
+    congruence K M K^dag, K = B (x) I_d with B = pinv(A)^dag.  The realized
+    POVM is complete on H_r (x) H_d.  The effects are checked for support
+    leaks and transformed a block at a time (``blockwise``) into one
+    preallocated (N, r d, r d) array that the realized POVM keeps: K M is
+    one batched product, (K M) K^dag one BLAS product of its rows written
+    into the array, whose exact Hermitian part is then formed in place.
+    The congruence scales the rounding of the effects by up to 1/s, s the
+    smallest kept eigenvalue of rho; when that leaves the realized effects
+    incomplete to ``tol``, PpovmError names s and the completeness
+    residual.
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
     k = kron(dagger(pinv(a, tol)), np.eye(d))
-    k_dag = dagger(k)
+    k_dag, side = dagger(k), k.shape[0]
     m = pp.effects
     # at full rank the support is all of H_d: nothing can leak
     proj = kron(v @ dagger(v), np.eye(d)) if a.shape[0] < d else None
 
-    def block(part):  # one block of the realized effects, (n, r d, r d)
+    def block(part, out):  # one block of the realized effects, (n, r d, r d)
         ms = m[part]
         if proj is not None:
             leak = proj @ ms @ proj
@@ -385,11 +391,25 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
                 raise SupportViolationError(
                     f"effect {label!r} leaks outside the normalization support"
                 )
-        return hermitian_parts(k @ ms @ k_dag)
+        np.matmul((k @ ms).reshape(-1, d * d), k_dag, out=out.reshape(-1, side))
+        out /= 2  # out/2 + (out/2)^dag, as hermitian_parts forms it
+        out += dagger(out)
 
-    f = blockwise(block, len(m), m.shape[1] * m.shape[2])
+    f = blockwise(block, np.empty((len(m), side, side), dtype=complex), d**4)
     f.setflags(write=False)  # so Povm keeps it without a copy
-    return TestCouple(1.0, projector(a.reshape(-1)), Povm(f, pp.labels, tol), a.shape[0])
+    try:
+        povm = Povm(f, pp.labels, tol)
+    except ValueError:
+        _, res, complete = completeness_check(f, tol)
+        if not complete:  # k's rounding, scaled by up to 1/s, broke completeness
+            low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
+            raise PpovmError(
+                f"norm state too ill-conditioned to realize: its smallest kept "
+                f"eigenvalue {low:.3e} gives a realized completeness_residual = "
+                f"{res:.3e} above tol = {tol:.3e}"
+            ) from None
+        raise
+    return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
 
 
 def extra_effect(pp: ProcessPovm) -> np.ndarray:

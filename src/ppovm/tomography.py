@@ -22,10 +22,12 @@ as the products of those of G_A and G_B.  Every full product grid
 ``eigh``, as the factor of G (x) [1] with tr G read as 1, so one
 factorization type serves both cases.  An eigenvalue of G counts as zero
 when it is at most ``_CUTOFF`` times the largest (1e-6 times the largest
-singular value of D).  The factorization is computed on first use and
-kept in the process POVM's instance ``__dict__``, as
-``functools.cached_property`` does; the effects are read-only, so it
-cannot go stale.
+singular value of D).  The design is written a block of effects at a
+time into one preallocated array, and the test sums its squared residual
+over blocks of rows of G, so it holds no buffer of G's size beside G.
+The factorization is computed on first use and kept in the process
+POVM's instance ``__dict__``, as ``functools.cached_property`` does; the
+effects are read-only, so it cannot go stale.
 """
 
 from __future__ import annotations
@@ -96,23 +98,24 @@ def _design(effects: np.ndarray, d: int) -> np.ndarray:
     """Tomography design of an (N, d^2, d^2) stack: row x holds
     c_ij = Re Tr[M_x (lambda_i (x) mu_j)] at column i (d^2 - 1) + j.  The
     rows of effects A (x) I are exactly zero.  The rows are computed a
-    block of effects at a time (``blockwise``)."""
+    block of effects at a time (``blockwise``), the lambda product of each
+    block written straight into its rows of the preallocated design."""
     basis = _product_basis(d)
-    q = d * d - 1
+    p, q = d * d, d * d - 1
 
-    def rows(part):
+    def rows(part, out):
         stack = effects[part]
         n = len(stack)
         # blocks[x, a, b] is the d x d block (<a| (x) I) M_x (|b> (x) I)
-        blocks = stack.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n * d * d, d * d)
+        blocks = stack.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n * p, p)
         diag = blocks[:, :: d + 1]
-        y = np.empty((n * d * d, q), dtype=complex)
+        y = np.empty((n * p, q), dtype=complex)
         y[:, : d - 1] = (diag[:, 1:] - diag[:, :1]) @ basis.helmert
         y[:, d - 1 :] = blocks @ basis.off
-        y = y.reshape(n, d * d, q)
-        return (basis.lam @ np.concatenate([y.real, y.imag], axis=1)).reshape(n, -1)
+        y = y.reshape(n, p, q)
+        np.matmul(basis.lam, np.concatenate([y.real, y.imag], axis=1), out=out.reshape(n, p, q))
 
-    return blockwise(rows, len(effects), d**4)
+    return blockwise(rows, np.empty((len(effects), p * q)), d**4)
 
 
 def _operator(coeff: np.ndarray, d: int) -> np.ndarray:
@@ -162,19 +165,23 @@ class _GramFactors:
 def _factorize(design: np.ndarray, offset: np.ndarray, d: int) -> _GramFactors:
     """The eigensystem of G = D^T D, from G's two Kronecker factors when G
     is their product to within the bound of the module docstring, and from
-    one dense ``eigh`` of G, as the factor of G (x) [1], otherwise."""
+    one dense ``eigh`` of G, as the factor of G (x) [1], otherwise.  The
+    test sums ||G tr G - G_A (x) G_B||_F^2 over blocks of rows of G_A, so
+    it holds no buffer of G's size beside G."""
     p, q = d * d, d * d - 1
     gram = design.T @ design
     g4 = gram.reshape(p, q, p, q)
     g_a, g_b, scale = np.einsum("ijkj->ik", g4), np.einsum("ijil->jl", g4), np.trace(gram)
-    # G tr G - G_A (x) G_B, a block of rows of G_A at a time: no second
-    # buffer of G's size
-    diff = gram * scale
+    squares = 0.0
     for part in block_slices(p, q * p * q):
-        diff[part.start * q : part.stop * q] -= kron(g_a[part], g_b)
+        # G_A (x) G_B - G tr G: its squares are those of the test
+        diff = kron(g_a[part], g_b)
+        diff -= gram[part.start * q : part.stop * q] * scale
+        squares += np.vdot(diff, diff)
+        del diff  # so the next block's product is not formed beside it
     bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
     # the test of the docstring times tr G, which also admits G = 0
-    if not np.linalg.norm(diff) <= bound:
+    if not math.sqrt(squares) <= bound:
         g_a, g_b, scale = gram, np.ones((1, 1)), 1.0
     w_a, v_a = np.linalg.eigh(g_a)
     w_b, v_b = np.linalg.eigh(g_b)

@@ -1,7 +1,10 @@
 """Effect stacks are streamed through blocks of BLOCK_ENTRIES entries: each
 blocked stage must give, byte for byte, what its whole-stack expression
 gives (kept here as the reference), stay within a small multiple of the
-stack in memory, and keep every stack it allocated without a second copy."""
+stack in memory, and keep every stack it allocated without a second copy.
+The Kronecker test of the Gram matrix sums its residual over row blocks:
+it must decide as the whole difference does (kept here as the reference)
+and hold no second buffer of the Gram matrix's size."""
 
 import tracemalloc
 
@@ -43,8 +46,10 @@ from ppovm.measurement import (
     realize,
     validate_ppovm,
 )
-from ppovm.rand import random_density, random_povm, random_test_couple, random_unitary
-from ppovm.tomography import _design, _product_basis, ic_check
+from ppovm.rand import (
+    random_density, random_povm, random_ppovm, random_test_couple, random_unitary,
+)
+from ppovm.tomography import _design, _factorize, _gram_factors, _product_basis, ic_check
 
 
 def _per_block(d: int) -> int:
@@ -413,3 +418,68 @@ def test_heavy_stages_stay_within_one_and_a_half_stacks():
         tracemalloc.stop()
     stack = pp.effects.nbytes  # 900 effects of 25 x 25: 9.0 MB
     assert {name: peak / stack <= 1.5 for name, peak in peaks.items()} == dict.fromkeys(peaks, True)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker test of the Gram matrix, summed over row blocks
+# ---------------------------------------------------------------------------
+
+
+def _kronecker_ratio(design: np.ndarray, d: int) -> float:
+    """||G tr G - G_A (x) G_B||_F over its bound, from the whole difference:
+    the expression the row-block sum replaced."""
+    p, q = d * d, d * d - 1
+    gram = design.T @ design
+    g4 = gram.reshape(p, q, p, q)
+    g_a, g_b, scale = np.einsum("ijkj->ik", g4), np.einsum("ijil->jl", g4), np.trace(gram)
+    diff = gram * scale - np.kron(g_a, g_b)
+    bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
+    return float(np.linalg.norm(diff) / bound)
+
+
+def _is_product(design: np.ndarray, d: int) -> bool:
+    """Whether ``_factorize`` took G as G_A (x) G_B, not as G (x) [1]."""
+    return _factorize(design, np.zeros(len(design)), d).vectors_b.shape != (1, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kronecker_test_decides_as_the_whole_difference(d):
+    rng = np.random.default_rng([27, d])
+    product = _design(build_ppovm([_rotated_product_couple(d, rng)], d).effects, d)
+    designs = {
+        "product": product,
+        "random": _design(random_ppovm(d, rng, rho_rank=d).effects, d),
+        # an ancilla-free couple gives product effects, so this G may be one
+        "random, two couples": _design(random_ppovm(d, rng, n_couples=2).effects, d),
+    }
+    # the product design moved to 10x below and 10x above the bound: for a
+    # small perturbation the ratio is linear in its size
+    noise = rng.standard_normal(product.shape) * np.abs(product).max()
+    base = _kronecker_ratio(product, d)
+    slope = (_kronecker_ratio(product + 1e-9 * noise, d) - base) / 1e-9
+    for target in (0.1, 10.0):
+        designs[target] = product + (target - base) / slope * noise
+    ratios = {name: _kronecker_ratio(design, d) for name, design in designs.items()}
+    assert ratios["product"] < 0.1 and ratios["random"] > 1e6
+    assert 0.05 < ratios[0.1] < 0.2 and 5.0 < ratios[10.0] < 20.0
+    decisions = {name: _is_product(design, d) for name, design in designs.items()}
+    assert decisions == {name: ratio <= 1.0 for name, ratio in ratios.items()}
+
+
+def test_kronecker_test_holds_no_second_gram_matrix():
+    d = 5
+    pp = build_ppovm([_rotated_product_couple(d, np.random.default_rng(28))], d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert ic_check(pp) == (True, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    q = d**4 - d**2
+    assert _gram_factors(pp).vectors_b.shape == (d * d - 1, d * d - 1)  # a product G
+    design, gram = len(pp) * q * 8, q * q * 8  # 4.32 and 2.88 MB
+    # beside them, a block of BLOCK_ENTRIES complex entries (1 MiB) holds the
+    # two real row blocks of the test (0.46 MB each); a whole difference
+    # would be a second G
+    assert peak <= design + gram + BLOCK_ENTRIES * 16

@@ -18,8 +18,8 @@ from ppovm.channels import (
 )
 from ppovm.cli import main
 from ppovm.linalg import kron, max_abs
-from ppovm.measurement import TestCouple, build_ppovm, outcome_probabilities
-from ppovm.rand import random_channel, random_unitary
+from ppovm.measurement import TestCouple, build_ppovm, outcome_probabilities, purification
+from ppovm.rand import random_channel, random_povm, random_unitary
 from ppovm.schemes import pauli_probe_ppovm
 
 
@@ -622,6 +622,23 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     counts = serialize.decode_counts(serialize.read_json(out_a))
     assert counts.counts["identity"] == 1000
+
+
+def test_simulate_names_an_ill_conditioned_norm_state(tmp_path, capsys):
+    # a valid d = 3 process POVM whose norm state has eigenvalues 1 - 2s, s,
+    # s with s = 1e-8: realize's pinv congruence breaks completeness
+    rng = np.random.default_rng(0)
+    u = random_unitary(3, rng)
+    a, _ = purification(((u * [1 - 2e-8, 1e-8, 1e-8]) @ u.conj().T).T)
+    couple = TestCouple(1.0, projector(a.reshape(-1)), random_povm(9, 10, rng), 3)
+    path = _write(tmp_path, "ill.json", serialize.encode_ppovm(build_ppovm([couple], 3)))
+    channel = gen(tmp_path, "identity", "--d", "3")
+    capsys.readouterr()
+    assert run(capsys, "validate", "ppovm", path)[0] == 0
+    code, out, err = run(capsys, "simulate", channel, path, "--shots", "100", "--out", str(tmp_path / "c.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: norm state too ill-conditioned to realize: its smallest kept eigenvalue 1.000e-08 ")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_tomo_exact_recovers_channel(tmp_path, capsys):

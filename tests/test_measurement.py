@@ -23,6 +23,7 @@ from ppovm.measurement import (
     NormStateInvalidError,
     NotProductNormalizationError,
     NotPsdError,
+    PpovmError,
     ProcessPovm,
     SupportViolationError,
     TestCouple,
@@ -527,6 +528,35 @@ def test_realize_detects_support_violation_of_rank_two_norm_state():
     )
     with pytest.raises(SupportViolationError, match="'leak'"):
         realize(bad)
+
+
+def _ill_conditioned_ppovm(s: float, seed: int) -> ProcessPovm:
+    """A d = 3 process POVM whose norm state has the eigenvalues 1 - 2s, s,
+    s: all three are kept at the default tol, and the pinv congruence of
+    ``realize`` scales the rounding of the effects by up to 1/s."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(3, rng)
+    a, _ = purification(((u * [1 - 2 * s, s, s]) @ dagger(u)).T)
+    assert a.shape[0] == 3
+    couple = TestCouple(1.0, projector(a.reshape(-1)), random_povm(9, 10, rng), 3)
+    return build_ppovm([couple], 3)
+
+
+def test_realize_names_an_ill_conditioned_norm_state():
+    pp = _ill_conditioned_ppovm(1e-8, 0)
+    assert validate_ppovm(pp.effects, 3).effects is pp.effects  # a valid process POVM
+    with pytest.raises(PpovmError) as raised:
+        realize(pp)
+    assert type(raised.value) is PpovmError
+    message = str(raised.value)
+    prefix = "norm state too ill-conditioned to realize: its smallest kept eigenvalue 1.000e-08"
+    assert message.startswith(prefix + " gives a realized completeness_residual = ")
+    assert message.endswith(" above tol = 1.000e-09")
+    assert float(message.split(" = ")[1].split()[0]) > 1e-9
+    # the same construction, well conditioned, realizes as before
+    real = realize(_ill_conditioned_ppovm(1e-2, 0))
+    assert real.anc_dim == 3
+    assert max_abs(real.povm.effects.sum(axis=0) - np.eye(9)) <= 1e-9
 
 
 def test_extra_effect_examples():
