@@ -11,6 +11,10 @@ stable surface.
 
 Every file is read as UTF-8 JSON, whatever the locale; table text that
 the output stream's encoding cannot hold is written as backslash escapes.
+Every ``--out`` file is ``serialize.write_json``'s ASCII JSON, written in
+place: an existing file keeps its inode and mode, only a regular file is
+cut to the new length (so ``--out /dev/null`` works), and a directory or
+a missing parent directory is an I/O failure.
 In one process, successive ``main`` calls share the work a process-POVM
 file's content needs, for the two most recently used contents: the file
 is read on every call and parsed once per content.  Each kept entry is

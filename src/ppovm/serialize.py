@@ -29,7 +29,9 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import os
 import pathlib
+import stat
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -368,8 +370,22 @@ def dumps(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    """Write ``dumps(obj)``'s ASCII bytes to ``path`` in place: the file is
+    opened without ``O_TRUNC`` (created with mode 0o666 less the umask),
+    written over from its start, and then, when it is a regular file, cut
+    to the new length.  As with ``open(path, "w")``, an existing file keeps
+    its inode and its mode and a symlink is written through to its target;
+    a device such as /dev/null, which cannot be truncated, is only
+    written.  Truncating an ext4 file to zero before writing it again makes
+    its close start writing back the new blocks (``auto_da_alloc``), which
+    costs more than the write itself.  Like ``open(path, "w")`` the write
+    is not atomic: an interrupted one leaves a file that does not parse,
+    the new bytes' prefix over the old file's tail."""
+    data = dumps(obj).encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def parse_json(raw: bytes):

@@ -1586,3 +1586,27 @@ def test_unwritable_out_is_io_failure(tmp_path, capsys, command, where):
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(out) in err
+
+
+# each command that writes --out, with a fixed seed so that two runs print
+# the same payload
+DEVICE_WRITERS = {
+    "gen": lambda t: ["gen", "pauli-probe"],
+    "convert": OUT_WRITERS["convert"],
+    "simulate": lambda t: [*OUT_WRITERS["simulate"](t), "--seed", "3"],
+    "tomo": OUT_WRITERS["tomo"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", sorted(DEVICE_WRITERS))
+def test_out_to_a_device_is_written_and_not_truncated(tmp_path, capsys, command, fmt):
+    # /dev/null takes the bytes but cannot be truncated: the writer cuts
+    # only a regular file to length
+    argv = [*DEVICE_WRITERS[command](tmp_path), "--format", fmt]
+    path = str(tmp_path / "out.json")
+    capsys.readouterr()
+    assert run(capsys, *argv, "--out", path)[0] == 0
+    code, stdout, err = run(capsys, *argv, "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert stdout == run(capsys, *argv, "--out", path)[1].replace(path, os.devnull)

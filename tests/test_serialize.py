@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -388,3 +390,62 @@ def test_dumps_of_library_payloads_is_the_stdlib_layout():
         {"plan": {"probe": serialize.encode_vector(rng.standard_normal(4)), "error_rates": [0.0]}},
     ):
         assert serialize.dumps(obj) == _stdlib_dumps(obj)
+
+
+# write_json overwrites in place; every file it leaves holds exactly the
+# payload's bytes
+LONG = serialize.encode_ppovm(pauli_probe_ppovm())
+SHORT = serialize.encode_matrix(np.eye(2))
+
+
+def test_write_json_over_a_longer_file_leaves_only_the_payload(tmp_path):
+    path = tmp_path / "out.json"
+    serialize.write_json(path, LONG)
+    assert path.read_bytes() == serialize.dumps(LONG).encode()
+    serialize.write_json(path, SHORT)
+    assert path.read_bytes() == serialize.dumps(SHORT).encode()
+
+
+def test_write_json_keeps_an_existing_file_inode_and_mode(tmp_path):
+    path = tmp_path / "out.json"
+    serialize.write_json(path, LONG)
+    path.chmod(0o640)
+    before = path.stat()
+    serialize.write_json(path, SHORT)
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+
+def test_write_json_creates_a_file_with_mode_666_less_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        serialize.write_json(tmp_path / "out.json", SHORT)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
+
+
+def test_write_json_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    serialize.write_json(target, LONG)
+    link.symlink_to(target)
+    serialize.write_json(link, SHORT)
+    assert link.is_symlink()
+    assert target.read_bytes() == serialize.dumps(SHORT).encode()
+
+
+def test_write_json_opens_without_truncating(tmp_path, monkeypatch):
+    # truncating to zero before the write is what the in-place write saves
+    calls = []
+    real_open = os.open
+
+    def recorder(path, flags, *args, **kwargs):
+        calls.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(serialize.os, "open", recorder)
+    path = tmp_path / "out.json"
+    serialize.write_json(path, LONG)
+    serialize.write_json(path, SHORT)
+    assert [p for p, _ in calls] == [str(path)] * 2
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in calls)
