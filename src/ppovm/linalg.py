@@ -140,6 +140,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def first_factor(a: np.ndarray, x: np.ndarray, right_dim: int) -> np.ndarray:
+    """(a (x) I) x for every matrix of an (N, q right_dim, cols) stack, I
+    the identity on H_{right_dim} and a of shape (p, q): a times x's first
+    index, one batched product with x reshaped to (N, q, right_dim cols).
+    That takes p q right_dim cols multiply-adds per matrix, where the
+    dense a (x) I takes right_dim times as many; the result is
+    (N, p right_dim, cols)."""
+    (p, q), (n, _, cols) = a.shape, x.shape
+    wide = a @ x.reshape(n, q, right_dim * cols)
+    return wide.reshape(n, p * right_dim, cols)
+
+
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, which: str = "first") -> np.ndarray:
     """Trace out one tensor factor of a square matrix on H_A (x) H_B.
 

@@ -73,11 +73,15 @@ CASES = [
 
 
 def _build_reference(couple: TestCouple, d: int) -> np.ndarray:
+    """sum_k (a_k (x) I) x (a_k (x) I)^dag: a_k on x's first index, then
+    the whole stack times the dense (a_k (x) I)^dag."""
     lifted = dual_channel(state_to_map(couple.state, couple.anc_dim, d))
     x = couple.povm.effects
-    out = np.zeros((len(x), d * d, d * d), dtype=complex)
-    for k in [kron(a, np.eye(d)) for a in lifted.kraus]:
-        out += k @ x @ dagger(k)
+    n, cols = len(x), x.shape[2]
+    out = np.zeros((n, d * d, d * d), dtype=complex)
+    for a in lifted.kraus:
+        t = (a @ x.reshape(n, couple.anc_dim, d * cols)).reshape(n, d * d, cols)
+        out += t @ dagger(kron(a, np.eye(d)))
     return couple.weight * out
 
 
@@ -121,19 +125,26 @@ def _design_reference(effects: np.ndarray, d: int) -> np.ndarray:
 
 
 def _realize_reference(pp: ProcessPovm, tol: float = DEFAULT_TOL):
+    """The support check and the congruence (b (x) I) m (b (x) I)^dag,
+    b = pinv(a)^dag, on the whole stack: b and the support projector p
+    act on the first index of m, the dense p (x) I and (b (x) I)^dag on
+    the right."""
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
-    k = kron(dagger(pinv(a, tol)), np.eye(d))
+    b = dagger(pinv(a, tol))
     m = pp.effects
-    if a.shape[0] < d:
-        proj = kron(v @ dagger(v), np.eye(d))
-        leak = np.abs(proj @ m @ proj - m).max(axis=(1, 2))
+    n, r = len(m), len(b)
+    wide = m.reshape(n, d, d**3)
+    if r < d:
+        p = v @ dagger(v)
+        left = (p @ wide).reshape(n, d * d, d * d)
+        leak = np.abs(left @ kron(p, np.eye(d)) - m).max(axis=(1, 2))
         outside = np.flatnonzero(leak > 10 * tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2))))
         if outside.size:
             raise SupportViolationError(
                 f"effect {pp.labels[outside[0]]!r} leaks outside the normalization support"
             )
-    f = k @ m @ dagger(k)
+    f = (b @ wide).reshape(n, r * d, d * d) @ dagger(kron(b, np.eye(d)))
     f += dagger(f)
     f /= 2
     return a.reshape(-1), f

@@ -67,6 +67,32 @@ def test_apply_dimension_mismatch():
         apply_channel(identity_channel(2), np.eye(3))
 
 
+@pytest.mark.parametrize("apply", [apply_first, apply_second])
+def test_one_factor_maps_check_shapes(apply):
+    """A matrix, a stack and an empty stack on H_2 (x) H_3 (or H_3 (x) H_2)
+    are taken; any other shape is a ValueError naming both shapes."""
+    rng = np.random.default_rng(12)
+    ops = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    ch = KrausChannel(2, 4, ops)  # H_2 -> H_4, two Kraus operators
+    stack = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    got = apply(ch, stack, 3)
+    assert got.shape == (3, 12, 12)
+    for x, out in zip(stack, got):
+        assert np.abs(apply(ch, x, 3) - out).max() < 1e-13
+    assert apply(ch, np.empty((0, 6, 6)), 3).shape == (0, 12, 12)
+    for bad, want in (
+        (np.eye(4), (6, 6)),
+        (np.ones((6, 4)), (6, 6)),
+        (np.ones(6), (6, 6)),
+        (np.zeros((2, 4, 4)), (2, 6, 6)),
+        (np.empty((0, 4, 4)), (0, 6, 6)),
+        (np.zeros((1, 1, 6, 6)), (6, 6)),
+    ):
+        with pytest.raises(ValueError) as raised:
+            apply(ch, bad, 3)
+        assert str(raised.value) == f"operator shape {bad.shape} != {want}"
+
+
 def test_trace_preserved_on_random_channels():
     rng = np.random.default_rng(2)
     for d in (2, 3):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppovm.channels import (
+    KrausChannel,
     Povm,
+    apply_first,
     apply_second,
     choi_of_channel,
     depolarizing_channel,
@@ -18,7 +20,7 @@ from ppovm.channels import (
     projector,
     state_to_map,
 )
-from ppovm.linalg import dagger, hs_inner, kron, max_abs, partial_trace, pinv
+from ppovm.linalg import DEFAULT_TOL, dagger, hs_inner, kron, max_abs, partial_trace, pinv
 from ppovm.measurement import (
     NormStateInvalidError,
     NotProductNormalizationError,
@@ -62,11 +64,13 @@ from ppovm.schemes import (
 
 
 def _reference_apply_first(ch, x, right_dim):
-    eye = np.eye(right_dim)
-    out = np.zeros((ch.dim_out * right_dim,) * 2, dtype=complex)
+    """sum_k (A_k (x) I) x (A_k (x) I)^dag: A_k on x's first index, then
+    the dense (A_k (x) I)^dag on the right."""
+    n, side = x.shape[1], ch.dim_out * right_dim
+    out = np.zeros((side, side), dtype=complex)
     for a in ch.kraus:
-        k = kron(a, eye)
-        out += k @ x @ dagger(k)
+        t = (a @ x.reshape(ch.dim_in, right_dim * n)).reshape(side, n)
+        out += t @ dagger(kron(a, np.eye(right_dim)))
     return out
 
 
@@ -97,12 +101,14 @@ def _reference_realize(pp, tol=1e-9):
     """POVM elements of the realization, one pinv congruence per effect."""
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
-    proj = kron(v @ dagger(v), np.eye(d))
-    k = kron(dagger(pinv(a, tol)), np.eye(d))
+    p, b = v @ dagger(v), dagger(pinv(a, tol))
     effects = []
     for m in pp.matrices:
-        assert max_abs(proj @ m @ proj - m) <= 10 * tol * max(1.0, max_abs(m))
-        f = k @ m @ dagger(k)
+        # p and b act on the first index of m, their dense (x) I on the right
+        wide = m.reshape(d, d**3)
+        leak = (p @ wide).reshape(d * d, d * d) @ kron(p, np.eye(d)) - m
+        assert max_abs(leak) <= 10 * tol * max(1.0, max_abs(m))
+        f = (b @ wide).reshape(len(b) * d, d * d) @ dagger(kron(b, np.eye(d)))
         effects.append((f + dagger(f)) / 2)
     return effects
 
@@ -163,6 +169,64 @@ def test_stacked_pipeline_matches_reference_loops(d, seed, ancillas, rank_fracti
     born = couple_probabilities(real, ch)
     assert np.abs(born - _reference_probabilities(real.povm.effects, output)).max() < 1e-12
     assert abs(born.sum() - 1.0) < 1e-9
+
+
+def _dense_congruence(a, x, right_dim):
+    """Oracle: sum_k (a_k (x) I) x (a_k (x) I)^dag with the dense Kronecker
+    products, and its rounding bound: each side's error is at most about
+    n eps |a_k (x) I| |x| |a_k (x) I|^dag entrywise, n the side of x, which
+    is at most n eps ||a_k||_inf^2 max|x| (max row sum of |a_k|); twice that
+    for the two sides and the sum over k, and twice again for the two
+    results compared."""
+    ks = [kron(ak, np.eye(right_dim)) for ak in a]
+    out = sum(k @ x @ dagger(k) for k in ks)
+    norms = sum(np.abs(ak).sum(axis=1).max() ** 2 for ak in a)
+    return out, 4 * x.shape[-1] * np.finfo(float).eps * norms * max_abs(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    anc=st.integers(1, 5),
+    n_kraus=st.integers(1, 2),
+    rank=st.integers(1, 5),
+    leak=st.sampled_from([0.0, 1e-9, 3e-8, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_factor_products_match_dense_kron(d, anc, n_kraus, rank, leak, seed):
+    """The lift, the realized effects and the support-leak decision, all
+    applied as a on the first index, agree with the dense a (x) I
+    expressions within their rounding bound."""
+    anc, rank = min(anc, d), min(rank, d)
+    rng = np.random.default_rng(seed)
+
+    # the lift: a map H_anc -> H_d with one or two Kraus operators
+    ops = rng.standard_normal((n_kraus, d, anc)) + 1j * rng.standard_normal((n_kraus, d, anc))
+    side = anc * d
+    x = rng.standard_normal((7, side, side)) + 1j * rng.standard_normal((7, side, side))
+    want, bound = _dense_congruence(ops, x, d)
+    assert max_abs(apply_first(KrausChannel(anc, d, ops), x, d) - want) <= bound
+
+    # realize: a norm state of rank 1..d, the first effect given a leak
+    # outside its support when it has one
+    a, v = purification(random_density(d, rng, rank=rank).T)
+    r = a.shape[0]
+    pp = build_ppovm([TestCouple(1.0, projector(a.reshape(-1)), random_povm(r * d, 6, rng), r)], d)
+    effects = np.array(pp.effects)
+    effects[0] += leak * kron(np.eye(d) - v @ dagger(v), np.eye(d))
+    pp = ProcessPovm(d, effects, pp.norm_state, pp.labels)
+    proj = kron(v @ dagger(v), np.eye(d))
+    leaks = np.abs(proj @ effects @ proj - effects).max(axis=(1, 2))
+    scales = np.maximum(1.0, np.abs(effects).max(axis=(1, 2)))
+    if (leaks > 10 * DEFAULT_TOL * scales).any():
+        assert r < d and leak >= 3e-8
+        with pytest.raises(SupportViolationError, match="effect '0' leaks"):
+            realize(pp)
+        return
+    b = dagger(pinv(a))[None]
+    want, bound = _dense_congruence(b, effects, d)
+    want = (want + dagger(want)) / 2
+    assert max_abs(realize(pp).povm.effects - want) <= bound
 
 
 def test_povm_and_ppovm_reject_repeated_labels():
