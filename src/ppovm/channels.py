@@ -120,13 +120,18 @@ def effect_stack(effects, side: int | None = None, error: type = ValueError) -> 
 
 
 def effect_labels(labels, count: int, error: type = ValueError) -> tuple:
-    """One distinct label per effect; None means "0", "1", ..."""
+    """One distinct label per effect; None means "0", "1", ...  A repeat
+    is named as the first label equal to an earlier one, found in one
+    pass over the labels."""
     labels = tuple(str(k) for k in range(count)) if labels is None else tuple(labels)
     if len(labels) != count:
         raise error("label count does not match effect count")
     if len(set(labels)) != count:
-        repeated = next(lbl for k, lbl in enumerate(labels) if lbl in labels[:k])
-        raise error(f"repeated effect label {repeated!r}")
+        seen = set()
+        for lbl in labels:
+            if lbl in seen:
+                raise error(f"repeated effect label {lbl!r}")
+            seen.add(lbl)
     return labels
 
 
@@ -180,11 +185,19 @@ def stacked_effect_checks(
 CHOLESKY_FLOOR = 8.0
 
 
-def _effects_proven(stack: np.ndarray, tol: float) -> bool:
+def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> bool:
     """Whether every matrix of an (N, n, n) stack passes its effect checks:
     hermiticity as in ``stacked_effect_checks``, and the spectrum of its
     Hermitian part h inside [-tol, 1 + tol].  False means "not proven",
     not "failed".
+
+    ``hermitian`` says that the stack was formed as o/2 + (o/2)^dag, as
+    ``realize`` forms its effects: entry (j, i) is then computed as the
+    conjugate of entry (i, j), since floating-point addition commutes, so
+    every residual |m_ij - conj(m_ji)| of a finite entry is exactly 0 and
+    is taken as 0 instead of gathered.  A non-finite entry is not proven
+    that way: the caller must also check completeness, whose sum it
+    makes non-finite.
 
     Factoring h + (tol/2) I proves lambda_min(h) > -tol, so the other
     n - 1 eigenvalues sum to more than -(n - 1) tol and
@@ -212,9 +225,10 @@ def _effects_proven(stack: np.ndarray, tol: float) -> bool:
     # tr h + (n - 1) tol > 1 + tol/2: the trace does not bound lambda_max
     unbounded = values.sum(axis=1) > 1.0 - (n - 1.5) * tol
     for part in block_slices(len(stack), n * n):
-        residuals, hermitian = hermiticity_residuals(stack[part], tol)
-        if not (hermitian.all() and tol / 2 > floor + n * residuals.max()):
-            return False
+        if not hermitian:
+            residuals, passed = hermiticity_residuals(stack[part], tol)
+            if not (passed.all() and tol / 2 > floor + n * residuals.max()):
+                return False
         h, diagonal, over = stack[part].copy(), values[part], unbounded[part]
         try:
             h[:, diag, diag] = diagonal + tol / 2
@@ -238,7 +252,10 @@ def require_effects(
     entry one of hermiticity_residual, min_eigenvalue, max_eigenvalue.
 
     The spectra are computed only when ``_effects_proven`` cannot prove
-    that every entry passes.
+    that every entry passes.  Every caller's stack gets its hermiticity
+    residuals gathered here; ``realize`` skips this routine for the
+    stack it forms as o/2 + (o/2)^dag, whose residuals are exactly 0
+    (``_proven_povm``).
     """
     if _effects_proven(stack, tol):
         return
@@ -377,6 +394,22 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.effects)
+
+
+def _proven_povm(effects: np.ndarray, labels: tuple[str, ...], tol: float) -> Povm | None:
+    """The ``Povm`` of a frozen stack formed as o/2 + (o/2)^dag and of its
+    distinct labels, built without running ``Povm``'s checks again once
+    ``_effects_proven`` (every hermiticity residual exactly 0) and
+    ``completeness_check`` prove that they pass; None when either proof
+    fails, so that the caller's ``Povm(effects, labels, tol)`` raises the
+    error of the first failing check.  A non-finite entry fails
+    completeness."""
+    if not (_effects_proven(effects, tol, hermitian=True) and completeness_check(effects, tol)[2]):
+        return None
+    povm = object.__new__(Povm)
+    object.__setattr__(povm, "effects", frozen(effects))
+    object.__setattr__(povm, "labels", labels)
+    return povm
 
 
 @dataclass(frozen=True)

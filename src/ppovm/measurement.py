@@ -19,6 +19,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     Povm,
+    _proven_povm,
     apply_first,
     apply_second,
     check_density,
@@ -150,11 +151,15 @@ def process_effect(
     The lift is ``apply_first``: each Kraus operator B of the lifted map
     acts on the effect's first index (d^5 multiply-adds per effect at
     anc_dim = d, where the dense B (x) I took d^6), and the right
-    product is one BLAS product of a block's rows.
+    product is one BLAS product of a block's rows.  A weight of 1 is not
+    multiplied in: numpy multiplies by 1 + 0j, which leaves every finite
+    entry bit for bit as it is when no part is a negative zero, and the
+    lift's sum starts from +0.0 (``_conjugate_sum``), so it has none.
     """
     lifted = dual_channel(state_to_map(state, anc_dim, d, tol))
     out = apply_first(lifted, np.asarray(effect, dtype=complex), d)
-    out *= weight
+    if weight != 1.0:
+        out *= weight
     return out
 
 
@@ -373,6 +378,13 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     of its rows written into the array, whose exact Hermitian part is
     then formed in place.  The support check of a rank-deficient rho
     applies its projector P the same way, as (P (x) I) M (P (x) I).
+    That part, o/2 + (o/2)^dag, is exactly Hermitian where finite: entry
+    (j, i) is the conjugate of entry (i, j), as floating-point addition
+    commutes.  So the realized POVM's checks gather no hermiticity
+    residual: its bounds are proven with every residual taken as 0, then
+    its completeness (``_proven_povm``).  When either proof fails, ``Povm``
+    runs every check and raises its first failing one, as it would for
+    any other stack.
     The congruence scales the rounding of the effects by up to 1/s, s the
     smallest kept eigenvalue of rho; when that leaves the realized effects
     incomplete to ``tol``, PpovmError names s and the completeness
@@ -407,18 +419,20 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
 
     f = blockwise(block, np.empty((len(m), side, side), dtype=complex), d**4)
     f.setflags(write=False)  # so Povm keeps it without a copy
-    try:
-        povm = Povm(f, pp.labels, tol)
-    except ValueError:
-        _, res, complete = completeness_check(f, tol)
-        if not complete:  # k's rounding, scaled by up to 1/s, broke completeness
-            low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
-            raise PpovmError(
-                f"norm state too ill-conditioned to realize: its smallest kept "
-                f"eigenvalue {low:.3e} gives a realized completeness_residual = "
-                f"{res:.3e} above tol = {tol:.3e}"
-            ) from None
-        raise
+    povm = _proven_povm(f, pp.labels, tol)
+    if povm is None:
+        try:
+            povm = Povm(f, pp.labels, tol)
+        except ValueError:
+            _, res, complete = completeness_check(f, tol)
+            if not complete:  # k's rounding, scaled by up to 1/s, broke completeness
+                low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
+                raise PpovmError(
+                    f"norm state too ill-conditioned to realize: its smallest kept "
+                    f"eigenvalue {low:.3e} gives a realized completeness_residual = "
+                    f"{res:.3e} above tol = {tol:.3e}"
+                ) from None
+            raise
     return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
 
 

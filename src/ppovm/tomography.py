@@ -99,7 +99,12 @@ def _design(effects: np.ndarray, d: int) -> np.ndarray:
     c_ij = Re Tr[M_x (lambda_i (x) mu_j)] at column i (d^2 - 1) + j.  The
     rows of effects A (x) I are exactly zero.  The rows are computed a
     block of effects at a time (``blockwise``), the lambda product of each
-    block written straight into its rows of the preallocated design."""
+    block written straight into its rows of the preallocated design.  The
+    Helmert and off-diagonal products are written the same way, by
+    ``np.matmul(..., out=)`` into their columns of one buffer y: BLAS
+    takes each strided column range through its leading dimension, so no
+    product is formed apart and copied in, and every entry is bitwise
+    what the product alone gives."""
     basis = _product_basis(d)
     p, q = d * d, d * d - 1
 
@@ -110,8 +115,8 @@ def _design(effects: np.ndarray, d: int) -> np.ndarray:
         blocks = stack.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n * p, p)
         diag = blocks[:, :: d + 1]
         y = np.empty((n * p, q), dtype=complex)
-        y[:, : d - 1] = (diag[:, 1:] - diag[:, :1]) @ basis.helmert
-        y[:, d - 1 :] = blocks @ basis.off
+        np.matmul(diag[:, 1:] - diag[:, :1], basis.helmert, out=y[:, : d - 1])
+        np.matmul(blocks, basis.off, out=y[:, d - 1 :])
         y = y.reshape(n, p, q)
         np.matmul(basis.lam, np.concatenate([y.real, y.imag], axis=1), out=out.reshape(n, p, q))
 

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from ppovm.channels import (
     depolarizing_channel,
     dual_channel,
     effect_checks,
+    effect_labels,
     identity_channel,
     ket,
     max_entangled_ket,
@@ -399,3 +401,22 @@ def test_kraus_stack_is_read_only_and_checked():
         KrausChannel(2, 2, [np.eye(3, 2)])
     with pytest.raises(ValueError, match=r"Kraus operators are not all \(2, 2\)"):
         KrausChannel(2, 2, [np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("labels, repeated", [
+    (("x", "x", "a", "b"), "x"),  # the repeat first
+    (("a", "b", "c", "b", "d"), "b"),  # in the middle
+    (("a", "b", "c", "a"), "a"),  # last
+    (("a", "b", "b", "a"), "b"),  # the first label equal to an earlier one
+])
+def test_effect_labels_name_the_first_repeat(labels, repeated):
+    with pytest.raises(ValueError, match=f"^repeated effect label '{repeated}'$"):
+        effect_labels(labels, len(labels))
+
+
+def test_effect_labels_find_a_repeat_in_one_pass():
+    labels = [str(k) for k in range(39_999)] + ["0"]  # the repeat last
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^repeated effect label '0'$"):
+        effect_labels(labels, len(labels))
+    assert time.perf_counter() - start < 1.0  # a quadratic search takes seconds at this size

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ppovm.channels import (
     KrausChannel,
     Povm,
+    _proven_povm,
     apply_first,
     apply_second,
     choi_of_channel,
@@ -20,7 +22,9 @@ from ppovm.channels import (
     projector,
     state_to_map,
 )
-from ppovm.linalg import DEFAULT_TOL, dagger, hs_inner, kron, max_abs, partial_trace, pinv
+from ppovm.linalg import (
+    DEFAULT_TOL, dagger, hermiticity_residuals, hs_inner, kron, max_abs, partial_trace, pinv,
+)
 from ppovm.measurement import (
     NormStateInvalidError,
     NotProductNormalizationError,
@@ -621,6 +625,79 @@ def test_realize_names_an_ill_conditioned_norm_state():
     real = realize(_ill_conditioned_ppovm(1e-2, 0))
     assert real.anc_dim == 3
     assert max_abs(real.povm.effects.sum(axis=0) - np.eye(9)) <= 1e-9
+
+
+def _common_support_ppovm(d: int, rank: int, n_couples: int, rng) -> ProcessPovm:
+    """Couples of Dirichlet weights whose test states purify random qudit
+    states on one rank-``rank`` support: a norm state of that rank at any
+    number of couples."""
+    support = random_unitary(d, rng)[:, :rank]
+    couples = []
+    for weight in rng.dirichlet(np.ones(n_couples)):
+        a, _ = purification((support @ random_density(rank, rng) @ dagger(support)).T)
+        r = a.shape[0]
+        povm = random_povm(r * d, r * d + 1, rng)
+        couples.append(TestCouple(float(weight), projector(a.reshape(-1)), povm, r))
+    return build_ppovm(couples, d)
+
+
+@settings(max_examples=40)
+@given(
+    d=st.integers(2, 5), rank=st.integers(1, 5), n_couples=st.integers(1, 3),
+    push=st.floats(0.0, 1e-12), seed=st.integers(0, 2**32 - 1),
+)
+def test_realized_effects_are_exactly_hermitian(d, rank, n_couples, push, seed):
+    # realize forms its effects as o/2 + (o/2)^dag, and its POVM is built
+    # without gathering their hermiticity residuals: they must be exactly 0
+    rng = np.random.default_rng(seed)
+    pp = _common_support_ppovm(d, min(rank, d), n_couples, rng)
+    re_part, im_part = rng.uniform(-1.0, 1.0, (2, *pp.effects.shape))
+    noise = re_part + 1j * im_part
+    off = push * (noise - dagger(noise)) / 2  # anti-Hermitian, parts within push
+    pushed = ProcessPovm(d, pp.effects + off, pp.norm_state, pp.labels)
+    real = realize(pushed)
+    assert real.anc_dim == min(rank, d)
+    assert (hermiticity_residuals(real.povm.effects)[0] == 0.0).all()
+    assert _proven_povm(real.povm.effects, pushed.labels, DEFAULT_TOL) is not None
+    checked = Povm(real.povm.effects, pushed.labels, DEFAULT_TOL)  # every check runs
+    assert checked.effects.tobytes() == real.povm.effects.tobytes()
+    assert checked.labels == real.povm.labels == pushed.labels
+
+
+def _unproven_ppovm(case: str) -> ProcessPovm:
+    """Process POVMs built without validation, whose realized effects fail
+    a check of ``Povm``."""
+    if case == "ill-conditioned":
+        return _ill_conditioned_ppovm(1e-8, 0)
+    pp = pauli_probe_ppovm()
+    effects = np.array(pp.effects)
+    if case == "negative":  # effect 0 below zero by 1e-6, the sum kept
+        v = np.linalg.eigh(effects[0])[1][:, :1]
+        effects[0] -= 1e-6 * v @ dagger(v)
+        effects[1] += 1e-6 * v @ dagger(v)
+    else:
+        effects[3, 0, 1] = np.nan
+    return ProcessPovm(2, effects, pp.norm_state, pp.labels)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("negative", ValueError, r"invalid POVM: effect_0_min_eigenvalue = -2\.000e-06"),
+    ("nan", PpovmError, "norm state too ill-conditioned to realize: its smallest kept "
+     r"eigenvalue 5\.000e-01 gives a realized completeness_residual = nan above tol"),
+    ("ill-conditioned", PpovmError, "norm state too ill-conditioned to realize: its "
+     r"smallest kept eigenvalue 1\.000e-08 gives a realized completeness_residual = "),
+], ids=["negative", "nan", "ill-conditioned"])
+def test_realize_raises_the_checked_povms_error_when_unproven(case, error, message, monkeypatch):
+    pp = _unproven_ppovm(case)
+    with pytest.raises(ValueError) as proven:
+        realize(pp)
+    assert type(proven.value) is error
+    assert re.match(message, str(proven.value))
+    # the error is the one realize raises when it builds every Povm checked
+    monkeypatch.setattr("ppovm.measurement._proven_povm", lambda *args: None)
+    with pytest.raises(ValueError) as checked:
+        realize(pp)
+    assert type(checked.value) is error and str(checked.value) == str(proven.value)
 
 
 def test_extra_effect_examples():
