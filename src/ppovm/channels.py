@@ -16,7 +16,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    GRID_FLOOR,
     Check,
+    ProductGrid,
     block_slices,
     blockwise,
     dagger,
@@ -244,6 +246,47 @@ def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> b
     return True
 
 
+def grid_floor(grid: ProductGrid) -> np.ndarray:
+    """The round-off floor of a check proven on the factors of a stack
+    that ``product_grid`` found to be ``grid``, in place of the dense check
+    on its effects: (CHOLESKY_FLOOR + 4 GRID_FLOOR) n^2 eps on the scale
+    max(1, s), s = max|a| max|b| the largest entry of the product, for
+    every pair (a, b) of factors, an (N_A, N_B) array; every pair is an
+    effect of the grid.
+
+    Effect M differs from its product by E, whose entries are at most
+    sqrt(2) GRID_FLOOR n eps s in modulus, so ||E||_2 is at most
+    sqrt(2) GRID_FLOOR n^2 eps s: no eigenvalue moves further (Weyl), and
+    neither does an entry of (P (x) I) E (P (x) I) for a projector P;
+    twice that bounds the hermiticity residual of M, as the product is
+    exactly Hermitian.  CHOLESKY_FLOOR n^2 eps s covers eigvalsh's error
+    on the factors (about p eps ||a||_2 ||b||_2) and the dense check's own
+    rounding (about n eps ||M||_2)."""
+    n = grid.a.shape[-1] * grid.b.shape[-1]
+    unit = (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * np.finfo(float).eps
+    return unit * np.maximum(1.0, np.outer(grid.scale_a, grid.scale_b))
+
+
+def _products_proven(grid: ProductGrid, tol: float) -> bool:
+    """Whether every effect of a stack that ``product_grid`` found to be
+    ``grid`` passes its effect checks, from the spectra of the N_A + N_B
+    factors alone.  False means "not proven", not "failed".
+
+    The spectrum of a (x) b is the products of the factors' eigenvalues,
+    so its extremes are among the four products of the factors' extreme
+    eigenvalues; every pair of factors is an effect, so the extremes over
+    the effects are those of the factors' extremes.  As in
+    ``_effects_proven``, tol/2 must exceed the round-off floor
+    (``grid_floor``), and the products' range must lie inside
+    [-tol/2, 1 + tol/2].  The factors of a grid are finite."""
+    if not tol / 2 > grid_floor(grid).max():
+        return False
+    ends_a = np.linalg.eigvalsh(grid.a)[:, [0, -1]].reshape(-1)
+    ends_b = np.linalg.eigvalsh(grid.b)[:, [0, -1]].reshape(-1)
+    products = np.outer(ends_a, ends_b)
+    return bool(products.min() >= -tol / 2 and products.max() <= 1.0 + tol / 2)
+
+
 def require_effects(
     stack: np.ndarray, tol: float, error: Callable[[int, str, float], Exception]
 ) -> None:
@@ -396,15 +439,23 @@ class Povm:
         return len(self.effects)
 
 
-def _proven_povm(effects: np.ndarray, labels: tuple[str, ...], tol: float) -> Povm | None:
-    """The ``Povm`` of a frozen stack formed as o/2 + (o/2)^dag and of its
+def _proven_povm(
+    effects: np.ndarray, labels: tuple[str, ...], tol: float, grid: ProductGrid | None = None
+) -> Povm | None:
+    """The ``Povm`` of a frozen, exactly Hermitian stack and of its
     distinct labels, built without running ``Povm``'s checks again once
-    ``_effects_proven`` (every hermiticity residual exactly 0) and
-    ``completeness_check`` prove that they pass; None when either proof
-    fails, so that the caller's ``Povm(effects, labels, tol)`` raises the
-    error of the first failing check.  A non-finite entry fails
-    completeness."""
-    if not (_effects_proven(effects, tol, hermitian=True) and completeness_check(effects, tol)[2]):
+    ``completeness_check`` and an effect proof show that they pass: the
+    effects of a stack formed as o/2 + (o/2)^dag by ``_effects_proven``
+    (every hermiticity residual exactly 0), and those of a stack written
+    as the products of ``grid``'s factors by ``_products_proven``.  None
+    when a proof fails, so that the caller's ``Povm(effects, labels,
+    tol)`` raises the error of the first failing check.  A non-finite
+    entry fails completeness."""
+    if grid is None:
+        proven = _effects_proven(effects, tol, hermitian=True)
+    else:
+        proven = _products_proven(grid, tol)
+    if not (proven and completeness_check(effects, tol)[2]):
         return None
     povm = object.__new__(Povm)
     object.__setattr__(povm, "effects", frozen(effects))

@@ -8,6 +8,7 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -150,6 +151,169 @@ def first_factor(a: np.ndarray, x: np.ndarray, right_dim: int) -> np.ndarray:
     (p, q), (n, _, cols) = a.shape, x.shape
     wide = a @ x.reshape(n, q, right_dim * cols)
     return wide.reshape(n, p * right_dim, cols)
+
+
+def _kron_tiles(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of two stacks tiled to the shape of their products:
+    copies of a[x] and b[y] whose elementwise product is a[x] (x) b[y]."""
+    (na, p, pc), (nb, q, qc) = a.shape, b.shape
+    tiled_a = np.empty((na, p, q, pc, qc), dtype=a.dtype)
+    tiled_a[...] = a[:, :, None, :, None]
+    tiled_b = np.empty((nb, p, q, pc, qc), dtype=b.dtype)
+    tiled_b[...] = b[:, None, :, None, :]
+    return tiled_a.reshape(na, p * q, pc * qc), tiled_b.reshape(nb, p * q, pc * qc)
+
+
+def _fill_products(tiles, ia: np.ndarray, ib: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = a[ia[j]] (x) b[ib[j]] from the ``_kron_tiles`` of a and b."""
+    np.take(tiles[0], ia, axis=0, out=out)
+    out *= np.take(tiles[1], ib, axis=0)
+
+
+def indexed_kron(
+    a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with a[ia[j]] (x) b[ib[j]] for every j and return it:
+    the products ``kron`` forms, bit for bit, in any order of the pairs.
+    Each factor is first tiled to the product's shape (``_kron_tiles``),
+    so that each block (``blockwise``) is two contiguous gathers and one
+    contiguous multiply; broadcasting the factors themselves runs numpy's
+    inner loop over q entries at a time, which is slower."""
+    tiles = _kron_tiles(a, b)
+
+    def fill(part, o):
+        _fill_products(tiles, ia[part], ib[part], o)
+
+    return blockwise(fill, out, out.shape[1] * out.shape[2])
+
+
+# The entry test of ``product_grid``.  A stack that is a product grid in
+# exact arithmetic carries the rounding of the products that formed it:
+# an entry of a product of n x n matrices is computed to within gamma_n
+# |A| |B|, gamma_n ~ n eps (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Sec. 3.5), so each M_j is its A (x) B to within
+# about n eps times the product's largest entry.  The factored stages
+# replace each M_j by A (x) B.  That moves no result by more than the
+# dense stages' own rounding when M_j - A (x) B is within their backward
+# error: their products, Cholesky factorizations and eigvalsh are each
+# exact for an effect moved by about n eps ||M_j||.  So an entry passes
+# when the real and the imaginary part of M_j - A (x) B are each at most
+# GRID_FLOOR n eps s_j, s_j = max|A| max|B| the largest entry of the
+# product, n = p q the effects' side; the spare factor 8 covers the
+# rounding of the candidate factors (a partial trace of q terms and a
+# division) and of the product itself.  The bound is rounding-sized, not
+# ``tol``: 4.4e-14 s_j at n = 25, where ``tol`` is 1e-9.  Rotated MUB
+# schemes at d = 2..7 sit within 0.72 n eps s_j of their products.
+GRID_FLOOR = 8.0
+
+# Candidate factors that are equal up to rounding (about n eps apart)
+# get keys far closer than this gap, relative to 1 + max|key|; distinct
+# factors get keys about 1 apart, from a fixed generic functional.  Two
+# distinct factors merged by a near tie fail the entry test, and one
+# factor split in two fails the grid count: either way the stack is
+# reported as no grid.
+_GROUP_GAP = 1e-8
+
+
+@dataclass(frozen=True)
+class ProductGrid:
+    """A stack of effects M_j = a[ia[j]] (x) b[ib[j]], every pair of a
+    factor of ``a`` and one of ``b`` once, in any order.  ``a`` (N_A, p, p)
+    and ``b`` (N_B, q, q) are exactly Hermitian: entry (j, i) of each is
+    the conjugate of entry (i, j).  ``scale_a`` and ``scale_b`` hold the
+    largest entry modulus of each factor, so max|a[x] (x) b[y]| is
+    scale_a[x] scale_b[y]."""
+
+    a: np.ndarray
+    b: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    scale_a: np.ndarray = field(init=False)
+    scale_b: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        for name, x in (("scale_a", self.a), ("scale_b", self.b)):
+            object.__setattr__(self, name, np.abs(x).reshape(len(x), -1).max(axis=1))
+
+
+@functools.cache
+def _key_weights(p: int, q: int) -> np.ndarray:
+    """The (n^2, 2) weights, n = p q, that take a flattened n x n matrix M
+    to Tr[F_A Tr_q M] and Tr[F_B Tr_p M]: F_A (p x p) and F_B (q x q) are
+    fixed generic complex matrices, and the weights are F_A^T (x) I_q and
+    I_p (x) F_B^T, flattened."""
+    re, im = np.random.default_rng([p, q]).standard_normal((2, p * p + q * q))
+    f = re + 1j * im
+    f_a, f_b = f[: p * p].reshape(p, p), f[p * p :].reshape(q, q)
+    weights = np.stack([kron(f_a.T, np.eye(q)).ravel(), kron(np.eye(p), f_b.T).ravel()], axis=1)
+    weights.setflags(write=False)
+    return weights
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids of the keys in each column of an (N, k) array, one row of
+    N ids per column, equal keys (to within rounding) sharing one, and
+    the number of groups of each column: each column is sorted, and a
+    gap above ``_GROUP_GAP`` starts a group."""
+    order = np.argsort(keys, axis=0)
+    column = np.arange(keys.shape[1])
+    ranked = keys[order, column]
+    starts = np.diff(ranked, axis=0) > _GROUP_GAP * (1.0 + np.abs(ranked).max(axis=0))
+    ids = np.zeros(keys.shape, dtype=np.intp)
+    ids[order[1:], column] = np.cumsum(starts, axis=0)
+    return ids.T, ids.max(axis=0) + 1
+
+
+def product_grid(stack: np.ndarray, p: int, q: int) -> ProductGrid | None:
+    """The product grid of an (N, p q, p q) stack, or None when it is none.
+
+    The candidate factors of M_j are its partial traces over H_q and H_p
+    divided by tr M_j, each of unit trace whatever the factors' traces.
+    Each is keyed by a fixed generic functional, computed for every
+    effect by one product of the flattened stack (``_key_weights``), and
+    ``_groups`` gives each effect the index of its candidates.  The stack
+    is a grid when N_A N_B = N and every pair (ia, ib) occurs once.  The
+    factors are then read from the effects of one row and one column of
+    the grid: a = Tr_q M over the column of effect 0, b = Tr_p M / tr M_0
+    over its row, each replaced by its exact Hermitian part, so that
+    a[ia] (x) b[ib] is M_j in exact arithmetic for a grid of Hermitian
+    effects.  Every entry is then tested against its product (those of
+    ``indexed_kron``) at the bound of ``GRID_FLOOR``, a block of effects
+    at a time.  A stack with a zero,
+    negative-trace or non-finite effect is no grid, and neither is one
+    whose candidates do not group into a full grid; any such stack takes
+    the dense route."""
+    n, side = len(stack), p * q
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        if not (traces.min() > 0.0 and traces.max() < np.inf):  # NaN fails
+            return None
+        keys = (stack.reshape(n, -1) @ _key_weights(p, q)).real / traces[:, None]
+        (ia, ib), (na, nb) = _groups(keys)
+        if na * nb != n:
+            return None
+        position = np.full(n, -1)
+        position[ia * nb + ib] = np.arange(n)
+        if (position < 0).any():  # a pair occurs twice
+            return None
+        cells = position.reshape(na, nb)
+        column = stack[cells[:, ib[0]]].reshape(na, p, q, p, q)
+        row = stack[cells[ia[0]]].reshape(nb, p, q, p, q)
+        a = hermitian_parts(np.einsum("nakbk->nab", column))
+        b = hermitian_parts(np.einsum("nakal->nkl", row) / traces[0])
+        grid = ProductGrid(a, b, ia, ib)
+        bound = GRID_FLOOR * side * np.finfo(float).eps * grid.scale_a[ia] * grid.scale_b[ib]
+        tiles = _kron_tiles(a, b)
+        products = np.empty((min(n, max(1, BLOCK_ENTRIES // side**2)), side, side), complex)
+        for part in block_slices(n, side * side):
+            diff = products[: part.stop - part.start]
+            _fill_products(tiles, ia[part], ib[part], diff)
+            diff -= stack[part]
+            parts = diff.view(float).reshape(len(diff), -1)
+            np.abs(parts, out=parts)
+            if not (parts.max(axis=1) <= bound[part]).all():  # NaN fails
+                return None
+    return grid
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, which: str = "first") -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     Povm,
+    _products_proven,
     _proven_povm,
     apply_first,
     apply_second,
@@ -29,6 +30,7 @@ from .channels import (
     dual_channel,
     effect_labels,
     effect_stack,
+    grid_floor,
     projector,
     raise_failed,
     require_effects,
@@ -39,16 +41,22 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     Check,
+    ProductGrid,
     blockwise,
     dagger,
     first_factor,
     frozen,
+    hermitian_parts,
     herm_eig,
+    indexed_kron,
     kron,
     max_abs,
     partial_trace,
     pinv,
+    product_grid,
 )
+
+_GRID = "_product_grid"  # instance __dict__ key of a process POVM's product grid
 
 
 class PpovmError(ValueError):
@@ -242,6 +250,17 @@ def _not_psd(k: int, entry: str, value: float) -> NotPsdError:
     return NotPsdError(k, f"{entry} = {value:.3e}")
 
 
+def effect_grid(pp: ProcessPovm) -> ProductGrid | None:
+    """The product grid of ``pp``'s effects (``linalg.product_grid``), or
+    None: found once per instance and kept in its ``__dict__``, as
+    ``functools.cached_property`` does; the effects are read-only, so it
+    cannot go stale.  ``validate_ppovm`` keeps the grid it found."""
+    memo = vars(pp)
+    if _GRID not in memo:
+        memo[_GRID] = product_grid(pp.effects, pp.d, pp.d)
+    return memo[_GRID]
+
+
 def validate_ppovm(
     matrices,
     d: int,
@@ -252,19 +271,27 @@ def validate_ppovm(
 
     Raises for the first failing entry of ``ppovm_checks``: NotPsdError
     for an effect, NotProductNormalizationError for the sum, and
-    NormStateInvalidError for the norm state.  Effects go through
-    ``require_effects``: one Cholesky factorization of M + (tol/2) I
-    proves lambda_min(M) > -tol, hence lambda_max(M) < tr M + (n - 1) tol,
-    which proves M <= 1 + tol when tr M + (n - 1) tol <= 1 + tol/2.  The
-    N effects sum to rho^T (x) I, of trace d, so with N well above d that
-    test holds for most of them; only the effects that fail it are
-    factored again, and spectra are computed only when this proof fails.
-    A stack built here from a sequence is the process POVM's own, without
-    a second copy.
+    NormStateInvalidError for the norm state.  The effect bounds are
+    proven one of two ways, and the sum and norm-state checks run on the
+    whole stack either way.  A stack that ``product_grid`` finds to be a
+    grid {A_a (x) B_b} has its effects proven from the spectra of its
+    N_A + N_B factors (``_products_proven``), and the process POVM keeps
+    the grid (``effect_grid``).  Any other stack, or a grid whose proof
+    fails, goes through ``require_effects``: one Cholesky factorization of
+    M + (tol/2) I proves lambda_min(M) > -tol, hence lambda_max(M) <
+    tr M + (n - 1) tol, which proves M <= 1 + tol when
+    tr M + (n - 1) tol <= 1 + tol/2.  The N effects sum to rho^T (x) I,
+    of trace d, so with N well above d that test holds for most of them;
+    only the effects that fail it are factored again, and spectra are
+    computed only when this proof fails, so the error raised is the
+    spectra's first failing entry.  A stack built here from a sequence is
+    the process POVM's own, without a second copy.
     """
     stack = effect_stack(matrices, d * d, PpovmError)
     labels = effect_labels(labels, len(stack))
-    require_effects(stack, tol, _not_psd)
+    grid = product_grid(stack, d, d)
+    if grid is None or not _products_proven(grid, tol):
+        require_effects(stack, tol, _not_psd)
     checks, rho = _sum_checks(stack, d, tol)
     for name, value, passed in checks:
         if not passed:
@@ -272,7 +299,9 @@ def validate_ppovm(
             if name.startswith("norm_state_"):
                 raise NormStateInvalidError(message)
             raise NotProductNormalizationError(message)
-    return ProcessPovm(d, stack, rho, labels)
+    pp = ProcessPovm(d, stack, rho, labels)
+    vars(pp)[_GRID] = grid
+    return pp
 
 
 def merge_couples(couples: list[TestCouple]) -> TestCouple:
@@ -319,16 +348,22 @@ def merge_couples(couples: list[TestCouple]) -> TestCouple:
 def outcome_probabilities(
     pp: ProcessPovm, ch: KrausChannel, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Outcome distribution Tr[choi(ch) M_alpha], clamped to [0, 1]."""
+    """Outcome distribution Tr[choi(ch) M_alpha], clamped to [0, 1].
+
+    Probabilities outside [-tol, 1 + tol], or summing to more than tol
+    away from 1, raise ValueError; a non-finite one fails both bounds and
+    raises one that says so."""
     ch.check_dims(pp.d)
     what = "outcome probabilities require a trace-preserving channel"
     raise_failed(trace_preservation_checks(ch, tol), what)
     omega = choi_of_channel(ch)
     probs = effect_pairings(pp.effects, omega)
-    if probs.min() < -tol or probs.max() > 1.0 + tol:
+    if not (probs.min() >= -tol and probs.max() <= 1.0 + tol):  # NaN fails
+        if not np.isfinite(probs).all():
+            raise ValueError("outcome probabilities are not finite")
         raise ValueError("probability outside [0, 1] beyond tolerance")
     total = probs.sum()
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return np.clip(probs, 0.0, 1.0)
 
@@ -370,14 +405,30 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     H_r (x) H_d, with ancilla dimension r = rank(rho^T), and the POVM
     elements are obtained from the effects by the pseudo-inverse
     congruence K M K^dag, K = B (x) I_d with B = pinv(A)^dag.  The realized
-    POVM is complete on H_r (x) H_d.  The effects are checked for support
-    leaks and transformed a block at a time (``blockwise``) into one
-    preallocated (N, r d, r d) array that the realized POVM keeps: K M is
-    B applied to M's first index (``first_factor``, r d^4 multiply-adds
-    per effect where the dense K took r d^5), (K M) K^dag one BLAS product
-    of its rows written into the array, whose exact Hermitian part is
-    then formed in place.  The support check of a rank-deficient rho
-    applies its projector P the same way, as (P (x) I) M (P (x) I).
+    POVM is complete on H_r (x) H_d.  The effects are first checked for
+    support leaks: with rho rank-deficient, (P (x) I) M (P (x) I) must be
+    M for the projector P onto its support.
+
+    Effects that form a product grid {F_a (x) G_b} (``effect_grid``) take
+    the factored route: K (F (x) G) K^dag = (B F B^dag) (x) G, so the
+    congruence acts on the N_A factors F alone, and the leak of an effect
+    is (P F P - F) (x) G, whose largest entry is max|P F P - F| max|G|.
+    The exact Hermitian parts of the B F B^dag are written with the G
+    into the realized stack once (``indexed_kron``), and a product of two
+    exactly Hermitian matrices is exactly Hermitian: numpy forms
+    conj(x) conj(y) as the conjugate of x y.  The realized effects are then
+    proven from the factors' spectra (``_products_proven``) and their
+    completeness from their sum.  When the leak test, with a margin for
+    rounding, or either proof fails, the dense route below runs instead,
+    so the error raised is the dense route's.
+
+    The dense route transforms the effects a block at a time
+    (``blockwise``) into one preallocated (N, r d, r d) array that the
+    realized POVM keeps: K M is B applied to M's first index
+    (``first_factor``, r d^4 multiply-adds per effect where the dense K
+    took r d^5), (K M) K^dag one BLAS product of its rows written into the
+    array, whose exact Hermitian part is then formed in place.  The
+    support check applies P the same way, as (P (x) I) M (P (x) I).
     That part, o/2 + (o/2)^dag, is exactly Hermitian where finite: entry
     (j, i) is the conjugate of entry (i, j), as floating-point addition
     commutes.  So the realized POVM's checks gather no hermiticity
@@ -393,10 +444,41 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
     b = dagger(pinv(a, tol))
-    k_dag, side = dagger(kron(b, np.eye(d))), len(b) * d
-    m = pp.effects
     # at full rank the support is all of H_d: nothing can leak
     p = v @ dagger(v) if len(b) < d else None
+    grid = effect_grid(pp)
+    povm = None if grid is None else _realized_grid(grid, b, p, pp.labels, tol)
+    if povm is None:
+        povm = _realized_dense(pp, a, b, p, tol)
+    return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
+
+
+def _realized_grid(
+    grid: ProductGrid, b: np.ndarray, p: np.ndarray | None, labels: tuple, tol: float
+) -> Povm | None:
+    """``realize``'s POVM of a product grid, from its factors; None when a
+    proof fails.  The leak test passes when each factored leak is below
+    ``10 tol`` by more than ``grid_floor``, which covers the distance of
+    the effects from their products and the dense test's own rounding;
+    the dense test's scale max(1, max|M|) is at least 1."""
+    if p is not None:
+        leak = np.outer(np.abs(p @ grid.a @ p - grid.a).max(axis=(1, 2)), grid.scale_b)
+        if not (leak + grid_floor(grid) <= 10 * tol).all():  # NaN fails
+            return None
+    factors = ProductGrid(hermitian_parts(b @ grid.a @ dagger(b)), grid.b, grid.ia, grid.ib)
+    side = len(b) * grid.b.shape[-1]
+    f = indexed_kron(factors.a, factors.b, factors.ia, factors.ib,
+                     np.empty((len(grid.ia), side, side), dtype=complex))
+    f.setflags(write=False)  # so Povm keeps it without a copy
+    return _proven_povm(f, labels, tol, factors)
+
+
+def _realized_dense(pp: ProcessPovm, a: np.ndarray, b: np.ndarray, p, tol: float) -> Povm:
+    """``realize``'s POVM from the whole effects, by the dense route of its
+    docstring."""
+    d = pp.d
+    k_dag, side = dagger(kron(b, np.eye(d))), len(b) * d
+    m = pp.effects
 
     def block(part, out):  # one block of the realized effects, (n, r d, r d)
         ms = m[part]
@@ -433,7 +515,7 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
                     f"{res:.3e} above tol = {tol:.3e}"
                 ) from None
             raise
-    return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
+    return povm
 
 
 def extra_effect(pp: ProcessPovm) -> np.ndarray:

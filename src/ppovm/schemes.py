@@ -1,8 +1,10 @@
-"""Ready-made qubit measurement schemes.
+"""Ready-made measurement schemes.
 
-Two informationally complete schemes that turn out to define the same
-process POVM, and the two-outcome scheme that tells the identity channel
-from the contraction onto |0>.
+Two informationally complete qubit schemes that turn out to define the
+same process POVM, the two-outcome scheme that tells the identity channel
+from the contraction onto |0>, and the mutually unbiased basis (MUB)
+scheme of a prime dimension d, whose d^2 (d + 1)^2 effects generalize
+the first qubit scheme.
 """
 
 from __future__ import annotations
@@ -77,3 +79,39 @@ def identity_vs_contraction_ppovm() -> ProcessPovm:
     """Two-outcome process POVM discriminating the identity channel from
     the contraction onto |0> without error."""
     return build_ppovm([identity_vs_contraction_couple()], 2)
+
+
+def mub_bases(d: int) -> list[np.ndarray]:
+    """The d + 1 mutually unbiased bases of a prime dimension d
+    (Wootters and Fields), one unitary per basis with the basis vectors
+    as columns.
+
+    The computational basis comes first; basis a (0 <= a < d) has vectors
+    v_b[j] = w^(a j^2 + b j) / sqrt(d) with w = exp(2 pi i / d), and at
+    d = 2 the quadratic phase is i^(a j^2) instead.  A composite d raises
+    ValueError.
+    """
+    if d < 2 or any(d % k == 0 for k in range(2, int(d**0.5) + 1)):
+        raise ValueError(f"MUB bases need a prime dimension, got d = {d}")
+    j = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    chirp = 1j ** (j * j) if d == 2 else np.exp(2j * np.pi * j * j / d)
+    return [np.eye(d, dtype=complex)] + [(chirp**a)[:, None] * fourier for a in range(d)]
+
+
+def mub_probe_couple(d: int) -> TestCouple:
+    """Maximally entangled probe on H_d (x) H_d, both qudits measured in
+    one of the ``mub_bases(d)``, every pair of bases chosen with weight
+    1/(d + 1)^2: d^2 (d + 1)^2 outcomes labelled "p.k,q.m" for vector k of
+    basis p on the first qudit and vector m of basis q on the second.  At
+    d = 2 it is the process POVM of ``pauli_probe_couple`` up to order."""
+    bases = mub_bases(d)
+    # projectors[p d + k] = |v_k><v_k| of basis p
+    projectors = np.einsum("pik,pjk->pkij", bases, np.conj(bases)).reshape(-1, d, d)
+    weight = 1.0 / (d + 1) ** 2
+    effects = kron(projectors, projectors).reshape(d + 1, d, d + 1, d, d * d, d * d)
+    effects = effects.transpose(0, 2, 1, 3, 4, 5).reshape(-1, d * d, d * d) * weight
+    labels = [f"{p}.{k},{q}.{m}" for p in range(d + 1) for q in range(d + 1)
+              for k in range(d) for m in range(d)]
+    state = projector(max_entangled_ket(d, normalized=True))
+    return TestCouple(1.0, state, Povm(effects, labels), d)

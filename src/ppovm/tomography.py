@@ -13,21 +13,22 @@ alternating projection back onto the set of valid process states.
 
 Both questions are answered from one factorization per process POVM: the
 eigendecomposition of the Gram matrix G = D^T D, which is real symmetric
-of side d^4 - d^2 and nonsingular iff the process POVM is complete.  Seen
-as a (d^2, d^2 - 1, d^2, d^2 - 1) array, G has the partial traces G_A and
-G_B.  When ||G - G_A (x) G_B / tr G||_F <= (d^4 - d^2) eps ||G||_F, within
-the backward error of a dense eigensolver, the eigenpairs of G are taken
-as the products of those of G_A and G_B.  Every full product grid
-{A_a (x) B_b} of effects has such a G.  Otherwise G gets one dense
-``eigh``, as the factor of G (x) [1] with tr G read as 1, so one
-factorization type serves both cases.  An eigenvalue of G counts as zero
-when it is at most ``_CUTOFF`` times the largest (1e-6 times the largest
-singular value of D).  The design is written a block of effects at a
-time into one preallocated array, and the test sums its squared residual
-over blocks of rows of G, so it holds no buffer of G's size beside G.
-The factorization is computed on first use and kept in the process
-POVM's instance ``__dict__``, as ``functools.cached_property`` does; the
-effects are read-only, so it cannot go stale.
+of side d^4 - d^2 and nonsingular iff the process POVM is complete.  A
+process POVM whose effects form a product grid {A_a (x) B_b} (found by
+``measurement.effect_grid``) has D = D_A (x) D_B, up to the order of its
+rows: D_A holds the coordinates Re Tr[A lambda_i] of the N_A factors A,
+and D_B those, Tr[B mu_j], of the N_B factors B.  Then G = G_A (x) G_B,
+and its eigenpairs are the products of those of the d^2 x d^2 G_A and
+the (d^2 - 1) x (d^2 - 1) G_B: neither D nor G is formed.  Any other
+process POVM is the N x 1 grid of its own effects and of [1]: D_A is the
+design D, written a block of effects at a time into one preallocated
+array, and D_B = [1], so G gets one dense ``eigh``, as the factor of
+G (x) [1], and one factorization type serves both cases.  An eigenvalue
+of G counts as zero when it is at most ``_CUTOFF`` times the largest
+(1e-6 times the largest singular value of D).  The factorization is
+computed on first use and kept in the process POVM's instance
+``__dict__``, as ``functools.cached_property`` does; the effects are
+read-only, so it cannot go stale.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ import numpy as np
 
 from .channels import KrausChannel, raise_failed, trace_preservation_checks
 from .linalg import (
-    DEFAULT_TOL, block_slices, blockwise, hermitian_parts, hs_distance, kron, max_abs,
+    DEFAULT_TOL, ProductGrid, blockwise, hermitian_parts, hs_distance, kron, max_abs,
     partial_trace,
 )
-from .measurement import ProcessPovm, TestCouple, couple_probabilities
+from .measurement import ProcessPovm, TestCouple, couple_probabilities, effect_grid
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
 _MEMO = "_gram_factors"  # instance __dict__ key of a process POVM's factorization
@@ -140,73 +141,94 @@ def _kept(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GramFactors:
-    """The design D of a process POVM, the offsets Tr(M)/d of its effects,
-    and the eigensystem of G = D^T D as that of G_A (x) G_B / tr G:
-    ``vectors_a`` and ``vectors_b`` hold the eigenvectors of G_A and G_B,
-    and ``grid`` the eigenvalue of G for each pair of them, zero where it
-    is not kept.  A G that is no such product is stored as G (x) [1], with
-    tr G read as 1.  ``condition`` is the condition number of D on its
-    span (inf when nothing is kept)."""
+    """The design D = D_A (x) D_B of a process POVM, whose effect j has the
+    row of the pair (``rows[j]``, ``cols[j]``), the offsets Tr(M)/d of its
+    effects, and the eigensystem of G = G_A (x) G_B: ``vectors_a`` and
+    ``vectors_b`` hold the eigenvectors of G_A and G_B, and ``values``
+    the eigenvalue of G for each pair of them, zero where it is not kept.
+    ``condition`` is the condition number of D on its span (inf when
+    nothing is kept)."""
 
-    design: np.ndarray
+    design_a: np.ndarray
+    design_b: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     offset: np.ndarray
     vectors_a: np.ndarray
     vectors_b: np.ndarray
-    grid: np.ndarray
+    values: np.ndarray
     condition: float
 
     @property
     def rank(self) -> int:  # the number of kept eigenvalues of G
-        return int(np.count_nonzero(self.grid))
+        return int(np.count_nonzero(self.values))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The minimum-norm least-squares solution of D x = rhs."""
-        y = (self.design.T @ rhs).reshape(self.grid.shape)
+        """The minimum-norm least-squares solution of D x = rhs:
+        D^T rhs = D_A^T R D_B for R the (N_A, N_B) grid of rhs, then
+        V_A^T Y V_B, a division by the kept products w_A w_B, and
+        V_A Z V_B^T."""
+        grid = np.zeros((len(self.design_a), len(self.design_b)))
+        grid[self.rows, self.cols] = rhs
+        y = self.design_a.T @ grid @ self.design_b
         z = self.vectors_a.T @ y @ self.vectors_b
-        z = np.divide(z, self.grid, out=np.zeros_like(z), where=self.grid > 0.0)
+        z = np.divide(z, self.values, out=np.zeros_like(z), where=self.values > 0.0)
         return (self.vectors_a @ z @ self.vectors_b.T).reshape(-1)
 
+    def apply(self, coeff: np.ndarray) -> np.ndarray:
+        """D x, in the order of the effects."""
+        x = coeff.reshape(self.design_a.shape[1], self.design_b.shape[1])
+        return (self.design_a @ x @ self.design_b.T)[self.rows, self.cols]
 
-def _factorize(design: np.ndarray, offset: np.ndarray, d: int) -> _GramFactors:
-    """The eigensystem of G = D^T D, from G's two Kronecker factors when G
-    is their product to within the bound of the module docstring, and from
-    one dense ``eigh`` of G, as the factor of G (x) [1], otherwise.  The
-    test sums ||G tr G - G_A (x) G_B||_F^2 over blocks of rows of G_A, so
-    it holds no buffer of G's size beside G."""
-    p, q = d * d, d * d - 1
-    gram = design.T @ design
-    g4 = gram.reshape(p, q, p, q)
-    g_a, g_b, scale = np.einsum("ijkj->ik", g4), np.einsum("ijil->jl", g4), np.trace(gram)
-    squares = 0.0
-    for part in block_slices(p, q * p * q):
-        # G_A (x) G_B - G tr G: its squares are those of the test
-        diff = kron(g_a[part], g_b)
-        diff -= gram[part.start * q : part.stop * q] * scale
-        squares += np.vdot(diff, diff)
-        del diff  # so the next block's product is not formed beside it
-    bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
-    # the test of the docstring times tr G, which also admits G = 0
-    if not math.sqrt(squares) <= bound:
-        g_a, g_b, scale = gram, np.ones((1, 1)), 1.0
-    w_a, v_a = np.linalg.eigh(g_a)
-    w_b, v_b = np.linalg.eigh(g_b)
+
+def _factor_designs(grid: ProductGrid, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """D_A and D_B of a product grid: rows Re Tr[A lambda_i] of its factors
+    A, and rows Tr[B mu_j] of its factors B, by the maps of
+    ``_ProductBasis`` (a B = c I has coordinates exactly zero)."""
+    basis = _product_basis(d)
+    a = grid.a.reshape(len(grid.a), d * d)
+    design_a = np.concatenate([a.real, a.imag], axis=1) @ basis.lam.T
+    diag = np.diagonal(grid.b, axis1=1, axis2=2).real
+    design_b = np.concatenate([
+        (diag[:, 1:] - diag[:, :1]) @ basis.helmert,
+        (grid.b.reshape(len(grid.b), d * d) @ basis.off).real,
+    ], axis=1)
+    return design_a, design_b
+
+
+def _factorize(
+    design_a: np.ndarray, design_b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    offset: np.ndarray,
+) -> _GramFactors:
+    """The eigensystem of G = G_A (x) G_B, G_A = D_A^T D_A and
+    G_B = D_B^T D_B, from one ``eigh`` of each factor."""
+    w_a, v_a = np.linalg.eigh(design_a.T @ design_a)
+    w_b, v_b = np.linalg.eigh(design_b.T @ design_b)
     products = np.outer(w_a, w_b)
     keep = _kept(products)
-    grid = np.divide(products, scale, out=np.zeros_like(products), where=keep)
+    values = np.where(keep, products, 0.0)
     condition = math.inf
     if keep.any():
         # sqrt(w_max / w_min) per factor, at the smallest kept product
         i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
         condition = math.sqrt(w_a[-1] / w_a[i]) * math.sqrt(w_b[-1] / w_b[j])
-    return _GramFactors(design, offset, v_a, v_b, grid, condition)
+    return _GramFactors(design_a, design_b, rows, cols, offset, v_a, v_b, values, condition)
 
 
 def _gram_factors(pp: ProcessPovm) -> _GramFactors:
-    """The factorization of ``pp``'s design, computed once per instance."""
+    """The factorization of ``pp``'s design, computed once per instance:
+    from the factors of its product grid when it has one, else from its
+    design as the N x 1 grid."""
     memo = vars(pp)
     if _MEMO not in memo:
-        offset = np.trace(pp.effects, axis1=1, axis2=2).real / pp.d
-        memo[_MEMO] = _factorize(_design(pp.effects, pp.d), offset, pp.d)
+        d, n, grid = pp.d, len(pp), effect_grid(pp)
+        offset = np.trace(pp.effects, axis1=1, axis2=2).real / d
+        if grid is None:
+            designs = _design(pp.effects, d), np.ones((1, 1))
+            rows, cols = np.arange(n), np.zeros(n, dtype=np.intp)
+        else:
+            designs, rows, cols = _factor_designs(grid, d), grid.ia, grid.ib
+        memo[_MEMO] = _factorize(*designs, rows, cols, offset)
     return memo[_MEMO]
 
 
@@ -251,12 +273,13 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     minimum-norm least-squares solution of D c = p - t, t = Tr(M)/d, from
     the kept eigenpairs of the process POVM's memoized Gram factorization:
     V w^-1 V^T D^T (p - t) with V = V_A (x) V_B, applied as V_A^T Y V_B, a
-    division by the kept products w_A w_B / tr G, and V_A Z V_B^T (V_B =
-    [1] for a dense G).  ``ic_check`` shares the
-    factorization, which also gives ``ic_complete``, ``deficiency`` and
-    ``condition``; a further call on the same process POVM costs a few
-    matrix products.  Solving through the Gram matrix makes the error in X
-    about d^4 * eps * condition^2, where an orthogonal factorization of D
+    division by the kept products w_A w_B, and V_A Z V_B^T, with
+    D^T (p - t) = D_A^T R D_B (V_B = D_B = [1] for a process POVM that is
+    no product grid).  ``ic_check`` shares the factorization, which also
+    gives ``ic_complete``, ``deficiency`` and ``condition``; a further
+    call on the same process POVM costs a few matrix products.  Solving
+    through the Gram matrix makes the error in X about
+    d^4 * eps * condition^2, where an orthogonal factorization of D
     reaches about eps * condition.  Non-finite probabilities raise.
     """
     d = pp.d
@@ -269,7 +292,7 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     rhs = probs - factors.offset
     coeff = factors.solve(rhs)
     omega_raw = np.eye(d * d, dtype=complex) / d + _operator(coeff, d)
-    residual = float(np.linalg.norm(factors.design @ coeff - rhs))
+    residual = float(np.linalg.norm(factors.apply(coeff) - rhs))
     deficiency = d**4 - d**2 - factors.rank
     omega_projected, converged = psd_project(omega_raw, d)
     return TomographyResult(

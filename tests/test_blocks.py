@@ -2,9 +2,10 @@
 blocked stage must give, byte for byte, what its whole-stack expression
 gives (kept here as the reference), stay within a small multiple of the
 stack in memory, and keep every stack it allocated without a second copy.
-The Kronecker test of the Gram matrix sums its residual over row blocks:
-it must decide as the whole difference does (kept here as the reference)
-and hold no second buffer of the Gram matrix's size."""
+The Kronecker test of the effects (``product_grid``) compares them with
+their products a block at a time: it must decide as the whole difference
+does (kept here as the reference), and the factored Gram matrix holds no
+buffer of the design's or the Gram matrix's size."""
 
 import tracemalloc
 
@@ -28,12 +29,14 @@ from ppovm.channels import (
 from ppovm.linalg import (
     BLOCK_ENTRIES,
     DEFAULT_TOL,
+    GRID_FLOOR,
     block_slices,
     dagger,
     frozen,
     hermiticity_residuals,
     kron,
     pinv,
+    product_grid,
     spectra,
 )
 from ppovm.measurement import (
@@ -49,7 +52,7 @@ from ppovm.measurement import (
 from ppovm.rand import (
     random_density, random_povm, random_ppovm, random_test_couple, random_unitary,
 )
-from ppovm.tomography import _design, _factorize, _gram_factors, _product_basis, ic_check
+from ppovm.tomography import _design, _gram_factors, _product_basis, ic_check
 
 
 def _per_block(d: int) -> int:
@@ -185,8 +188,9 @@ def test_block_slices_cover_the_items_in_order():
 # ---------------------------------------------------------------------------
 
 
+# the dense route: a one-effect stack is a 1 x 1 product grid
 @pytest.mark.parametrize("d, count", CASES)
-def test_blocked_stages_match_whole_stack_references(d, count):
+def test_blocked_stages_match_whole_stack_references(d, count, dense_route):
     rng = np.random.default_rng([d, count])
     couple = _couple(d, count, rng)
     pp = build_ppovm([couple], d)
@@ -210,7 +214,7 @@ def test_blocked_stages_match_whole_stack_references(d, count):
 
 
 @pytest.mark.parametrize("d, count", [case for case in CASES if case[1] < 900])
-def test_blocked_realize_of_rank_deficient_norm_state(d, count):
+def test_blocked_realize_of_rank_deficient_norm_state(d, count, dense_route):
     rng = np.random.default_rng([d, count, 1])
     pp = build_ppovm([_couple(d, count, rng, rank=d - 1)], d)
     real = realize(pp)
@@ -432,49 +436,44 @@ def test_heavy_stages_stay_within_one_and_a_half_stacks():
 
 
 # ---------------------------------------------------------------------------
-# the Kronecker test of the Gram matrix, summed over row blocks
+# the Kronecker test of the effects: product_grid's blocked entry test
 # ---------------------------------------------------------------------------
 
 
-def _kronecker_ratio(design: np.ndarray, d: int) -> float:
-    """||G tr G - G_A (x) G_B||_F over its bound, from the whole difference:
-    the expression the row-block sum replaced."""
-    p, q = d * d, d * d - 1
-    gram = design.T @ design
-    g4 = gram.reshape(p, q, p, q)
-    g_a, g_b, scale = np.einsum("ijkj->ik", g4), np.einsum("ijil->jl", g4), np.trace(gram)
-    diff = gram * scale - np.kron(g_a, g_b)
-    bound = gram.shape[0] * np.finfo(float).eps * np.linalg.norm(gram) * scale
-    return float(np.linalg.norm(diff) / bound)
-
-
-def _is_product(design: np.ndarray, d: int) -> bool:
-    """Whether ``_factorize`` took G as G_A (x) G_B, not as G (x) [1]."""
-    return _factorize(design, np.zeros(len(design)), d).vectors_b.shape != (1, 1)
+def _grid_ratio(stack: np.ndarray, grid) -> float:
+    """The largest |Re| or |Im| of M_j - a[ia_j] (x) b[ib_j] over its bound
+    GRID_FLOOR n eps s_j, from the whole difference: the expression the
+    blocked test replaced."""
+    n = stack.shape[-1]
+    products = np.array([np.kron(grid.a[i], grid.b[j]) for i, j in zip(grid.ia, grid.ib)])
+    diff = (stack - products).view(float).reshape(len(stack), -1)
+    scales = grid.scale_a[grid.ia] * grid.scale_b[grid.ib]
+    bound = GRID_FLOOR * n * np.finfo(float).eps * scales
+    return float((np.abs(diff).max(axis=1) / bound).max())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_kronecker_test_decides_as_the_whole_difference(d):
     rng = np.random.default_rng([27, d])
-    product = _design(build_ppovm([_rotated_product_couple(d, rng)], d).effects, d)
-    designs = {
-        "product": product,
-        "random": _design(random_ppovm(d, rng, rho_rank=d).effects, d),
-        # an ancilla-free couple gives product effects, so this G may be one
-        "random, two couples": _design(random_ppovm(d, rng, n_couples=2).effects, d),
-    }
-    # the product design moved to 10x below and 10x above the bound: for a
-    # small perturbation the ratio is linear in its size
-    noise = rng.standard_normal(product.shape) * np.abs(product).max()
-    base = _kronecker_ratio(product, d)
-    slope = (_kronecker_ratio(product + 1e-9 * noise, d) - base) / 1e-9
-    for target in (0.1, 10.0):
-        designs[target] = product + (target - base) / slope * noise
-    ratios = {name: _kronecker_ratio(design, d) for name, design in designs.items()}
-    assert ratios["product"] < 0.1 and ratios["random"] > 1e6
-    assert 0.05 < ratios[0.1] < 0.2 and 5.0 < ratios[10.0] < 20.0
-    decisions = {name: _is_product(design, d) for name, design in designs.items()}
-    assert decisions == {name: ratio <= 1.0 for name, ratio in ratios.items()}
+    stack = build_ppovm([_rotated_product_couple(d, rng)], d).effects
+    grid = product_grid(stack, d, d)
+    assert grid is not None and _grid_ratio(stack, grid) < 1.0
+    # one entry of the last effect, in the last (partial) block, moved to
+    # far below and above its bound: entry (0 d + 0, 1 d + 1) lies outside
+    # both partial traces, so the candidate factors stay the same
+    k, n = len(stack) - 1, d * d
+    scale = grid.scale_a[grid.ia[k]] * grid.scale_b[grid.ib[k]]
+    bound = GRID_FLOOR * n * np.finfo(float).eps * scale
+    for size in (1e-3, 3.0):
+        moved = stack.copy()
+        moved[k, 0, d + 1] += size * bound
+        found = product_grid(moved, d, d)
+        assert (found is not None) == (_grid_ratio(moved, grid) <= 1.0) == (size < 1.0)
+        if found is not None:
+            for name in ("a", "b", "ia", "ib"):
+                assert _same_bytes(getattr(found, name), getattr(grid, name))
+    assert product_grid(random_ppovm(d, rng, rho_rank=d).effects, d, d) is None
+    assert product_grid(random_ppovm(d, rng, n_couples=2).effects, d, d) is None
 
 
 def test_kronecker_test_holds_no_second_gram_matrix():
@@ -487,10 +486,10 @@ def test_kronecker_test_holds_no_second_gram_matrix():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    q = d**4 - d**2
-    assert _gram_factors(pp).vectors_b.shape == (d * d - 1, d * d - 1)  # a product G
-    design, gram = len(pp) * q * 8, q * q * 8  # 4.32 and 2.88 MB
-    # beside them, a block of BLOCK_ENTRIES complex entries (1 MiB) holds the
-    # two real row blocks of the test (0.46 MB each); a whole difference
-    # would be a second G
-    assert peak <= design + gram + BLOCK_ENTRIES * 16
+    factors = _gram_factors(pp)
+    assert factors.design_a.shape == (d * (d + 1), d * d)  # D_A, not D
+    assert factors.design_b.shape == (d * (d + 1), d * d - 1)
+    # the grid's entry test holds two blocks of BLOCK_ENTRIES complex
+    # entries (1 MiB each) and the tiled factors (0.6 MB), less than the
+    # design D alone (4.32 MB); G took 2.88 MB more
+    assert peak < len(pp) * (d**4 - d**2) * 8

@@ -13,14 +13,12 @@ import pytest
 
 import ppovm
 from ppovm import cli, discrimination, serialize, tomography
-from ppovm.channels import (
-    PAULI_Z, KrausChannel, Povm, identity_channel, ket, max_entangled_ket, projector,
-)
+from ppovm.channels import PAULI_Z, KrausChannel, identity_channel, ket, projector
 from ppovm.cli import main
-from ppovm.linalg import kron, max_abs
+from ppovm.linalg import max_abs
 from ppovm.measurement import TestCouple, build_ppovm, outcome_probabilities, purification
 from ppovm.rand import random_channel, random_povm, random_unitary
-from ppovm.schemes import pauli_probe_ppovm
+from ppovm.schemes import mub_probe_couple, pauli_probe_ppovm
 
 
 def run(capsys, *argv):
@@ -1164,13 +1162,8 @@ def _counted_steps(monkeypatch, *steps):
 def _mub_scheme(tmp_path):
     """A d = 3 scheme file of 144 effects: a maximally entangled probe, and
     both qutrits measured in one of the four mutually unbiased bases."""
-    d, j = 3, np.arange(3)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-    bases = [np.eye(d)] + [np.exp(2j * np.pi * a * j * j / d)[:, None] * fourier for a in j]
-    projectors = np.concatenate([np.einsum("ik,jk->kij", b, b.conj()) for b in bases]) / (d + 1)
-    probe = projector(max_entangled_ket(d, normalized=True))
-    couple = TestCouple(1.0, probe, Povm(kron(projectors, projectors), None), d)
-    return _write(tmp_path, "mub3.json", serialize.encode_ppovm(build_ppovm([couple], d)))
+    pp = build_ppovm([mub_probe_couple(3)], 3)
+    return _write(tmp_path, "mub3.json", serialize.encode_ppovm(pp))
 
 
 def _cli_pass(tmp_path, capsys, pp, channel, *extra):

@@ -10,11 +10,13 @@ from ppovm.linalg import (
     hermitian_parts,
     hermiticity_residuals,
     hs_inner,
+    indexed_kron,
     is_psd,
     kron,
     mat_sqrt_psd,
     partial_trace,
     pinv,
+    product_grid,
     rank_and_support,
     spectra,
     vec_reshape,
@@ -347,3 +349,69 @@ def test_hs_inner_examples():
 def test_hs_inner_shape_mismatch():
     with pytest.raises(ValueError):
         hs_inner(np.eye(2), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# product_grid: the detector of stacks {A_a (x) B_b}
+# ---------------------------------------------------------------------------
+
+
+def _factors(count, n, rng):
+    """``count`` random density operators on H_n, each of unit trace."""
+    return np.array([random_density(n, rng) for _ in range(count)])
+
+
+def _grid_stack(rng, p=2, q=3, na=3, nb=4):
+    """Every a[x] (x) b[y] / (na nb), a-major."""
+    a, b = _factors(na, p, rng), _factors(nb, q, rng)
+    return kron(a, b) / (na * nb), a, b
+
+
+def test_indexed_kron_writes_kron_in_any_order():
+    rng = np.random.default_rng(40)
+    a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+    ia, ib = rng.integers(0, 3, 7), rng.integers(0, 3, 7)
+    out = indexed_kron(a, b, ia, ib, np.empty((7, 4, 4), dtype=complex))
+    assert all(out[j].tobytes() == kron(a[ia[j]], b[ib[j]]).tobytes() for j in range(7))
+
+
+def test_product_grid_finds_a_shuffled_grid():
+    rng = np.random.default_rng(41)
+    stack, a, b = _grid_stack(rng)
+    order = rng.permutation(len(stack))
+    grid = product_grid(stack[order], 2, 3)
+    assert grid is not None and (grid.a.shape, grid.b.shape) == ((3, 2, 2), (4, 3, 3))
+    products = np.array([np.kron(grid.a[x], grid.b[y]) for x, y in zip(grid.ia, grid.ib)])
+    assert np.abs(products - stack[order]).max() < 1e-15
+    # the factors are exactly Hermitian, and equal to a and b up to a scale
+    for factors in (grid.a, grid.b):
+        assert (hermiticity_residuals(factors)[0] == 0.0).all()
+    rows = {x: order[j] // 4 for j, x in enumerate(grid.ia)}
+    for x, k in rows.items():
+        assert np.abs(grid.a[x] / np.trace(grid.a[x]) - a[k]).max() < 1e-14
+
+
+def test_product_grid_rejects_stacks_that_are_no_grid():
+    rng = np.random.default_rng(42)
+    stack, a, b = _grid_stack(rng)
+    moved = stack.copy()
+    moved[5] += 1e-8 * kron(a[0], b[1])  # one effect moved by 1e-8
+    repeated = kron(a[[0, 0, 1]], b) / 12  # a repeated factor: 2 x 4 factors, 12 effects
+    twice = kron(a[:2], b[:2]) / 4
+    twice[1] = twice[0]  # 2 x 2 factors and 4 effects, a pair twice and one missing
+    zero = stack.copy()
+    zero[7] = 0.0
+    nan = stack.copy()
+    nan[3, 0, 5] = np.nan
+    dropped = stack[1:]  # 11 effects: no full grid
+    for name, bad in {"moved": moved, "repeated": repeated, "twice": twice, "zero": zero,
+                      "nan": nan, "dropped": dropped}.items():
+        assert product_grid(bad, 2, 3) is None, name
+
+
+def test_a_single_effect_is_a_one_by_one_grid():
+    rng = np.random.default_rng(43)
+    stack, _, _ = _grid_stack(rng, na=1, nb=1)
+    grid = product_grid(stack, 2, 3)
+    assert grid is not None and (len(grid.a), len(grid.b)) == (1, 1)
+    assert product_grid(random_density(6, rng)[None], 2, 3) is None  # entangled

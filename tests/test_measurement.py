@@ -23,7 +23,8 @@ from ppovm.channels import (
     state_to_map,
 )
 from ppovm.linalg import (
-    DEFAULT_TOL, dagger, hermiticity_residuals, hs_inner, kron, max_abs, partial_trace, pinv,
+    DEFAULT_TOL, dagger, hermitian_parts, hermiticity_residuals, hs_inner, kron, max_abs,
+    partial_trace, pinv,
 )
 from ppovm.measurement import (
     NormStateInvalidError,
@@ -56,6 +57,7 @@ from ppovm.rand import (
 )
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
+    mub_probe_couple,
     pauli_probe_couple,
     pauli_probe_ppovm,
     six_state_couples,
@@ -158,8 +160,11 @@ def test_stacked_pipeline_matches_reference_loops(d, seed, ancillas, rank_fracti
     real = realize(pp)
     realized = _reference_realize(pp)
     assert max(max_abs(f - r) for f, r in zip(real.povm.effects, realized)) < 1e-12
+    # a product grid's realized effects are formed from its factors, so
+    # they match the reference within rounding, not bit for bit
     _same_entries(
-        povm_checks(real.povm.effects)[:-1], _reference_effects_checks(realized, 1e-9)
+        povm_checks(real.povm.effects)[:-1],
+        _reference_effects_checks(real.povm.effects, 1e-9),
     )
     back = build_ppovm([real], d)
     assert effects_multiset_equal(pp, back, 1e-8)
@@ -700,6 +705,18 @@ def test_realize_raises_the_checked_povms_error_when_unproven(case, error, messa
     assert type(checked.value) is error and str(checked.value) == str(proven.value)
 
 
+def test_outcome_probabilities_of_a_non_finite_effect_raise():
+    # ProcessPovm checks shapes and labels, not values: effect 3 holds a NaN
+    pp = _unproven_ppovm("nan")
+    with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
+        outcome_probabilities(pp, depolarizing_channel(0.3, 2))
+    effects = np.array(pp.effects)
+    effects[3, 0, 0] = np.inf
+    pp = ProcessPovm(2, effects, pp.norm_state, pp.labels)
+    with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
+        outcome_probabilities(pp, depolarizing_channel(0.3, 2))
+
+
 def test_extra_effect_examples():
     pp = identity_vs_contraction_ppovm()  # norm state |1><1|
     assert max_abs(extra_effect(pp) - kron(projector(ket(0, 2)), np.eye(2))) < 1e-12
@@ -747,18 +764,12 @@ def test_effects_multiset_equal_ignores_order_and_labels():
 
 
 def _rotated_mub_ppovm(d, rng):
-    """The d^2 (d+1)^2 effects of a maximally entangled probe with both
-    qudits measured in one of the d + 1 mutually unbiased bases (d an odd
-    prime), each qudit in its own Haar-rotated frame."""
-    j = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-    bases = [np.eye(d)] + [np.exp(2j * np.pi * a * j * j / d)[:, None] * fourier for a in j]
-    first, second = (
-        np.concatenate([np.einsum("ik,jk->kij", u @ b, (u @ b).conj()) for b in bases]) / (d + 1)
-        for u in (random_unitary(d, rng), random_unitary(d, rng))
-    )
-    probe = projector(max_entangled_ket(d, normalized=True))
-    return build_ppovm([TestCouple(1.0, probe, Povm(kron(first, second), None), d)], d)
+    """``mub_probe_couple(d)``'s d^2 (d+1)^2 effects, each qudit measured in
+    its own Haar-rotated frame."""
+    couple = mub_probe_couple(d)
+    k = kron(random_unitary(d, rng), random_unitary(d, rng))
+    povm = Povm(hermitian_parts(k @ couple.povm.effects @ dagger(k)), None)
+    return build_ppovm([TestCouple(1.0, couple.state, povm, d)], d)
 
 
 def test_realize_then_build_gives_back_a_rotated_mub_scheme_as_a_multiset():

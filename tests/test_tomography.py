@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ppovm import tomography
+from ppovm import measurement, tomography
 from ppovm.channels import (
     Povm,
     choi_of_channel,
@@ -17,12 +17,13 @@ from ppovm.channels import (
     max_entangled_ket,
     projector,
 )
-from ppovm.linalg import hs_inner, max_abs, partial_trace
+from ppovm.linalg import hermiticity_residuals, hs_inner, max_abs, partial_trace
 from ppovm.measurement import (
     ProcessPovm,
     TestCouple,
     build_ppovm,
     couple_probabilities,
+    effects_multiset_equal,
     outcome_probabilities,
     realize,
     validate_ppovm,
@@ -36,6 +37,8 @@ from ppovm.rand import (
 )
 from ppovm.schemes import (
     identity_vs_contraction_ppovm,
+    mub_bases,
+    mub_probe_couple,
     pauli_probe_ppovm,
     six_state_couples,
     six_state_ppovm,
@@ -236,13 +239,10 @@ def test_gram_factorization_matches_svd_and_lstsq(scheme):
 
 def _mub_unitaries(d):
     """Unitaries whose columns are mutually unbiased bases: the d + 1 of
-    Wootters and Fields at prime d, the 9 products of qubit ones at d = 4."""
+    ``mub_bases`` at prime d, the 9 products of qubit ones at d = 4."""
     if d == 4:
-        return [np.kron(a, b) for a in _mub_unitaries(2) for b in _mub_unitaries(2)]
-    j = np.arange(d)
-    chirp = 1j ** (j * j) if d == 2 else np.exp(2j * np.pi * j * j / d)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-    return [np.eye(d, dtype=complex)] + [(chirp**a)[:, None] * fourier for a in range(d)]
+        return [np.kron(a, b) for a in mub_bases(2) for b in mub_bases(2)]
+    return mub_bases(d)
 
 
 def _basis_vectors(d, bases, rng):
@@ -318,6 +318,112 @@ def test_factor_routes_match_svd_and_lstsq(scheme):
     if kind != "random":
         # the grids' factors are well conditioned
         assert deviation < 1e-12
+
+
+def _rotated_mub(d, rng, sizes=None):
+    """``mub_probe_couple(d)``'s process POVM with each qudit measured in its
+    own Haar-rotated frame (V (x) W keeps the product form); d = 4, which
+    has no such scheme, takes the probe grid of all its bases."""
+    if d == 4:
+        return _probe_grid(d, rng, (len(_mub_unitaries(4)),) * 2)
+    couple = mub_probe_couple(d)
+    k = kron(random_unitary(d, rng), random_unitary(d, rng))
+    effects = k @ couple.povm.effects @ k.conj().T
+    povm = Povm((effects + effects.conj().transpose(0, 2, 1)) / 2, couple.povm.labels)
+    return build_ppovm([TestCouple(1.0, couple.state, povm, d)], d)
+
+
+def _qubit_scheme(build):
+    """A fixed qubit scheme at d = 2, for any d drawn."""
+    return lambda d, rng, sizes: build()
+
+
+# every scheme of the route tests: ROUTES, the rotated MUB scheme and the
+# two qubit schemes that are grids in another order and of another shape
+SCHEMES = {
+    **{kind: build for kind, (build, _) in ROUTES.items()},
+    "mub": _rotated_mub,
+    "six-state": _qubit_scheme(six_state_ppovm),
+    "identity-vs-contraction": _qubit_scheme(identity_vs_contraction_ppovm),
+}
+
+
+def _invalid_variants(pp):
+    """Effect lists that fail validation: all effects scaled past 1 (still a
+    grid, whose proof fails), halved (a proven grid whose sum fails), one
+    effect pushed below 0, and one entry NaN."""
+    effects = np.array(pp.effects)
+    top = np.linalg.eigvalsh(effects).max()
+    low = effects.copy()
+    kernel = np.linalg.eigh(low[0])[1][:, :1]
+    low[0] -= 1e-6 * kernel @ kernel.conj().T
+    nan = effects.copy()
+    nan[-1, 0, -1] = np.nan
+    return {"scaled": effects * (1.5 / top), "halved": effects / 2, "low": low, "nan": nan}
+
+
+def _route_outcomes(pp, rng_seed):
+    """What each stage gives on ``pp``'s effects: validate's norm state,
+    the errors of the invalid variants, ic_check, condition and omega_raw,
+    and the realized couple with its round trip."""
+    d = pp.d
+    checked = validate_ppovm(list(pp.effects), d, labels=list(pp.labels))
+    errors = {}
+    for name, effects in _invalid_variants(pp).items():
+        with pytest.raises(ValueError) as raised:
+            validate_ppovm(effects, d)
+        errors[name] = (type(raised.value), str(raised.value))
+    rng = np.random.default_rng(rng_seed)
+    probs = outcome_probabilities(checked, random_channel(d, rng))
+    result = linear_inversion(checked, probs + 1e-3 * rng.standard_normal(len(probs)))
+    real = realize(checked)
+    return checked, errors, ic_check(checked), result, real
+
+
+@st.composite
+def route_schemes(draw):
+    kind = draw(st.sampled_from(sorted(SCHEMES)))
+    d = 2 if kind in ("six-state", "identity-vs-contraction") else draw(st.integers(2, 5))
+    bases = st.integers(1, len(_mub_unitaries(d)))
+    return kind, d, draw(st.integers(0, 2**32 - 1)), (draw(bases), draw(bases))
+
+
+@settings(max_examples=24)
+@given(route_schemes())
+@example(("mub", 5, 0, (6, 6)))
+@example(("six-state", 2, 0, (3, 3)))
+@example(("identity-vs-contraction", 2, 0, (3, 3)))
+def test_grid_route_matches_the_dense_route(scheme):
+    kind, d, seed, sizes = scheme
+    pp = SCHEMES[kind](d, np.random.default_rng(seed), sizes)
+    grid = _route_outcomes(pp, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ppovm.measurement.product_grid", lambda *args: None)
+        dense = _route_outcomes(pp, seed)
+    (checked, errors, ic, result, real), (d_checked, d_errors, d_ic, d_result, d_real) = grid, dense
+    on_grid = kind != "random"
+    assert (measurement.effect_grid(checked) is not None) == on_grid
+    assert measurement.effect_grid(d_checked) is None
+    assert checked.norm_state.tobytes() == d_checked.norm_state.tobytes()
+    assert errors == d_errors
+    assert ic == d_ic
+    assert result.condition == pytest.approx(d_result.condition, rel=1e-12, abs=1e-12)
+    assert max_abs(result.omega_raw - d_result.omega_raw) < 1e-12
+    for couple in (real, d_real):
+        assert (hermiticity_residuals(couple.povm.effects)[0] == 0.0).all()
+        assert effects_multiset_equal(build_ppovm([couple], d), pp)
+    assert max_abs(real.state - d_real.state) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mub_scheme_condition_is_the_closed_form(d):
+    # the d + 1 MUBs are a 2-design on each factor: every kept Gram
+    # eigenvalue of a factor is one of two values, and the design's
+    # condition number is sqrt(d + 1)
+    pp = build_ppovm([mub_probe_couple(d)], d)
+    probs = outcome_probabilities(pp, identity_channel(d))
+    assert measurement.effect_grid(pp) is not None
+    assert abs(linear_inversion(pp, probs).condition - np.sqrt(d + 1)) < 1e-12
 
 
 def test_gram_factorization_runs_once_per_process_povm(monkeypatch):

@@ -227,7 +227,7 @@ def _count_stacked_spectra(monkeypatch):
     return calls
 
 
-def test_factorization_proves_random_ppovm_at_default_tol(monkeypatch):
+def test_factorization_proves_random_ppovm_at_default_tol(monkeypatch, dense_route):
     pp = random_ppovm(5, np.random.default_rng(5))
     assert _effects_proven(pp.effects, DEFAULT_TOL)
     calls = _count_stacked_spectra(monkeypatch)
@@ -374,6 +374,12 @@ def _assert_factored_in_blocks(calls, stack, tol):
 def test_small_trace_effects_take_one_factorization(monkeypatch):
     stack = _rotated_product_stack(5, np.random.default_rng(7))
     calls = _record_factorized_diagonals(monkeypatch)
+    # a product grid is proven from its factors' spectra, and so are its
+    # realized effects: no effect is factored
+    realize(validate_ppovm(stack, 5))
+    assert calls == []
+    # the dense route factors each effect once
+    monkeypatch.setattr("ppovm.measurement.product_grid", lambda *args: None)
     pp = validate_ppovm(stack, 5)
     assert len(calls) == -(-900 // (BLOCK_ENTRIES // 625)) > 1
     _assert_factored_in_blocks(calls, stack, DEFAULT_TOL)
