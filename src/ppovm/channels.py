@@ -246,13 +246,12 @@ def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> b
     return True
 
 
-def grid_floor(grid: ProductGrid) -> np.ndarray:
+def grid_floor(grid: ProductGrid) -> float:
     """The round-off floor of a check proven on the factors of a stack
     that ``product_grid`` found to be ``grid``, in place of the dense check
     on its effects: (CHOLESKY_FLOOR + 4 GRID_FLOOR) n^2 eps on the scale
-    max(1, s), s = max|a| max|b| the largest entry of the product, for
-    every pair (a, b) of factors, an (N_A, N_B) array; every pair is an
-    effect of the grid.
+    max(1, s), s = max|a| max|b| the largest entry of any product of the
+    grid's factors; every pair (a, b) of factors is an effect of the grid.
 
     Effect M differs from its product by E, whose entries are at most
     sqrt(2) GRID_FLOOR n eps s in modulus, so ||E||_2 is at most
@@ -263,8 +262,8 @@ def grid_floor(grid: ProductGrid) -> np.ndarray:
     on the factors (about p eps ||a||_2 ||b||_2) and the dense check's own
     rounding (about n eps ||M||_2)."""
     n = grid.a.shape[-1] * grid.b.shape[-1]
-    unit = (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * np.finfo(float).eps
-    return unit * np.maximum(1.0, np.outer(grid.scale_a, grid.scale_b))
+    scale = max(1.0, float(grid.scale_a.max()) * float(grid.scale_b.max()))
+    return (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * np.finfo(float).eps * scale
 
 
 def _products_proven(grid: ProductGrid, tol: float) -> bool:
@@ -273,18 +272,25 @@ def _products_proven(grid: ProductGrid, tol: float) -> bool:
     factors alone.  False means "not proven", not "failed".
 
     The spectrum of a (x) b is the products of the factors' eigenvalues,
-    so its extremes are among the four products of the factors' extreme
-    eigenvalues; every pair of factors is an effect, so the extremes over
-    the effects are those of the factors' extremes.  As in
-    ``_effects_proven``, tol/2 must exceed the round-off floor
-    (``grid_floor``), and the products' range must lie inside
-    [-tol/2, 1 + tol/2].  The factors of a grid are finite."""
-    if not tol / 2 > grid_floor(grid).max():
+    and every pair of factors is an effect, so the effects' eigenvalues
+    are the products of an eigenvalue of some a and one of some b; their
+    extremes are among the four products of the extremes over all a and
+    over all b.  As in ``_effects_proven``, tol/2 must exceed the
+    round-off floor (``grid_floor``), and the products' range must lie
+    inside [-tol/2, 1 + tol/2].  The factors of a grid are finite."""
+    if not tol / 2 > grid_floor(grid):
         return False
-    ends_a = np.linalg.eigvalsh(grid.a)[:, [0, -1]].reshape(-1)
-    ends_b = np.linalg.eigvalsh(grid.b)[:, [0, -1]].reshape(-1)
-    products = np.outer(ends_a, ends_b)
-    return bool(products.min() >= -tol / 2 and products.max() <= 1.0 + tol / 2)
+    a, b = grid.a, grid.b
+    if a.shape[1:] == b.shape[1:]:  # one call for both stacks
+        values = np.linalg.eigvalsh(np.concatenate([a, b]))
+        spectra_a, spectra_b = values[: len(a)], values[len(a) :]
+    else:
+        spectra_a, spectra_b = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    (lo_a, hi_a), (lo_b, hi_b) = (
+        (float(w.min()), float(w.max())) for w in (spectra_a, spectra_b)
+    )
+    products = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
+    return min(products) >= -tol / 2 and max(products) <= 1.0 + tol / 2
 
 
 def require_effects(

@@ -8,7 +8,6 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -153,36 +152,30 @@ def first_factor(a: np.ndarray, x: np.ndarray, right_dim: int) -> np.ndarray:
     return wide.reshape(n, p * right_dim, cols)
 
 
-def _kron_tiles(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of two stacks tiled to the shape of their products:
-    copies of a[x] and b[y] whose elementwise product is a[x] (x) b[y]."""
-    (na, p, pc), (nb, q, qc) = a.shape, b.shape
-    tiled_a = np.empty((na, p, q, pc, qc), dtype=a.dtype)
-    tiled_a[...] = a[:, :, None, :, None]
-    tiled_b = np.empty((nb, p, q, pc, qc), dtype=b.dtype)
-    tiled_b[...] = b[:, None, :, None, :]
-    return tiled_a.reshape(na, p * q, pc * qc), tiled_b.reshape(nb, p * q, pc * qc)
-
-
-def _fill_products(tiles, ia: np.ndarray, ib: np.ndarray, out: np.ndarray) -> None:
-    """out[j] = a[ia[j]] (x) b[ib[j]] from the ``_kron_tiles`` of a and b."""
-    np.take(tiles[0], ia, axis=0, out=out)
-    out *= np.take(tiles[1], ib, axis=0)
+def _pair_products(
+    a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out[j] = a[ia[j]] (x) b[ib[j]] for every j, written into ``out`` and
+    returned: the products ``kron`` forms, bit for bit.  Only the pairs'
+    factors are gathered, so no copy of a factor stack is tiled to the
+    products' size."""
+    (p, q), n = (a.shape[-1], b.shape[-1]), len(out)
+    np.multiply(
+        a.take(ia, axis=0)[:, :, None, :, None], b.take(ib, axis=0)[:, None, :, None, :],
+        out=out.reshape(n, p, q, p, q),
+    )
+    return out
 
 
 def indexed_kron(
     a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Fill ``out`` with a[ia[j]] (x) b[ib[j]] for every j and return it:
-    the products ``kron`` forms, bit for bit, in any order of the pairs.
-    Each factor is first tiled to the product's shape (``_kron_tiles``),
-    so that each block (``blockwise``) is two contiguous gathers and one
-    contiguous multiply; broadcasting the factors themselves runs numpy's
-    inner loop over q entries at a time, which is slower."""
-    tiles = _kron_tiles(a, b)
+    the products ``kron`` forms, bit for bit, in any order of the pairs,
+    a block at a time (``blockwise``)."""
 
     def fill(part, o):
-        _fill_products(tiles, ia[part], ib[part], o)
+        _pair_products(a, b, ia[part], ib[part], o)
 
     return blockwise(fill, out, out.shape[1] * out.shape[2])
 
@@ -205,6 +198,7 @@ def indexed_kron(
 # ``tol``: 4.4e-14 s_j at n = 25, where ``tol`` is 1e-9.  Rotated MUB
 # schemes at d = 2..7 sit within 0.72 n eps s_j of their products.
 GRID_FLOOR = 8.0
+_EPS = float(np.finfo(float).eps)
 
 # Candidate factors that are equal up to rounding (about n eps apart)
 # get keys far closer than this gap, relative to 1 + max|key|; distinct
@@ -215,53 +209,50 @@ GRID_FLOOR = 8.0
 _GROUP_GAP = 1e-8
 
 
-@dataclass(frozen=True)
 class ProductGrid:
     """A stack of effects M_j = a[ia[j]] (x) b[ib[j]], every pair of a
     factor of ``a`` and one of ``b`` once, in any order.  ``a`` (N_A, p, p)
     and ``b`` (N_B, q, q) are exactly Hermitian: entry (j, i) of each is
     the conjugate of entry (i, j).  ``scale_a`` and ``scale_b`` hold the
     largest entry modulus of each factor, so max|a[x] (x) b[y]| is
-    scale_a[x] scale_b[y]."""
+    scale_a[x] scale_b[y].  A plain class: it is built twice per process
+    POVM, and a dataclass would also cost about 1 ms at import."""
 
-    a: np.ndarray
-    b: np.ndarray
-    ia: np.ndarray
-    ib: np.ndarray
-    scale_a: np.ndarray = field(init=False)
-    scale_b: np.ndarray = field(init=False)
+    __slots__ = ("a", "b", "ia", "ib", "scale_a", "scale_b")
 
-    def __post_init__(self):
-        for name, x in (("scale_a", self.a), ("scale_b", self.b)):
-            object.__setattr__(self, name, np.abs(x).reshape(len(x), -1).max(axis=1))
+    def __init__(self, a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray):
+        self.a, self.b, self.ia, self.ib = a, b, ia, ib
+        self.scale_a, self.scale_b = np.abs(a).max(axis=(1, 2)), np.abs(b).max(axis=(1, 2))
 
 
 @functools.cache
 def _key_weights(p: int, q: int) -> np.ndarray:
-    """The (n^2, 2) weights, n = p q, that take a flattened n x n matrix M
+    """The (2, n^2) weights, n = p q, that take a flattened n x n matrix M
     to Tr[F_A Tr_q M] and Tr[F_B Tr_p M]: F_A (p x p) and F_B (q x q) are
     fixed generic complex matrices, and the weights are F_A^T (x) I_q and
     I_p (x) F_B^T, flattened."""
     re, im = np.random.default_rng([p, q]).standard_normal((2, p * p + q * q))
     f = re + 1j * im
     f_a, f_b = f[: p * p].reshape(p, p), f[p * p :].reshape(q, q)
-    weights = np.stack([kron(f_a.T, np.eye(q)).ravel(), kron(np.eye(p), f_b.T).ravel()], axis=1)
+    weights = np.stack([kron(f_a.T, np.eye(q)).ravel(), kron(np.eye(p), f_b.T).ravel()])
     weights.setflags(write=False)
     return weights
 
 
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group ids of the keys in each column of an (N, k) array, one row of
-    N ids per column, equal keys (to within rounding) sharing one, and
-    the number of groups of each column: each column is sorted, and a
-    gap above ``_GROUP_GAP`` starts a group."""
-    order = np.argsort(keys, axis=0)
-    column = np.arange(keys.shape[1])
-    ranked = keys[order, column]
-    starts = np.diff(ranked, axis=0) > _GROUP_GAP * (1.0 + np.abs(ranked).max(axis=0))
-    ids = np.zeros(keys.shape, dtype=np.intp)
-    ids[order[1:], column] = np.cumsum(starts, axis=0)
-    return ids.T, ids.max(axis=0) + 1
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Group ids of the keys in each row of a (k, N) array, equal keys (to
+    within rounding) sharing one, and the number of groups of each row:
+    each row is sorted, and a gap above ``_GROUP_GAP`` starts a group."""
+    ids, counts = np.empty(keys.shape, dtype=np.intp), []
+    for row, out in zip(keys, ids):
+        order = row.argsort()
+        ranked = row[order]
+        # max(-ranked[0], ranked[-1]) is max|key|
+        starts = ranked[1:] - ranked[:-1] > _GROUP_GAP * (1.0 + max(-ranked[0], ranked[-1]))
+        out[order[0]] = 0
+        out[order[1:]] = starts.cumsum()
+        counts.append(int(out[order[-1]]) + 1)
+    return ids, counts
 
 
 def product_grid(stack: np.ndarray, p: int, q: int) -> ProductGrid | None:
@@ -279,35 +270,31 @@ def product_grid(stack: np.ndarray, p: int, q: int) -> ProductGrid | None:
     a[ia] (x) b[ib] is M_j in exact arithmetic for a grid of Hermitian
     effects.  Every entry is then tested against its product (those of
     ``indexed_kron``) at the bound of ``GRID_FLOOR``, a block of effects
-    at a time.  A stack with a zero,
-    negative-trace or non-finite effect is no grid, and neither is one
-    whose candidates do not group into a full grid; any such stack takes
-    the dense route."""
+    at a time.  A stack with a zero, negative-trace or non-finite effect
+    is no grid, and neither is one whose candidates do not group into a
+    full grid; any such stack takes the dense route."""
     n, side = len(stack), p * q
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         traces = np.trace(stack, axis1=1, axis2=2).real
         if not (traces.min() > 0.0 and traces.max() < np.inf):  # NaN fails
             return None
-        keys = (stack.reshape(n, -1) @ _key_weights(p, q)).real / traces[:, None]
+        keys = (_key_weights(p, q) @ stack.reshape(n, -1).T).real / traces
         (ia, ib), (na, nb) = _groups(keys)
         if na * nb != n:
             return None
-        position = np.full(n, -1)
-        position[ia * nb + ib] = np.arange(n)
-        if (position < 0).any():  # a pair occurs twice
+        cells = np.full((na, nb), -1)
+        cells[ia, ib] = np.arange(n)
+        if cells.min() < 0:  # a pair occurs twice
             return None
-        cells = position.reshape(na, nb)
         column = stack[cells[:, ib[0]]].reshape(na, p, q, p, q)
         row = stack[cells[ia[0]]].reshape(nb, p, q, p, q)
         a = hermitian_parts(np.einsum("nakbk->nab", column))
         b = hermitian_parts(np.einsum("nakal->nkl", row) / traces[0])
         grid = ProductGrid(a, b, ia, ib)
-        bound = GRID_FLOOR * side * np.finfo(float).eps * grid.scale_a[ia] * grid.scale_b[ib]
-        tiles = _kron_tiles(a, b)
+        bound = grid.scale_a[ia] * grid.scale_b[ib] * (GRID_FLOOR * side * _EPS)
         products = np.empty((min(n, max(1, BLOCK_ENTRIES // side**2)), side, side), complex)
         for part in block_slices(n, side * side):
-            diff = products[: part.stop - part.start]
-            _fill_products(tiles, ia[part], ib[part], diff)
+            diff = _pair_products(a, b, ia[part], ib[part], products[: part.stop - part.start])
             diff -= stack[part]
             parts = diff.view(float).reshape(len(diff), -1)
             np.abs(parts, out=parts)

@@ -457,13 +457,14 @@ def _realized_grid(
     grid: ProductGrid, b: np.ndarray, p: np.ndarray | None, labels: tuple, tol: float
 ) -> Povm | None:
     """``realize``'s POVM of a product grid, from its factors; None when a
-    proof fails.  The leak test passes when each factored leak is below
-    ``10 tol`` by more than ``grid_floor``, which covers the distance of
-    the effects from their products and the dense test's own rounding;
-    the dense test's scale max(1, max|M|) is at least 1."""
+    proof fails.  The leak test passes when the largest factored leak,
+    max|P F P - F| max|G| over the factors, is below ``10 tol`` by more
+    than ``grid_floor``, which covers the distance of the effects from
+    their products and the dense test's own rounding; the dense test's
+    scale max(1, max|M|) is at least 1."""
     if p is not None:
-        leak = np.outer(np.abs(p @ grid.a @ p - grid.a).max(axis=(1, 2)), grid.scale_b)
-        if not (leak + grid_floor(grid) <= 10 * tol).all():  # NaN fails
+        leak = np.abs(p @ grid.a @ p - grid.a).max() * grid.scale_b.max()
+        if not leak + grid_floor(grid) <= 10 * tol:
             return None
     factors = ProductGrid(hermitian_parts(b @ grid.a @ dagger(b)), grid.b, grid.ia, grid.ib)
     side = len(b) * grid.b.shape[-1]

@@ -44,6 +44,7 @@ from ppovm.measurement import (
     SupportViolationError,
     TestCouple,
     build_ppovm,
+    effect_grid,
     ppovm_checks,
     purification,
     realize,
@@ -188,9 +189,33 @@ def test_block_slices_cover_the_items_in_order():
 # ---------------------------------------------------------------------------
 
 
-# the dense route: a one-effect stack is a 1 x 1 product grid
+def _dense_realize(pp: ProcessPovm):
+    """``realize`` of a copy of ``pp`` with the product-grid detector
+    finding no grid: the dense route, which ``_realize_reference`` mirrors."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ppovm.measurement.product_grid", lambda *args: None)
+        return realize(ProcessPovm(pp.d, pp.effects, pp.norm_state, pp.labels))
+
+
+def _assert_realized_as_reference(pp: ProcessPovm):
+    """``realize(pp)`` gives the reference's state bit for bit, and its
+    effects too on the dense route.  A product grid (here a one-effect
+    stack, a 1 x 1 grid) is realized from its factors, within rounding of
+    the reference and exactly Hermitian; the dense route is then checked
+    on a copy."""
+    real = realize(pp)
+    vector, effects = _realize_reference(pp)
+    assert _same_bytes(real.state, projector(vector))
+    if effect_grid(pp) is not None:
+        assert np.abs(real.povm.effects - effects).max() < 1e-12
+        assert (hermiticity_residuals(real.povm.effects)[0] == 0.0).all()
+        real = _dense_realize(pp)
+    assert _same_bytes(real.povm.effects, effects)
+    return real
+
+
 @pytest.mark.parametrize("d, count", CASES)
-def test_blocked_stages_match_whole_stack_references(d, count, dense_route):
+def test_blocked_stages_match_whole_stack_references(d, count):
     rng = np.random.default_rng([d, count])
     couple = _couple(d, count, rng)
     pp = build_ppovm([couple], d)
@@ -207,22 +232,16 @@ def test_blocked_stages_match_whole_stack_references(d, count, dense_route):
     assert got == want
     assert np.array([v for _, v, _ in got]).tobytes() == np.array([v for _, v, _ in want]).tobytes()
 
-    real = realize(pp)
-    vector, effects = _realize_reference(pp)
-    assert _same_bytes(real.state, projector(vector))
-    assert _same_bytes(real.povm.effects, effects)
+    _assert_realized_as_reference(pp)
 
 
 @pytest.mark.parametrize("d, count", [case for case in CASES if case[1] < 900])
-def test_blocked_realize_of_rank_deficient_norm_state(d, count, dense_route):
+def test_blocked_realize_of_rank_deficient_norm_state(d, count):
     rng = np.random.default_rng([d, count, 1])
     pp = build_ppovm([_couple(d, count, rng, rank=d - 1)], d)
-    real = realize(pp)
-    vector, effects = _realize_reference(pp)
+    real = _assert_realized_as_reference(pp)
     assert real.anc_dim == d - 1
     assert real.povm.effects.shape == (count, (d - 1) * d, (d - 1) * d)
-    assert _same_bytes(real.state, projector(vector))
-    assert _same_bytes(real.povm.effects, effects)
 
 
 def test_support_leak_names_the_first_leaking_effect_across_blocks():
@@ -432,6 +451,37 @@ def test_heavy_stages_stay_within_one_and_a_half_stacks():
     finally:
         tracemalloc.stop()
     stack = pp.effects.nbytes  # 900 effects of 25 x 25: 9.0 MB
+    assert {name: peak / stack <= 1.5 for name, peak in peaks.items()} == dict.fromkeys(peaks, True)
+
+
+def test_lopsided_grid_stays_within_one_and_a_half_stacks():
+    # one test state and a POVM of 900 outcomes: effects rho^T (x) E_k, a
+    # 1 x 900 product grid, whose 900 second factors tiled to the effects'
+    # size would take as much memory as the stack
+    d = 5
+    rng = np.random.default_rng(28)
+    couple = TestCouple(1.0, random_density(d, rng), random_povm(d, 900, rng), 1)
+    pp = build_ppovm([couple], d)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, stage in {
+            "validate_ppovm": lambda: validate_ppovm(pp.effects, d),
+            "realize": lambda: realize(checked),
+            "ic_check": lambda: ic_check(checked),
+        }.items():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = stage()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+            if name == "validate_ppovm":
+                checked = out
+            del out
+    finally:
+        tracemalloc.stop()
+    grid = effect_grid(checked)
+    assert grid is not None and (len(grid.a), len(grid.b)) == (1, 900)
+    stack = pp.effects.nbytes
     assert {name: peak / stack <= 1.5 for name, peak in peaks.items()} == dict.fromkeys(peaks, True)
 
 

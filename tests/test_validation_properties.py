@@ -227,12 +227,19 @@ def _count_stacked_spectra(monkeypatch):
     return calls
 
 
-def test_factorization_proves_random_ppovm_at_default_tol(monkeypatch, dense_route):
+def test_factorization_proves_random_ppovm_at_default_tol(monkeypatch):
     pp = random_ppovm(5, np.random.default_rng(5))
     assert _effects_proven(pp.effects, DEFAULT_TOL)
     calls = _count_stacked_spectra(monkeypatch)
     validate_ppovm(pp.matrices, 5)
     realize(pp)
+    # the effects of one ancilla-free couple are a 1 x N product grid:
+    # only its factors' spectra are computed, no effect's
+    assert calls and all(shape[-1] <= 5 for shape in calls)
+    calls.clear()
+    # the dense route factors the effects and computes no spectra
+    monkeypatch.setattr("ppovm.measurement.product_grid", lambda *args: None)
+    realize(validate_ppovm(pp.matrices, 5))
     assert calls == []
 
 
