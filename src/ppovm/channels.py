@@ -246,26 +246,6 @@ def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> b
     return True
 
 
-def grid_floor(grid: ProductGrid) -> float:
-    """The round-off floor of a check proven on the factors of a stack
-    that ``product_grid`` found to be ``grid``, in place of the dense check
-    on its effects: (CHOLESKY_FLOOR + 4 GRID_FLOOR) n^2 eps on the scale
-    max(1, s), s = max|a| max|b| the largest entry of any product of the
-    grid's factors; every pair (a, b) of factors is an effect of the grid.
-
-    Effect M differs from its product by E, whose entries are at most
-    sqrt(2) GRID_FLOOR n eps s in modulus, so ||E||_2 is at most
-    sqrt(2) GRID_FLOOR n^2 eps s: no eigenvalue moves further (Weyl), and
-    neither does an entry of (P (x) I) E (P (x) I) for a projector P;
-    twice that bounds the hermiticity residual of M, as the product is
-    exactly Hermitian.  CHOLESKY_FLOOR n^2 eps s covers eigvalsh's error
-    on the factors (about p eps ||a||_2 ||b||_2) and the dense check's own
-    rounding (about n eps ||M||_2)."""
-    n = grid.a.shape[-1] * grid.b.shape[-1]
-    scale = max(1.0, float(grid.scale_a.max()) * float(grid.scale_b.max()))
-    return (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * np.finfo(float).eps * scale
-
-
 def _products_proven(grid: ProductGrid, tol: float) -> bool:
     """Whether every effect of a stack that ``product_grid`` found to be
     ``grid`` passes its effect checks, from the spectra of the N_A + N_B
@@ -275,12 +255,24 @@ def _products_proven(grid: ProductGrid, tol: float) -> bool:
     and every pair of factors is an effect, so the effects' eigenvalues
     are the products of an eigenvalue of some a and one of some b; their
     extremes are among the four products of the extremes over all a and
-    over all b.  As in ``_effects_proven``, tol/2 must exceed the
-    round-off floor (``grid_floor``), and the products' range must lie
-    inside [-tol/2, 1 + tol/2].  The factors of a grid are finite."""
-    if not tol / 2 > grid_floor(grid):
-        return False
+    over all b.  The factors of a grid are finite.  As in
+    ``_effects_proven``, tol/2 must exceed a round-off floor, and the
+    products' range must lie inside [-tol/2, 1 + tol/2].
+
+    The floor is (CHOLESKY_FLOOR + 4 GRID_FLOOR) n^2 eps on the scale
+    max(1, s), s = max|a| max|b| the largest entry of any product of the
+    factors.  Effect M differs from its product by E, whose entries are
+    at most sqrt(2) GRID_FLOOR n eps s in modulus, so ||E||_2 is at most
+    sqrt(2) GRID_FLOOR n^2 eps s: no eigenvalue moves further (Weyl);
+    twice that bounds the hermiticity residual of M, as the product is
+    exactly Hermitian.  CHOLESKY_FLOOR n^2 eps s covers eigvalsh's error
+    on the factors (about p eps ||a||_2 ||b||_2) and the dense check's
+    own rounding (about n eps ||M||_2)."""
     a, b = grid.a, grid.b
+    n = a.shape[-1] * b.shape[-1]
+    scale = max(1.0, float(grid.scale_a.max()) * float(grid.scale_b.max()))
+    if not tol / 2 > (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * np.finfo(float).eps * scale:
+        return False
     if a.shape[1:] == b.shape[1:]:  # one call for both stacks
         values = np.linalg.eigvalsh(np.concatenate([a, b]))
         spectra_a, spectra_b = values[: len(a)], values[len(a) :]
@@ -446,18 +438,19 @@ class Povm:
 
 
 def _proven_povm(
-    effects: np.ndarray, labels: tuple[str, ...], tol: float, grid: ProductGrid | None = None
+    effects: np.ndarray, labels: tuple[str, ...], tol: float, grid: ProductGrid
 ) -> Povm | None:
-    """The ``Povm`` of a frozen, exactly Hermitian stack and of its
-    distinct labels, built without running ``Povm``'s checks again once
-    ``completeness_check`` and an effect proof show that they pass: the
-    effects of a stack formed as o/2 + (o/2)^dag by ``_effects_proven``
-    (every hermiticity residual exactly 0), and those of a stack written
-    as the products of ``grid``'s factors by ``_products_proven``.  None
-    when a proof fails, so that the caller's ``Povm(effects, labels,
-    tol)`` raises the error of the first failing check.  A non-finite
-    entry fails completeness."""
-    if grid is None:
+    """The ``Povm`` of a frozen stack and of its distinct labels, built
+    without running ``Povm``'s checks again once ``completeness_check``
+    and an effect proof show that they pass.  ``effects`` are the
+    products of ``grid``'s factors.  The N x 1 grid of a stack formed as
+    o/2 + (o/2)^dag (``linalg.column_grid``, b of side 1) is proven by
+    ``_effects_proven`` with every hermiticity residual exactly 0; any
+    other grid, whose factors are exactly Hermitian, from its factors'
+    spectra (``_products_proven``).  None when a proof fails, so that the
+    caller's ``Povm(effects, labels, tol)`` raises the error of the first
+    failing check.  A non-finite entry fails completeness."""
+    if grid.b.shape[-1] == 1:
         proven = _effects_proven(effects, tol, hermitian=True)
     else:
         proven = _products_proven(grid, tol)

@@ -215,14 +215,33 @@ class ProductGrid:
     and ``b`` (N_B, q, q) are exactly Hermitian: entry (j, i) of each is
     the conjugate of entry (i, j).  ``scale_a`` and ``scale_b`` hold the
     largest entry modulus of each factor, so max|a[x] (x) b[y]| is
-    scale_a[x] scale_b[y].  A plain class: it is built twice per process
-    POVM, and a dataclass would also cost about 1 ms at import."""
+    scale_a[x] scale_b[y].  ``scale_a`` is computed on first use: the
+    N x 1 grid of a stack (``column_grid``) has the whole stack as its a,
+    and ``realize`` reads its scale only for a rank-deficient norm state.
+    A plain class with ``__slots__``: a dataclass, or
+    ``functools.cached_property``, costs more per construction or use,
+    and a dataclass about 1 ms at import."""
 
-    __slots__ = ("a", "b", "ia", "ib", "scale_a", "scale_b")
+    __slots__ = ("a", "b", "ia", "ib", "scale_b", "_scale_a")
 
     def __init__(self, a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray):
         self.a, self.b, self.ia, self.ib = a, b, ia, ib
-        self.scale_a, self.scale_b = np.abs(a).max(axis=(1, 2)), np.abs(b).max(axis=(1, 2))
+        self.scale_b, self._scale_a = np.abs(b).max(axis=(1, 2)), None
+
+    @property
+    def scale_a(self) -> np.ndarray:
+        if self._scale_a is None:
+            self._scale_a = np.abs(self.a).max(axis=(1, 2))
+        return self._scale_a
+
+
+def column_grid(stack: np.ndarray) -> ProductGrid:
+    """The N x 1 grid of an (N, n, n) stack: a = the stack, b = [1].  Every
+    stack is this grid; ``realize`` and the tomography design take
+    effects that ``product_grid`` finds to be no product as it.  Its b has
+    side 1, so each product a (x) b is a itself."""
+    n = len(stack)
+    return ProductGrid(stack, np.ones((1, 1, 1), dtype=complex), np.arange(n), np.zeros(n, np.intp))
 
 
 @functools.cache
@@ -272,7 +291,8 @@ def product_grid(stack: np.ndarray, p: int, q: int) -> ProductGrid | None:
     ``indexed_kron``) at the bound of ``GRID_FLOOR``, a block of effects
     at a time.  A stack with a zero, negative-trace or non-finite effect
     is no grid, and neither is one whose candidates do not group into a
-    full grid; any such stack takes the dense route."""
+    full grid; the callers take any such stack as its N x 1 grid
+    (``column_grid``)."""
     n, side = len(stack), p * q
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         traces = np.trace(stack, axis1=1, axis2=2).real

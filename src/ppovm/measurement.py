@@ -19,6 +19,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     Povm,
+    _conjugate_sum,
     _products_proven,
     _proven_povm,
     apply_first,
@@ -30,7 +31,6 @@ from .channels import (
     dual_channel,
     effect_labels,
     effect_stack,
-    grid_floor,
     projector,
     raise_failed,
     require_effects,
@@ -43,10 +43,9 @@ from .linalg import (
     Check,
     ProductGrid,
     blockwise,
+    column_grid,
     dagger,
-    first_factor,
     frozen,
-    hermitian_parts,
     herm_eig,
     indexed_kron,
     kron,
@@ -409,114 +408,95 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     support leaks: with rho rank-deficient, (P (x) I) M (P (x) I) must be
     M for the projector P onto its support.
 
-    Effects that form a product grid {F_a (x) G_b} (``effect_grid``) take
-    the factored route: K (F (x) G) K^dag = (B F B^dag) (x) G, so the
-    congruence acts on the N_A factors F alone, and the leak of an effect
-    is (P F P - F) (x) G, whose largest entry is max|P F P - F| max|G|.
-    The exact Hermitian parts of the B F B^dag are written with the G
-    into the realized stack once (``indexed_kron``), and a product of two
-    exactly Hermitian matrices is exactly Hermitian: numpy forms
-    conj(x) conj(y) as the conjugate of x y.  The realized effects are then
-    proven from the factors' spectra (``_products_proven``) and their
-    completeness from their sum.  When the leak test, with a margin for
-    rounding, or either proof fails, the dense route below runs instead,
-    so the error raised is the dense route's.
-
-    The dense route transforms the effects a block at a time
-    (``blockwise``) into one preallocated (N, r d, r d) array that the
-    realized POVM keeps: K M is B applied to M's first index
-    (``first_factor``, r d^4 multiply-adds per effect where the dense K
-    took r d^5), (K M) K^dag one BLAS product of its rows written into the
-    array, whose exact Hermitian part is then formed in place.  The
-    support check applies P the same way, as (P (x) I) M (P (x) I).
-    That part, o/2 + (o/2)^dag, is exactly Hermitian where finite: entry
-    (j, i) is the conjugate of entry (i, j), as floating-point addition
-    commutes.  So the realized POVM's checks gather no hermiticity
-    residual: its bounds are proven with every residual taken as 0, then
-    its completeness (``_proven_povm``).  When either proof fails, ``Povm``
-    runs every check and raises its first failing one, as it would for
-    any other stack.
-    The congruence scales the rounding of the effects by up to 1/s, s the
-    smallest kept eigenvalue of rho; when that leaves the realized effects
-    incomplete to ``tol``, PpovmError names s and the completeness
-    residual.
+    One route serves every process POVM.  Its effects are taken as a grid
+    {F_a (x) G_b}: their product grid (``effect_grid``), or, when they are
+    no product, the N x 1 grid of the effects and [1] (``column_grid``).
+    K (F (x) G) K^dag = (B F B^dag) (x) G, so the support check and the
+    congruence apply P or B to the first H_d factor of each F alone
+    (``apply_first``'s ``_conjugate_sum``).  Effect j leaks when
+    max|P F P - F| max|G| > 10 tol max(1, max|F| max|G|) for its F and G,
+    which on the N x 1 grid is the test on M_j itself, and the first
+    leaking effect in stack order is named.  Each B F B^dag is replaced in
+    place by its exact Hermitian part o/2 + (o/2)^dag: entry (j, i) is the
+    conjugate of entry (i, j), as floating-point addition commutes.  The
+    N x 1 grid's realized factors are the realized effects; a product
+    grid's are written with the G once (``indexed_kron``), exactly
+    Hermitian too, as numpy forms conj(x) conj(y) as the conjugate of x y.
+    The realized POVM is proven without running its checks
+    (``_proven_povm``); when the proof fails, ``Povm`` runs every check
+    and raises its first failing one.  The congruence scales the rounding
+    of the effects by up to 1/s, s the smallest kept eigenvalue of rho;
+    when that leaves the realized effects incomplete to ``tol``,
+    PpovmError names s and the completeness residual, or the first effect
+    of ``pp`` that is not finite.
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
     b = dagger(pinv(a, tol))
-    # at full rank the support is all of H_d: nothing can leak
-    p = v @ dagger(v) if len(b) < d else None
-    grid = effect_grid(pp)
-    povm = None if grid is None else _realized_grid(grid, b, p, pp.labels, tol)
-    if povm is None:
-        povm = _realized_dense(pp, a, b, p, tol)
-    return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
-
-
-def _realized_grid(
-    grid: ProductGrid, b: np.ndarray, p: np.ndarray | None, labels: tuple, tol: float
-) -> Povm | None:
-    """``realize``'s POVM of a product grid, from its factors; None when a
-    proof fails.  The leak test passes when the largest factored leak,
-    max|P F P - F| max|G| over the factors, is below ``10 tol`` by more
-    than ``grid_floor``, which covers the distance of the effects from
-    their products and the dense test's own rounding; the dense test's
-    scale max(1, max|M|) is at least 1."""
-    if p is not None:
-        leak = np.abs(p @ grid.a @ p - grid.a).max() * grid.scale_b.max()
-        if not leak + grid_floor(grid) <= 10 * tol:
-            return None
-    factors = ProductGrid(hermitian_parts(b @ grid.a @ dagger(b)), grid.b, grid.ia, grid.ib)
-    side = len(b) * grid.b.shape[-1]
-    f = indexed_kron(factors.a, factors.b, factors.ia, factors.ib,
-                     np.empty((len(grid.ia), side, side), dtype=complex))
+    grid = effect_grid(pp) or column_grid(pp.effects)
+    right = grid.a.shape[-1] // d  # the side of the identity beside H_d in a factor F
+    if len(b) < d:  # else the support is all of H_d: nothing can leak
+        _require_support(grid, v @ dagger(v), right, pp.labels, tol)
+    realized = _conjugate_sum(b[None], grid.a, right)
+    blockwise(_hermitian_in_place, realized, realized.shape[-1] ** 2)
+    f = realized
+    if grid.b.shape[-1] > 1:  # a product grid; the N x 1 grid's realized factors are its effects
+        side = realized.shape[-1] * grid.b.shape[-1]
+        f = indexed_kron(realized, grid.b, grid.ia, grid.ib,
+                         np.empty((len(grid.ia), side, side), dtype=complex))
     f.setflags(write=False)  # so Povm keeps it without a copy
-    return _proven_povm(f, labels, tol, factors)
-
-
-def _realized_dense(pp: ProcessPovm, a: np.ndarray, b: np.ndarray, p, tol: float) -> Povm:
-    """``realize``'s POVM from the whole effects, by the dense route of its
-    docstring."""
-    d = pp.d
-    k_dag, side = dagger(kron(b, np.eye(d))), len(b) * d
-    m = pp.effects
-
-    def block(part, out):  # one block of the realized effects, (n, r d, r d)
-        ms = m[part]
-        if p is not None:
-            leak = first_factor(p, ms, d) @ kron(p, np.eye(d))
-            leak -= ms
-            leak = np.abs(leak).max(axis=(1, 2))
-            scale = np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))
-            outside = np.flatnonzero(leak > 10 * tol * scale)
-            if outside.size:
-                label = pp.labels[part.start + outside[0]]
-                raise SupportViolationError(
-                    f"effect {label!r} leaks outside the normalization support"
-                )
-        rows = len(ms) * side
-        km = first_factor(b, ms, d).reshape(rows, d * d)
-        np.matmul(km, k_dag, out=out.reshape(rows, side))
-        out /= 2  # out/2 + (out/2)^dag, as hermitian_parts forms it
-        out += dagger(out)
-
-    f = blockwise(block, np.empty((len(m), side, side), dtype=complex), d**4)
-    f.setflags(write=False)  # so Povm keeps it without a copy
-    povm = _proven_povm(f, pp.labels, tol)
+    povm = _proven_povm(f, pp.labels, tol, ProductGrid(realized, grid.b, grid.ia, grid.ib))
     if povm is None:
         try:
             povm = Povm(f, pp.labels, tol)
         except ValueError:
             _, res, complete = completeness_check(f, tol)
-            if not complete:  # k's rounding, scaled by up to 1/s, broke completeness
-                low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
-                raise PpovmError(
-                    f"norm state too ill-conditioned to realize: its smallest kept "
-                    f"eigenvalue {low:.3e} gives a realized completeness_residual = "
-                    f"{res:.3e} above tol = {tol:.3e}"
-                ) from None
-            raise
-    return povm
+            if complete:
+                raise
+            # B's rounding, scaled by up to 1/s, or a non-finite effect broke completeness
+            low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
+            raise PpovmError(non_finite_effect(pp) or (
+                f"norm state too ill-conditioned to realize: its smallest kept "
+                f"eigenvalue {low:.3e} gives a realized completeness_residual = "
+                f"{res:.3e} above tol = {tol:.3e}"
+            )) from None
+    return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
+
+
+def _hermitian_in_place(_, o: np.ndarray) -> None:
+    """o/2 + (o/2)^dag written over a block of matrices, as
+    ``hermitian_parts`` forms it."""
+    o /= 2
+    o += dagger(o)
+
+
+def _require_support(grid: ProductGrid, p: np.ndarray, right: int, labels: tuple, tol: float):
+    """``realize``'s support check: SupportViolationError names the first
+    effect, in stack order, that leaks outside the support of the
+    projector ``p``.  The leak max|P F P - F| of each factor F is formed a
+    block of factors at a time (``blockwise``)."""
+
+    def block(part, out):
+        x = _conjugate_sum(p[None], grid.a[part], right)
+        x -= grid.a[part]
+        np.abs(x).max(axis=(1, 2), out=out)
+
+    leak = blockwise(block, np.empty(len(grid.a)), grid.a.shape[-1] ** 2)
+    scale_b = grid.scale_b[grid.ib]
+    bound = 10 * tol * np.maximum(1.0, grid.scale_a[grid.ia] * scale_b)
+    outside = np.flatnonzero(leak[grid.ia] * scale_b > bound)
+    if outside.size:
+        label = labels[outside[0]]
+        raise SupportViolationError(f"effect {label!r} leaks outside the normalization support")
+
+
+def non_finite_effect(pp: ProcessPovm) -> str | None:
+    """"effect <label> is not finite" for the first effect of ``pp`` with
+    an inf or NaN entry, or None when every entry is finite.  A process
+    POVM built without ``validate_ppovm`` may hold one; the callers run
+    this only once a result of ``pp`` is found not finite."""
+    finite = np.isfinite(pp.effects).all(axis=(1, 2))
+    return None if finite.all() else f"effect {pp.labels[finite.argmin()]!r} is not finite"
 
 
 def extra_effect(pp: ProcessPovm) -> np.ndarray:

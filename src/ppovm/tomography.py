@@ -20,10 +20,11 @@ rows: D_A holds the coordinates Re Tr[A lambda_i] of the N_A factors A,
 and D_B those, Tr[B mu_j], of the N_B factors B.  Then G = G_A (x) G_B,
 and its eigenpairs are the products of those of the d^2 x d^2 G_A and
 the (d^2 - 1) x (d^2 - 1) G_B: neither D nor G is formed.  Any other
-process POVM is the N x 1 grid of its own effects and of [1]: D_A is the
-design D, written a block of effects at a time into one preallocated
-array, and D_B = [1], so G gets one dense ``eigh``, as the factor of
-G (x) [1], and one factorization type serves both cases.  An eigenvalue
+process POVM is the N x 1 grid of its own effects and of [1]
+(``linalg.column_grid``, as ``realize`` takes it): D_A is the design D,
+written a block of effects at a time into one preallocated array, and
+D_B = [1], so G gets one dense ``eigh``, as the factor of G (x) [1],
+and one factorization type serves both cases.  An eigenvalue
 of G counts as zero when it is at most ``_CUTOFF`` times the largest
 (1e-6 times the largest singular value of D).  The factorization is
 computed on first use and kept in the process POVM's instance
@@ -41,10 +42,12 @@ import numpy as np
 
 from .channels import KrausChannel, raise_failed, trace_preservation_checks
 from .linalg import (
-    DEFAULT_TOL, ProductGrid, blockwise, hermitian_parts, hs_distance, kron, max_abs,
-    partial_trace,
+    DEFAULT_TOL, ProductGrid, blockwise, column_grid, hermitian_parts, hs_distance, kron,
+    max_abs, partial_trace,
 )
-from .measurement import ProcessPovm, TestCouple, couple_probabilities, effect_grid
+from .measurement import (
+    ProcessPovm, TestCouple, couple_probabilities, effect_grid, non_finite_effect,
+)
 
 _CUTOFF = 1e-12  # Gram eigenvalues at most this times the largest count as zero
 _MEMO = "_gram_factors"  # instance __dict__ key of a process POVM's factorization
@@ -184,7 +187,12 @@ class _GramFactors:
 def _factor_designs(grid: ProductGrid, d: int) -> tuple[np.ndarray, np.ndarray]:
     """D_A and D_B of a product grid: rows Re Tr[A lambda_i] of its factors
     A, and rows Tr[B mu_j] of its factors B, by the maps of
-    ``_ProductBasis`` (a B = c I has coordinates exactly zero)."""
+    ``_ProductBasis`` (a B = c I has coordinates exactly zero).  The N x 1
+    grid of a stack and [1] (``column_grid``) has D_A = the stack's
+    design and D_B = [1]."""
+    if grid.b.shape[-1] == 1:
+        with np.errstate(invalid="ignore", over="ignore"):  # _factorize names a non-finite effect
+            return _design(grid.a, d), np.ones((1, 1))
     basis = _product_basis(d)
     a = grid.a.reshape(len(grid.a), d * d)
     design_a = np.concatenate([a.real, a.imag], axis=1) @ basis.lam.T
@@ -197,13 +205,20 @@ def _factor_designs(grid: ProductGrid, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factorize(
-    design_a: np.ndarray, design_b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-    offset: np.ndarray,
+    design_a: np.ndarray, design_b: np.ndarray, rows: np.ndarray, cols: np.ndarray, pp: ProcessPovm
 ) -> _GramFactors:
     """The eigensystem of G = G_A (x) G_B, G_A = D_A^T D_A and
-    G_B = D_B^T D_B, from one ``eigh`` of each factor."""
-    w_a, v_a = np.linalg.eigh(design_a.T @ design_a)
-    w_b, v_b = np.linalg.eigh(design_b.T @ design_b)
+    G_B = D_B^T D_B, from one ``eigh`` of each factor, for the design of
+    ``pp``'s effects.  ValueError names the first effect of ``pp`` that is
+    not finite when G_A or G_B is not, on which ``eigh`` fails: a process
+    POVM built without ``validate_ppovm`` may hold one.  One sum of each
+    factor tells: a NaN or inf entry makes it non-finite, and the entries
+    of effects at most 1 in modulus keep it far from the float limit."""
+    gram_a, gram_b = design_a.T @ design_a, design_b.T @ design_b
+    if not np.isfinite(gram_a.sum() + gram_b.sum()):
+        raise ValueError(non_finite_effect(pp) or "the design's Gram matrix is not finite")
+    w_a, v_a = np.linalg.eigh(gram_a)
+    w_b, v_b = np.linalg.eigh(gram_b)
     products = np.outer(w_a, w_b)
     keep = _kept(products)
     values = np.where(keep, products, 0.0)
@@ -212,23 +227,18 @@ def _factorize(
         # sqrt(w_max / w_min) per factor, at the smallest kept product
         i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
         condition = math.sqrt(w_a[-1] / w_a[i]) * math.sqrt(w_b[-1] / w_b[j])
+    offset = np.trace(pp.effects, axis1=1, axis2=2).real / pp.d
     return _GramFactors(design_a, design_b, rows, cols, offset, v_a, v_b, values, condition)
 
 
 def _gram_factors(pp: ProcessPovm) -> _GramFactors:
     """The factorization of ``pp``'s design, computed once per instance:
     from the factors of its product grid when it has one, else from its
-    design as the N x 1 grid."""
+    design as the N x 1 grid (``column_grid``)."""
     memo = vars(pp)
     if _MEMO not in memo:
-        d, n, grid = pp.d, len(pp), effect_grid(pp)
-        offset = np.trace(pp.effects, axis1=1, axis2=2).real / d
-        if grid is None:
-            designs = _design(pp.effects, d), np.ones((1, 1))
-            rows, cols = np.arange(n), np.zeros(n, dtype=np.intp)
-        else:
-            designs, rows, cols = _factor_designs(grid, d), grid.ia, grid.ib
-        memo[_MEMO] = _factorize(*designs, rows, cols, offset)
+        grid = effect_grid(pp) or column_grid(pp.effects)
+        memo[_MEMO] = _factorize(*_factor_designs(grid, pp.d), grid.ia, grid.ib, pp)
     return memo[_MEMO]
 
 

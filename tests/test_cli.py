@@ -1398,18 +1398,6 @@ def test_validate_non_hermitian_ppovm_effect_fails(tmp_path, capsys):
     assert "hermiticity_residual" in out
 
 
-def test_gen_six_state_matches_pauli_probe_multiset(tmp_path, capsys):
-    from ppovm.measurement import effects_multiset_equal, validate_ppovm
-
-    def read(path):
-        stack, labels, d = serialize.decode_ppovm_effects(serialize.read_json(path))
-        return validate_ppovm(stack, d, labels=labels)
-
-    six = read(gen(tmp_path, "six-state"))
-    pauli = read(gen(tmp_path, "pauli-probe"))
-    assert effects_multiset_equal(six, pauli, 1e-12)
-
-
 def _command_argv(t, command):
     """A valid invocation of each file-reading command, exit 0 at the default --tol."""
     pp, ch = gen(t, "pauli-probe"), gen(t, "depolarizing")

@@ -23,8 +23,8 @@ from ppovm.channels import (
     state_to_map,
 )
 from ppovm.linalg import (
-    DEFAULT_TOL, dagger, hermitian_parts, hermiticity_residuals, hs_inner, kron, max_abs,
-    partial_trace, pinv,
+    DEFAULT_TOL, column_grid, dagger, hermitian_parts, hermiticity_residuals, hs_inner, kron,
+    mat_sqrt_psd, max_abs, partial_trace, pinv,
 )
 from ppovm.measurement import (
     NormStateInvalidError,
@@ -619,6 +619,36 @@ def test_realize_detects_support_violation_of_rank_two_norm_state():
         realize(bad)
 
 
+def test_a_leaking_factor_names_its_first_effect_in_stack_order():
+    # a shuffled 4 x 5 product grid {A_a (x) B_b} at d = 3 whose A sum to a
+    # rank-2 rho^T; one A is given a leak outside rho's support, so its five
+    # effects all leak.  The factored check names the first of them in
+    # stack order, in the message of the check on the effects themselves
+    d, rng = 3, np.random.default_rng(31)
+    order = rng.permutation(20)  # effect j of the stack is pair order[j] of the grid
+    k = (order[0] // 5 + 1) % 4  # not the first effect's A
+    sigma = random_density(d, rng, rank=2)
+    root = mat_sqrt_psd(sigma)
+    a = root @ random_povm(d, 4, rng).effects @ root
+    _, v = purification(sigma)
+    a[k] += 1e-3 * (np.eye(d) - v @ dagger(v))
+    effects = kron(hermitian_parts(a), random_povm(d, 5, rng).effects)[order]
+    labels = [f"{i}{j}" for i, j in zip(order // 5, order % 5)]
+    pp = ProcessPovm(d, effects, sigma.T, labels)
+    assert effect_grid(pp) is not None
+    first = labels[np.flatnonzero(order // 5 == k)[0]]
+    with pytest.raises(SupportViolationError) as factored:
+        realize(pp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ppovm.measurement.product_grid", lambda *args: None)
+        column = ProcessPovm(d, effects, sigma.T, labels)
+        assert effect_grid(column) is None
+        with pytest.raises(SupportViolationError) as dense:
+            realize(column)
+    message = f"effect {first!r} leaks outside the normalization support"
+    assert str(factored.value) == str(dense.value) == message
+
+
 def _ill_conditioned_ppovm(s: float, seed: int) -> ProcessPovm:
     """A d = 3 process POVM whose norm state has the eigenvalues 1 - 2s, s,
     s: all three are kept at the default tol, and the pinv congruence of
@@ -679,7 +709,8 @@ def test_realized_effects_are_exactly_hermitian(d, rank, n_couples, push, seed):
     real = realize(pushed)
     assert real.anc_dim == min(rank, d)
     assert (hermiticity_residuals(real.povm.effects)[0] == 0.0).all()
-    assert _proven_povm(real.povm.effects, pushed.labels, DEFAULT_TOL) is not None
+    grid = column_grid(real.povm.effects)
+    assert _proven_povm(real.povm.effects, pushed.labels, DEFAULT_TOL, grid) is not None
     checked = Povm(real.povm.effects, pushed.labels, DEFAULT_TOL)  # every check runs
     assert checked.effects.tobytes() == real.povm.effects.tobytes()
     assert checked.labels == real.povm.labels == pushed.labels
@@ -703,8 +734,7 @@ def _unproven_ppovm(case: str) -> ProcessPovm:
 
 @pytest.mark.parametrize("case, error, message", [
     ("negative", ValueError, r"invalid POVM: effect_0_min_eigenvalue = -2\.000e-06"),
-    ("nan", PpovmError, "norm state too ill-conditioned to realize: its smallest kept "
-     r"eigenvalue 5\.000e-01 gives a realized completeness_residual = nan above tol"),
+    ("nan", PpovmError, r"effect '\+x,-y' is not finite$"),
     ("ill-conditioned", PpovmError, "norm state too ill-conditioned to realize: its "
      r"smallest kept eigenvalue 1\.000e-08 gives a realized completeness_residual = "),
 ], ids=["negative", "nan", "ill-conditioned"])

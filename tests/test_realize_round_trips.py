@@ -4,8 +4,9 @@ ancilla, that ``build_ppovm`` takes back to the same effects.
 The module imports ``ppovm`` from wherever it is found and needs nothing
 else of the checkout: the tier-1 tests run it over ``src``, and CI's
 installed-package step runs a copy of it against the installed package.
-The Pauli-probe file takes the product-grid route; the random process
-POVMs, which are no grid, take the dense route."""
+``realize`` takes one route: the Pauli-probe file is a product grid,
+and the random process POVMs, which are no product, are the N x 1 grid
+of their effects and [1]."""
 
 import numpy as np
 

@@ -484,6 +484,21 @@ def test_ic_check_two_outcome_deficient():
     assert 0 < deficiency < 12
 
 
+@pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((2, 2), np.inf)])
+def test_a_non_finite_effect_is_named_before_the_gram_eigensolve(entry, value):
+    # ProcessPovm checks shapes and labels, not values: effect 3 of the
+    # Pauli-probe scheme holds a NaN or an inf, which reaches a Gram factor;
+    # numpy's eigh on it would raise LinAlgError
+    effects = np.array(PAULI_PP.effects)
+    effects[(3, *entry)] = value
+    pp = ProcessPovm(2, effects, PAULI_PP.norm_state, PAULI_PP.labels)
+    for call in (lambda: ic_check(pp), lambda: linear_inversion(pp, np.full(36, 1 / 36))):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "effect '+x,-y' is not finite"
+
+
 def test_ic_check_invariant_under_permutation_and_relabeling():
     pp = PAULI_PP
     shuffled = ProcessPovm(
