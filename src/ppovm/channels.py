@@ -75,13 +75,15 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 #
 # Each invariant has one routine returning (name, value, passed) entries.
 # The raising validators below and the CLI's `validate` report read them.
-# Effects are the exception on the raising side: `require_effects` proves
-# the bounds 0 <= M <= 1 by one Cholesky factorization per effect plus the
-# trace, block by block, factoring again only the effects whose trace is
-# too large for that, and only falls back to the spectra of
-# `stacked_effect_checks` when the proof fails, so a raised error still
-# names that routine's first failing entry.  Reports always print the
-# spectra, block by block; Hermitian parts, spectra and PSD tests are `linalg`'s.
+# Effects are the exception on the raising side: `require_effects` is the
+# one routine that proves the bounds 0 <= M <= 1, and it picks the proof.
+# A product grid is proven from its factors' spectra; any other stack by
+# one Cholesky factorization per effect plus the trace, block by block,
+# factoring again only the effects whose trace is too large for that.
+# Only when the proof fails are the spectra of `stacked_effect_checks`
+# computed, so a raised error names that routine's first failing entry.
+# Reports always print the spectra, block by block; Hermitian parts,
+# spectra and PSD tests are `linalg`'s.
 # ---------------------------------------------------------------------------
 
 
@@ -142,13 +144,16 @@ def stacked_effect_checks(
 ) -> list[Check]:
     """Effect checks of every matrix of an (N, n, n) stack, effect by effect:
     hermiticity residual relative to the effect's own max|m|, then min and
-    max eigenvalue, from one ``spectra`` call per block.  Names default to effect_k."""
+    max eigenvalue, from one ``spectra`` call per block.  Names default to
+    effect_k.  A non-finite entry gives a NaN or infinite residual and NaN
+    eigenvalues, which fail, and no ``RuntimeWarning`` on the way."""
     if names is None:
         names = [f"effect_{k}" for k in range(len(stack))]
     rows: list[tuple] = []
     for part in block_slices(len(stack), stack.shape[-1] ** 2):
-        res, hermitian = hermiticity_residuals(stack[part], tol)
-        values = spectra(hermitian_parts(stack[part]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            res, hermitian = hermiticity_residuals(stack[part], tol)
+            values = spectra(hermitian_parts(stack[part]))
         low, high = values[:, 0], values[:, -1]
         rows += zip(
             names[part], res.tolist(), hermitian.tolist(), low.tolist(),
@@ -187,19 +192,12 @@ def stacked_effect_checks(
 CHOLESKY_FLOOR = 8.0
 
 
-def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> bool:
+def _effects_proven(stack: np.ndarray, tol: float) -> bool:
     """Whether every matrix of an (N, n, n) stack passes its effect checks:
     hermiticity as in ``stacked_effect_checks``, and the spectrum of its
     Hermitian part h inside [-tol, 1 + tol].  False means "not proven",
-    not "failed".
-
-    ``hermitian`` says that the stack was formed as o/2 + (o/2)^dag, as
-    ``realize`` forms its effects: entry (j, i) is then computed as the
-    conjugate of entry (i, j), since floating-point addition commutes, so
-    every residual |m_ij - conj(m_ji)| of a finite entry is exactly 0 and
-    is taken as 0 instead of gathered.  A non-finite entry is not proven
-    that way: the caller must also check completeness, whose sum it
-    makes non-finite.
+    not "failed".  ``require_effects`` takes this proof for every stack
+    that is no product grid.
 
     Factoring h + (tol/2) I proves lambda_min(h) > -tol, so the other
     n - 1 eigenvalues sum to more than -(n - 1) tol and
@@ -227,10 +225,9 @@ def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> b
     # tr h + (n - 1) tol > 1 + tol/2: the trace does not bound lambda_max
     unbounded = values.sum(axis=1) > 1.0 - (n - 1.5) * tol
     for part in block_slices(len(stack), n * n):
-        if not hermitian:
-            residuals, passed = hermiticity_residuals(stack[part], tol)
-            if not (passed.all() and tol / 2 > floor + n * residuals.max()):
-                return False
+        residuals, passed = hermiticity_residuals(stack[part], tol)
+        if not (passed.all() and tol / 2 > floor + n * residuals.max()):
+            return False
         h, diagonal, over = stack[part].copy(), values[part], unbounded[part]
         try:
             h[:, diag, diag] = diagonal + tol / 2
@@ -247,9 +244,11 @@ def _effects_proven(stack: np.ndarray, tol: float, hermitian: bool = False) -> b
 
 
 def _products_proven(grid: ProductGrid, tol: float) -> bool:
-    """Whether every effect of a stack that ``product_grid`` found to be
-    ``grid`` passes its effect checks, from the spectra of the N_A + N_B
-    factors alone.  False means "not proven", not "failed".
+    """Whether every effect of a stack that is the product grid ``grid``
+    (found by ``product_grid``, or ``realize``'s realized factors)
+    passes its effect checks, from the spectra of the N_A + N_B factors
+    alone.  False means "not proven", not "failed".  ``require_effects``
+    takes this proof for every product grid.
 
     The spectrum of a (x) b is the products of the factors' eigenvalues,
     and every pair of factors is an effect, so the effects' eigenvalues
@@ -286,19 +285,28 @@ def _products_proven(grid: ProductGrid, tol: float) -> bool:
 
 
 def require_effects(
-    stack: np.ndarray, tol: float, error: Callable[[int, str, float], Exception]
+    stack: np.ndarray, tol: float, error: Callable[[int, str, float], Exception],
+    grid: ProductGrid | None = None,
 ) -> None:
     """Raise ``error(k, entry, value)`` for the first failing entry of
     ``stacked_effect_checks(stack, tol)``, where k is the effect index and
     entry one of hermiticity_residual, min_eigenvalue, max_eigenvalue.
 
-    The spectra are computed only when ``_effects_proven`` cannot prove
-    that every entry passes.  Every caller's stack gets its hermiticity
-    residuals gathered here; ``realize`` skips this routine for the
-    stack it forms as o/2 + (o/2)^dag, whose residuals are exactly 0
-    (``_proven_povm``).
+    The one routine that picks the proof of the bounds.  ``grid`` is a
+    grid whose products are the stack (``validate_ppovm`` passes the one
+    ``linalg.product_grid`` found, ``realize`` its realized factors), or
+    None.  A product grid is proven from its factors' spectra
+    (``_products_proven``).  Any other stack is proven by the Cholesky
+    proof (``_effects_proven``), and so is the N x 1 grid of a stack that
+    is no product (``linalg.column_grid``, b of side 1), whose one factor
+    stack is the stack itself.  The spectra are computed only when that
+    proof fails, with no second proof.
     """
-    if _effects_proven(stack, tol):
+    if grid is not None and grid.b.shape[-1] > 1:
+        proven = _products_proven(grid, tol)
+    else:
+        proven = _effects_proven(stack, tol)
+    if proven:
         return
     for i, (name, value, passed) in enumerate(stacked_effect_checks(stack, tol)):
         if not passed:
@@ -311,8 +319,10 @@ def effect_checks(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "effect")
 
 
 def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") -> list[Check]:
-    """Density operator: PSD with unit trace (hermiticity is separate)."""
-    values = spectra(hermitian_parts(m))
+    """Density operator: PSD with unit trace (hermiticity is separate).  A
+    non-finite entry gives NaN eigenvalues, which fail, with no warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = spectra(hermitian_parts(m))
     trace_dev = abs(float(np.trace(m).real) - 1.0)
     return [
         (f"{prefix}min_eigenvalue", float(values[0]), is_psd(values, tol)),
@@ -439,23 +449,13 @@ class Povm:
 
 def _proven_povm(
     effects: np.ndarray, labels: tuple[str, ...], tol: float, grid: ProductGrid
-) -> Povm | None:
-    """The ``Povm`` of a frozen stack and of its distinct labels, built
-    without running ``Povm``'s checks again once ``completeness_check``
-    and an effect proof show that they pass.  ``effects`` are the
-    products of ``grid``'s factors.  The N x 1 grid of a stack formed as
-    o/2 + (o/2)^dag (``linalg.column_grid``, b of side 1) is proven by
-    ``_effects_proven`` with every hermiticity residual exactly 0; any
-    other grid, whose factors are exactly Hermitian, from its factors'
-    spectra (``_products_proven``).  None when a proof fails, so that the
-    caller's ``Povm(effects, labels, tol)`` raises the error of the first
-    failing check.  A non-finite entry fails completeness."""
-    if grid.b.shape[-1] == 1:
-        proven = _effects_proven(effects, tol, hermitian=True)
-    else:
-        proven = _products_proven(grid, tol)
-    if not (proven and completeness_check(effects, tol)[2]):
-        return None
+) -> Povm:
+    """The ``Povm`` of a frozen stack, the products of ``grid``'s factors,
+    and of its distinct labels, whose completeness the caller has checked.
+    The effect bounds are proven on ``grid`` (``require_effects``), which
+    raises ``Povm``'s own error for the first failing entry; no check of
+    ``Povm`` runs twice."""
+    require_effects(effects, tol, _invalid_povm_effect, grid)
     povm = object.__new__(Povm)
     object.__setattr__(povm, "effects", frozen(effects))
     object.__setattr__(povm, "labels", labels)

@@ -100,7 +100,9 @@ def hermiticity_residuals(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.n
     The upper triangle holds every residual, since |m_ij - conj(m_ji)| and
     |m_ji - conj(m_ij)| are exactly equal.  A residual at most tol passes
     whatever max|m| is, so max|m| is read only when some residual is
-    larger.  The callers pass one matrix or one block of a stack."""
+    larger.  No residual that is not finite passes: NaN fails every
+    bound, and an infinite one would pass tol max|m| = inf.  The callers
+    pass one matrix or one block of a stack."""
     m = np.asarray(m)
     n = m.shape[-1]
     upper, mirror = _triangle(n)
@@ -110,7 +112,8 @@ def hermiticity_residuals(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.n
     res = np.abs(diff).max(axis=-1, initial=0.0)
     passed = res <= tol
     if not passed.all():
-        passed = res <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+        passed = (res <= tol * scale) & (res < np.inf)
     return res, passed
 
 

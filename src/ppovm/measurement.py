@@ -20,7 +20,6 @@ from .channels import (
     KrausChannel,
     Povm,
     _conjugate_sum,
-    _products_proven,
     _proven_povm,
     apply_first,
     apply_second,
@@ -271,26 +270,24 @@ def validate_ppovm(
     Raises for the first failing entry of ``ppovm_checks``: NotPsdError
     for an effect, NotProductNormalizationError for the sum, and
     NormStateInvalidError for the norm state.  The effect bounds are
-    proven one of two ways, and the sum and norm-state checks run on the
-    whole stack either way.  A stack that ``product_grid`` finds to be a
-    grid {A_a (x) B_b} has its effects proven from the spectra of its
-    N_A + N_B factors (``_products_proven``), and the process POVM keeps
-    the grid (``effect_grid``).  Any other stack, or a grid whose proof
-    fails, goes through ``require_effects``: one Cholesky factorization of
-    M + (tol/2) I proves lambda_min(M) > -tol, hence lambda_max(M) <
-    tr M + (n - 1) tol, which proves M <= 1 + tol when
-    tr M + (n - 1) tol <= 1 + tol/2.  The N effects sum to rho^T (x) I,
-    of trace d, so with N well above d that test holds for most of them;
-    only the effects that fail it are factored again, and spectra are
-    computed only when this proof fails, so the error raised is the
-    spectra's first failing entry.  A stack built here from a sequence is
-    the process POVM's own, without a second copy.
+    proven by ``require_effects`` on the stack's product grid
+    (``product_grid``), or None when it is no grid: a grid {A_a (x) B_b}
+    from the spectra of its N_A + N_B factors, any other stack by one
+    Cholesky factorization of M + (tol/2) I per effect, which proves
+    lambda_min(M) > -tol, hence lambda_max(M) < tr M + (n - 1) tol, so
+    M <= 1 + tol when tr M + (n - 1) tol <= 1 + tol/2.  The N effects sum
+    to rho^T (x) I, of trace d, so with N well above d that test holds
+    for most of them; only the effects that fail it are factored again.
+    The spectra are computed only when the proof fails, so the error
+    raised is their first failing entry.  The sum and norm-state checks
+    run on the whole stack either way, and the process POVM keeps the
+    grid (``effect_grid``).  A stack built here from a sequence is the
+    process POVM's own, without a second copy.
     """
     stack = effect_stack(matrices, d * d, PpovmError)
     labels = effect_labels(labels, len(stack))
     grid = product_grid(stack, d, d)
-    if grid is None or not _products_proven(grid, tol):
-        require_effects(stack, tol, _not_psd)
+    require_effects(stack, tol, _not_psd, grid)
     checks, rho = _sum_checks(stack, d, tol)
     for name, value, passed in checks:
         if not passed:
@@ -422,44 +419,41 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     N x 1 grid's realized factors are the realized effects; a product
     grid's are written with the G once (``indexed_kron``), exactly
     Hermitian too, as numpy forms conj(x) conj(y) as the conjugate of x y.
-    The realized POVM is proven without running its checks
-    (``_proven_povm``); when the proof fails, ``Povm`` runs every check
-    and raises its first failing one.  The congruence scales the rounding
-    of the effects by up to 1/s, s the smallest kept eigenvalue of rho;
-    when that leaves the realized effects incomplete to ``tol``,
-    PpovmError names s and the completeness residual, or the first effect
-    of ``pp`` that is not finite.
+    The congruence scales the rounding of the effects by up to 1/s, s the
+    smallest kept eigenvalue of rho, and a non-finite effect makes the
+    realized sum non-finite, with no ``RuntimeWarning`` from the support
+    check or the congruence on the way.  So completeness is checked
+    first, and when it fails PpovmError names the first effect of ``pp``
+    that is not finite, or else s and the completeness residual.  The
+    realized effects are then proven on their grid by ``require_effects``
+    (``_proven_povm``), which raises ``Povm``'s error for the first
+    failing entry; no other ``Povm`` is built.
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
     b = dagger(pinv(a, tol))
     grid = effect_grid(pp) or column_grid(pp.effects)
     right = grid.a.shape[-1] // d  # the side of the identity beside H_d in a factor F
-    if len(b) < d:  # else the support is all of H_d: nothing can leak
-        _require_support(grid, v @ dagger(v), right, pp.labels, tol)
-    realized = _conjugate_sum(b[None], grid.a, right)
-    blockwise(_hermitian_in_place, realized, realized.shape[-1] ** 2)
-    f = realized
-    if grid.b.shape[-1] > 1:  # a product grid; the N x 1 grid's realized factors are its effects
-        side = realized.shape[-1] * grid.b.shape[-1]
-        f = indexed_kron(realized, grid.b, grid.ia, grid.ib,
-                         np.empty((len(grid.ia), side, side), dtype=complex))
-    f.setflags(write=False)  # so Povm keeps it without a copy
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite effect fails completeness
+        if len(b) < d:  # else the support is all of H_d: nothing can leak
+            _require_support(grid, v @ dagger(v), right, pp.labels, tol)
+        realized = _conjugate_sum(b[None], grid.a, right)
+        blockwise(_hermitian_in_place, realized, realized.shape[-1] ** 2)
+        f = realized
+        if grid.b.shape[-1] > 1:  # a product grid; the N x 1 grid's realized factors are its effects
+            side = realized.shape[-1] * grid.b.shape[-1]
+            f = indexed_kron(realized, grid.b, grid.ia, grid.ib,
+                             np.empty((len(grid.ia), side, side), dtype=complex))
+        _, res, complete = completeness_check(f, tol)
+    if not complete:
+        low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
+        raise PpovmError(non_finite_effect(pp) or (
+            f"norm state too ill-conditioned to realize: its smallest kept "
+            f"eigenvalue {low:.3e} gives a realized completeness_residual = "
+            f"{res:.3e} above tol = {tol:.3e}"
+        ))
+    f.setflags(write=False)  # so the Povm keeps it without a copy
     povm = _proven_povm(f, pp.labels, tol, ProductGrid(realized, grid.b, grid.ia, grid.ib))
-    if povm is None:
-        try:
-            povm = Povm(f, pp.labels, tol)
-        except ValueError:
-            _, res, complete = completeness_check(f, tol)
-            if complete:
-                raise
-            # B's rounding, scaled by up to 1/s, or a non-finite effect broke completeness
-            low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
-            raise PpovmError(non_finite_effect(pp) or (
-                f"norm state too ill-conditioned to realize: its smallest kept "
-                f"eigenvalue {low:.3e} gives a realized completeness_residual = "
-                f"{res:.3e} above tol = {tol:.3e}"
-            )) from None
     return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
 
 

@@ -3,22 +3,20 @@ import gc
 import json
 import os
 import pathlib
-import subprocess
-import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-import ppovm
 from ppovm import cli, discrimination, serialize, tomography
 from ppovm.channels import PAULI_Z, KrausChannel, identity_channel, ket, projector
 from ppovm.cli import main
 from ppovm.linalg import max_abs
-from ppovm.measurement import TestCouple, build_ppovm, outcome_probabilities, purification
-from ppovm.rand import random_channel, random_povm, random_unitary
+from ppovm.measurement import build_ppovm, outcome_probabilities
+from ppovm.rand import random_channel, random_unitary
 from ppovm.schemes import mub_probe_couple, pauli_probe_ppovm
+from test_cli_outputs import _encoded, _module_cli, _python
 
 
 def run(capsys, *argv):
@@ -102,16 +100,6 @@ def _edited(tmp_path, name, edit):
     obj = serialize.read_json(gen(tmp_path, name))
     edit(obj)
     return _write(tmp_path, f"edited-{name}.json", obj)
-
-
-def _encoded(tmp_path, encoding):
-    """A Pauli-probe file whose first label is "\u03b8", as JSON text
-    encoded in ``encoding``."""
-    obj = serialize.read_json(gen(tmp_path, "pauli-probe"))
-    obj["effects"][0]["label"] = "\u03b8"
-    path = tmp_path / f"{encoding}.json"
-    path.write_bytes(json.dumps(obj, ensure_ascii=False).encode(encoding))
-    return str(path)
 
 
 NAN = float("nan")
@@ -372,23 +360,6 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert out == ""
 
 
-def _python(*argv, **env):
-    # run a fresh interpreter with the imported package on the path and the
-    # environment variables ``env`` set
-    src = str(pathlib.Path(ppovm.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path, **env},
-    )
-
-
-def _module_cli(*argv, **env):
-    # run the CLI as `python -m ppovm.cli`
-    return _python("-m", "ppovm.cli", *argv, **env)
-
-
 def test_module_entry_point(tmp_path):
     shown = _module_cli("--help")
     assert shown.returncode == 0
@@ -620,23 +591,6 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     counts = serialize.decode_counts(serialize.read_json(out_a))
     assert counts.counts["identity"] == 1000
-
-
-def test_simulate_names_an_ill_conditioned_norm_state(tmp_path, capsys):
-    # a valid d = 3 process POVM whose norm state has eigenvalues 1 - 2s, s,
-    # s with s = 1e-8: realize's pinv congruence breaks completeness
-    rng = np.random.default_rng(0)
-    u = random_unitary(3, rng)
-    a, _ = purification(((u * [1 - 2e-8, 1e-8, 1e-8]) @ u.conj().T).T)
-    couple = TestCouple(1.0, projector(a.reshape(-1)), random_povm(9, 10, rng), 3)
-    path = _write(tmp_path, "ill.json", serialize.encode_ppovm(build_ppovm([couple], 3)))
-    channel = gen(tmp_path, "identity", "--d", "3")
-    capsys.readouterr()
-    assert run(capsys, "validate", "ppovm", path)[0] == 0
-    code, out, err = run(capsys, "simulate", channel, path, "--shots", "100", "--out", str(tmp_path / "c.json"))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: norm state too ill-conditioned to realize: its smallest kept eigenvalue 1.000e-08 ")
-    assert not (tmp_path / "c.json").exists()
 
 
 def test_tomo_exact_recovers_channel(tmp_path, capsys):
@@ -1331,21 +1285,6 @@ def test_emptying_the_memo_forgets_every_kept_step(tmp_path, capsys, monkeypatch
     cli._ppovm_memo.clear()  # what conftest's fixture does
     _cli_pass(tmp_path, capsys, pp, channel)
     assert calls == {"decode": 2, "validate": 2, "realize": 2, "factorize": 2, "report": 2}
-
-
-def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
-    pp, channel = _encoded(tmp_path, "utf-8"), gen(tmp_path, "identity")
-    shown = _module_cli(
-        "probs", pp, channel, "--format", "json",
-        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
-    )
-    assert (shown.returncode, shown.stderr) == (0, "")
-    assert "\u03b8" in json.loads(shown.stdout)["probs"]
-    # table text the locale cannot encode is written with escapes
-    shown = _module_cli("probs", pp, channel, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    assert (shown.returncode, shown.stderr) == (0, "")
-    lines = shown.stdout.splitlines()
-    assert (len(lines), lines[0], lines[-1]) == (37, "\\u03b8\t0.0555555555556", "sum\t1")
 
 
 def test_discriminate_rejects_non_unitary(tmp_path, capsys):

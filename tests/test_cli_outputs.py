@@ -1,29 +1,74 @@
-"""Files and stdout of the ``ppovm`` CLI: the schemes ``gen`` writes, and
-the layout of ``--format json``.
+"""Files and stdout of the ``ppovm`` CLI: the schemes ``gen`` writes, the
+layout of ``--format json``, the error of a norm state ``realize`` cannot
+take, and UTF-8 files read under the C locale.
 
 The module imports ``ppovm`` from wherever it is found and needs nothing
 else of the checkout: the tier-1 tests run it over ``src``, and CI's
 installed-package step runs a copy of it against the installed package.
 Each command runs in-process through ``ppovm.cli.main``, which the
-``ppovm`` console script calls."""
+``ppovm`` console script calls, except the locale test, which runs
+``python -m ppovm.cli`` in a fresh interpreter with the imported package
+on its path."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
-from ppovm import serialize
+import numpy as np
+
+import ppovm
+from ppovm import TestCouple, build_ppovm, projector, serialize
 from ppovm.cli import main
-from ppovm.measurement import effects_multiset_equal, validate_ppovm
+from ppovm.measurement import effects_multiset_equal, purification, validate_ppovm
+from ppovm.rand import random_povm, random_unitary
 
 
-def _gen(tmp_path, name):
+def _gen(tmp_path, name, *extra):
     path = str(tmp_path / f"{name}.json")
-    assert main(["gen", name, "--out", path]) == 0
+    assert main(["gen", name, "--out", path, *extra]) == 0
     return path
 
 
-def _stdout(capsys, *argv):
+def _run(capsys, *argv):
     capsys.readouterr()
-    assert main(list(argv)) == 0
-    return capsys.readouterr().out
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _stdout(capsys, *argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    return out
+
+
+def _encoded(tmp_path, encoding):
+    """A Pauli-probe file whose first label is "\u03b8", as JSON text
+    encoded in ``encoding``."""
+    obj = serialize.read_json(_gen(tmp_path, "pauli-probe"))
+    obj["effects"][0]["label"] = "\u03b8"
+    path = tmp_path / f"{encoding}.json"
+    path.write_bytes(json.dumps(obj, ensure_ascii=False).encode(encoding))
+    return str(path)
+
+
+def _python(*argv, **env):
+    # run a fresh interpreter with the imported package on the path and the
+    # environment variables ``env`` set
+    src = str(pathlib.Path(ppovm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
+def _module_cli(*argv, **env):
+    # run the CLI as `python -m ppovm.cli`
+    return _python("-m", "ppovm.cli", *argv, **env)
 
 
 def test_gen_six_state_matches_pauli_probe_multiset(tmp_path):
@@ -62,3 +107,35 @@ def test_format_json_is_sorted_keys_indent_one_and_a_newline(tmp_path, capsys):
     ):
         text = _stdout(capsys, *argv, "--format", "json")
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", argv
+
+
+def test_simulate_names_an_ill_conditioned_norm_state(tmp_path, capsys):
+    # a valid d = 3 process POVM whose norm state has eigenvalues 1 - 2s, s,
+    # s with s = 1e-8: realize's pinv congruence breaks completeness
+    rng = np.random.default_rng(0)
+    u = random_unitary(3, rng)
+    a, _ = purification(((u * [1 - 2e-8, 1e-8, 1e-8]) @ u.conj().T).T)
+    couple = TestCouple(1.0, projector(a.reshape(-1)), random_povm(9, 10, rng), 3)
+    path = str(tmp_path / "ill.json")
+    serialize.write_json(path, serialize.encode_ppovm(build_ppovm([couple], 3)))
+    channel = _gen(tmp_path, "identity", "--d", "3")
+    assert _run(capsys, "validate", "ppovm", path)[0] == 0
+    code, out, err = _run(capsys, "simulate", channel, path, "--shots", "100", "--out", str(tmp_path / "c.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: norm state too ill-conditioned to realize: its smallest kept eigenvalue 1.000e-08 ")
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
+    pp, channel = _encoded(tmp_path, "utf-8"), _gen(tmp_path, "identity")
+    shown = _module_cli(
+        "probs", pp, channel, "--format", "json",
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert "\u03b8" in json.loads(shown.stdout)["probs"]
+    # table text the locale cannot encode is written with escapes
+    shown = _module_cli("probs", pp, channel, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    lines = shown.stdout.splitlines()
+    assert (len(lines), lines[0], lines[-1]) == (37, "\\u03b8\t0.0555555555556", "sum\t1")

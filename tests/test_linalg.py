@@ -3,11 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ppovm.channels import PAULI_X, PAULI_Z, choi_of_channel, ket, max_entangled_ket, projector
+from ppovm.channels import (
+    PAULI_X, PAULI_Z, choi_of_channel, effect_checks, ket, max_entangled_ket, projector, state_checks,
+)
 from ppovm.linalg import (
     dagger,
     herm_eig,
     hermitian_parts,
+    hermiticity_check,
     hermiticity_residuals,
     hs_inner,
     indexed_kron,
@@ -149,6 +152,18 @@ def test_hermiticity_cases_cover_every_flag():
         assert not hermiticity_residuals(_hermiticity_case(0, 3, 4, kind, 1.0, 0.0), 1e-9)[1].any()
     res, passed = hermiticity_residuals(_hermiticity_case(0, 3, 4, "nan", 1.0, 0.0), 1e-9)
     assert np.isnan(res).sum() == 1 and passed.sum() == 2
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_an_infinite_hermiticity_residual_fails(entry):
+    # the residual is inf, and so is its bound relative to max|m|
+    m = np.array([[0.5, entry], [0.0, 0.5]])
+    assert hermiticity_check("m", m) == ("m_hermiticity_residual", np.inf, False)
+    assert effect_checks(m)[0] == ("effect_hermiticity_residual", np.inf, False)
+    assert not any(passed for _, _, passed in effect_checks(m))
+    assert state_checks(m)[0] == ("state_hermiticity_residual", np.inf, False)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        herm_eig(m)
 
 
 def test_kron_rejects_non_matrices():

@@ -727,6 +727,8 @@ def _unproven_ppovm(case: str) -> ProcessPovm:
         v = np.linalg.eigh(effects[0])[1][:, :1]
         effects[0] -= 1e-6 * v @ dagger(v)
         effects[1] += 1e-6 * v @ dagger(v)
+    elif case == "inf":
+        effects[3, 2, 2] = np.inf
     else:
         effects[3, 0, 1] = np.nan
     return ProcessPovm(2, effects, pp.norm_state, pp.labels)
@@ -735,9 +737,10 @@ def _unproven_ppovm(case: str) -> ProcessPovm:
 @pytest.mark.parametrize("case, error, message", [
     ("negative", ValueError, r"invalid POVM: effect_0_min_eigenvalue = -2\.000e-06"),
     ("nan", PpovmError, r"effect '\+x,-y' is not finite$"),
+    ("inf", PpovmError, r"effect '\+x,-y' is not finite$"),
     ("ill-conditioned", PpovmError, "norm state too ill-conditioned to realize: its "
      r"smallest kept eigenvalue 1\.000e-08 gives a realized completeness_residual = "),
-], ids=["negative", "nan", "ill-conditioned"])
+], ids=["negative", "nan", "inf", "ill-conditioned"])
 def test_realize_raises_the_checked_povms_error_when_unproven(case, error, message, monkeypatch):
     pp = _unproven_ppovm(case)
     with pytest.raises(ValueError) as proven:
@@ -745,10 +748,31 @@ def test_realize_raises_the_checked_povms_error_when_unproven(case, error, messa
     assert type(proven.value) is error
     assert re.match(message, str(proven.value))
     # the error is the one realize raises when it builds every Povm checked
-    monkeypatch.setattr("ppovm.measurement._proven_povm", lambda *args: None)
+    monkeypatch.setattr(
+        "ppovm.measurement._proven_povm", lambda f, labels, tol, grid: Povm(f, labels, tol)
+    )
     with pytest.raises(ValueError) as checked:
         realize(pp)
     assert type(checked.value) is error and str(checked.value) == str(proven.value)
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
+def test_realize_names_a_non_finite_effect_past_the_support_check(entry):
+    # the norm state |1><1| is rank-deficient, so the support check runs
+    # on the non-finite effect first, with no RuntimeWarning
+    pp = identity_vs_contraction_ppovm()
+    effects = np.array(pp.effects)
+    effects[1, 0, 1] = entry
+    with pytest.raises(PpovmError, match="^effect 'contraction' is not finite$"):
+        realize(ProcessPovm(2, effects, pp.norm_state, pp.labels))
+
+
+def test_validate_names_an_infinite_entry_without_a_warning():
+    # inf at effect 3, entry (2, 2): its hermiticity residual inf - inf is
+    # NaN, and neither it nor the Hermitian part raises a RuntimeWarning
+    with pytest.raises(NotPsdError) as raised:
+        validate_ppovm(_unproven_ppovm("inf").effects, 2)
+    assert str(raised.value) == "effect 3: hermiticity_residual = nan"
 
 
 def test_outcome_probabilities_of_a_non_finite_effect_raise():

@@ -35,6 +35,7 @@ from ppovm.linalg import (
     hermiticity_residuals,
     kron,
     max_abs,
+    product_grid,
     rank_and_support,
 )
 from ppovm.measurement import (
@@ -46,6 +47,7 @@ from ppovm.measurement import (
     validate_ppovm,
 )
 from ppovm.rand import random_ppovm, random_unitary
+from ppovm.schemes import pauli_probe_ppovm
 
 PROPERTY = settings(max_examples=60)
 
@@ -394,6 +396,29 @@ def test_small_trace_effects_take_one_factorization(monkeypatch):
     realized = realize(pp)  # exactly Hermitian effects of trace ~0.028
     assert realized.povm.effects.shape == (900, 25, 25)
     _assert_factored_in_blocks(calls, realized.povm.effects, DEFAULT_TOL)
+
+
+def test_a_grid_whose_factor_proof_fails_takes_the_spectra_alone(monkeypatch):
+    # the Pauli-probe factors with B factor 0 moved by -1e-6 vv^dag and B
+    # factor 1 by +1e-6 vv^dag, v the kernel of factor 0: the sum is kept,
+    # and factor 0's products have eigenvalue about -5.6e-8
+    grid = product_grid(pauli_probe_ppovm().effects, 2, 2)
+    b = grid.b.copy()
+    v = np.linalg.eigh(b[0])[1][:, :1]
+    b[0] -= 1e-6 * v @ dagger(v)
+    b[1] += 1e-6 * v @ dagger(v)
+    effects = kron(grid.a, b)
+    assert product_grid(effects, 2, 2) is not None
+    calls = _count_factorizations(monkeypatch)
+    with pytest.raises(NotPsdError) as on_grid:
+        validate_ppovm(effects, 2)
+    assert calls == []  # no Cholesky proof runs after the factor proof
+    monkeypatch.setattr("ppovm.measurement.product_grid", lambda *args: None)
+    with pytest.raises(NotPsdError) as dense:
+        validate_ppovm(effects, 2)
+    assert calls
+    assert str(on_grid.value) == str(dense.value)
+    assert str(on_grid.value) == "effect 0: min_eigenvalue = -5.556e-08"
 
 
 def test_projective_povm_takes_two_full_factorizations(monkeypatch):
