@@ -285,7 +285,7 @@ def _products_proven(grid: ProductGrid, tol: float) -> bool:
 
 
 def require_effects(
-    stack: np.ndarray, tol: float, error: Callable[[int, str, float], Exception],
+    stack: np.ndarray | None, tol: float, error: Callable[[int, str, float], Exception],
     grid: ProductGrid | None = None,
 ) -> None:
     """Raise ``error(k, entry, value)`` for the first failing entry of
@@ -296,11 +296,13 @@ def require_effects(
     grid whose products are the stack (``validate_ppovm`` passes the one
     ``linalg.product_grid`` found, ``realize`` its realized factors), or
     None.  A product grid is proven from its factors' spectra
-    (``_products_proven``).  Any other stack is proven by the Cholesky
-    proof (``_effects_proven``), and so is the N x 1 grid of a stack that
-    is no product (``linalg.column_grid``, b of side 1), whose one factor
-    stack is the stack itself.  The spectra are computed only when that
-    proof fails, with no second proof.
+    (``_products_proven``), and its ``stack`` may be None: the products
+    are then formed (``ProductGrid.products``) only when that proof
+    fails.  Any other stack is proven by the Cholesky proof
+    (``_effects_proven``), and so is the N x 1 grid of a stack that is no
+    product (``linalg.column_grid``, b of side 1), whose one factor stack
+    is the stack itself.  The spectra are computed only when that proof
+    fails, with no second proof.
     """
     if grid is not None and grid.b.shape[-1] > 1:
         proven = _products_proven(grid, tol)
@@ -308,6 +310,8 @@ def require_effects(
         proven = _effects_proven(stack, tol)
     if proven:
         return
+    if stack is None:
+        stack = grid.products()
     for i, (name, value, passed) in enumerate(stacked_effect_checks(stack, tol)):
         if not passed:
             raise error(i // 3, name.split("_", 2)[2], value)
@@ -416,14 +420,26 @@ def _invalid_povm_effect(k: int, entry: str, value: float) -> ValueError:
     return ValueError(f"invalid POVM: effect_{k}_{entry} = {value:.3e}")
 
 
+# instance __dict__ key of the product grid that a process POVM or a
+# realized Povm keeps
+_GRID = "_product_grid"
+
+
 @dataclass(frozen=True)
 class Povm:
     """A measurement: effects summing to the identity, one distinct label each.
 
     ``effects`` is one read-only complex (N, n, n) array, kept by the
     rule of ``frozen``: a stack built here from a sequence, or one already
-    frozen (``realize`` returns one), is kept as it is, and any other
-    array is copied once.  Its checks use ``tol``.
+    frozen, is kept as it is, and any other array is copied once.  Its
+    checks use ``tol``.
+
+    ``realize``'s POVM of a product grid {F_x (x) G_y} holds the realized
+    grid in its instance ``__dict__`` instead (``_proven_povm``), as a
+    process POVM holds its own: ``effects`` is formed from the factors
+    on first read (``ProductGrid.products``) and kept, ``dim`` and
+    ``len()`` read the grid and the labels, and ``couple_probabilities``
+    pairs the factors, so a stack that is never read is never built.
     """
 
     effects: np.ndarray
@@ -439,25 +455,43 @@ class Povm:
         raise_failed([completeness_check(effects, tol)], "invalid POVM")
         object.__setattr__(self, "effects", frozen(effects))
 
+    def __getattr__(self, name: str):
+        # reached only when ``name`` is not in the instance __dict__: the
+        # effects of a realized product grid, before their first read
+        grid = vars(self).get(_GRID) if name == "effects" else None
+        if grid is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        effects = vars(self)["effects"] = grid.products()
+        return effects
+
     @property
     def dim(self) -> int:
-        return self.effects.shape[1]
+        grid = vars(self).get(_GRID)
+        if grid is None:
+            return self.effects.shape[1]
+        return grid.a.shape[-1] * grid.b.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.labels)
 
 
 def _proven_povm(
-    effects: np.ndarray, labels: tuple[str, ...], tol: float, grid: ProductGrid
+    effects: np.ndarray | None, labels: tuple[str, ...], tol: float, grid: ProductGrid
 ) -> Povm:
-    """The ``Povm`` of a frozen stack, the products of ``grid``'s factors,
-    and of its distinct labels, whose completeness the caller has checked.
-    The effect bounds are proven on ``grid`` (``require_effects``), which
-    raises ``Povm``'s own error for the first failing entry; no check of
+    """The ``Povm`` of the products of ``grid``'s factors and of their
+    distinct labels, whose completeness the caller has checked.
+    ``effects`` is the frozen stack of those products, or None for a
+    product grid (b of side > 1): the ``Povm`` then keeps ``grid`` and
+    forms its stack on first read.  The effect bounds are proven on
+    ``grid`` (``require_effects``), which raises ``Povm``'s own error for
+    the first failing entry, forming the stack only then; no check of
     ``Povm`` runs twice."""
     require_effects(effects, tol, _invalid_povm_effect, grid)
     povm = object.__new__(Povm)
-    object.__setattr__(povm, "effects", frozen(effects))
+    if effects is None:
+        vars(povm)[_GRID] = grid
+    else:
+        object.__setattr__(povm, "effects", frozen(effects))
     object.__setattr__(povm, "labels", labels)
     return povm
 

@@ -107,8 +107,8 @@ def hermiticity_residuals(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.n
     n = m.shape[-1]
     upper, mirror = _triangle(n)
     flat = m.reshape(*m.shape[:-2], n * n)
-    diff = flat[..., upper]
-    diff -= np.conj(flat[..., mirror])
+    diff = flat.take(upper, axis=-1)
+    diff -= np.conj(flat.take(mirror, axis=-1))
     res = np.abs(diff).max(axis=-1, initial=0.0)
     passed = res <= tol
     if not passed.all():
@@ -236,6 +236,15 @@ class ProductGrid:
         if self._scale_a is None:
             self._scale_a = np.abs(self.a).max(axis=(1, 2))
         return self._scale_a
+
+    def products(self) -> np.ndarray:
+        """The read-only stack of the products a[ia[j]] (x) b[ib[j]], in
+        the grid's order (``indexed_kron``), formed anew on each call."""
+        side = self.a.shape[-1] * self.b.shape[-1]
+        out = np.empty((len(self.ia), side, side), dtype=complex)
+        indexed_kron(self.a, self.b, self.ia, self.ib, out)
+        out.setflags(write=False)
+        return out
 
 
 def column_grid(stack: np.ndarray) -> ProductGrid:

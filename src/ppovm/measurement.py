@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    _GRID,
     KrausChannel,
     Povm,
     _conjugate_sum,
@@ -25,7 +26,6 @@ from .channels import (
     apply_second,
     check_density,
     choi_of_channel,
-    completeness_check,
     density_checks,
     dual_channel,
     effect_labels,
@@ -46,16 +46,12 @@ from .linalg import (
     dagger,
     frozen,
     herm_eig,
-    indexed_kron,
     kron,
     max_abs,
     partial_trace,
     pinv,
     product_grid,
 )
-
-_GRID = "_product_grid"  # instance __dict__ key of a process POVM's product grid
-
 
 class PpovmError(ValueError):
     """A collection of matrices fails to be a valid process POVM."""
@@ -366,10 +362,21 @@ def outcome_probabilities(
 
 def couple_probabilities(couple: TestCouple, ch: KrausChannel) -> np.ndarray:
     """Born-rule outcome distribution of running one couple's experiment on
-    ``ch``, not scaled by the couple's weight."""
+    ``ch``, not scaled by the couple's weight.  The POVM of a realized
+    product grid (``realize``) is paired on its factors, in one product
+    of the factor stacks with the output state, without forming its
+    dense effects; any other POVM takes ``effect_pairings``."""
     ch.check_dims(couple.qudit_dim())
     output = apply_second(ch, couple.state, couple.anc_dim)
-    return effect_pairings(couple.povm.effects, output)
+    grid = vars(couple.povm).get(_GRID)
+    if grid is None:
+        return effect_pairings(couple.povm.effects, output)
+    # Re Tr[(F (x) G)^dag X] = sum conj(F_ik) conj(G_jl) X_(ij),(kl): one
+    # (N_A, p^2)(p^2, q^2)(q^2, N_B) contraction, read at every pair (ia, ib)
+    (n_a, p, _), (n_b, q, _) = grid.a.shape, grid.b.shape
+    x = output.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+    pairs = np.conj(grid.a).reshape(n_a, -1) @ x @ np.conj(grid.b).reshape(n_b, -1).T
+    return pairs.real[grid.ia, grid.ib]
 
 
 def effect_pairings(effects: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -416,18 +423,23 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
     leaking effect in stack order is named.  Each B F B^dag is replaced in
     place by its exact Hermitian part o/2 + (o/2)^dag: entry (j, i) is the
     conjugate of entry (i, j), as floating-point addition commutes.  The
-    N x 1 grid's realized factors are the realized effects; a product
-    grid's are written with the G once (``indexed_kron``), exactly
-    Hermitian too, as numpy forms conj(x) conj(y) as the conjugate of x y.
-    The congruence scales the rounding of the effects by up to 1/s, s the
-    smallest kept eigenvalue of rho, and a non-finite effect makes the
-    realized sum non-finite, with no ``RuntimeWarning`` from the support
-    check or the congruence on the way.  So completeness is checked
-    first, and when it fails PpovmError names the first effect of ``pp``
-    that is not finite, or else s and the completeness residual.  The
-    realized effects are then proven on their grid by ``require_effects``
-    (``_proven_povm``), which raises ``Povm``'s error for the first
-    failing entry; no other ``Povm`` is built.
+    N x 1 grid's realized factors are the realized effects.  A product
+    grid's POVM keeps the realized grid, not a dense stack: its effects,
+    the products with the G (``indexed_kron``, exactly Hermitian too, as
+    numpy forms conj(x) conj(y) as the conjugate of x y), are formed on
+    first read (``Povm``), and ``couple_probabilities`` pairs the
+    factors.  A full grid holds every pair once, so its realized effects
+    sum to (sum F) (x) (sum G), and completeness is read from the two
+    factor sums.  The congruence scales the rounding of the effects by up
+    to 1/s, s the smallest kept eigenvalue of rho, and a non-finite effect
+    makes the realized sum non-finite, with no ``RuntimeWarning`` from the
+    support check or the congruence on the way.  So completeness is
+    checked first, and when it fails PpovmError names the first effect of
+    ``pp`` that is not finite, or else s and the completeness residual.
+    The realized effects are then proven on their grid by
+    ``require_effects`` (``_proven_povm``), which raises ``Povm``'s error
+    for the first failing entry, forming a product grid's stack only
+    then; no other ``Povm`` is built.
     """
     d = pp.d
     a, v = purification(pp.norm_state.T, tol)
@@ -439,21 +451,21 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
             _require_support(grid, v @ dagger(v), right, pp.labels, tol)
         realized = _conjugate_sum(b[None], grid.a, right)
         blockwise(_hermitian_in_place, realized, realized.shape[-1] ** 2)
-        f = realized
-        if grid.b.shape[-1] > 1:  # a product grid; the N x 1 grid's realized factors are its effects
-            side = realized.shape[-1] * grid.b.shape[-1]
-            f = indexed_kron(realized, grid.b, grid.ia, grid.ib,
-                             np.empty((len(grid.ia), side, side), dtype=complex))
-        _, res, complete = completeness_check(f, tol)
-    if not complete:
+        realized.setflags(write=False)
+        product = grid.b.shape[-1] > 1  # else the realized factors are the effects
+        total = realized.sum(axis=0)
+        if product:  # every pair once: the effects sum to (sum F) (x) (sum G)
+            total = kron(total, grid.b.sum(axis=0))
+        res = max_abs(total - np.eye(len(total)))
+    if not res <= tol:  # NaN fails
         low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
         raise PpovmError(non_finite_effect(pp) or (
             f"norm state too ill-conditioned to realize: its smallest kept "
             f"eigenvalue {low:.3e} gives a realized completeness_residual = "
             f"{res:.3e} above tol = {tol:.3e}"
         ))
-    f.setflags(write=False)  # so the Povm keeps it without a copy
-    povm = _proven_povm(f, pp.labels, tol, ProductGrid(realized, grid.b, grid.ia, grid.ib))
+    realized_grid = ProductGrid(realized, grid.b, grid.ia, grid.ib)
+    povm = _proven_povm(None if product else realized, pp.labels, tol, realized_grid)
     return TestCouple(1.0, projector(a.reshape(-1)), povm, a.shape[0])
 
 

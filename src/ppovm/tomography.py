@@ -362,7 +362,9 @@ def simulate_counts(
 ) -> ShotRecord:
     """Draw i.i.d. outcomes of one couple's experiment (``realize``'s or
     any other) on a known channel, which must be trace preserving to
-    ``tol``; the outcome distribution is ``couple_probabilities``.
+    ``tol``; the outcome distribution is ``couple_probabilities``, which
+    reads a realized product grid's factors and leaves its dense effects
+    unformed.
 
     Identical (seed, shots) always reproduce identical counts; every label
     appears in the record, including zero counts.

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import json
-import os
 import pathlib
 import tracemalloc
 import weakref
@@ -10,13 +9,13 @@ import numpy as np
 import pytest
 
 from ppovm import cli, discrimination, serialize, tomography
-from ppovm.channels import PAULI_Z, KrausChannel, identity_channel, ket, projector
+from ppovm.channels import KrausChannel, identity_channel, ket, projector
 from ppovm.cli import main
 from ppovm.linalg import max_abs
 from ppovm.measurement import build_ppovm, outcome_probabilities
 from ppovm.rand import random_channel, random_unitary
 from ppovm.schemes import mub_probe_couple, pauli_probe_ppovm
-from test_cli_outputs import _encoded, _module_cli, _python
+from test_cli_outputs import OUT_WRITERS, _encoded, _matrix_files, _module_cli, _python, _write
 
 
 def run(capsys, *argv):
@@ -88,12 +87,6 @@ def test_validate_malformed_json(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "ppovm", str(path))
     assert code == 2
     assert "error" in err
-
-
-def _write(tmp_path, name, obj):
-    path = tmp_path / name
-    serialize.write_json(path, obj)
-    return str(path)
 
 
 def _edited(tmp_path, name, edit):
@@ -812,12 +805,6 @@ def test_discriminate_decomposes_the_pair_once(tmp_path, capsys, monkeypatch):
         assert calls == {"unitary_eig": 1, "check_unitary": 3}
 
 
-def _matrix_files(tmp_path, **mats):
-    return [
-        _write(tmp_path, f"{name}.json", serialize.encode_matrix(m)) for name, m in mats.items()
-    ]
-
-
 def _no_dense_plan(monkeypatch):
     def dense(plan):
         raise AssertionError("the plan's d^2 x d^2 process POVM was built")
@@ -855,39 +842,6 @@ def test_discriminate_at_d_128(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["plan"] is not None
     assert len(out.encode()) < 4_000_000
     assert peak < 2**27
-
-
-def test_product_plan_file_reads_like_its_dense_equivalent(tmp_path, capsys):
-    identity, pauli_z = _matrix_files(tmp_path, identity=np.eye(2), pauli_z=PAULI_Z)
-    code, out, _ = run(capsys, "discriminate", identity, pauli_z, "--format", "json")
-    assert code == 0
-    product = _write(tmp_path, "product.json", json.loads(out)["plan"]["ppovm"])
-    plan = discrimination.pair_report(np.eye(2), PAULI_Z).plan
-    dense = _write(tmp_path, "dense.json", serialize.encode_ppovm(plan.ppovm))
-    channel = gen(tmp_path, "depolarizing", "--p", "0.37")
-    capsys.readouterr()
-    validated, probs = [], []
-    for path in (product, dense):
-        code, out, err = run(capsys, "validate", "ppovm", path, "--format", "json")
-        assert (code, err) == (0, "")
-        validated.append(json.loads(out))
-        code, out, err = run(capsys, "probs", path, channel, "--format", "json")
-        assert (code, err) == (0, "")
-        probs.append(json.loads(out)["probs"])
-        counts = str(tmp_path / "counts.json")
-        argv = ["simulate", channel, path, "--shots", "100", "--out", counts]
-        assert run(capsys, *argv)[0] == 0
-        assert run(capsys, "tomo", path, "--counts", counts)[0] == 0
-    a, b = validated
-    assert a["n_effects"] == b["n_effects"] == 2
-    assert [(c["name"], c["pass"]) for c in a["checks"]] == [
-        (c["name"], c["pass"]) for c in b["checks"]
-    ]
-    # the two stacks differ by 1.1e-16 an entry, which moves an eigenvalue
-    # near 1 of a 4 x 4 effect by up to 5 ulps (1.1e-15)
-    assert max(abs(x["value"] - y["value"]) for x, y in zip(a["checks"], b["checks"])) <= 2e-15
-    assert probs[0].keys() == probs[1].keys() == {"ch1", "ch2"}
-    assert max(abs(probs[0][k] - probs[1][k]) for k in probs[0]) <= 1e-14
 
 
 PLUS = projector(np.ones(2) / np.sqrt(2))
@@ -1485,17 +1439,6 @@ def test_float_option_keeps_a_following_non_number(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
-# each command that writes --out, with its other arguments
-OUT_WRITERS = {
-    "gen": lambda t: ["gen", "identity"],
-    "convert": lambda t: ["convert", "kraus2choi", gen(t, "identity")],
-    "simulate": lambda t: [
-        "simulate", gen(t, "identity"), gen(t, "pauli-probe"), "--shots", "10"
-    ],
-    "tomo": lambda t: ["tomo", gen(t, "pauli-probe"), "--exact", gen(t, "identity")],
-}
-
-
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command", sorted(OUT_WRITERS))
 def test_unwritable_out_is_io_failure(tmp_path, capsys, command, where):
@@ -1506,27 +1449,3 @@ def test_unwritable_out_is_io_failure(tmp_path, capsys, command, where):
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(out) in err
-
-
-# each command that writes --out, with a fixed seed so that two runs print
-# the same payload
-DEVICE_WRITERS = {
-    "gen": lambda t: ["gen", "pauli-probe"],
-    "convert": OUT_WRITERS["convert"],
-    "simulate": lambda t: [*OUT_WRITERS["simulate"](t), "--seed", "3"],
-    "tomo": OUT_WRITERS["tomo"],
-}
-
-
-@pytest.mark.parametrize("fmt", ["table", "json"])
-@pytest.mark.parametrize("command", sorted(DEVICE_WRITERS))
-def test_out_to_a_device_is_written_and_not_truncated(tmp_path, capsys, command, fmt):
-    # /dev/null takes the bytes but cannot be truncated: the writer cuts
-    # only a regular file to length
-    argv = [*DEVICE_WRITERS[command](tmp_path), "--format", fmt]
-    path = str(tmp_path / "out.json")
-    capsys.readouterr()
-    assert run(capsys, *argv, "--out", path)[0] == 0
-    code, stdout, err = run(capsys, *argv, "--out", os.devnull)
-    assert (code, err) == (0, "")
-    assert stdout == run(capsys, *argv, "--out", path)[1].replace(path, os.devnull)

@@ -1,6 +1,7 @@
 """Files and stdout of the ``ppovm`` CLI: the schemes ``gen`` writes, the
 layout of ``--format json``, the error of a norm state ``realize`` cannot
-take, and UTF-8 files read under the C locale.
+take, UTF-8 files read under the C locale, a plan's product-file process
+POVM read like its dense file, and ``--out`` written to a device.
 
 The module imports ``ppovm`` from wherever it is found and needs nothing
 else of the checkout: the tier-1 tests run it over ``src``, and CI's
@@ -17,9 +18,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import ppovm
-from ppovm import TestCouple, build_ppovm, projector, serialize
+from ppovm import TestCouple, build_ppovm, discrimination, projector, serialize
+from ppovm.channels import PAULI_Z
 from ppovm.cli import main
 from ppovm.measurement import effects_multiset_equal, purification, validate_ppovm
 from ppovm.rand import random_povm, random_unitary
@@ -42,6 +45,18 @@ def _stdout(capsys, *argv):
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     return out
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    serialize.write_json(path, obj)
+    return str(path)
+
+
+def _matrix_files(tmp_path, **mats):
+    return [
+        _write(tmp_path, f"{name}.json", serialize.encode_matrix(m)) for name, m in mats.items()
+    ]
 
 
 def _encoded(tmp_path, encoding):
@@ -139,3 +154,67 @@ def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
     assert (shown.returncode, shown.stderr) == (0, "")
     lines = shown.stdout.splitlines()
     assert (len(lines), lines[0], lines[-1]) == (37, "\\u03b8\t0.0555555555556", "sum\t1")
+
+
+def test_product_plan_file_reads_like_its_dense_equivalent(tmp_path, capsys):
+    identity, pauli_z = _matrix_files(tmp_path, identity=np.eye(2), pauli_z=PAULI_Z)
+    out = _stdout(capsys, "discriminate", identity, pauli_z, "--format", "json")
+    product = _write(tmp_path, "product.json", json.loads(out)["plan"]["ppovm"])
+    plan = discrimination.pair_report(np.eye(2), PAULI_Z).plan
+    dense = _write(tmp_path, "dense.json", serialize.encode_ppovm(plan.ppovm))
+    channel = _gen(tmp_path, "depolarizing", "--p", "0.37")
+    validated, probs = [], []
+    for path in (product, dense):
+        code, out, err = _run(capsys, "validate", "ppovm", path, "--format", "json")
+        assert (code, err) == (0, "")
+        validated.append(json.loads(out))
+        code, out, err = _run(capsys, "probs", path, channel, "--format", "json")
+        assert (code, err) == (0, "")
+        probs.append(json.loads(out)["probs"])
+        counts = str(tmp_path / "counts.json")
+        argv = ["simulate", channel, path, "--shots", "100", "--out", counts]
+        assert _run(capsys, *argv)[0] == 0
+        assert _run(capsys, "tomo", path, "--counts", counts)[0] == 0
+    a, b = validated
+    assert a["n_effects"] == b["n_effects"] == 2
+    assert [(c["name"], c["pass"]) for c in a["checks"]] == [
+        (c["name"], c["pass"]) for c in b["checks"]
+    ]
+    # the two stacks differ by 1.1e-16 an entry, which moves an eigenvalue
+    # near 1 of a 4 x 4 effect by up to 5 ulps (1.1e-15)
+    assert max(abs(x["value"] - y["value"]) for x, y in zip(a["checks"], b["checks"])) <= 2e-15
+    assert probs[0].keys() == probs[1].keys() == {"ch1", "ch2"}
+    assert max(abs(probs[0][k] - probs[1][k]) for k in probs[0]) <= 1e-14
+
+
+# each command that writes --out, with its other arguments
+OUT_WRITERS = {
+    "gen": lambda t: ["gen", "identity"],
+    "convert": lambda t: ["convert", "kraus2choi", _gen(t, "identity")],
+    "simulate": lambda t: [
+        "simulate", _gen(t, "identity"), _gen(t, "pauli-probe"), "--shots", "10"
+    ],
+    "tomo": lambda t: ["tomo", _gen(t, "pauli-probe"), "--exact", _gen(t, "identity")],
+}
+
+# each command that writes --out, with a fixed seed so that two runs print
+# the same payload
+DEVICE_WRITERS = {
+    "gen": lambda t: ["gen", "pauli-probe"],
+    "convert": OUT_WRITERS["convert"],
+    "simulate": lambda t: [*OUT_WRITERS["simulate"](t), "--seed", "3"],
+    "tomo": OUT_WRITERS["tomo"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", sorted(DEVICE_WRITERS))
+def test_out_to_a_device_is_written_and_not_truncated(tmp_path, capsys, command, fmt):
+    # /dev/null takes the bytes but cannot be truncated: the writer cuts
+    # only a regular file to length
+    argv = [*DEVICE_WRITERS[command](tmp_path), "--format", fmt]
+    path = str(tmp_path / "out.json")
+    assert _run(capsys, *argv, "--out", path)[0] == 0
+    code, stdout, err = _run(capsys, *argv, "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert stdout == _run(capsys, *argv, "--out", path)[1].replace(path, os.devnull)

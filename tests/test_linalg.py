@@ -103,15 +103,17 @@ def test_kron_is_bitwise_numpy_kron(dtypes, shapes):
 
 def _reference_hermiticity_residuals(m, tol):
     """The full-matrix form: both triangles of m - m^dag, and max|m| of
-    every matrix."""
+    every matrix; a residual that is not finite fails."""
     res = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
-    return res, res <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    return res, (res <= tol * scale) & np.isfinite(res)
 
 
 def _hermiticity_case(seed, count, n, kind, scale, noise):
     """A stack of ``count`` n x n matrices (one matrix when count is None):
     Hermitian, non-Hermitian, Hermitian with a complex diagonal, or
-    Hermitian with a NaN entry; scaled, then perturbed by ``noise``."""
+    Hermitian with a NaN or an infinite entry; scaled, then perturbed by
+    ``noise``."""
     rng = np.random.default_rng(seed)
     shape = (n, n) if count is None else (count, n, n)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -119,8 +121,8 @@ def _hermiticity_case(seed, count, n, kind, scale, noise):
     if kind == "complex-diagonal":
         m = m + np.eye(n) * 1j * rng.standard_normal(shape[:-1])[..., None]
     m = scale * m + noise * rng.standard_normal(shape)
-    if kind == "nan" and m.size:
-        m.reshape(-1)[rng.integers(m.size)] = np.nan
+    if kind in ("nan", "inf") and m.size:
+        m.reshape(-1)[rng.integers(m.size)] = np.nan if kind == "nan" else np.inf
     return m
 
 
@@ -129,7 +131,7 @@ def _hermiticity_case(seed, count, n, kind, scale, noise):
     seed=st.integers(0, 2**32 - 1),
     count=st.one_of(st.none(), st.integers(0, 5)),
     n=st.integers(0, 6),
-    kind=st.sampled_from(["hermitian", "non-hermitian", "complex-diagonal", "nan"]),
+    kind=st.sampled_from(["hermitian", "non-hermitian", "complex-diagonal", "nan", "inf"]),
     scale=st.sampled_from([1e-3, 1.0, 1e4, 1e8]),
     noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
     tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
@@ -138,8 +140,9 @@ def _hermiticity_case(seed, count, n, kind, scale, noise):
 @example(seed=1, count=None, n=5, kind="nan", scale=1.0, noise=0.0, tol=1e-9)
 def test_hermiticity_residuals_are_bitwise_the_full_form(seed, count, n, kind, scale, noise, tol):
     m = _hermiticity_case(seed, count, n, kind, scale, noise)
-    res, passed = hermiticity_residuals(m, tol)
-    expected_res, expected_passed = _reference_hermiticity_residuals(m, tol)
+    with np.errstate(invalid="ignore"):  # inf - inf on an infinite diagonal, as callers take it
+        res, passed = hermiticity_residuals(m, tol)
+        expected_res, expected_passed = _reference_hermiticity_residuals(m, tol)
     assert same_bits(res, expected_res)
     assert same_bits(passed, expected_passed)
 
@@ -152,6 +155,10 @@ def test_hermiticity_cases_cover_every_flag():
         assert not hermiticity_residuals(_hermiticity_case(0, 3, 4, kind, 1.0, 0.0), 1e-9)[1].any()
     res, passed = hermiticity_residuals(_hermiticity_case(0, 3, 4, "nan", 1.0, 0.0), 1e-9)
     assert np.isnan(res).sum() == 1 and passed.sum() == 2
+    # an off-diagonal inf: an infinite residual, which its bound tol max|m| = inf
+    # would pass
+    res, passed = hermiticity_residuals(_hermiticity_case(0, 3, 4, "inf", 1.0, 0.0), 1e-9)
+    assert np.isinf(res).sum() == 1 and passed.sum() == 2
 
 
 @pytest.mark.parametrize("entry", [np.inf, -np.inf], ids=["inf", "-inf"])

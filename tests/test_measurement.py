@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from ppovm.channels import (
     KrausChannel,
     Povm,
+    _conjugate_sum,
     _proven_povm,
     apply_first,
     apply_second,
@@ -22,9 +26,11 @@ from ppovm.channels import (
     projector,
     state_to_map,
 )
+from ppovm import serialize
+from ppovm.cli import main
 from ppovm.linalg import (
-    DEFAULT_TOL, column_grid, dagger, hermitian_parts, hermiticity_residuals, hs_inner, kron,
-    mat_sqrt_psd, max_abs, partial_trace, pinv,
+    DEFAULT_TOL, ProductGrid, column_grid, dagger, hermitian_parts, hermiticity_residuals,
+    hs_inner, indexed_kron, kron, mat_sqrt_psd, max_abs, partial_trace, pinv,
 )
 from ppovm.measurement import (
     NormStateInvalidError,
@@ -37,6 +43,7 @@ from ppovm.measurement import (
     build_ppovm,
     couple_probabilities,
     effect_grid,
+    effect_pairings,
     effects_multiset_equal,
     extra_effect,
     merge_couples,
@@ -63,6 +70,7 @@ from ppovm.schemes import (
     pauli_probe_ppovm,
     six_state_couples,
 )
+from ppovm.tomography import simulate_counts
 
 
 # ---------------------------------------------------------------------------
@@ -852,3 +860,162 @@ def test_realize_then_build_gives_back_a_rotated_mub_scheme_as_a_multiset():
     moved[7] += 2 * tol * np.eye(d * d)
     assert not effects_multiset_equal(pp, moved, tol)
     assert not effects_multiset_equal(pp, back[1:], tol)
+
+
+# ---------------------------------------------------------------------------
+# a realized product grid: the dense effects only on demand
+# ---------------------------------------------------------------------------
+
+
+def _pauli_probe_file_ppovm(tmp_path):
+    path = str(tmp_path / "p.json")
+    assert main(["gen", "pauli-probe", "--out", path]) == 0
+    effects, labels, d = serialize.decode_ppovm_effects(serialize.read_json(path))
+    return validate_ppovm(effects, d, labels=labels)
+
+
+def _product_ppovm(d, rng):
+    """The maximally entangled probe with a random product POVM P (x) Q:
+    a process POVM that is a product grid at any d."""
+    p, q = random_povm(d, d + 1, rng).effects, random_povm(d, d, rng).effects
+    povm = Povm(kron(p, q), None)
+    state = projector(max_entangled_ket(d, normalized=True))
+    pp = build_ppovm([TestCouple(1.0, state, povm, d)], d)
+    return validate_ppovm(pp.effects, d, labels=pp.labels)
+
+
+def _grid_schemes(tmp_path):
+    rng = np.random.default_rng(34)
+    yield "pauli-probe file", _pauli_probe_file_ppovm(tmp_path)
+    for d in (3, 5):
+        yield f"rotated mub d={d}", _rotated_mub_ppovm(d, rng)
+
+
+def _realized_stack(pp, tol=DEFAULT_TOL):
+    """The realized effects as one dense stack: the congruence of the
+    grid's A factors, their exact Hermitian parts, and every pair's
+    product written out (``indexed_kron``)."""
+    grid = effect_grid(pp)
+    a, _ = purification(pp.norm_state.T, tol)
+    o = _conjugate_sum(dagger(pinv(a, tol))[None], grid.a, 1)
+    o /= 2
+    o += dagger(o)
+    side = o.shape[-1] * grid.b.shape[-1]
+    return indexed_kron(o, grid.b, grid.ia, grid.ib, np.empty((len(pp), side, side), complex))
+
+
+def test_realized_grid_effects_are_bitwise_the_dense_stack(tmp_path):
+    for name, pp in _grid_schemes(tmp_path):
+        assert effect_grid(pp) is not None, name
+        povm = realize(pp).povm
+        assert "effects" not in vars(povm), name
+        assert povm.effects.tobytes() == _realized_stack(pp).tobytes(), name
+        assert not povm.effects.flags.writeable
+        assert povm.effects is povm.effects  # formed once, then kept
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_grid_couple_probabilities_match_the_dense_pairing(d):
+    rng = np.random.default_rng([34, d])
+    ppovms = [_product_ppovm(d, rng)]
+    if d != 4:  # mub_bases takes prime d only
+        ppovms.append(_rotated_mub_ppovm(d, rng))
+    for pp in ppovms:
+        real = realize(pp)
+        assert isinstance(vars(real.povm).get("_product_grid"), ProductGrid)
+        for _ in range(3):
+            ch = random_channel(d, rng)
+            dense = effect_pairings(real.povm.effects, apply_second(ch, real.state, real.anc_dim))
+            assert np.abs(couple_probabilities(real, ch) - dense).max() <= 1e-15
+
+
+def test_couples_without_a_grid_keep_the_dense_pairing():
+    rng = np.random.default_rng(35)
+    for d in (2, 3):
+        real = realize(random_ppovm(d, rng, n_couples=2))
+        assert "_product_grid" not in vars(real.povm) and "effects" in vars(real.povm)
+        ch = random_channel(d, rng)
+        output = apply_second(ch, real.state, real.anc_dim)
+        want = effect_pairings(real.povm.effects, output)
+        assert couple_probabilities(real, ch).tobytes() == want.tobytes()
+
+
+def test_simulated_counts_leave_the_realized_stack_unbuilt(tmp_path):
+    for name, pp in _grid_schemes(tmp_path):
+        couple = realize(pp)
+        record = simulate_counts(random_channel(pp.d, np.random.default_rng(1)), couple, 500, 7)
+        assert sum(record.counts.values()) == 500, name
+        assert "effects" not in vars(couple.povm), name
+
+
+def test_an_unbuilt_realized_povm_copies_pickles_and_builds_back(tmp_path):
+    pp = _pauli_probe_file_ppovm(tmp_path)
+    couple = realize(pp)
+    povm = couple.povm
+    assert (len(povm), povm.dim) == (36, 4)
+    assert "effects" not in vars(povm)
+    copied, pickled = copy.deepcopy(povm), pickle.loads(pickle.dumps(povm))
+    assert "effects" not in vars(copied) and "effects" not in vars(pickled)
+    for other in (copied, pickled):
+        assert (len(other), other.dim, other.labels) == (36, 4, povm.labels)
+    back = build_ppovm([realize(pp)], 2)
+    want = _realized_stack(pp).tobytes()
+    assert copied.effects.tobytes() == pickled.effects.tobytes() == want
+    built = TestCouple(1.0, couple.state, Povm(povm.effects, povm.labels), couple.anc_dim)
+    assert back.effects.tobytes() == build_ppovm([built], 2).effects.tobytes()
+    assert back.labels == pp.labels
+    assert effects_multiset_equal(back, pp, 1e-9)
+    with pytest.raises(AttributeError):
+        povm.missing
+
+
+def _negative_grid_ppovm():
+    """The Pauli-probe grid with one A factor pushed 1e-6 below zero and
+    another lifted as much: a product grid with the sum kept, built
+    without validation, whose realized effects fail the eigenvalue check."""
+    pp = pauli_probe_ppovm()
+    grid = effect_grid(pp)
+    a = np.array(grid.a)
+    v = np.linalg.eigh(a[0])[1][:, :1]
+    a[0] -= 1e-6 * v @ dagger(v)
+    a[1] += 1e-6 * v @ dagger(v)
+    effects = np.array([kron(a[i], grid.b[j]) for i, j in zip(grid.ia, grid.ib)])
+    return ProcessPovm(2, effects, pp.norm_state, pp.labels)
+
+
+def test_an_unproven_realized_grid_raises_the_checked_povms_error(monkeypatch):
+    bad = _negative_grid_ppovm()
+    assert effect_grid(bad) is not None
+    with pytest.raises(ValueError) as checked:  # every check of Povm on the dense stack
+        Povm(_realized_stack(bad), bad.labels)
+    assert str(checked.value).startswith("invalid POVM: effect_")
+    with pytest.raises(ValueError) as proven:
+        realize(bad)
+    assert type(proven.value) is type(checked.value)
+    assert str(proven.value) == str(checked.value)
+    # with the factor proof failing, the dense spectra decide
+    monkeypatch.setattr("ppovm.channels._products_proven", lambda grid, tol: False)
+    with pytest.raises(ValueError) as dense:
+        realize(bad)
+    assert str(dense.value) == str(checked.value)
+    pp = pauli_probe_ppovm()
+    povm = realize(pp).povm
+    assert "effects" not in vars(povm)
+    assert povm.effects.tobytes() == _realized_stack(pp).tobytes()
+
+
+def test_realize_and_simulate_at_d5_stay_within_one_megabyte():
+    # the dense realized stack of the d = 5 MUB scheme alone is 9 MB
+    rng = np.random.default_rng(36)
+    pp = _rotated_mub_ppovm(5, rng)
+    assert effect_grid(pp) is not None
+    ch = random_channel(5, rng)
+    realize(pp)  # first calls fill the caches of the routines it uses
+    tracemalloc.start()
+    try:
+        couple = realize(pp)
+        simulate_counts(ch, couple, 1000 * len(pp), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
