@@ -20,9 +20,7 @@ from .linalg import (
     Check,
     ProductGrid,
     block_slices,
-    blockwise,
     dagger,
-    first_factor,
     frozen,
     hermitian_parts,
     hermiticity_check,
@@ -327,6 +325,12 @@ def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") ->
     non-finite entry gives NaN eigenvalues, which fail, with no warning."""
     with np.errstate(invalid="ignore", over="ignore"):
         values = spectra(hermitian_parts(m))
+    return _spectrum_checks(values, m, tol, prefix)
+
+
+def _spectrum_checks(values: np.ndarray, m: np.ndarray, tol: float, prefix: str = "") -> list[Check]:
+    """``density_checks``' entries, from the ascending spectrum ``values``
+    of m's Hermitian part."""
     trace_dev = abs(float(np.trace(m).real) - 1.0)
     return [
         (f"{prefix}min_eigenvalue", float(values[0]), is_psd(values, tol)),
@@ -353,9 +357,12 @@ def povm_checks(effects, tol: float = DEFAULT_TOL) -> list[Check]:
 
 
 def trace_preservation_checks(ch: KrausChannel, tol: float = DEFAULT_TOL) -> list[Check]:
-    """Trace preservation: sum A^dag A = I."""
-    total = (dagger(ch.kraus) @ ch.kraus).sum(axis=0)
-    res = max_abs(total - np.eye(ch.dim_in))
+    """Trace preservation: sum A^dag A = I.  Entries near the float limit
+    overflow in the products; the inf and NaN values they become fail
+    the entry, with no warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = (dagger(ch.kraus) @ ch.kraus).sum(axis=0)
+        res = max_abs(total - np.eye(ch.dim_in))
     return [("trace_preservation_residual", res, res <= tol)]
 
 
@@ -368,8 +375,25 @@ def unitarity_checks(u: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
 
 def check_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, unit trace."""
-    raise_failed(state_checks(m, tol), "not a density operator")
+    density_eigh(m, tol)
     return np.asarray(m, dtype=complex)
+
+
+def density_eigh(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``check_density`` of m, returning the eigensystem of its Hermitian
+    part: eigh(hermitian_parts(m)), the one ``herm_eig`` computes, so the
+    Kraus operators ``state_to_map`` reads from it are bit for bit its
+    own.  The error names the first failing entry of ``state_checks``, in
+    its order, from one hermiticity pass and that one eigensolve: a
+    matrix that passes the hermiticity check is finite (a non-finite
+    entry makes its residual NaN or inf), so eigh runs only on a finite
+    matrix, and the min_eigenvalue entry reads its eigenvalues."""
+    m = square_matrix(m, "density operator")
+    what = "not a density operator"
+    raise_failed([hermiticity_check("state", m, tol)], what)
+    values, vectors = np.linalg.eigh(hermitian_parts(m))
+    raise_failed(_spectrum_checks(values, m, tol), what)
+    return values, vectors
 
 
 def check_effect(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -554,10 +578,10 @@ def apply_first(ch: KrausChannel, x: np.ndarray, right_dim: int) -> np.ndarray:
     H_{dim_in} (x) H_{right_dim}, identity on the second: the sum of
     (A_k (x) I) x (A_k (x) I)^dag.  ``x`` may be an (N, n, n) stack; a
     matrix is taken as a stack of one.  The left product applies A_k to
-    x's first index (``first_factor``): d^5 multiply-adds per Kraus
-    operator and matrix at dim_in = dim_out = right_dim = d, where the
-    d^2 x d^2 product took d^6.  The right product is one BLAS product
-    of a block's rows (``_conjugate_sum``)."""
+    x's first index: d^5 multiply-adds per Kraus operator and matrix at
+    dim_in = dim_out = right_dim = d, where the d^2 x d^2 product took
+    d^6.  The right product is one BLAS product of a block's rows
+    (``_conjugate_sum``)."""
     x = _operand(x, ch.dim_in * right_dim)
     if x.ndim == 2:
         return _conjugate_sum(ch.kraus, x[None], right_dim)[0]
@@ -585,12 +609,15 @@ def _operand(x: np.ndarray, n: int) -> np.ndarray:
 def _conjugate_sum(ops: np.ndarray, x: np.ndarray, right_dim: int = 1) -> np.ndarray:
     """sum_k (K_k (x) I) x (K_k (x) I)^dag over the last two axes of x, I
     the identity on H_{right_dim} (none by default).  An (N, n, n) stack
-    is written a block at a time (``blockwise``) into one preallocated
-    result: per K_k and block, t = (K_k (x) I) x is K_k applied to the
-    first index of the block (``first_factor``), and t (K_k (x) I)^dag
-    one BLAS product of t's rows, written straight into the result for
-    the first K_k.  A matrix (right_dim 1 only) takes the plain products,
-    which cost it no reshaping and no ``out`` argument."""
+    is written a block at a time (``block_slices``) into one preallocated
+    result: per K_k (p x q) and block, t = (K_k (x) I) x is K_k applied to
+    the first index of the block, one batched product with the block
+    reshaped to (N_b, q, right_dim n), at p q right_dim n multiply-adds
+    per matrix where the dense K_k (x) I takes right_dim times as many;
+    and t (K_k (x) I)^dag is one BLAS product of t's rows, written
+    straight into the result for the first K_k.  A matrix (right_dim 1
+    only) takes the plain products, which cost it no reshaping and no
+    ``out`` argument."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 3:
         out = ops[0] @ x @ dagger(ops[0])
@@ -598,23 +625,19 @@ def _conjugate_sum(ops: np.ndarray, x: np.ndarray, right_dim: int = 1) -> np.nda
         for k in ops[1:]:
             out += k @ x @ dagger(k)
         return out
-    n, side = x.shape[2], ops.shape[1] * right_dim
+    (count, rows, n), (p, q) = x.shape, ops.shape[1:]
+    side = p * right_dim
     # kron(ops, I_1) would make the signed zeros of ops positive
     adj = dagger(ops if right_dim == 1 else kron(ops, np.eye(right_dim)))
-
-    def block(part, out):
-        xs, flat = x[part], out.reshape(len(out) * side, side)
-
-        def left(k):
-            return first_factor(k, xs, right_dim).reshape(len(xs) * side, n)
-
-        np.matmul(left(ops[0]), adj[0], out=flat)
-        out += 0.0  # as for a matrix
-        for k, k_adj in zip(ops[1:], adj[1:]):
-            flat += left(k) @ k_adj
-
-    out = np.empty((len(x), side, side), dtype=complex)
-    return blockwise(block, out, max(x.shape[1] * n, side * side))
+    out = np.empty((count, side, side), dtype=complex)
+    for part in block_slices(count, max(rows * n, side * side)):
+        xs, o = x[part], out[part]
+        wide, flat = xs.reshape(len(xs), q, right_dim * n), o.reshape(len(xs) * side, side)
+        np.matmul((ops[0] @ wide).reshape(len(flat), n), adj[0], out=flat)
+        o += 0.0  # as for a matrix
+        for j in range(1, len(ops)):
+            flat += (ops[j] @ wide).reshape(len(flat), n) @ adj[j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +645,12 @@ def _conjugate_sum(ops: np.ndarray, x: np.ndarray, right_dim: int = 1) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _scaled_eigenvectors(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    """Columns sqrt(s) v of the eigenpairs of a PSD matrix above KRAUS_CUTOFF."""
-    values, vectors = herm_eig(m, tol)
+def _scaled_eigenvectors(
+    eig: tuple[np.ndarray, np.ndarray], what: str, tol: float
+) -> np.ndarray:
+    """Columns sqrt(s) v of the eigenpairs (s, v) of a PSD matrix above
+    KRAUS_CUTOFF, from its eigensystem ``eig`` (``herm_eig``)."""
+    values, vectors = eig
     top = float(values[-1]) if values.size else 0.0
     if top <= 0.0:
         raise ValueError(f"{what} has no positive spectrum")
@@ -639,15 +665,19 @@ def choi_of_channel(ch: KrausChannel) -> np.ndarray:
 
     Requires dim_in = dim_out.  The result is a valid process state
     exactly when the channel is trace preserving; validation is left to
-    the caller so that CP-only maps can still be converted.
+    the caller so that CP-only maps can still be converted.  Entries near
+    the float limit overflow in the products, with no warning: the inf
+    and NaN values they become fail the caller's checks
+    (``check_process_state``).
     """
     if ch.dim_in != ch.dim_out:
         raise ValueError("Choi operator requires a square channel")
     d = ch.dim_in
     omega = np.zeros((d * d, d * d), dtype=complex)
     # row k is vec(A_k^T): v[i*d + m] = A_k[m, i]
-    for v in ch.kraus.swapaxes(1, 2).reshape(-1, d * d):
-        omega += np.outer(v, v.conj())
+    with np.errstate(invalid="ignore", over="ignore"):
+        for v in ch.kraus.swapaxes(1, 2).reshape(-1, d * d):
+            omega += np.outer(v, v.conj())
     return omega
 
 
@@ -660,7 +690,7 @@ def channel_of_choi(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> Krau
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (d * d, d * d):
         raise ValueError(f"Choi operator must be {d * d}x{d * d}, got {omega.shape}")
-    cols = _scaled_eigenvectors(omega, "Choi operator", tol)
+    cols = _scaled_eigenvectors(herm_eig(omega, tol), "Choi operator", tol)
     return KrausChannel(d, d, cols.T.reshape(-1, d, d).swapaxes(1, 2))
 
 
@@ -671,11 +701,20 @@ def state_to_map(state: np.ndarray, anc_dim: int, d: int, tol: float = DEFAULT_T
     Each eigenvector phi of the state folds into a Kraus operator
     sqrt(lambda) * vec_reshape(phi): H_d -> H_anc.
     """
+    return _state_map(state, anc_dim, d, tol)
+
+
+def _state_map(
+    state: np.ndarray, anc_dim: int, d: int, tol: float,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
+) -> KrausChannel:
+    """``state_to_map``, read from ``eig``, the state's eigensystem from
+    ``density_eigh``, when the caller has it, else from ``herm_eig``."""
     state = np.asarray(state, dtype=complex)
     n = anc_dim * d
     if state.shape != (n, n):
         raise ValueError(f"state must be {n}x{n}, got {state.shape}")
-    cols = _scaled_eigenvectors(state, "state", tol)
+    cols = _scaled_eigenvectors(herm_eig(state, tol) if eig is None else eig, "state", tol)
     return KrausChannel(d, anc_dim, cols.T.reshape(-1, anc_dim, d))
 
 

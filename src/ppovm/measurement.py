@@ -22,11 +22,12 @@ from .channels import (
     Povm,
     _conjugate_sum,
     _proven_povm,
+    _state_map,
     apply_first,
     apply_second,
-    check_density,
     choi_of_channel,
     density_checks,
+    density_eigh,
     dual_channel,
     effect_labels,
     effect_stack,
@@ -158,8 +159,13 @@ def process_effect(
     entry bit for bit as it is when no part is a negative zero, and the
     lift's sum starts from +0.0 (``_conjugate_sum``), so it has none.
     """
-    lifted = dual_channel(state_to_map(state, anc_dim, d, tol))
-    out = apply_first(lifted, np.asarray(effect, dtype=complex), d)
+    return _lift(state_to_map(state, anc_dim, d, tol), effect, d, weight)
+
+
+def _lift(rmap: KrausChannel, effect: np.ndarray, d: int, weight: float) -> np.ndarray:
+    """weight * (rmap^* (x) I)[effect]: ``process_effect`` of the state
+    whose map ``rmap`` is."""
+    out = apply_first(dual_channel(rmap), np.asarray(effect, dtype=complex), d)
     if weight != 1.0:
         out *= weight
     return out
@@ -170,7 +176,12 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
 
     Couple weights must sum to one and each POVM must be complete on its
     own test space.  Effect labels are the POVM outcome labels, prefixed
-    with the couple index when there is more than one couple.
+    with the couple index when there is more than one couple.  Each
+    couple state gets one hermiticity pass and one eigensolve: the
+    eigensystem that ``density_eigh`` checks it with (raising
+    ``check_density``'s error) is the one the lift's Kraus operators are
+    read from, so each couple's effects are its ``process_effect``, bit
+    for bit.
     """
     if not couples:
         raise ValueError("need at least one test couple")
@@ -185,12 +196,11 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
             raise ValueError(f"couple {j} has non-positive weight {couple.weight}")
         if couple.qudit_dim() != d:
             raise ValueError(f"couple {j} is not defined on qudit dimension {d}")
-        check_density(couple.state, tol)
+        eig = density_eigh(couple.state, tol)
         if couple.povm.dim != couple.anc_dim * d:
             raise ValueError(f"couple {j}: POVM dimension mismatch")
-        blocks.append(process_effect(
-            couple.state, couple.povm.effects, couple.anc_dim, d, couple.weight, tol
-        ))
+        rmap = _state_map(couple.state, couple.anc_dim, d, tol, eig)
+        blocks.append(_lift(rmap, couple.povm.effects, d, couple.weight))
         if len(couples) == 1:
             labels += couple.povm.labels
         else:

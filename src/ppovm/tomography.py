@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -332,7 +333,7 @@ def psd_project(
     for _ in range(iters):
         previous = omega
         values, vectors = np.linalg.eigh(omega)
-        clamped = np.clip(values, 0.0, None)
+        clamped = np.maximum(values, 0.0)  # np.clip's own route, without its wrapper
         total = clamped.sum()
         if total > 0.0:
             clamped *= d / total
@@ -354,7 +355,8 @@ class ShotRecord:
     generator: str = "numpy-pcg64"
 
     def frequencies(self, labels: tuple[str, ...]) -> np.ndarray:
-        return np.array([self.counts.get(lbl, 0) for lbl in labels]) / self.shots
+        counts = np.fromiter(map(self.counts.get, labels, repeat(0)), float, len(labels))
+        return counts / self.shots
 
 
 def simulate_counts(
@@ -374,11 +376,11 @@ def simulate_counts(
     what = "simulated counts require a trace-preserving channel"
     raise_failed(trace_preservation_checks(ch, tol), what)
     probs = couple_probabilities(couple, ch)
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {lbl: int(n) for lbl, n in zip(couple.povm.labels, draws)}
+    counts = dict(zip(couple.povm.labels, draws.tolist()))  # Python ints
     return ShotRecord(counts, shots, seed)
 
 

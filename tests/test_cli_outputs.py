@@ -1,7 +1,8 @@
 """Files and stdout of the ``ppovm`` CLI: the schemes ``gen`` writes, the
 layout of ``--format json``, the error of a norm state ``realize`` cannot
 take, UTF-8 files read under the C locale, a plan's product-file process
-POVM read like its dense file, and ``--out`` written to a device.
+POVM read like its dense file, ``--out`` written to a device, and a
+d = 128 plan written in O(d^2) memory.
 
 The module imports ``ppovm`` from wherever it is found and needs nothing
 else of the checkout: the tier-1 tests run it over ``src``, and CI's
@@ -16,6 +17,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,13 @@ def _matrix_files(tmp_path, **mats):
     return [
         _write(tmp_path, f"{name}.json", serialize.encode_matrix(m)) for name, m in mats.items()
     ]
+
+
+def _no_dense_plan(monkeypatch):
+    def dense(plan):
+        raise AssertionError("the plan's d^2 x d^2 process POVM was built")
+
+    monkeypatch.setattr(discrimination.DiscriminationPlan, "ppovm", property(dense))
 
 
 def _encoded(tmp_path, encoding):
@@ -218,3 +227,21 @@ def test_out_to_a_device_is_written_and_not_truncated(tmp_path, capsys, command,
     code, stdout, err = _run(capsys, *argv, "--out", os.devnull)
     assert (code, err) == (0, "")
     assert stdout == _run(capsys, *argv, "--out", path)[1].replace(path, os.devnull)
+
+
+def test_discriminate_at_d_128(tmp_path, capsys, monkeypatch):
+    # one 16384 x 16384 complex matrix is 4 GiB; the output is O(d^2)
+    d = 128
+    phases = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    paths = _matrix_files(tmp_path, u=np.eye(d), v=phases)
+    _no_dense_plan(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "discriminate", *paths, "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["plan"] is not None
+    assert len(out.encode()) < 4_000_000
+    assert peak < 2**27

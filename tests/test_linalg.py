@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppovm.channels import (
-    PAULI_X, PAULI_Z, choi_of_channel, effect_checks, ket, max_entangled_ket, projector, state_checks,
+    PAULI_X, PAULI_Z, check_density, choi_of_channel, effect_checks, ket, max_entangled_ket,
+    projector, state_checks,
 )
 from ppovm.linalg import (
     dagger,
@@ -161,16 +162,34 @@ def test_hermiticity_cases_cover_every_flag():
     assert np.isinf(res).sum() == 1 and passed.sum() == 2
 
 
-@pytest.mark.parametrize("entry", [np.inf, -np.inf], ids=["inf", "-inf"])
-def test_an_infinite_hermiticity_residual_fails(entry):
+# case -> (a matrix with an infinite entry, its hermiticity residual)
+INFINITE_ENTRIES = {
     # the residual is inf, and so is its bound relative to max|m|
-    m = np.array([[0.5, entry], [0.0, 0.5]])
-    assert hermiticity_check("m", m) == ("m_hermiticity_residual", np.inf, False)
-    assert effect_checks(m)[0] == ("effect_hermiticity_residual", np.inf, False)
+    "inf": (np.array([[0.5, np.inf], [0.0, 0.5]]), np.inf),
+    "-inf": (np.array([[0.5, -np.inf], [0.0, 0.5]]), np.inf),
+    # inf - conj(inf) is NaN, which numpy would warn about
+    "diagonal-inf": (np.diag([np.inf, 0.5]), np.nan),
+    "mirrored-inf": (np.array([[0.5, np.inf], [np.inf, 0.5]]), np.nan),
+}
+
+
+@pytest.mark.parametrize("case", list(INFINITE_ENTRIES))
+def test_an_infinite_hermiticity_residual_fails(case):
+    # every routine that reads the residual gets the failing entry or its
+    # named error, and no RuntimeWarning (the suite makes one an error)
+    m, residual = INFINITE_ENTRIES[case]
+    for name, (entry, value, passed) in (
+        ("m", hermiticity_check("m", m)), ("effect", effect_checks(m)[0]),
+        ("state", state_checks(m)[0]),
+    ):
+        assert (entry, passed) == (f"{name}_hermiticity_residual", False)
+        assert np.array_equal(value, residual, equal_nan=True)
     assert not any(passed for _, _, passed in effect_checks(m))
-    assert state_checks(m)[0] == ("state_hermiticity_residual", np.inf, False)
     with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
         herm_eig(m)
+    message = f"not a density operator: state_hermiticity_residual = {residual:.3e}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_density(m)
 
 
 def test_kron_rejects_non_matrices():

@@ -16,6 +16,7 @@ from ppovm.channels import (
     _proven_povm,
     apply_first,
     apply_second,
+    check_density,
     choi_of_channel,
     depolarizing_channel,
     dual_channel,
@@ -369,6 +370,57 @@ def test_build_rejects_bad_weights():
         )
     with pytest.raises(ValueError, match="weights sum to nan"):
         build_ppovm([dataclasses.replace(couple, weight=np.nan)], 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    ancillas=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+def test_build_ppovm_effects_are_bitwise_each_couples_process_effect(d, seed, ancillas):
+    # build_ppovm reads each couple's Kraus operators from the eigensolve
+    # that checks its state; process_effect takes those of state_to_map
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(ancillas)))
+    couples = [
+        random_test_couple(d, min(anc, d), rng, weight=float(w)) for anc, w in zip(ancillas, weights)
+    ]
+    pp = build_ppovm(couples, d)
+    expected = np.concatenate([
+        process_effect(c.state, c.povm.effects, c.anc_dim, d, c.weight) for c in couples
+    ])
+    assert pp.effects.shape == expected.shape
+    assert pp.effects.tobytes() == expected.tobytes()
+
+
+def _bad_states():
+    rho = random_density(4, np.random.default_rng(11))
+    skew, nan, inf = np.zeros((4, 4)), rho.copy(), rho.copy()
+    skew[0, 1] = 1e-3
+    nan[2, 2], inf[0, 0] = np.nan, np.inf
+    return {
+        "not Hermitian": (rho + skew, "state_hermiticity_residual"),
+        "negative eigenvalue": (np.diag([1.1, -0.1, 0.0, 0.0]), "min_eigenvalue"),
+        "trace off": (1.01 * rho, "trace_deviation"),
+        "NaN": (nan, "state_hermiticity_residual = nan"),
+        "inf on the diagonal": (inf, "state_hermiticity_residual = nan"),
+    }
+
+
+BAD_STATES = _bad_states()
+
+
+@pytest.mark.parametrize("case", list(BAD_STATES))
+def test_build_ppovm_raises_check_densitys_error_for_a_bad_couple_state(case):
+    state, entry = BAD_STATES[case]
+    with pytest.raises(ValueError) as expected:
+        check_density(state)
+    couple = TestCouple(1.0, state, random_povm(4, 3, np.random.default_rng(12)), 2)
+    with pytest.raises(ValueError) as got:
+        build_ppovm([couple], 2)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"not a density operator: {entry}")
 
 
 def test_validate_half_povm():

@@ -593,7 +593,8 @@ def test_psd_project_rejects_a_nan_marginal():
 
 def _reference_psd_project(omega_raw, d, iters=50, tol=1e-10):
     """The projection loop before broadcasting: numpy.kron for the marginal
-    repair, the partial_trace and max_abs wrappers, np.eye per iteration."""
+    repair, the partial_trace and max_abs wrappers, np.eye per iteration,
+    and np.clip for the clamp of the eigenvalues."""
     omega = np.asarray(omega_raw, dtype=complex)
     if max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) > 100 * tol:
         raise ValueError("input marginal is too far from the identity")
@@ -613,12 +614,14 @@ def _reference_psd_project(omega_raw, d, iters=50, tol=1e-10):
     return omega, False
 
 
-def _raw_estimate(d, seed, noise):
+def _raw_estimate(d, seed, noise, n_kraus=None):
     """A random channel's Choi matrix plus Hermitian noise of max-norm
     ``noise`` with zero second marginal: PSD at noise 0, not PSD once the
-    noise outweighs the smallest eigenvalue."""
+    noise outweighs the smallest eigenvalue.  With ``n_kraus`` = 1 the
+    channel is unitary, and at noise 0 the clamp meets d^2 - 1 eigenvalues
+    that are zero up to rounding."""
     rng = np.random.default_rng(seed)
-    omega = choi_of_channel(random_channel(d, rng))
+    omega = choi_of_channel(random_channel(d, rng, n_kraus))
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     h = g + g.conj().T
     h = h - kron(partial_trace(h, d, d, "second"), np.eye(d)) / d
@@ -631,12 +634,14 @@ def _raw_estimate(d, seed, noise):
     seed=st.integers(0, 2**32 - 1),
     noise=st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
     iters=st.sampled_from([1, 3, 50]),
+    n_kraus=st.sampled_from([None, 1]),
 )
-@example(d=2, seed=0, noise=0.0, iters=50)
-@example(d=5, seed=1, noise=0.5, iters=1)
-@example(d=3, seed=2, noise=0.5, iters=3)
-def test_psd_project_is_bitwise_the_reference_loop(d, seed, noise, iters):
-    omega_raw = _raw_estimate(d, seed, noise)
+@example(d=2, seed=0, noise=0.0, iters=50, n_kraus=None)
+@example(d=5, seed=1, noise=0.5, iters=1, n_kraus=None)
+@example(d=3, seed=2, noise=0.5, iters=3, n_kraus=None)
+@example(d=4, seed=3, noise=0.0, iters=50, n_kraus=1)
+def test_psd_project_is_bitwise_the_reference_loop(d, seed, noise, iters, n_kraus):
+    omega_raw = _raw_estimate(d, seed, noise, n_kraus)
     omega, converged = psd_project(omega_raw, d, iters=iters)
     expected, expected_converged = _reference_psd_project(omega_raw, d, iters=iters)
     assert omega.dtype == expected.dtype and omega.shape == expected.shape
@@ -651,6 +656,23 @@ def test_reference_cases_cover_both_flags():
     assert psd_project(_raw_estimate(4, 7, 0.0), 4)[1]
     assert not psd_project(_raw_estimate(4, 7, 0.5), 4, iters=1)[1]
     assert not psd_project(_raw_estimate(4, 7, 0.5), 4, iters=3)[1]
+
+
+def test_simulated_counts_are_the_python_ints_of_the_draws():
+    # the parent comprehension builds the reference: the same labels in the
+    # same order, each count a Python int; frequencies read 0 for a label
+    # with no count
+    real, ch = realize(PAULI_PP), depolarizing_channel(0.3, 2)
+    rec = simulate_counts(ch, real, 5000, 9)
+    probs = np.clip(couple_probabilities(real, ch), 0.0, None)
+    draws = np.random.default_rng(9).multinomial(5000, probs / probs.sum())
+    expected = {lbl: int(n) for lbl, n in zip(real.povm.labels, draws)}
+    assert list(rec.counts.items()) == list(expected.items())
+    assert all(type(n) is int for n in rec.counts.values())
+    labels = ("absent", *reversed(PAULI_PP.labels))
+    want = np.array([rec.counts.get(lbl, 0) for lbl in labels]) / rec.shots
+    got = rec.frequencies(labels)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_psd_project_rejects_bad_marginal():
