@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    _EPS,
     DEFAULT_TOL,
     GRID_FLOOR,
     Check,
@@ -26,6 +27,7 @@ from .linalg import (
     hermiticity_check,
     hermiticity_residuals,
     herm_eig,
+    identity,
     is_psd,
     kron,
     max_abs,
@@ -268,16 +270,16 @@ def _products_proven(grid: ProductGrid, tol: float) -> bool:
     a, b = grid.a, grid.b
     n = a.shape[-1] * b.shape[-1]
     scale = max(1.0, float(grid.scale_a.max()) * float(grid.scale_b.max()))
-    if not tol / 2 > (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * np.finfo(float).eps * scale:
+    if not tol / 2 > (CHOLESKY_FLOOR + 4.0 * GRID_FLOOR) * n**2 * _EPS * scale:
         return False
     if a.shape[1:] == b.shape[1:]:  # one call for both stacks
         values = np.linalg.eigvalsh(np.concatenate([a, b]))
         spectra_a, spectra_b = values[: len(a)], values[len(a) :]
     else:
         spectra_a, spectra_b = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
-    (lo_a, hi_a), (lo_b, hi_b) = (
-        (float(w.min()), float(w.max())) for w in (spectra_a, spectra_b)
-    )
+    # ndarray.min and .max's ufuncs, without their Python wrappers
+    lo_a, hi_a = float(np.minimum.reduce(spectra_a, None)), float(np.maximum.reduce(spectra_a, None))
+    lo_b, hi_b = float(np.minimum.reduce(spectra_b, None)), float(np.maximum.reduce(spectra_b, None))
     products = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
     return min(products) >= -tol / 2 and max(products) <= 1.0 + tol / 2
 
@@ -331,7 +333,7 @@ def density_checks(m: np.ndarray, tol: float = DEFAULT_TOL, prefix: str = "") ->
 def _spectrum_checks(values: np.ndarray, m: np.ndarray, tol: float, prefix: str = "") -> list[Check]:
     """``density_checks``' entries, from the ascending spectrum ``values``
     of m's Hermitian part."""
-    trace_dev = abs(float(np.trace(m).real) - 1.0)
+    trace_dev = abs(float(m.trace().real) - 1.0)
     return [
         (f"{prefix}min_eigenvalue", float(values[0]), is_psd(values, tol)),
         (f"{prefix}trace_deviation", trace_dev, trace_dev <= tol),
@@ -346,7 +348,7 @@ def state_checks(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
 
 def completeness_check(stack: np.ndarray, tol: float = DEFAULT_TOL) -> Check:
     """Completeness: the effects of an (N, n, n) stack sum to the identity."""
-    res = max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
+    res = max_abs(stack.sum(axis=0) - identity(stack.shape[1]))
     return ("completeness_residual", res, res <= tol)
 
 
@@ -362,14 +364,14 @@ def trace_preservation_checks(ch: KrausChannel, tol: float = DEFAULT_TOL) -> lis
     the entry, with no warning."""
     with np.errstate(invalid="ignore", over="ignore"):
         total = (dagger(ch.kraus) @ ch.kraus).sum(axis=0)
-        res = max_abs(total - np.eye(ch.dim_in))
+        res = max_abs(total - identity(ch.dim_in))
     return [("trace_preservation_residual", res, res <= tol)]
 
 
 def unitarity_checks(u: np.ndarray, tol: float = DEFAULT_TOL) -> list[Check]:
     """Unitarity: U^dag U = I."""
     u = square_matrix(u, "unitary")
-    res = max_abs(dagger(u) @ u - np.eye(u.shape[0]))
+    res = max_abs(dagger(u) @ u - identity(u.shape[0]))
     return [("unitarity_residual", res, res <= tol)]
 
 
@@ -430,7 +432,7 @@ def check_process_state(omega: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> 
     if abs(tr - d) > tol * max(1.0, d):
         raise ValueError(f"process state trace {tr} != {d}")
     marginal = partial_trace(omega, d, d, "second")
-    if max_abs(marginal - np.eye(d)) > tol * max(1.0, max_abs(omega)):
+    if max_abs(marginal - identity(d)) > tol * max(1.0, max_abs(omega)):
         raise ValueError("process state second marginal differs from identity")
     return omega
 
@@ -511,13 +513,19 @@ def _proven_povm(
     the first failing entry, forming the stack only then; no check of
     ``Povm`` runs twice."""
     require_effects(effects, tol, _invalid_povm_effect, grid)
-    povm = object.__new__(Povm)
     if effects is None:
-        vars(povm)[_GRID] = grid
-    else:
-        object.__setattr__(povm, "effects", frozen(effects))
-    object.__setattr__(povm, "labels", labels)
-    return povm
+        return _trusted(Povm, labels=labels, **{_GRID: grid})
+    return _trusted(Povm, effects=frozen(effects), labels=labels)
+
+
+def _trusted(cls: type, **fields):
+    """An instance of the frozen dataclass ``cls`` whose instance
+    ``__dict__`` is ``fields``, made without ``__post_init__``: for
+    fields its caller has already checked and frozen as that method
+    would (``_proven_povm``, ``measurement.validate_ppovm``)."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -582,10 +590,15 @@ def apply_first(ch: KrausChannel, x: np.ndarray, right_dim: int) -> np.ndarray:
     dim_in = dim_out = right_dim = d, where the d^2 x d^2 product took
     d^6.  The right product is one BLAS product of a block's rows
     (``_conjugate_sum``)."""
-    x = _operand(x, ch.dim_in * right_dim)
+    return _apply_first(ch.kraus, x, right_dim)
+
+
+def _apply_first(ops: np.ndarray, x: np.ndarray, right_dim: int) -> np.ndarray:
+    """``apply_first`` of the channel of Kraus operators ``ops``."""
+    x = _operand(x, ops.shape[2] * right_dim)
     if x.ndim == 2:
-        return _conjugate_sum(ch.kraus, x[None], right_dim)[0]
-    return _conjugate_sum(ch.kraus, x, right_dim)
+        return _conjugate_sum(ops, x[None], right_dim)[0]
+    return _conjugate_sum(ops, x, right_dim)
 
 
 def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
@@ -593,7 +606,7 @@ def apply_second(ch: KrausChannel, x: np.ndarray, left_dim: int) -> np.ndarray:
     H_{left_dim} (x) H_{dim_in}, identity on the first; ``x`` may be a
     stack of operators."""
     x = _operand(x, left_dim * ch.dim_in)
-    return _conjugate_sum(kron(np.eye(left_dim), ch.kraus), x)
+    return _conjugate_sum(kron(identity(left_dim), ch.kraus), x)
 
 
 def _operand(x: np.ndarray, n: int) -> np.ndarray:
@@ -628,7 +641,7 @@ def _conjugate_sum(ops: np.ndarray, x: np.ndarray, right_dim: int = 1) -> np.nda
     (count, rows, n), (p, q) = x.shape, ops.shape[1:]
     side = p * right_dim
     # kron(ops, I_1) would make the signed zeros of ops positive
-    adj = dagger(ops if right_dim == 1 else kron(ops, np.eye(right_dim)))
+    adj = dagger(ops if right_dim == 1 else kron(ops, identity(right_dim)))
     out = np.empty((count, side, side), dtype=complex)
     for part in block_slices(count, max(rows * n, side * side)):
         xs, o = x[part], out[part]
@@ -701,21 +714,22 @@ def state_to_map(state: np.ndarray, anc_dim: int, d: int, tol: float = DEFAULT_T
     Each eigenvector phi of the state folds into a Kraus operator
     sqrt(lambda) * vec_reshape(phi): H_d -> H_anc.
     """
-    return _state_map(state, anc_dim, d, tol)
+    return KrausChannel(d, anc_dim, _state_kraus(state, anc_dim, d, tol))
 
 
-def _state_map(
+def _state_kraus(
     state: np.ndarray, anc_dim: int, d: int, tol: float,
     eig: tuple[np.ndarray, np.ndarray] | None = None,
-) -> KrausChannel:
-    """``state_to_map``, read from ``eig``, the state's eigensystem from
-    ``density_eigh``, when the caller has it, else from ``herm_eig``."""
+) -> np.ndarray:
+    """The (K, anc_dim, d) Kraus operators of ``state_to_map``, read from
+    ``eig``, the state's eigensystem from ``density_eigh``, when the
+    caller has it, else from ``herm_eig``."""
     state = np.asarray(state, dtype=complex)
     n = anc_dim * d
     if state.shape != (n, n):
         raise ValueError(f"state must be {n}x{n}, got {state.shape}")
     cols = _scaled_eigenvectors(herm_eig(state, tol) if eig is None else eig, "state", tol)
-    return KrausChannel(d, anc_dim, cols.T.reshape(-1, anc_dim, d))
+    return cols.T.reshape(-1, anc_dim, d)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .channels import (
     ket,
     povm_checks,
     projector,
+    raise_failed,
     state_checks,
     trace_preservation_checks,
 )
@@ -316,6 +317,11 @@ def cmd_tomo(args) -> int:
     result = linear_inversion(pp, probs)
     if args.truth is not None:
         truth_ch = _read(args.truth, serialize.decode_channel, tol=args.tol)
+        # checked as probs and simulate check their channel, before its Choi
+        # matrix is formed: an entry near the float limit overflows there
+        truth_ch.check_dims(pp.d)
+        what = "the reconstruction error requires"
+        raise_failed(trace_preservation_checks(truth_ch, args.tol), f"{what} a trace-preserving channel")
         truth = check_process_state(choi_of_channel(truth_ch), pp.d, args.tol)
         result = dataclasses.replace(result, hs_error=reconstruction_error(result, truth))
     if not result.ic_complete:

@@ -68,6 +68,14 @@ def blockwise(fn: Callable[[slice, np.ndarray], None], out: np.ndarray, size: in
     return out
 
 
+@functools.cache
+def identity(n: int) -> np.ndarray:
+    """The read-only float n x n identity, ``np.eye(n)``, made once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude (max norm)."""
     m = np.asarray(m)
@@ -142,10 +150,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
     a, b = a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:])
     (na, p, q), (nb, r, s) = a.shape, b.shape
-    out = np.empty((na * nb, p * r, q * s), np.result_type(a, b))
-    grid = out.reshape(na, nb, p, r, q, s)
-    np.multiply(a[:, None, :, None, :, None], b[None, :, None, :, None, :], out=grid)
-    return out
+    grid = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return grid.reshape(na * nb, p * r, q * s)
 
 
 def _pair_products(
@@ -300,19 +306,19 @@ def product_grid(stack: np.ndarray, p: int, q: int) -> ProductGrid | None:
     (``column_grid``)."""
     n, side = len(stack), p * q
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        traces = np.trace(stack, axis1=1, axis2=2).real
+        traces = stack.trace(axis1=1, axis2=2).real
         if not (traces.min() > 0.0 and traces.max() < np.inf):  # NaN fails
             return None
         keys = (_key_weights(p, q) @ stack.reshape(n, -1).T).real / traces
         (ia, ib), (na, nb) = _groups(keys)
         if na * nb != n:
             return None
-        cells = np.full((na, nb), -1)
-        cells[ia, ib] = np.arange(n)
-        if cells.min() < 0:  # a pair occurs twice
+        cells = np.zeros((na, nb), dtype=np.intp)  # 1 + the effect of each pair
+        cells[ia, ib] = np.arange(1, n + 1)
+        if not cells.all():  # a pair occurs twice
             return None
-        column = stack[cells[:, ib[0]]].reshape(na, p, q, p, q)
-        row = stack[cells[ia[0]]].reshape(nb, p, q, p, q)
+        column = stack[cells[:, ib[0]] - 1].reshape(na, p, q, p, q)
+        row = stack[cells[ia[0]] - 1].reshape(nb, p, q, p, q)
         a = hermitian_parts(np.einsum("nakbk->nab", column))
         b = hermitian_parts(np.einsum("nakal->nkl", row) / traces[0])
         grid = ProductGrid(a, b, ia, ib)
@@ -323,7 +329,8 @@ def product_grid(stack: np.ndarray, p: int, q: int) -> ProductGrid | None:
             diff -= stack[part]
             parts = diff.view(float).reshape(len(diff), -1)
             np.abs(parts, out=parts)
-            if not (parts.max(axis=1) <= bound[part]).all():  # NaN fails
+            # (parts.max(axis=1) <= bound).all(), by the ufuncs alone; NaN fails
+            if not np.logical_and.reduce(np.maximum.reduce(parts, axis=1) <= bound[part]):
                 return None
     return grid
 

@@ -21,21 +21,20 @@ from .channels import (
     KrausChannel,
     Povm,
     _conjugate_sum,
+    _apply_first,
     _proven_povm,
-    _state_map,
-    apply_first,
+    _spectrum_checks,
+    _state_kraus,
+    _trusted,
     apply_second,
     choi_of_channel,
-    density_checks,
     density_eigh,
-    dual_channel,
     effect_labels,
     effect_stack,
     projector,
     raise_failed,
     require_effects,
     stacked_effect_checks,
-    state_to_map,
     trace_preservation_checks,
 )
 from .linalg import (
@@ -47,11 +46,14 @@ from .linalg import (
     dagger,
     frozen,
     herm_eig,
+    hermitian_parts,
+    identity,
     kron,
     max_abs,
     partial_trace,
     pinv,
     product_grid,
+    spectra,
 )
 
 class PpovmError(ValueError):
@@ -159,13 +161,15 @@ def process_effect(
     entry bit for bit as it is when no part is a negative zero, and the
     lift's sum starts from +0.0 (``_conjugate_sum``), so it has none.
     """
-    return _lift(state_to_map(state, anc_dim, d, tol), effect, d, weight)
+    return _lift(_state_kraus(state, anc_dim, d, tol), effect, d, weight)
 
 
-def _lift(rmap: KrausChannel, effect: np.ndarray, d: int, weight: float) -> np.ndarray:
-    """weight * (rmap^* (x) I)[effect]: ``process_effect`` of the state
-    whose map ``rmap`` is."""
-    out = apply_first(dual_channel(rmap), np.asarray(effect, dtype=complex), d)
+def _lift(kraus: np.ndarray, effect: np.ndarray, d: int, weight: float) -> np.ndarray:
+    """weight * (R^* (x) I)[effect], R the map of the Kraus operators
+    ``kraus`` (``state_to_map``'s): ``process_effect`` of the state whose
+    map R is.  R^* is applied as ``dual_channel`` holds it, the frozen
+    A_k^dag, without building either ``KrausChannel``."""
+    out = _apply_first(frozen(dagger(kraus)), np.asarray(effect, dtype=complex), d)
     if weight != 1.0:
         out *= weight
     return out
@@ -199,8 +203,8 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
         eig = density_eigh(couple.state, tol)
         if couple.povm.dim != couple.anc_dim * d:
             raise ValueError(f"couple {j}: POVM dimension mismatch")
-        rmap = _state_map(couple.state, couple.anc_dim, d, tol, eig)
-        blocks.append(_lift(rmap, couple.povm.effects, d, couple.weight))
+        kraus = _state_kraus(couple.state, couple.anc_dim, d, tol, eig)
+        blocks.append(_lift(kraus, couple.povm.effects, d, couple.weight))
         if len(couples) == 1:
             labels += couple.povm.labels
         else:
@@ -217,23 +221,26 @@ def build_ppovm(couples: list[TestCouple], d: int, tol: float = DEFAULT_TOL) -> 
 
 
 def _normalization_check(total: np.ndarray, sigma: np.ndarray, d: int, tol: float) -> Check:
-    """Residual of sum M = sigma (x) I_d, bounded by tol relative to max|sum M|."""
-    res = max_abs(total - kron(sigma, np.eye(d)))
-    return ("product_normalization_residual", res, res <= tol * max(1.0, max_abs(total)))
+    """Residual of sum M = sigma (x) I_d, bounded by tol relative to max|sum M|.
+    sigma (x) I_d is ``kron``'s broadcast product, on the sum's d x d blocks."""
+    blocks = total.reshape(d, d, d, d) - sigma[:, None, :, None] * identity(d)[None, :, None, :]
+    res = float(np.abs(blocks).max())
+    return ("product_normalization_residual", res, res <= tol * max(1.0, float(np.abs(total).max())))
 
 
 def _sum_checks(stack: np.ndarray, d: int, tol: float) -> tuple[list[Check], np.ndarray]:
     """The sum factors as sigma (x) I_d, and rho = sigma^T is a density
     operator; returns those entries and rho.  Effects near the float limit
     overflow in the sum and its partial trace; the inf and NaN values they
-    become fail the entries."""
+    become fail the entries.  The norm-state entries are ``density_checks``',
+    under this one ``errstate``."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = stack.sum(axis=0)
-        sigma = partial_trace(total, d, d, "second") / d
+        sigma = np.einsum("akbk->ab", total.reshape(d, d, d, d)) / d  # partial_trace's
         rho = sigma.T
         return [
             _normalization_check(total, sigma, d, tol),
-            *density_checks(rho, tol, "norm_state_"),
+            *_spectrum_checks(spectra(hermitian_parts(rho)), rho, tol, "norm_state_"),
         ], rho
 
 
@@ -301,9 +308,11 @@ def validate_ppovm(
             if name.startswith("norm_state_"):
                 raise NormStateInvalidError(message)
             raise NotProductNormalizationError(message)
-    pp = ProcessPovm(d, stack, rho, labels)
-    vars(pp)[_GRID] = grid
-    return pp
+    # the fields ProcessPovm's __post_init__ would check and freeze
+    return _trusted(
+        ProcessPovm, d=d, effects=frozen(stack), norm_state=frozen(rho), labels=labels,
+        **{_GRID: grid},
+    )
 
 
 def merge_couples(couples: list[TestCouple]) -> TestCouple:
@@ -466,7 +475,7 @@ def realize(pp: ProcessPovm, tol: float = DEFAULT_TOL) -> TestCouple:
         total = realized.sum(axis=0)
         if product:  # every pair once: the effects sum to (sum F) (x) (sum G)
             total = kron(total, grid.b.sum(axis=0))
-        res = max_abs(total - np.eye(len(total)))
+        res = max_abs(total - identity(len(total)))
     if not res <= tol:  # NaN fails
         low = float((np.abs(a) ** 2).sum(axis=1).min())  # |row j of A|^2 = s_j
         raise PpovmError(non_finite_effect(pp) or (

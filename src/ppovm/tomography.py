@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import KrausChannel, raise_failed, trace_preservation_checks
 from .linalg import (
-    DEFAULT_TOL, ProductGrid, blockwise, column_grid, hermitian_parts, hs_distance, kron,
+    DEFAULT_TOL, ProductGrid, blockwise, column_grid, hermitian_parts, hs_distance, identity,
     max_abs, partial_trace,
 )
 from .measurement import (
@@ -149,9 +149,9 @@ class _GramFactors:
     row of the pair (``rows[j]``, ``cols[j]``), the offsets Tr(M)/d of its
     effects, and the eigensystem of G = G_A (x) G_B: ``vectors_a`` and
     ``vectors_b`` hold the eigenvectors of G_A and G_B, and ``values``
-    the eigenvalue of G for each pair of them, zero where it is not kept.
-    ``condition`` is the condition number of D on its span (inf when
-    nothing is kept)."""
+    the eigenvalue of G for each pair of them, zero where it is not kept;
+    ``rank`` counts the kept ones.  ``condition`` is the condition number
+    of D on its span (inf when nothing is kept)."""
 
     design_a: np.ndarray
     design_b: np.ndarray
@@ -161,11 +161,8 @@ class _GramFactors:
     vectors_a: np.ndarray
     vectors_b: np.ndarray
     values: np.ndarray
+    rank: int
     condition: float
-
-    @property
-    def rank(self) -> int:  # the number of kept eigenvalues of G
-        return int(np.count_nonzero(self.values))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The minimum-norm least-squares solution of D x = rhs:
@@ -176,7 +173,7 @@ class _GramFactors:
         grid[self.rows, self.cols] = rhs
         y = self.design_a.T @ grid @ self.design_b
         z = self.vectors_a.T @ y @ self.vectors_b
-        z = np.divide(z, self.values, out=np.zeros_like(z), where=self.values > 0.0)
+        z = np.divide(z, self.values, out=np.zeros(z.shape), where=self.values > 0.0)
         return (self.vectors_a @ z @ self.vectors_b.T).reshape(-1)
 
     def apply(self, coeff: np.ndarray) -> np.ndarray:
@@ -220,16 +217,17 @@ def _factorize(
         raise ValueError(non_finite_effect(pp) or "the design's Gram matrix is not finite")
     w_a, v_a = np.linalg.eigh(gram_a)
     w_b, v_b = np.linalg.eigh(gram_b)
-    products = np.outer(w_a, w_b)
+    products = w_a[:, None] * w_b  # np.outer's product
     keep = _kept(products)
     values = np.where(keep, products, 0.0)
+    rank = int(np.count_nonzero(keep))
     condition = math.inf
-    if keep.any():
+    if rank:
         # sqrt(w_max / w_min) per factor, at the smallest kept product
         i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
         condition = math.sqrt(w_a[-1] / w_a[i]) * math.sqrt(w_b[-1] / w_b[j])
-    offset = np.trace(pp.effects, axis1=1, axis2=2).real / pp.d
-    return _GramFactors(design_a, design_b, rows, cols, offset, v_a, v_b, values, condition)
+    offset = pp.effects.trace(axis1=1, axis2=2).real / pp.d
+    return _GramFactors(design_a, design_b, rows, cols, offset, v_a, v_b, values, rank, condition)
 
 
 def _gram_factors(pp: ProcessPovm) -> _GramFactors:
@@ -302,8 +300,9 @@ def linear_inversion(pp: ProcessPovm, probs: np.ndarray) -> TomographyResult:
     factors = _gram_factors(pp)
     rhs = probs - factors.offset
     coeff = factors.solve(rhs)
-    omega_raw = np.eye(d * d, dtype=complex) / d + _operator(coeff, d)
-    residual = float(np.linalg.norm(factors.apply(coeff) - rhs))
+    omega_raw = identity(d * d) / d + _operator(coeff, d)
+    misfit = factors.apply(coeff) - rhs
+    residual = math.sqrt(misfit.dot(misfit))  # np.linalg.norm's route for a real vector
     deficiency = d**4 - d**2 - factors.rank
     omega_projected, converged = psd_project(omega_raw, d)
     return TomographyResult(
@@ -326,21 +325,31 @@ def psd_project(
     n = d * d
     if omega.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {omega.shape}")
-    if not max_abs(partial_trace(omega, d, d, "second") - np.eye(d)) <= 100 * tol:
+    if not max_abs(partial_trace(omega, d, d, "second") - identity(d)) <= 100 * tol:
         raise ValueError("input marginal is too far from the identity")
     omega = hermitian_parts(omega)
-    eye = np.eye(d)
+    # Each step calls the ufuncs that np.clip, ndarray.sum and .max call,
+    # without their Python wrappers.  The marginal Tr_2 is summed over k in
+    # partial_trace's order (its einsum's; the +0.0 it starts from only
+    # signs a zero, which eye - Tr_2 gives +0.0 either way), and
+    # kron(repair, eye) is kron's broadcast product.  The complex identity
+    # is the float one as these operations cast it.
+    eye = np.eye(d, dtype=complex)
+    diagonal = eye[None, :, None, :]
     for _ in range(iters):
         previous = omega
         values, vectors = np.linalg.eigh(omega)
-        clamped = np.maximum(values, 0.0)  # np.clip's own route, without its wrapper
-        total = clamped.sum()
+        clamped = np.maximum(values, 0.0)
+        total = np.add.reduce(clamped)
         if total > 0.0:
             clamped *= d / total
-        omega = (vectors * clamped) @ vectors.conj().T
-        repair = (eye - partial_trace(omega, d, d, "second")) / d
-        omega = omega + kron(repair, eye)
-        if np.abs(omega - previous).max() < tol:
+        blocks = ((vectors * clamped) @ vectors.conj().T).reshape(d, d, d, d)
+        marginal = blocks[:, 0, :, 0]
+        for k in range(1, d):
+            marginal = marginal + blocks[:, k, :, k]
+        repair = (eye - marginal) / d
+        omega = (blocks + repair[:, None, :, None] * diagonal).reshape(n, n)
+        if np.maximum.reduce(np.abs(omega - previous), axis=None) < tol:
             return omega, True
     return omega, False
 

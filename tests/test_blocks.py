@@ -18,6 +18,7 @@ from ppovm.channels import (
     CHOLESKY_FLOOR,
     Povm,
     _effects_proven,
+    _products_proven,
     all_pass,
     dual_channel,
     max_entangled_ket,
@@ -27,14 +28,19 @@ from ppovm.channels import (
     state_to_map,
 )
 from ppovm.linalg import (
+    _GROUP_GAP,
     BLOCK_ENTRIES,
     DEFAULT_TOL,
     GRID_FLOOR,
+    ProductGrid,
+    _key_weights,
     block_slices,
     dagger,
     frozen,
     hermiticity_residuals,
     kron,
+    max_abs,
+    partial_trace,
     pinv,
     product_grid,
     spectra,
@@ -43,6 +49,7 @@ from ppovm.measurement import (
     ProcessPovm,
     SupportViolationError,
     TestCouple,
+    _sum_checks,
     build_ppovm,
     effect_grid,
     ppovm_checks,
@@ -543,3 +550,127 @@ def test_kronecker_test_holds_no_second_gram_matrix():
     # entries (1 MiB each) and the tiled factors (0.6 MB), less than the
     # design D alone (4.32 MB); G took 2.88 MB more
     assert peak < len(pp) * (d**4 - d**2) * 8
+
+
+# ---------------------------------------------------------------------------
+# the validated process POVM, its checks, its factor proof and its design's
+# condition number: whole-stack references in the plain numpy calls
+# ---------------------------------------------------------------------------
+
+
+def _groups_reference(keys: np.ndarray):
+    ids, counts = np.empty(keys.shape, dtype=np.intp), []
+    for row, out in zip(keys, ids):
+        order = row.argsort()
+        ranked = row[order]
+        starts = ranked[1:] - ranked[:-1] > _GROUP_GAP * (1.0 + max(-ranked[0], ranked[-1]))
+        out[order[0]] = 0
+        out[order[1:]] = starts.cumsum()
+        counts.append(int(out[order[-1]]) + 1)
+    return ids, counts
+
+
+def _grid_reference(stack: np.ndarray, d: int):
+    """The factors a, b and the pair indices of a stack known to be a
+    product grid: np.trace for the traces, a pair table filled from -1,
+    and the partial traces by einsum."""
+    n = len(stack)
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    (ia, ib), (na, nb) = _groups_reference((_key_weights(d, d) @ stack.reshape(n, -1).T).real / traces)
+    cells = np.full((na, nb), -1)
+    cells[ia, ib] = np.arange(n)
+    column = stack[cells[:, ib[0]]].reshape(na, d, d, d, d)
+    row = stack[cells[ia[0]]].reshape(nb, d, d, d, d)
+    a = np.einsum("nakbk->nab", column) / 2
+    b = np.einsum("nakal->nkl", row) / traces[0] / 2
+    return a + dagger(a), b + dagger(b), ia, ib
+
+
+def _sum_checks_reference(stack: np.ndarray, d: int, tol: float):
+    total = stack.sum(axis=0)
+    sigma = partial_trace(total, d, d, "second") / d
+    rho = sigma.T
+    res = max_abs(total - np.kron(sigma, np.eye(d)))
+    values = np.linalg.eigvalsh(rho / 2 + dagger(rho) / 2)
+    trace_dev = abs(float(np.trace(rho).real) - 1.0)
+    return [
+        ("product_normalization_residual", res, res <= tol * max(1.0, max_abs(total))),
+        ("norm_state_min_eigenvalue", float(values[0]),
+         bool(values[0] >= -tol * max(1.0, float(values[-1])))),
+        ("norm_state_trace_deviation", trace_dev, trace_dev <= tol),
+    ], rho
+
+
+def _products_proven_reference(grid, tol: float) -> bool:
+    a, b = grid.a, grid.b
+    n = a.shape[-1] * b.shape[-1]
+    scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
+    if not tol / 2 > (CHOLESKY_FLOOR + 4 * GRID_FLOOR) * n**2 * np.finfo(float).eps * scale:
+        return False
+    if a.shape[1:] == b.shape[1:]:
+        values = np.linalg.eigvalsh(np.concatenate([a, b]))
+        w_a, w_b = values[: len(a)], values[len(a) :]
+    else:
+        w_a, w_b = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    ends = [x * y for x in (w_a.min(), w_a.max()) for y in (w_b.min(), w_b.max())]
+    return min(ends) >= -tol / 2 and max(ends) <= 1.0 + tol / 2
+
+
+def _gram_reference(design_a: np.ndarray, design_b: np.ndarray):
+    """The kept Gram eigenvalues, their count and the condition number, by
+    np.outer and one eigh per factor."""
+    w_a, _ = np.linalg.eigh(design_a.T @ design_a)
+    w_b, _ = np.linalg.eigh(design_b.T @ design_b)
+    products = np.outer(w_a, w_b)
+    keep = products > 1e-12 * products.max(initial=0.0)
+    condition = np.inf
+    if keep.any():
+        i, j = np.unravel_index(np.where(keep, products, np.inf).argmin(), keep.shape)
+        condition = np.sqrt(w_a[-1] / w_a[i]) * np.sqrt(w_b[-1] / w_b[j])
+    return np.where(keep, products, 0.0), int(keep.sum()), float(condition)
+
+
+def _job_ppovms(d: int, seed: int):
+    """A rotated product scheme, as a tomography job validates it, and a
+    process POVM that is no product grid."""
+    rng = np.random.default_rng([29, d, seed])
+    built = build_ppovm([_rotated_product_couple(d, rng)], d)
+    return built, random_ppovm(d, rng, rho_rank=d)
+
+
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 5) for seed in (0, 1)])
+def test_validated_ppovm_checks_proof_and_condition_match_references(d, seed):
+    tol = DEFAULT_TOL
+    for built, product in zip(_job_ppovms(d, seed), (True, False)):
+        matrices = list(built.matrices)
+        pp = validate_ppovm(matrices, d, labels=list(built.labels))
+        assert _same_bytes(pp.effects, np.asarray(matrices, dtype=complex))
+        assert pp.labels == built.labels and not pp.effects.flags.writeable
+
+        got, rho = _sum_checks(pp.effects, d, tol)
+        want, want_rho = _sum_checks_reference(pp.effects, d, tol)
+        assert [(n, p) for n, _, p in got] == [(n, p) for n, _, p in want]
+        assert _same_bytes(np.array([v for _, v, _ in got]), np.array([v for _, v, _ in want]))
+        assert _same_bytes(rho, want_rho)
+        assert _same_bytes(pp.norm_state, np.ascontiguousarray(want_rho))
+
+        grid = effect_grid(pp)
+        factors = _gram_factors(pp)
+        values, rank, condition = _gram_reference(factors.design_a, factors.design_b)
+        assert _same_bytes(factors.values, values) and factors.rank == rank
+        assert _same_bytes(np.array(factors.condition), np.array(condition))
+        assert (grid is not None) == product
+        if not product:
+            continue
+        for got_part, want_part in zip((grid.a, grid.b, grid.ia, grid.ib), _grid_reference(pp.effects, d)):
+            assert _same_bytes(got_part, want_part)
+        # the verdict at the edge 1 + tol/2 of the factor proof: b scaled so
+        # that the largest product crosses it within a few ulps
+        top = float(np.linalg.eigvalsh(grid.a).max()) * float(np.linalg.eigvalsh(grid.b).max())
+        verdicts = set()
+        for k in range(-8, 9):
+            scaled = ProductGrid(grid.a, grid.b * ((1 + tol / 2) / top * (1 + k * 2**-52)), grid.ia, grid.ib)
+            verdict = _products_proven(scaled, tol)
+            assert verdict == _products_proven_reference(scaled, tol)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

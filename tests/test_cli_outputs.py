@@ -1,6 +1,7 @@
 """Files and stdout of the ``ppovm`` CLI: the schemes ``gen`` writes, the
 layout of ``--format json``, the error of a norm state ``realize`` cannot
-take, UTF-8 files read under the C locale, a plan's product-file process
+take, the error of a ``tomo --truth`` channel near the float limit, UTF-8
+files read under the C locale, a plan's product-file process
 POVM read like its dense file, ``--out`` written to a device, and a
 d = 128 plan written in O(d^2) memory.
 
@@ -148,6 +149,21 @@ def test_simulate_names_an_ill_conditioned_norm_state(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: norm state too ill-conditioned to realize: its smallest kept eigenvalue 1.000e-08 ")
     assert not (tmp_path / "c.json").exists()
+
+
+def test_tomo_names_a_truth_channel_near_the_float_limit(tmp_path, capsys):
+    # a 1e308 Kraus entry overflows in the truth's Choi matrix; its
+    # trace-preservation entry is named first, as probs and simulate name it
+    pp, channel = _gen(tmp_path, "pauli-probe"), _gen(tmp_path, "identity")
+    obj = serialize.read_json(channel)
+    obj["ops"][0]["data"][0] = [1e308, 0.0]
+    truth = _write(tmp_path, "big.json", obj)
+    code, out, err = _run(capsys, "tomo", pp, "--exact", channel, "--truth", truth)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the reconstruction error requires a trace-preserving channel: "
+        "trace_preservation_residual = inf\n"
+    )
 
 
 def test_a_utf8_file_reads_whatever_the_locale(tmp_path):
